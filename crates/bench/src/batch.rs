@@ -151,7 +151,6 @@ pub fn rows_to_entries(rows: &[BatchRow], reps: usize) -> Vec<BenchEntry> {
                 threads: r.threads,
                 batch: r.batch,
                 connections: 1,
-                processes: 1,
                 backend: crate::history::backend_from_choice(&r.batch_choice).to_string(),
                 plan_kind: format!("batched {}", r.batch_choice),
                 reps: reps as u64,

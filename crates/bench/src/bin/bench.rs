@@ -271,17 +271,15 @@ fn show(flags: &[(String, String)]) -> Result<i32, String> {
             e.threads,
             e.batch,
             e.connections,
-            e.processes,
             &e.backend,
             &latest.host.name,
         );
         println!(
-            "  n=2^{:<2} p={} b={:<3} c={:<3} q={:<2} {:<6} {:>6.3} GF/s  {}  ({} run(s))",
+            "  n=2^{:<2} p={} b={:<3} c={:<3} {:<6} {:>6.3} GF/s  {}  ({} run(s))",
             e.log2n,
             e.threads,
             e.batch,
             e.connections,
-            e.processes,
             e.backend,
             e.gflops,
             sparkline(&traj),

@@ -23,8 +23,6 @@
 //!                    [--batch 8] [--deadline-ms 0] [--wisdom PATH] [--require-warm 0|1]
 //!                    [--history FILE] [--out results/]
 //! figures serve-dash [--size 8] [--workers 2] [--connections 4] [--requests 32] [--out results/]
-//! figures dist [--min 8] [--max 12] [--threads 2] [--budget 4] [--reps 3]
-//!              [--machine core-duo] [--out results/]
 //! figures ablation-serve-metrics [--size 8] [--workers 2] [--connections 4] [--requests 64]
 //!                    [--out results/]
 //! figures all [--out results/]
@@ -138,11 +136,6 @@ const COMMANDS: &[CmdSpec] = &[
         flags: &["min", "max", "threads", "out"],
     },
     CmdSpec {
-        name: "dist",
-        desc: "DIST — fleet throughput vs single-process, with the exchange-cost model's verdict",
-        flags: &["min", "max", "threads", "budget", "reps", "machine", "out"],
-    },
-    CmdSpec {
         name: "serve-load",
         desc:
             "SERVE-LOAD — network-tier latency percentiles under single/warm/overload concurrency",
@@ -247,7 +240,6 @@ fn main() {
         }
         "batch" => run_batch(&opts, out_dir.as_deref()),
         "certify" => run_certify(&opts, out_dir.as_deref()),
-        "dist" => run_dist(&opts, out_dir.as_deref()),
         "serve-load" => run_serve_load(&opts, out_dir.as_deref()),
         "serve-dash" => run_serve_dash(&opts, out_dir.as_deref()),
         "ablation-serve-metrics" => run_abl_serve_metrics(&opts, out_dir.as_deref()),
@@ -342,12 +334,6 @@ fn machine_arg(opts: &HashMap<String, String>) -> MachineSpec {
         eprintln!("unknown machine {key}");
         usage_and_exit()
     })
-}
-
-fn flag_usize(opts: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    opts.get(key)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 fn range(opts: &HashMap<String, String>, dmin: u32, dmax: u32) -> (u32, u32) {
@@ -1147,75 +1133,6 @@ fn run_certify(opts: &HashMap<String, String>, out_dir: Option<&str>) {
 /// overload actually shed (`Overloaded` seen), and — under
 /// `--require-warm 1` — zero tuner invocations (the warm-path
 /// invariant).
-fn run_dist(opts: &HashMap<String, String>, out_dir: Option<&str>) {
-    let (min, max) = range(opts, 8, 12);
-    let threads = flag_usize(opts, "threads", 2);
-    let budget = flag_usize(opts, "budget", 4);
-    let reps = flag_usize(opts, "reps", 3);
-    let m = machine_arg(opts);
-    let mu = spiral_smp::topology::mu();
-    let fig = spiral_bench::dist_fig::run_dist_figure(min, max, threads, mu, budget, reps, &m);
-    println!(
-        "DIST — fleet vs single process (host measured; predicted on {}; budget {})",
-        fig.sim_machine, fig.budget
-    );
-    if !fig.fleet_available {
-        println!("  (no dist-worker binary found: measured fleet columns are absent)");
-    }
-    println!(
-        "  {:<6} {:>12} {:>12} {:>9} {:>10} {:>8}",
-        "n", "single µs", "fleet µs", "speedup", "sim win?", "tuner"
-    );
-    for r in &fig.rows {
-        let best = r
-            .fleet
-            .iter()
-            .min_by(|a, b| a.measured_us.total_cmp(&b.measured_us));
-        let (fleet_us, speedup) = best.map_or((f64::NAN, f64::NAN), |f| (f.measured_us, f.speedup));
-        println!(
-            "  2^{:<4} {:>12.1} {:>12.1} {:>8.2}x {:>10} {:>8}",
-            r.log2n,
-            r.single_us,
-            fleet_us,
-            speedup,
-            if r.sim_predicts_win {
-                format!("dist({})", r.sim_best_q)
-            } else {
-                "no".to_string()
-            },
-            if r.tuner_selects_dist {
-                "dist"
-            } else {
-                "single"
-            },
-        );
-    }
-    match (fig.measured_crossover_log2n, fig.sim_crossover_log2n) {
-        (0, 0) => println!(
-            "  no crossover, measured or predicted: the exchange cost dominates on this grid, \
-             and the tuner agrees (never selects dist)"
-        ),
-        (m_x, s_x) => println!(
-            "  crossover: measured at {} / predicted at {}",
-            if m_x == 0 {
-                "never".to_string()
-            } else {
-                format!("2^{m_x}")
-            },
-            if s_x == 0 {
-                "never".to_string()
-            } else {
-                format!("2^{s_x}")
-            },
-        ),
-    }
-    if let Some(dir) = out_dir {
-        let path = std::path::Path::new(dir).join("dist_throughput.json");
-        std::fs::write(&path, spiral_bench::dist_fig::to_json(&fig)).expect("write dist figure");
-        println!("  wrote {}", path.display());
-    }
-}
-
 fn run_serve_load(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     use spiral_bench::serve_load::{measure_serve_load, ServeLoadOpts};
 

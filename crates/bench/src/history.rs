@@ -35,19 +35,17 @@ use std::time::Instant;
 ///   grid (`connections = 1` for everything measured in-process).
 /// * v4 — entries gained the `backend` grid dimension (`"scalar"` |
 ///   `"vector"`), so short-vector measurements never compare against
-///   scalar baselines. v3 files migrate on load: every pre-existing
-///   point was measured by the scalar interpreter and is stamped
-///   `"scalar"`.
+///   scalar baselines.
 /// * v5 — entries gained the tail percentiles `p99_us`/`p999_us`
 ///   (per-transform, like `median_us`), so the serving tier's latency
-///   tails are trended longitudinally alongside throughput. v4 files
-///   migrate on load with `0.0` (= tails not measured for that point).
-/// * v6 — entries gained the `processes` grid dimension: how many
-///   worker processes executed the transform (`1` = in-process; `>1`
-///   only for `dist(q)` fleet measurements from `figures dist`). A
-///   comparison key, so fleet points trend against fleet baselines
-///   only. v5 files migrate on load with `processes: 1`.
-pub const BENCH_SCHEMA_VERSION: u64 = 6;
+///   tails are trended longitudinally alongside throughput.
+/// * v6 — entries gained a `processes` grid dimension for a
+///   multi-process tier that has since been removed.
+/// * v7 — the `processes` dimension is gone again.
+///
+/// No history file was ever committed, so there are no migrations: a
+/// file at any other version is rejected with the same error.
+pub const BENCH_SCHEMA_VERSION: u64 = 7;
 
 /// The `backend` value for points executed by the scalar interpreter.
 pub const BACKEND_SCALAR: &str = "scalar";
@@ -140,10 +138,6 @@ pub struct BenchEntry {
     /// serve-load points, where `median_us` is the per-request
     /// round-trip over the wire rather than a bare execute.
     pub connections: u64,
-    /// Worker processes that executed the transform: `1` for every
-    /// in-process point; `q` for a `dist(q)` fleet point (the manager
-    /// process is not counted). A comparison key.
-    pub processes: u64,
     /// Execution backend of the measured plan: [`BACKEND_SCALAR`] or
     /// [`BACKEND_VECTOR`]. A comparison key — a vector point only ever
     /// compares against earlier vector points, never a scalar baseline
@@ -203,16 +197,12 @@ impl Default for BenchHistory {
 }
 
 impl BenchHistory {
-    /// Parse a history file's contents. v3 files (pre-`backend`) are
-    /// migrated in place: every v3 point was measured by the scalar
-    /// interpreter, so migration stamps `backend: "scalar"` and bumps
-    /// the schema, preserving existing trajectories as the scalar
-    /// baseline the new vector points sit alongside.
+    /// Parse a history file's contents. The schema is checked before
+    /// the layout, so a file at any other version — older or newer —
+    /// fails with the same error.
     pub fn from_json(s: &str) -> Result<BenchHistory, String> {
-        let mut v: serde::Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        migrate_v3(&mut v);
-        migrate_v4(&mut v);
-        migrate_v5(&mut v);
+        let v: serde::Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
+        check_schema(v.get("schema").and_then(serde::Value::as_f64))?;
         let h = BenchHistory::from_value(&v).map_err(|e| e.to_string())?;
         h.validate()?;
         Ok(h)
@@ -240,12 +230,7 @@ impl BenchHistory {
     /// Structural validity: known schema, strictly increasing run
     /// sequence numbers, finite non-negative measurements.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != BENCH_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported bench history schema {} (this build reads {})",
-                self.schema, BENCH_SCHEMA_VERSION
-            ));
-        }
+        check_schema(Some(self.schema as f64))?;
         let mut prev_seq = 0u64;
         for run in &self.runs {
             if run.seq <= prev_seq {
@@ -286,14 +271,12 @@ impl BenchHistory {
     /// The gflops trajectory of one grid point across all runs on
     /// `host_name`, oldest first (for sparklines). Runs missing the
     /// point are skipped.
-    #[allow(clippy::too_many_arguments)]
     pub fn trajectory(
         &self,
         log2n: u64,
         threads: u64,
         batch: u64,
         connections: u64,
-        processes: u64,
         backend: &str,
         host_name: &str,
     ) -> Vec<f64> {
@@ -308,7 +291,6 @@ impl BenchHistory {
                             && e.threads == threads
                             && e.batch == batch
                             && e.connections == connections
-                            && e.processes == processes
                             && e.backend == backend
                     })
                     .map(|e| e.gflops)
@@ -317,101 +299,16 @@ impl BenchHistory {
     }
 }
 
-/// In-place v3 → v4 schema migration on the parsed JSON tree: stamp
-/// `backend: "scalar"` onto every entry (all v3 measurements were
-/// scalar-interpreter runs) and rewrite the schema number. Any other
-/// schema version passes through untouched for `validate` to judge.
-fn migrate_v3(v: &mut serde::Value) {
-    fn get_mut<'a>(v: &'a mut serde::Value, key: &str) -> Option<&'a mut serde::Value> {
-        match v {
-            serde::Value::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, x)| x),
-            _ => None,
-        }
+/// The one schema gate: anything but [`BENCH_SCHEMA_VERSION`] (or a
+/// missing stamp) is unsupported.
+fn check_schema(schema: Option<f64>) -> Result<(), String> {
+    if schema == Some(BENCH_SCHEMA_VERSION as f64) {
+        return Ok(());
     }
-    if v.get("schema").and_then(serde::Value::as_f64) != Some(3.0) {
-        return;
-    }
-    if let Some(serde::Value::Arr(runs)) = get_mut(v, "runs") {
-        for run in runs {
-            if let Some(serde::Value::Arr(entries)) = get_mut(run, "entries") {
-                for e in entries {
-                    if let serde::Value::Obj(fields) = e {
-                        if !fields.iter().any(|(k, _)| k == "backend") {
-                            fields.push((
-                                "backend".to_string(),
-                                serde::Value::Str(BACKEND_SCALAR.to_string()),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if let Some(s) = get_mut(v, "schema") {
-        *s = serde::Value::Num(4.0);
-    }
-}
-
-/// In-place v5 → v6 migration: entries gain the `processes` grid
-/// dimension, stamped `1` — every pre-v6 measurement ran in-process.
-fn migrate_v5(v: &mut serde::Value) {
-    fn get_mut<'a>(v: &'a mut serde::Value, key: &str) -> Option<&'a mut serde::Value> {
-        match v {
-            serde::Value::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, x)| x),
-            _ => None,
-        }
-    }
-    if v.get("schema").and_then(serde::Value::as_f64) != Some(5.0) {
-        return;
-    }
-    if let Some(serde::Value::Arr(runs)) = get_mut(v, "runs") {
-        for run in runs {
-            if let Some(serde::Value::Arr(entries)) = get_mut(run, "entries") {
-                for e in entries {
-                    if let serde::Value::Obj(fields) = e {
-                        if !fields.iter().any(|(k, _)| k == "processes") {
-                            fields.push(("processes".to_string(), serde::Value::Num(1.0)));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if let Some(s) = get_mut(v, "schema") {
-        *s = serde::Value::Num(6.0);
-    }
-}
-
-/// In-place v4 → v5 migration: entries gain the tail percentiles,
-/// stamped `0.0` (= not measured) for every pre-existing point.
-fn migrate_v4(v: &mut serde::Value) {
-    fn get_mut<'a>(v: &'a mut serde::Value, key: &str) -> Option<&'a mut serde::Value> {
-        match v {
-            serde::Value::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, x)| x),
-            _ => None,
-        }
-    }
-    if v.get("schema").and_then(serde::Value::as_f64) != Some(4.0) {
-        return;
-    }
-    if let Some(serde::Value::Arr(runs)) = get_mut(v, "runs") {
-        for run in runs {
-            if let Some(serde::Value::Arr(entries)) = get_mut(run, "entries") {
-                for e in entries {
-                    if let serde::Value::Obj(fields) = e {
-                        for key in ["p99_us", "p999_us"] {
-                            if !fields.iter().any(|(k, _)| k == key) {
-                                fields.push((key.to_string(), serde::Value::Num(0.0)));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if let Some(s) = get_mut(v, "schema") {
-        *s = serde::Value::Num(5.0);
-    }
+    let found = schema.map_or_else(|| "missing".to_string(), |s| s.to_string());
+    Err(format!(
+        "unsupported bench history schema {found} (this build reads {BENCH_SCHEMA_VERSION})"
+    ))
 }
 
 /// `5·n·log₂n / t` in GFLOP/s, for a size-`n` transform taking `us`
@@ -553,7 +450,6 @@ pub fn measure_grid(sizes_log2: &[u32], threads: &[usize], reps: usize) -> Bench
                     threads: p as u64,
                     batch: 1,
                     connections: 1,
-                    processes: 1,
                     backend: backend_label(plan.vec_width).to_string(),
                     plan_kind: choice,
                     reps: reps as u64,
@@ -609,8 +505,6 @@ pub struct CompareLine {
     pub batch: u64,
     /// Concurrent connections (1 = in-process measurement).
     pub connections: u64,
-    /// Worker processes (1 = in-process; q for a dist(q) fleet point).
-    pub processes: u64,
     /// Execution backend (`"scalar"` | `"vector"`), a comparison key.
     pub backend: String,
     /// Current run's tuner choice.
@@ -662,7 +556,6 @@ pub fn compare_latest(history: &BenchHistory, opts: &CompareOpts) -> Option<Comp
                         && e.threads == cur.threads
                         && e.batch == cur.batch
                         && e.connections == cur.connections
-                        && e.processes == cur.processes
                         && e.backend == cur.backend
                 })
             });
@@ -679,7 +572,6 @@ pub fn compare_latest(history: &BenchHistory, opts: &CompareOpts) -> Option<Comp
             threads: cur.threads,
             batch: cur.batch,
             connections: cur.connections,
-            processes: cur.processes,
             backend: cur.backend.clone(),
             plan_kind: cur.plan_kind.clone(),
             base_gflops: base.gflops,
@@ -692,7 +584,6 @@ pub fn compare_latest(history: &BenchHistory, opts: &CompareOpts) -> Option<Comp
                 cur.threads,
                 cur.batch,
                 cur.connections,
-                cur.processes,
                 &cur.backend,
                 &latest.host.name,
             ),
@@ -711,7 +602,6 @@ mod tests {
             threads,
             batch: 1,
             connections: 1,
-            processes: 1,
             backend: BACKEND_SCALAR.to_string(),
             plan_kind: "test".to_string(),
             reps: 5,
@@ -743,7 +633,6 @@ mod tests {
                     mu: 4,
                     cache_line_bytes: 64,
                     simd_width: 4,
-                    process_budget: 2,
                     features: vec!["simd4".to_string()],
                 },
             },
@@ -903,120 +792,9 @@ mod tests {
         assert!(!scalar_line.regressed);
     }
 
-    /// v3 files (no `backend` field) migrate on load: entries are
-    /// stamped `"scalar"`, the schema bumps to 4, and the migrated
-    /// history round-trips as native v4.
-    #[test]
-    fn v3_history_migrates_to_v4_on_load() {
-        let v3 = r#"{
-          "schema": 3,
-          "runs": [
-            {
-              "seq": 1,
-              "unix_ms": 1700000000000,
-              "host": {
-                "name": "old-host",
-                "fingerprint": {
-                  "cores": 2, "mu": 4, "cache_line_bytes": 64, "features": []
-                }
-              },
-              "entries": [
-                {
-                  "log2n": 10, "threads": 2, "batch": 1, "connections": 1,
-                  "plan_kind": "multicore split 16x64", "reps": 5,
-                  "median_us": 100.0, "mad_us": 1.0,
-                  "gflops": 0.5, "gflops_mad": 0.01
-                }
-              ]
-            }
-          ]
-        }"#;
-        let h = BenchHistory::from_json(v3).expect("v3 must migrate");
-        assert_eq!(h.schema, BENCH_SCHEMA_VERSION);
-        assert_eq!(h.runs[0].entries[0].backend, BACKEND_SCALAR);
-        // The pre-simd_width fingerprint defaults to the scalar claim.
-        assert_eq!(h.runs[0].host.fingerprint.simd_width, 1);
-        // Migrated output is native v4: parses again without migration.
-        let round = BenchHistory::from_json(&h.to_json()).unwrap();
-        assert_eq!(round, h);
-    }
-
-    /// v5 files (no `processes` field) migrate on load: entries are
-    /// stamped `processes: 1` and the schema chains to v6.
-    #[test]
-    fn v5_history_migrates_to_v6_on_load() {
-        let v5 = r#"{
-          "schema": 5,
-          "runs": [
-            {
-              "seq": 1,
-              "unix_ms": 1700000000000,
-              "host": {
-                "name": "old-host",
-                "fingerprint": {
-                  "cores": 2, "mu": 4, "cache_line_bytes": 64,
-                  "simd_width": 4, "features": ["simd4"]
-                }
-              },
-              "entries": [
-                {
-                  "log2n": 10, "threads": 2, "batch": 1, "connections": 1,
-                  "backend": "scalar",
-                  "plan_kind": "multicore split 16x64", "reps": 5,
-                  "median_us": 100.0, "mad_us": 1.0,
-                  "p99_us": 110.0, "p999_us": 120.0,
-                  "gflops": 0.5, "gflops_mad": 0.01
-                }
-              ]
-            }
-          ]
-        }"#;
-        let h = BenchHistory::from_json(v5).expect("v5 must migrate");
-        assert_eq!(h.schema, BENCH_SCHEMA_VERSION);
-        assert_eq!(h.runs[0].entries[0].processes, 1);
-        let round = BenchHistory::from_json(&h.to_json()).unwrap();
-        assert_eq!(round, h);
-    }
-
-    /// The point of the processes dimension: a fleet measurement never
-    /// trends against the in-process baseline at the same coordinates.
-    #[test]
-    fn process_counts_never_compare_against_each_other() {
-        fn dist_entry(log2n: u64, threads: u64, gflops: f64, mad: f64) -> BenchEntry {
-            BenchEntry {
-                processes: 2,
-                plan_kind: "test + dist(2)".to_string(),
-                ..entry(log2n, threads, gflops, mad)
-            }
-        }
-        let mut h = BenchHistory::default();
-        h.append(run_with(vec![entry(14, 2, 4.0, 0.01)]));
-        h.append(run_with(vec![dist_entry(14, 2, 1.0, 0.01)]));
-        let r = compare_latest(&h, &CompareOpts::default()).unwrap();
-        assert_eq!(r.lines.len(), 0, "cross-process pairing is forbidden");
-        assert_eq!(r.unmatched, 1);
-
-        // With a genuine fleet baseline, the fleet point compares —
-        // against the fleet trajectory only.
-        let mut h = BenchHistory::default();
-        h.append(run_with(vec![
-            entry(14, 2, 4.0, 0.01),
-            dist_entry(14, 2, 2.0, 0.01),
-        ]));
-        h.append(run_with(vec![
-            entry(14, 2, 4.0, 0.01),
-            dist_entry(14, 2, 1.0, 0.01),
-        ]));
-        let r = compare_latest(&h, &CompareOpts::default()).unwrap();
-        assert_eq!(r.lines.len(), 2);
-        let fleet = r.lines.iter().find(|l| l.processes == 2).unwrap();
-        assert!(fleet.regressed, "2 -> 1 GF/s on the fleet trajectory");
-        assert_eq!(fleet.base_gflops, 2.0);
-        assert_eq!(fleet.trajectory, vec![2.0, 1.0]);
-        assert!(!r.lines.iter().find(|l| l.processes == 1).unwrap().regressed);
-    }
-
-    /// Unknown backend labels and unknown future schemas still fail.
+    /// Unknown backend labels fail, and so does every schema but the
+    /// current one: a future file and a v6 file (with the removed
+    /// `processes` dimension) are rejected with the same error.
     #[test]
     fn unknown_backend_or_schema_is_rejected() {
         let mut h = BenchHistory::default();
@@ -1026,11 +804,46 @@ mod tests {
         let err = h.validate().unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
 
-        let h6 = BenchHistory {
+        let future = BenchHistory {
             schema: BENCH_SCHEMA_VERSION + 1,
             ..Default::default()
         };
-        assert!(h6.validate().is_err(), "future schemas are not migrated");
+        let v6 = r#"{
+          "schema": 6,
+          "runs": [
+            {
+              "seq": 1,
+              "unix_ms": 1700000000000,
+              "host": {
+                "name": "old-host",
+                "fingerprint": {
+                  "cores": 2, "mu": 4, "cache_line_bytes": 64,
+                  "simd_width": 4, "process_budget": 2, "features": ["simd4"]
+                }
+              },
+              "entries": [
+                {
+                  "log2n": 10, "threads": 2, "batch": 1, "connections": 1,
+                  "processes": 1, "backend": "scalar",
+                  "plan_kind": "multicore split 16x64", "reps": 5,
+                  "median_us": 100.0, "mad_us": 1.0,
+                  "p99_us": 110.0, "p999_us": 120.0,
+                  "gflops": 0.5, "gflops_mad": 0.01
+                }
+              ]
+            }
+          ]
+        }"#;
+        for (schema, text) in [(BENCH_SCHEMA_VERSION + 1, future.to_json()), (6, v6.into())] {
+            let err = BenchHistory::from_json(&text).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "unsupported bench history schema {schema} \
+                     (this build reads {BENCH_SCHEMA_VERSION})"
+                )
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod ascii;
 pub mod batch;
 pub mod cbench;
 pub mod certify;
-pub mod dist_fig;
 pub mod history;
 pub mod series;
 pub mod serve_load;

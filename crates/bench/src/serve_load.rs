@@ -444,7 +444,6 @@ pub fn rows_to_entries(file: &ServeLoadFile) -> Vec<BenchEntry> {
             threads: file.workers,
             batch: r.batch,
             connections: r.connections,
-            processes: 1,
             backend: crate::history::backend_from_choice(&r.plan_kind).to_string(),
             plan_kind: format!("served {}", r.phase),
             reps: r.ok,

@@ -23,7 +23,6 @@ fn representative_history() -> BenchHistory {
             mu: 4,
             cache_line_bytes: 64,
             simd_width: 4,
-            process_budget: 2,
             features: vec!["trace".to_string(), "simd4".to_string()],
         },
     };
@@ -39,7 +38,6 @@ fn representative_history() -> BenchHistory {
                     threads: 2,
                     batch: 1,
                     connections: 1,
-                    processes: 1,
                     backend: "scalar".to_string(),
                     plan_kind: "multicore split 64x64".to_string(),
                     reps: 5,
@@ -61,7 +59,6 @@ fn representative_history() -> BenchHistory {
                         threads: 2,
                         batch: 1,
                         connections: 1,
-                        processes: 1,
                         backend: "scalar".to_string(),
                         plan_kind: "multicore split 64x64".to_string(),
                         reps: 5,
@@ -77,7 +74,6 @@ fn representative_history() -> BenchHistory {
                         threads: 2,
                         batch: 1,
                         connections: 1,
-                        processes: 1,
                         backend: "vector".to_string(),
                         plan_kind: "multicore split 64x64 + vec(4)".to_string(),
                         reps: 5,
@@ -93,7 +89,6 @@ fn representative_history() -> BenchHistory {
                         threads: 2,
                         batch: 32,
                         connections: 1,
-                        processes: 1,
                         backend: "scalar".to_string(),
                         plan_kind: "batched sequential 2^8".to_string(),
                         reps: 5,
@@ -109,7 +104,6 @@ fn representative_history() -> BenchHistory {
                         threads: 2,
                         batch: 8,
                         connections: 8,
-                        processes: 1,
                         backend: "vector".to_string(),
                         plan_kind: "served sequential 2^8".to_string(),
                         reps: 64,
@@ -119,22 +113,6 @@ fn representative_history() -> BenchHistory {
                         p999_us: 520.0,
                         gflops: 0.03,
                         gflops_mad: 0.002,
-                    },
-                    BenchEntry {
-                        log2n: 12,
-                        threads: 2,
-                        batch: 1,
-                        connections: 1,
-                        processes: 2,
-                        backend: "vector".to_string(),
-                        plan_kind: "multicore split 64x64 + vec(4) + dist(2)".to_string(),
-                        reps: 5,
-                        median_us: 140.0,
-                        mad_us: 3.5,
-                        p99_us: 150.0,
-                        p999_us: 161.0,
-                        gflops: 1.51,
-                        gflops_mad: 0.04,
                     },
                 ],
             },

@@ -45,7 +45,6 @@ fn fixture() -> ServeLoadFile {
                 mu: 4,
                 cache_line_bytes: 64,
                 simd_width: 4,
-                process_budget: 2,
                 features: vec!["simd4".to_string()],
             },
         },

@@ -48,7 +48,6 @@ pub mod hook;
 pub mod lower;
 pub mod parallel;
 pub mod plan;
-pub mod shard;
 pub mod simd;
 pub mod stage;
 pub mod vectorize;
@@ -68,7 +67,6 @@ pub use hook::{MemHook, NullHook, Region};
 pub use lower::{lower_seq, LowerError};
 pub use parallel::{ExecOutcome, ParallelExecutor};
 pub use plan::{install_validator, Plan, PlanValidator, PlanWorkspace, Step};
-pub use shard::{shard_plan, ShardError, ShardSpec, ShardWorkspace};
 pub use simd::detected_simd_width;
 pub use spiral_smp::SpiralError;
 pub use vectorize::{stage_alignment, vectorize_plan, vectorize_program};

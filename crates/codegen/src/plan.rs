@@ -113,11 +113,6 @@ pub struct Plan {
     /// were marked for (1 = scalar; set from the formula's `vec(ν)` tag
     /// when at least one stage passed the alignment preconditions).
     pub vec_width: usize,
-    /// Process count q of the multi-process backend the plan was tagged
-    /// for (1 = single process; set from the formula's `dist(q)` tag).
-    /// Recorded intent only — the actual shard geometry is computed from
-    /// the fused steps by [`crate::shard::shard_plan`].
-    pub dist_procs: usize,
     /// The synchronization-delimited steps, in execution order.
     pub steps: Vec<Step>,
 }
@@ -147,7 +142,6 @@ impl Plan {
             threads: threads.max(1),
             mu: mu.max(1),
             vec_width: 1,
-            dist_procs: f.dist_procs(),
             steps,
         };
         // Honor the widest vec(ν) tag after fusion settled the final loop
@@ -266,28 +260,16 @@ impl Plan {
     /// this code), so outputs are bitwise equal.
     pub fn execute_into(&self, x: &[Cplx], out: &mut [Cplx], ws: &mut PlanWorkspace) {
         assert_eq!(x.len(), self.n, "input length mismatch");
-        ws.prepare(self);
-        ws.a[..self.n].copy_from_slice(x);
-        self.execute_tail_into(0, out, ws);
-    }
-
-    /// Run `steps[start..]` with the current intermediate values already
-    /// staged in the workspace ping-pong buffer ([`PlanWorkspace::
-    /// stage_buffer`]), writing the final result to `out`. With
-    /// `start = 0` this is exactly [`execute_into`](Self::execute_into)
-    /// (which calls it); the dist backend uses `start > 0` to finish a
-    /// plan whose sharded prefix ran out of process.
-    pub fn execute_tail_into(&self, start: usize, out: &mut [Cplx], ws: &mut PlanWorkspace) {
         assert_eq!(out.len(), self.n, "output length mismatch");
-        assert!(start <= self.steps.len(), "tail start out of range");
         ws.prepare(self);
         // Exact-length views: the workspace may be sized for a larger
         // plan, but programs assert on their buffer dimensions.
         let mut a: &mut [Cplx] = &mut ws.a[..self.n];
         let mut b: &mut [Cplx] = &mut ws.b[..self.n];
+        a.copy_from_slice(x);
         let tmp = &mut ws.tmp;
         let scratch = &mut ws.scratch;
-        for step in &self.steps[start..] {
+        for step in &self.steps {
             match step {
                 Step::Seq(p) => p.run(a, b, tmp, scratch),
                 Step::Par {
@@ -395,15 +377,6 @@ pub struct PlanWorkspace {
 }
 
 impl PlanWorkspace {
-    /// Prepare for `plan` and expose the ping-pong input buffer. Callers
-    /// that produce a mid-plan state out of band (the dist backend's
-    /// shard gather) write the intermediate vector here, then finish
-    /// with [`Plan::execute_tail_into`].
-    pub fn stage_buffer(&mut self, plan: &Plan) -> &mut [Cplx] {
-        self.prepare(plan);
-        &mut self.a[..plan.n]
-    }
-
     /// Grow the buffers to fit `plan` (never shrinks).
     fn prepare(&mut self, plan: &Plan) {
         if self.a.len() < plan.n {
@@ -617,7 +590,7 @@ fn push_steps(f: &Spl, steps: &mut Vec<Step>) -> Result<(), LowerError> {
             steps.push(Step::ScaleAll(Arc::new(d.entries())));
             Ok(())
         }
-        Spl::Vec { a, .. } | Spl::Dist { a, .. } => push_steps(a, steps),
+        Spl::Vec { a, .. } => push_steps(a, steps),
         other => {
             let prog = fuse(lower_seq(other)?);
             if !prog.stages.is_empty() {

@@ -121,9 +121,16 @@ impl KernelStage {
     /// stage's exact access pattern — including the `flat` index that
     /// [`trace`](Self::trace) discards but twiddle lookup
     /// (`twiddle[flat·c + t]`) depends on.
+    ///
+    /// The odometer lives on the stack: every loop the lowering builds
+    /// has a count of at least 2 (the lifts skip count-1 loops), so each
+    /// loop at least halves the remaining span and the nest is never
+    /// deeper than the bits of a `usize`.
     pub fn for_each_iteration<F: FnMut(usize, usize, usize)>(&self, mut f: F) {
+        const MAX_DEPTH: usize = usize::BITS as usize;
         let d = self.loops.len();
-        let mut idx = vec![0usize; d];
+        assert!(d <= MAX_DEPTH, "loop nest of depth {d} exceeds {MAX_DEPTH}");
+        let mut idx = [0usize; MAX_DEPTH];
         let mut in_base = self.in_off;
         let mut out_base = self.out_off;
         let total = self.iterations();

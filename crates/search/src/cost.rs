@@ -2,7 +2,6 @@
 //! "the actual runtime is measured", plus cheaper surrogates).
 
 use spiral_codegen::plan::Plan;
-use spiral_codegen::shard::ShardSpec;
 use spiral_codegen::{ParallelExecutor, SpiralError};
 use spiral_rewrite::RuleTree;
 use spiral_sim::{simulate_plan, MachineSpec};
@@ -79,22 +78,6 @@ impl CostModel {
     pub fn cost_tree(&self, tree: &RuleTree, mu: usize) -> Option<f64> {
         self.cost_formula(&tree.expand().normalized(), 1, mu)
     }
-
-    /// Price the `dist(q)` variant of a plan: shard the prefix across
-    /// `spec.q` worker processes on a host with `budget` cores, paying
-    /// the model's inter-process exchange estimate. `None` when the
-    /// model cannot price it — honest host measurement would require
-    /// spawning an actual fleet, which is the serving tier's job, not
-    /// the search's.
-    pub fn dist_cost(&self, plan: &Plan, spec: &ShardSpec, budget: usize) -> Option<f64> {
-        match self {
-            CostModel::Analytic => Some(analytic_dist_cost(plan, spec)),
-            CostModel::Sim { machine, warm } => {
-                Some(spiral_sim::estimate_dist(plan, spec, machine, budget, *warm).cycles)
-            }
-            CostModel::Host { .. } => None,
-        }
-    }
 }
 
 /// Flops plus weighted memory operations; a barrier penalty discourages
@@ -107,16 +90,6 @@ fn analytic_cost(plan: &Plan) -> f64 {
     let nu = plan.vec_width.max(1) as f64;
     let flops = plan.flops() as f64 - plan.vec_flops() as f64 * (1.0 - 1.0 / nu);
     flops + 1.5 * mem_ops + 200.0 * plan.barriers() as f64
-}
-
-/// The structural model prices flops and passes, not threads — it sees
-/// no parallel speedup — so the only thing `dist(q)` can change under
-/// `Analytic` is *added* cost: two extra data passes across the process
-/// boundary plus a per-worker dispatch penalty. Dist therefore never
-/// wins under the structural model, consistent with its view that
-/// in-process parallelism is already free.
-fn analytic_dist_cost(plan: &Plan, spec: &ShardSpec) -> f64 {
-    analytic_cost(plan) + 1.5 * 2.0 * plan.n as f64 + 400.0 * spec.q as f64
 }
 
 fn try_host_time(

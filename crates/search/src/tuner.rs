@@ -6,7 +6,7 @@ use crate::dp::dp_search;
 use spiral_codegen::plan::Plan;
 use spiral_codegen::SpiralError;
 use spiral_rewrite::{expand_dfts, multicore_dft, RuleTree};
-use spiral_spl::builder::{dist_tag, vec_tag};
+use spiral_spl::builder::vec_tag;
 use spiral_spl::num::divisors;
 use spiral_spl::Spl;
 use std::collections::HashMap;
@@ -148,12 +148,6 @@ pub struct Tuner {
     pub max_leaf: usize,
     /// How candidates are costed.
     pub model: CostModel,
-    /// How many worker *processes* the `dist(q)` tier may use on this
-    /// host. 1 (the default) disables the dist candidate dimension
-    /// entirely; ≥ 2 lets the search offer `dist(q)` for q ∈ {2, 4}
-    /// up to the budget, priced by the model's inter-process exchange
-    /// estimate.
-    pub process_budget: usize,
 }
 
 impl Tuner {
@@ -167,14 +161,7 @@ impl Tuner {
             mu,
             max_leaf: 8,
             model,
-            process_budget: 1,
         }
-    }
-
-    /// Allow the `dist(q)` dimension up to `budget` worker processes.
-    pub fn with_process_budget(mut self, budget: usize) -> Tuner {
-        self.process_budget = budget.max(1);
-        self
     }
 
     /// Best sequential implementation of `DFT_n` (DP over rule trees,
@@ -400,88 +387,6 @@ impl Tuner {
                 }
             }
         }
-        // The dist(q) backend dimension: shard the winner's prefix
-        // across q worker processes. Offered only when the host's
-        // process budget admits it; a dist candidate must pass the same
-        // static verification as everything else *plus* the
-        // shard-boundary certification, and it wins only when the
-        // model's inter-process exchange estimate says the prefix
-        // speedup pays for the scatter/gather and dispatch cost. With
-        // the default budget of 1 this block is dead and the search is
-        // byte-identical to a dist-free build.
-        let mut dist_winner: Option<Tuned> = None;
-        if self.process_budget >= 2 {
-            if let Some(b) = &best {
-                for q in [2usize, 4] {
-                    if q > self.process_budget {
-                        continue;
-                    }
-                    let choice = format!("{} + dist({q})", b.choice);
-                    let formula = dist_tag(q, b.formula.clone());
-                    let plan = match Plan::from_formula(&formula, self.p, self.mu) {
-                        Ok(p) => p.fuse_exchanges(),
-                        Err(e) => {
-                            report.quarantined.push(QuarantineEntry {
-                                choice,
-                                reason: format!("failed to lower: {e}"),
-                            });
-                            obs.reject(ci);
-                            ci += 1;
-                            continue;
-                        }
-                    };
-                    // A winner whose outer factor does not split q ways
-                    // simply does not admit dist(q) — that is
-                    // non-applicability (like q exceeding the budget),
-                    // not a certification failure worth quarantining.
-                    let Ok(spec) = spiral_codegen::shard::shard_plan(&plan, q) else {
-                        continue;
-                    };
-                    if spiral_verify::verify_plan(&plan, &spiral_verify::VerifyOptions::default())
-                        .has_errors()
-                    {
-                        report.quarantined.push(QuarantineEntry {
-                            choice,
-                            reason: "failed static verification".to_string(),
-                        });
-                        obs.reject(ci);
-                        ci += 1;
-                        continue;
-                    }
-                    let mut findings = spiral_verify::certify::dataflow::certify_dataflow(&plan);
-                    findings.extend(spiral_verify::certify::shards::certify_shards(&plan, &spec));
-                    if let Some(f) = findings.first() {
-                        report.quarantined.push(QuarantineEntry {
-                            choice,
-                            reason: format!("failed certification: {f}"),
-                        });
-                        obs.reject(ci);
-                        ci += 1;
-                        continue;
-                    }
-                    // Host-measured searches cannot price a process
-                    // fleet without spawning one; the dimension is
-                    // model-only and silently absent under `Host`.
-                    let Some(cost) = self.model.dist_cost(&plan, &spec, self.process_budget) else {
-                        continue;
-                    };
-                    report.evaluated += 1;
-                    ci += 1;
-                    if cost < b.cost && dist_winner.as_ref().is_none_or(|d| cost < d.cost) {
-                        dist_winner = Some(Tuned {
-                            formula,
-                            plan,
-                            cost,
-                            choice,
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(d) = dist_winner {
-            best = Some(d);
-        }
-
         #[cfg(feature = "trace")]
         if let Some(b) = &best {
             // Diagnostic run of the winner: where its time actually goes,
@@ -652,127 +557,6 @@ mod tests {
             &tuned.plan.execute(&x),
             &spiral_spl::builder::dft(256).eval(&x),
             1e-6,
-        );
-    }
-
-    #[test]
-    fn default_process_budget_never_offers_dist() {
-        let t = Tuner::new(2, 4, CostModel::Analytic);
-        assert_eq!(t.process_budget, 1);
-        let tuned = t.tune_parallel(1024).unwrap().unwrap();
-        assert!(!tuned.choice.contains("dist("), "{}", tuned.choice);
-        assert!(!tuned.formula.has_dist_tag());
-        assert_eq!(tuned.plan.dist_procs, 1);
-    }
-
-    #[test]
-    fn analytic_model_prices_dist_as_pure_overhead() {
-        // The structural model sees no parallel speedup, so dist(q) can
-        // only lose under it — the dimension is offered, certified, and
-        // rejected on cost.
-        let t = Tuner::new(2, 4, CostModel::Analytic).with_process_budget(4);
-        let outcome = t.tune_parallel_report(1024).unwrap();
-        let tuned = outcome.best.unwrap();
-        assert!(!tuned.choice.contains("dist("), "{}", tuned.choice);
-        assert!(
-            outcome.report.quarantined.is_empty(),
-            "dist candidates must be certified, not quarantined: {:?}",
-            outcome.report.quarantined
-        );
-    }
-
-    #[test]
-    fn sim_model_selection_agrees_with_dist_estimate() {
-        // Acceptance property: the tuner selects dist(q) iff the
-        // exchange-cost model predicts a win for the non-dist winner.
-        // Assert agreement either way rather than hard-coding which
-        // side wins at this size.
-        let machine = spiral_sim::core_duo();
-        let budget = 4usize;
-        for n in [1024usize, 4096] {
-            let baseline = Tuner::new(
-                2,
-                4,
-                CostModel::Sim {
-                    machine: machine.clone(),
-                    warm: true,
-                },
-            )
-            .tune_parallel(n)
-            .unwrap()
-            .unwrap();
-            let mut predicted: Option<usize> = None;
-            let mut best_cost = baseline.cost;
-            for q in [2usize, 4] {
-                let plan = Plan::from_formula(
-                    &spiral_spl::builder::dist_tag(q, baseline.formula.clone()),
-                    2,
-                    4,
-                )
-                .unwrap()
-                .fuse_exchanges();
-                let Ok(spec) = spiral_codegen::shard::shard_plan(&plan, q) else {
-                    continue;
-                };
-                let est = spiral_sim::estimate_dist(&plan, &spec, &machine, budget, true);
-                if est.cycles < best_cost {
-                    best_cost = est.cycles;
-                    predicted = Some(q);
-                }
-            }
-            let tuned = Tuner::new(
-                2,
-                4,
-                CostModel::Sim {
-                    machine: machine.clone(),
-                    warm: true,
-                },
-            )
-            .with_process_budget(budget)
-            .tune_parallel(n)
-            .unwrap()
-            .unwrap();
-            match predicted {
-                Some(q) => {
-                    assert!(
-                        tuned.choice.contains(&format!("dist({q})")),
-                        "n={n}: model predicts dist({q}) wins, tuner chose `{}`",
-                        tuned.choice
-                    );
-                    assert_eq!(tuned.plan.dist_procs, q);
-                    assert!(tuned.formula.has_dist_tag());
-                }
-                None => {
-                    assert!(
-                        !tuned.choice.contains("dist("),
-                        "n={n}: model predicts no crossover, tuner chose `{}`",
-                        tuned.choice
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dist_winner_still_computes_the_dft() {
-        // Whatever the dist dimension decides, the returned plan must
-        // stay executable in-process and correct (the tag is
-        // semantically transparent).
-        let t = Tuner::new(
-            2,
-            4,
-            CostModel::Sim {
-                machine: spiral_sim::core_duo(),
-                warm: true,
-            },
-        )
-        .with_process_budget(4);
-        let tuned = t.tune_parallel(4096).unwrap().unwrap();
-        let x = ramp(4096);
-        assert_slices_close(
-            &tuned.plan.execute(&x),
-            &spiral_spl::builder::dft(4096).eval(&x),
-            1e-5 * 4096.0,
         );
     }
 

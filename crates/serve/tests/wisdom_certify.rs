@@ -27,7 +27,6 @@ fn wrong_matrix_entry() -> WisdomEntry {
         choice: "test".to_string(),
         cost: 100.0,
         vec_width: 1,
-        dist_procs: 1,
     }
 }
 

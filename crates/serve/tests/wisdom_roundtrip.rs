@@ -111,7 +111,6 @@ fn corrupt_entries_are_rejected_individually_with_reasons() {
         choice: "test".to_string(),
         cost: 100.0,
         vec_width: 1,
-        dist_procs: 1,
     };
     let bad_parse = WisdomEntry {
         formula: "DFT_oops".to_string(),
@@ -167,7 +166,6 @@ fn stale_host_fingerprint_discards_the_whole_file() {
             choice: "test".to_string(),
             cost: 100.0,
             vec_width: 1,
-            dist_procs: 1,
         }],
     };
     let path = tmp_path("stale_host.json");
@@ -196,14 +194,12 @@ fn entries_wider_than_host_simd_are_rejected_as_stale() {
         choice: "test".to_string(),
         cost: 100.0,
         vec_width: 1,
-        dist_procs: 1,
     };
     let too_wide = WisdomEntry {
         n: 64,
         formula: "vec(4)[(DFT_8 @ I_8) * T^64_8 * (I_8 @ DFT_8) * L^64_8]".to_string(),
         choice: "test + vec(4)".to_string(),
         vec_width: 4,
-        dist_procs: 1,
         ..good.clone()
     };
     let file = WisdomFile {
@@ -247,114 +243,6 @@ fn fingerprint_simd_width_mismatch_discards_the_whole_file() {
     assert!(reason.contains("stale host"), "{reason}");
 }
 
-/// The v3 re-key: a host whose worker-process budget changed (cores
-/// reserved for another tenant, or freed back) is a different tuning
-/// target — the tuner's `dist(q)` verdicts depend on the budget — so
-/// the whole file is discarded and everything re-tunes.
-#[test]
-fn process_budget_change_discards_the_whole_file() {
-    let mut other = HostFingerprint::current();
-    other.process_budget += 2;
-    let file = WisdomFile {
-        schema: WISDOM_SCHEMA_VERSION,
-        host: other,
-        entries: Vec::new(),
-    };
-    let path = tmp_path("stale_process_budget.json");
-    std::fs::write(&path, serde_json::to_string_pretty(&file).unwrap()).unwrap();
-    let (store, report) = WisdomStore::open_for_host(&path, HostFingerprint::current());
-    assert!(store.is_empty());
-    let reason = report.discarded.expect("re-keyed file must be discarded");
-    assert!(reason.contains("stale host"), "{reason}");
-}
-
-/// Entry-level budget gate: even in a fingerprint-matched file, an
-/// entry demanding more worker processes than this host's budget is
-/// individually stale; the rest of the file loads.
-#[test]
-fn entries_exceeding_the_process_budget_are_rejected_as_stale() {
-    let mut host = HostFingerprint::current();
-    host.process_budget = 2;
-    let good = WisdomEntry {
-        n: 16,
-        threads: 1,
-        mu: 4,
-        plan_threads: 1,
-        formula: "(DFT_4 @ I_4) * T^16_4 * (I_4 @ DFT_4) * L^16_4".to_string(),
-        choice: "test".to_string(),
-        cost: 100.0,
-        vec_width: 1,
-        dist_procs: 1,
-    };
-    let too_many_procs = WisdomEntry {
-        n: 4096,
-        threads: 2,
-        plan_threads: 2,
-        formula: "dist(4)[smp(2,4)[DFT_4096]]".to_string(),
-        choice: "multicore + dist(4)".to_string(),
-        dist_procs: 4,
-        ..good.clone()
-    };
-    let file = WisdomFile {
-        schema: WISDOM_SCHEMA_VERSION,
-        host: host.clone(),
-        entries: vec![good, too_many_procs],
-    };
-    let path = tmp_path("stale_dist_procs.json");
-    std::fs::write(&path, serde_json::to_string_pretty(&file).unwrap()).unwrap();
-
-    let (store, report) = WisdomStore::open_for_host(&path, host);
-    assert!(report.discarded.is_none(), "{:?}", report.discarded);
-    assert_eq!(report.loaded, 1, "the single-process entry still loads");
-    assert_eq!(report.rejected.len(), 1);
-    let reason = &report.rejected[0].reason;
-    assert!(
-        reason.contains("stale host") && reason.contains("dist(4)"),
-        "reason names the budget gate: {reason}"
-    );
-    assert!(store.get(16, 1, 4).is_some());
-    assert!(store.get(4096, 2, 4).is_none());
-}
-
-/// A `dist(q)`-tagged winner round-trips through the ASCII rendering:
-/// the tag parses back, the recompiled plan records the same process
-/// count, and a mismatched `dist_procs` claim is caught by the loader's
-/// cross-check.
-#[test]
-fn dist_tagged_formula_round_trips_through_ascii() {
-    use spiral_spl::builder::dist_tag;
-    let tuner = Tuner::new(2, 4, CostModel::Analytic);
-    let par = tuner.tune_parallel(1024).unwrap().expect("2^10 admits p=2");
-    let tagged = dist_tag(2, par.formula.clone());
-    let ascii = tagged.to_string();
-    assert!(
-        ascii.starts_with("dist(2)["),
-        "tag renders outermost: {ascii}"
-    );
-    assert_eq!(spiral_spl::parse(&ascii).unwrap().to_string(), ascii);
-
-    let entry = WisdomEntry {
-        n: 1024,
-        threads: 2,
-        mu: 4,
-        plan_threads: 2,
-        formula: ascii,
-        choice: format!("{} + dist(2)", par.choice),
-        cost: par.cost,
-        vec_width: par.plan.vec_width.max(1) as u64,
-        dist_procs: 2,
-    };
-    let compiled = compile_entry(&entry).expect("dist-tagged winner recompiles");
-    assert_eq!(compiled.plan.dist_procs, 2);
-
-    let lying = WisdomEntry {
-        dist_procs: 1,
-        ..entry
-    };
-    let err = compile_entry(&lying).unwrap_err();
-    assert!(err.contains("dist_procs"), "{err}");
-}
-
 #[test]
 fn wrong_schema_version_discards_the_whole_file() {
     let file = WisdomFile {
@@ -362,11 +250,25 @@ fn wrong_schema_version_discards_the_whole_file() {
         host: HostFingerprint::current(),
         entries: Vec::new(),
     };
-    let path = tmp_path("wrong_schema.json");
-    std::fs::write(&path, serde_json::to_string_pretty(&file).unwrap()).unwrap();
-    let (store, report) = WisdomStore::open_for_host(&path, HostFingerprint::current());
-    assert!(store.is_empty());
-    assert!(report.discarded.unwrap().contains("schema version"));
+    let future = serde_json::to_string_pretty(&file).unwrap();
+    // A schema-3 file from the removed multi-process tier: its host
+    // carries a process budget and its entries a `dist_procs` count.
+    let host = serde_json::to_string(&HostFingerprint::current())
+        .unwrap()
+        .replacen("\"features\"", "\"process_budget\":4,\"features\"", 1);
+    let v3 = format!(
+        r#"{{"schema":3,"host":{host},"entries":[{{"n":4096,"threads":2,"mu":4,
+        "plan_threads":2,"formula":"dist(4)[smp(2,4)[DFT_4096]]",
+        "choice":"multicore + dist(4)","cost":1.0,"vec_width":1,"dist_procs":4}}]}}"#
+    );
+    for (name, text) in [("wrong_schema.json", future), ("schema_v3.json", v3)] {
+        let path = tmp_path(name);
+        std::fs::write(&path, text).unwrap();
+        let (store, report) = WisdomStore::open_for_host(&path, HostFingerprint::current());
+        assert!(store.is_empty(), "{name}");
+        let reason = report.discarded.expect("stale schema must be discarded");
+        assert!(reason.contains("schema version"), "{name}: {reason}");
+    }
 }
 
 #[test]
@@ -393,7 +295,6 @@ fn invalid_plan_threads_is_rejected() {
         choice: "test".to_string(),
         cost: 10.0,
         vec_width: 1,
-        dist_procs: 1,
     };
     let err = compile_entry(&entry).unwrap_err();
     assert!(err.contains("plan_threads"), "{err}");
@@ -417,7 +318,6 @@ fn tuner_winners_round_trip_through_ascii() {
             choice: tuned.choice.clone(),
             cost: tuned.cost,
             vec_width: tuned.plan.vec_width.max(1) as u64,
-            dist_procs: 1,
         };
         let compiled = compile_entry(&entry).unwrap_or_else(|e| {
             panic!(

@@ -22,7 +22,6 @@ fn fixture() -> WisdomFile {
             mu: 4,
             cache_line_bytes: 64,
             simd_width: 4,
-            process_budget: 4,
             features: vec!["trace".to_string(), "simd4".to_string()],
         },
         entries: vec![
@@ -35,7 +34,6 @@ fn fixture() -> WisdomFile {
                 choice: "sequential tree (4 x 4)".to_string(),
                 cost: 512.0,
                 vec_width: 1,
-                dist_procs: 1,
             },
             WisdomEntry {
                 n: 1024,
@@ -46,18 +44,6 @@ fn fixture() -> WisdomFile {
                 choice: "multicore split 32x32 + vec(2)".to_string(),
                 cost: 65536.0,
                 vec_width: 2,
-                dist_procs: 1,
-            },
-            WisdomEntry {
-                n: 4096,
-                threads: 2,
-                mu: 4,
-                plan_threads: 2,
-                formula: "dist(2)[vec(2)[smp(2,4)[DFT_4096]]]".to_string(),
-                choice: "multicore split 64x64 + vec(2) + dist(2)".to_string(),
-                cost: 393216.0,
-                vec_width: 2,
-                dist_procs: 2,
             },
         ],
     }

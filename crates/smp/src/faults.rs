@@ -321,166 +321,6 @@ pub fn serve_at(site: ServeSite, index: usize) -> bool {
     false
 }
 
-// --- process-fleet fault registry (dist tier) -------------------------
-//
-// The multi-process `dist(q)` tier has a third failure surface: worker
-// processes die, shared-memory slab handoffs tear, control frames drop,
-// heartbeats stall. Same sibling-registry pattern as the serving tier —
-// its own site vocabulary, static, and session lock — so a chaos test
-// can arm all three layers at once and none of the existing plan
-// structs change shape.
-
-/// A process-fleet fault site in the dist tier. Queried by the fleet
-/// manager per `(site, shard, batch)` so a spec can target one worker
-/// of one batch deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DistSite {
-    /// The worker is killed mid-batch (after reading its input slab,
-    /// before publishing its output).
-    WorkerKill,
-    /// The worker's output slab publish tears: payload half-written,
-    /// seqlock left odd.
-    SlabTornWrite,
-    /// The worker's completion frame is dropped on the control socket
-    /// (work done, manager never hears).
-    ControlFrameDrop,
-    /// The worker stalls past the heartbeat deadline before replying.
-    HeartbeatStall,
-}
-
-impl DistSite {
-    fn code(self) -> u64 {
-        match self {
-            DistSite::WorkerKill => 0,
-            DistSite::SlabTornWrite => 1,
-            DistSite::ControlFrameDrop => 2,
-            DistSite::HeartbeatStall => 3,
-        }
-    }
-}
-
-/// Matcher for one dist site: which site, which shard, how often, for
-/// at most how many firings.
-#[derive(Clone, Debug)]
-pub struct DistFaultSpec {
-    /// The site this spec arms.
-    pub site: DistSite,
-    /// Match a specific shard index (`None` = any shard).
-    pub shard: Option<usize>,
-    /// Fire probability in `[0, 1]`, decided by a hash of
-    /// `(seed, site, shard, batch)` — deterministic per queried site.
-    pub probability: f64,
-    /// Stop firing after this many hits (`None` = unlimited).
-    pub max_fires: Option<usize>,
-}
-
-impl DistFaultSpec {
-    /// A spec that always fires on one shard, with no firing limit.
-    pub fn always(site: DistSite, shard: usize) -> DistFaultSpec {
-        DistFaultSpec {
-            site,
-            shard: Some(shard),
-            probability: 1.0,
-            max_fires: None,
-        }
-    }
-
-    /// A spec that fires exactly once, on the first query of its site
-    /// for the given shard.
-    pub fn once(site: DistSite, shard: usize) -> DistFaultSpec {
-        DistFaultSpec {
-            site,
-            shard: Some(shard),
-            probability: 1.0,
-            max_fires: Some(1),
-        }
-    }
-
-    /// A seeded probabilistic spec over all shards (chaos grid).
-    pub fn with_probability(site: DistSite, probability: f64) -> DistFaultSpec {
-        DistFaultSpec {
-            site,
-            shard: None,
-            probability,
-            max_fires: None,
-        }
-    }
-}
-
-/// A seeded set of dist fault specs.
-#[derive(Clone, Debug, Default)]
-pub struct DistFaultPlan {
-    /// Seed for probabilistic specs.
-    pub seed: u64,
-    /// Specs checked in order; the first one that fires wins.
-    pub specs: Vec<DistFaultSpec>,
-}
-
-struct DistRegistry {
-    plan: DistFaultPlan,
-    fired: Vec<usize>,
-}
-
-static DIST_ACTIVE: Mutex<Option<DistRegistry>> = Mutex::new(None);
-static DIST_SESSION: Mutex<()> = Mutex::new(());
-
-/// Guard returned by [`install_dist`]; clears the dist registry on drop
-/// and holds its session lock so concurrent installers serialize.
-pub struct DistFaultGuard {
-    _session: MutexGuard<'static, ()>,
-}
-
-impl Drop for DistFaultGuard {
-    fn drop(&mut self) {
-        *lock_recover(&DIST_ACTIVE) = None;
-    }
-}
-
-/// Install a dist fault plan for the duration of the guard.
-pub fn install_dist(plan: DistFaultPlan) -> DistFaultGuard {
-    let session = DIST_SESSION.lock().unwrap_or_else(PoisonError::into_inner);
-    let fired = vec![0; plan.specs.len()];
-    *lock_recover(&DIST_ACTIVE) = Some(DistRegistry { plan, fired });
-    DistFaultGuard { _session: session }
-}
-
-/// True when a dist fault plan is installed.
-pub fn dist_active() -> bool {
-    lock_recover(&DIST_ACTIVE).is_some()
-}
-
-/// Query the dist registry: does `site` fire for `(shard, batch)`?
-pub fn dist_at(site: DistSite, shard: usize, batch: usize) -> bool {
-    let mut guard = lock_recover(&DIST_ACTIVE);
-    let Some(reg) = guard.as_mut() else {
-        return false;
-    };
-    for (i, spec) in reg.plan.specs.iter().enumerate() {
-        if spec.site != site || spec.shard.is_some_and(|s| s != shard) {
-            continue;
-        }
-        if spec.max_fires.is_some_and(|m| reg.fired[i] >= m) {
-            continue;
-        }
-        if spec.probability < 1.0 {
-            let h = splitmix64(
-                reg.plan
-                    .seed
-                    .wrapping_add(site.code().wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    .wrapping_add((shard as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-                    .wrapping_add((batch as u64).wrapping_mul(0x94D0_49BB_1331_11EB)),
-            );
-            let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-            if unit >= spec.probability {
-                continue;
-            }
-        }
-        reg.fired[i] += 1;
-        return true;
-    }
-    false
-}
-
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -547,46 +387,6 @@ mod tests {
         assert!(!active());
         assert!(at(0, 0).is_none());
         assert_eq!(begin_run(), 0);
-    }
-
-    #[test]
-    fn dist_registry_matches_shards_and_clears() {
-        {
-            let _g = install_dist(DistFaultPlan {
-                seed: 0,
-                specs: vec![DistFaultSpec::once(DistSite::WorkerKill, 1)],
-            });
-            assert!(dist_active());
-            assert!(!dist_at(DistSite::WorkerKill, 0, 0));
-            assert!(dist_at(DistSite::WorkerKill, 1, 0));
-            // once: second query of the same shard stays silent.
-            assert!(!dist_at(DistSite::WorkerKill, 1, 1));
-            assert!(!dist_at(DistSite::SlabTornWrite, 1, 0));
-        }
-        let _s = DIST_SESSION.lock().unwrap_or_else(PoisonError::into_inner);
-        assert!(!dist_active());
-        assert!(!dist_at(DistSite::WorkerKill, 1, 0));
-    }
-
-    #[test]
-    fn dist_probability_is_deterministic_per_batch() {
-        let plan = DistFaultPlan {
-            seed: 11,
-            specs: vec![DistFaultSpec::with_probability(
-                DistSite::HeartbeatStall,
-                0.5,
-            )],
-        };
-        let draw = |plan: DistFaultPlan| -> Vec<bool> {
-            let _g = install_dist(plan);
-            (0..64)
-                .map(|b| dist_at(DistSite::HeartbeatStall, b % 4, b))
-                .collect()
-        };
-        let first = draw(plan.clone());
-        let second = draw(plan);
-        assert_eq!(first, second);
-        assert!(first.iter().any(|&b| b) && first.iter().any(|&b| !b));
     }
 
     #[test]

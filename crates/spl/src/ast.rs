@@ -70,18 +70,6 @@ pub enum Spl {
         /// The subformula to vectorize.
         a: Box<Spl>,
     },
-    /// Multi-process sharding tag `dist(q)` requesting the wrapped
-    /// subformula's outermost tensor factor be sharded across `q` worker
-    /// *processes* (distributed execution is the same algebra as
-    /// `smp(p,µ)` with a communication term — Hunt–Mullin). Semantically
-    /// transparent, like `smp` and `vec`; the lowering records the shard
-    /// geometry and a fleet backend executes the sharded prefix.
-    Dist {
-        /// Worker-process count.
-        q: usize,
-        /// The subformula to shard.
-        a: Box<Spl>,
-    },
 }
 
 /// Errors from structural validation.
@@ -128,7 +116,7 @@ impl Spl {
             Spl::DirectSum(fs) | Spl::DirectSumPar(fs) => fs.iter().map(|f| f.dim()).sum(),
             Spl::TensorPar { p, a } => p * a.dim(),
             Spl::PermBar { perm, mu } => perm.dim() * mu,
-            Spl::Smp { a, .. } | Spl::Vec { a, .. } | Spl::Dist { a, .. } => a.dim(),
+            Spl::Smp { a, .. } | Spl::Vec { a, .. } => a.dim(),
         }
     }
 
@@ -212,20 +200,6 @@ impl Spl {
                 }
                 a.validate()
             }
-            Spl::Dist { q, a } => {
-                if *q < 2 || !q.is_power_of_two() {
-                    return Err(SplError::Constraint(
-                        "dist(q) needs a power-of-two q ≥ 2",
-                        *q,
-                        0,
-                    ));
-                }
-                let d = a.validate()?;
-                if !d.is_multiple_of(*q) {
-                    return Err(SplError::Constraint("dist(q) needs q | dim", *q, d));
-                }
-                Ok(d)
-            }
         }
     }
 
@@ -234,10 +208,7 @@ impl Spl {
         match self {
             Spl::Compose(fs) | Spl::DirectSum(fs) | Spl::DirectSumPar(fs) => fs.iter().collect(),
             Spl::Tensor(a, b) => vec![a, b],
-            Spl::TensorPar { a, .. }
-            | Spl::Smp { a, .. }
-            | Spl::Vec { a, .. }
-            | Spl::Dist { a, .. } => vec![a],
+            Spl::TensorPar { a, .. } | Spl::Smp { a, .. } | Spl::Vec { a, .. } => vec![a],
             _ => vec![],
         }
     }
@@ -260,10 +231,6 @@ impl Spl {
             },
             Spl::Vec { nu, a } => Spl::Vec {
                 nu: *nu,
-                a: Box::new(f(a)),
-            },
-            Spl::Dist { q, a } => Spl::Dist {
-                q: *q,
                 a: Box::new(f(a)),
             },
             leaf => leaf.clone(),
@@ -293,24 +260,6 @@ impl Spl {
     /// True if the formula contains a `vec(ν)` short-vector tag.
     pub fn has_vec_tag(&self) -> bool {
         matches!(self, Spl::Vec { .. }) || self.children().iter().any(|c| c.has_vec_tag())
-    }
-
-    /// True if the formula contains a `dist(q)` multi-process tag.
-    pub fn has_dist_tag(&self) -> bool {
-        matches!(self, Spl::Dist { .. }) || self.children().iter().any(|c| c.has_dist_tag())
-    }
-
-    /// The widest `dist(q)` tag in the formula (1 if untagged) — the
-    /// worker-process count the sharded backend would use.
-    pub fn dist_procs(&self) -> usize {
-        let own = match self {
-            Spl::Dist { q, .. } => *q,
-            _ => 1,
-        };
-        self.children()
-            .iter()
-            .map(|c| c.dist_procs())
-            .fold(own, usize::max)
     }
 
     /// The widest `vec(ν)` tag in the formula (1 if untagged) — the lane
@@ -352,7 +301,7 @@ impl Spl {
                 let ps: Option<Vec<Perm>> = fs.iter().map(|f| f.as_perm()).collect();
                 ps.map(Perm::Compose)
             }
-            Spl::Smp { a, .. } | Spl::Vec { a, .. } | Spl::Dist { a, .. } => a.as_perm(),
+            Spl::Smp { a, .. } | Spl::Vec { a, .. } => a.as_perm(),
             _ => None,
         }
     }

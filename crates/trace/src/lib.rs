@@ -69,7 +69,8 @@ pub(crate) fn ns_u64(d: Duration) -> u64 {
 ///   lane count; v2 profiles deserialize with the scalar default 1).
 /// * v4 — added `timeline_dropped` (events overwritten in bounded
 ///   timeline rings while the profiled runs were recorded).
-pub const SCHEMA_VERSION: u64 = 4;
+/// * v5 — the host block lost its worker-process budget field.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// The host a profile was measured on. Timing artifacts are meaningless
 /// without this context: a 2-thread run on a 1-core container and on a

@@ -26,7 +26,6 @@ fn representative_profile() -> RunProfile {
             mu: 4,
             cache_line_bytes: 64,
             simd_width: 4,
-            process_budget: 2,
             features: vec!["trace".to_string(), "simd4".to_string()],
         },
         pool_job_ns: vec![120_000, 118_500],

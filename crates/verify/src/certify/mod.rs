@@ -24,7 +24,6 @@
 //! debug-build executor guard consume the verdicts.
 
 pub mod dataflow;
-pub mod shards;
 pub mod symbolic;
 
 use serde::{Deserialize, Serialize};
@@ -38,8 +37,6 @@ pub enum CertPass {
     Symbolic,
     /// Abstract interpretation of buffer dataflow.
     Dataflow,
-    /// Shard-boundary rules of the `dist(q)` multi-process backend.
-    Shards,
 }
 
 impl fmt::Display for CertPass {
@@ -47,7 +44,6 @@ impl fmt::Display for CertPass {
         match self {
             CertPass::Symbolic => write!(f, "symbolic"),
             CertPass::Dataflow => write!(f, "dataflow"),
-            CertPass::Shards => write!(f, "shards"),
         }
     }
 }

@@ -648,7 +648,6 @@ mod tests {
             threads,
             mu,
             vec_width: 1,
-            dist_procs: 1,
             steps: vec![Step::Par {
                 chunk,
                 programs: dims.iter().map(|&d| LocalProgram::identity(d)).collect(),
@@ -712,7 +711,6 @@ mod tests {
             threads: 2,
             mu: 4,
             vec_width: 1,
-            dist_procs: 1,
             steps: vec![
                 Step::ScaleAll(Arc::new(vec![Cplx::ONE; n])),
                 Step::Par {
@@ -744,7 +742,6 @@ mod tests {
             threads: 2,
             mu: 4,
             vec_width: 1,
-            dist_procs: 1,
             steps: vec![Step::Par {
                 chunk: 8,
                 programs: vec![scale, LocalProgram::identity(8)],

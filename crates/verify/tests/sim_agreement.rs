@@ -54,7 +54,6 @@ fn corpus() -> Vec<(&'static str, Plan)> {
             threads: 2,
             mu: 4,
             vec_width: 1,
-            dist_procs: 1,
             steps: vec![Step::Par {
                 chunk: 2,
                 programs: vec![LocalProgram::identity(2); 4],

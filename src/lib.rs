@@ -39,7 +39,6 @@ pub mod bluestein;
 
 pub use spiral_baselines as baselines;
 pub use spiral_codegen as codegen;
-pub use spiral_dist as dist;
 pub use spiral_rewrite as rewrite;
 pub use spiral_search as search;
 pub use spiral_serve as serve;
