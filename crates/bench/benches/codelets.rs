@@ -1,10 +1,10 @@
-//! Codelet microbenchmarks: hand-unrolled kernels vs. generated DAG
-//! interpretation — justifies the fast paths for sizes 2/4/8.
+//! Codelet microbenchmarks: the compiled straight-line kernels vs.
+//! interpreting the DAG they were printed from (`Dag::eval`, the test
+//! oracle) — what compiling the codelets buys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spiral_codegen::codelet::{generate_dft_dag, Codelet};
+use spiral_codegen::codelet::Codelet;
 use spiral_spl::cplx::Cplx;
-use std::sync::Arc;
 
 fn bench_codelets(c: &mut Criterion) {
     let mut group = c.benchmark_group("codelets");
@@ -13,18 +13,18 @@ fn bench_codelets(c: &mut Criterion) {
         let mut out = vec![Cplx::ZERO; n];
         let mut scratch = Vec::new();
 
-        let hand = Codelet::for_size(n);
-        group.bench_with_input(BenchmarkId::new("default", n), &n, |b, _| {
+        let codelet = Codelet::for_size(n);
+        group.bench_with_input(BenchmarkId::new("compiled", n), &n, |b, _| {
             b.iter(|| {
-                hand.apply(&x, &mut out, &mut scratch);
+                codelet.apply(&x, &mut out, &mut scratch);
                 out[0]
             });
         });
 
-        let dag = Codelet::Dag(Arc::new(generate_dft_dag(n)));
+        let dag = codelet.dag();
         group.bench_with_input(BenchmarkId::new("dag_interp", n), &n, |b, _| {
             b.iter(|| {
-                dag.apply(&x, &mut out, &mut scratch);
+                dag.eval(&x, &mut out, &mut scratch);
                 out[0]
             });
         });

@@ -102,7 +102,7 @@ const COMMANDS: &[CmdSpec] = &[
     },
     CmdSpec {
         name: "ablation-simd",
-        desc: "ABL-SIMD — short-vector backend vs scalar interpreter, same formula (host)",
+        desc: "ABL-SIMD — short-vector backend vs scalar kernel path, same formula (host)",
         flags: &["min", "max", "threads", "reps", "out"],
     },
     CmdSpec {

@@ -47,7 +47,7 @@ use std::time::Instant;
 /// file at any other version is rejected with the same error.
 pub const BENCH_SCHEMA_VERSION: u64 = 7;
 
-/// The `backend` value for points executed by the scalar interpreter.
+/// The `backend` value for points executed by the scalar kernel path.
 pub const BACKEND_SCALAR: &str = "scalar";
 /// The `backend` value for points executed by the short-vector backend.
 pub const BACKEND_VECTOR: &str = "vector";

@@ -13,7 +13,7 @@
 //! * [`certify`] — CERT: the static certification sweep (exact
 //!   symbolic + dataflow) and its `certify_report.json` artifact;
 //! * [`simd_ablation`] — ABL-SIMD: the short-vector backend vs the
-//!   scalar interpreter on the host, `simd_ablation.json`;
+//!   scalar kernel path on the host, `simd_ablation.json`;
 //! * [`serve_load`] — SERVE-LOAD: the network tier's round-trip latency
 //!   percentiles under single / warm / overload client concurrency,
 //!   and its `serve_load.json` artifact.

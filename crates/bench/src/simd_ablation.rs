@@ -1,4 +1,4 @@
-//! ABL-SIMD — the short-vector backend vs the scalar interpreter.
+//! ABL-SIMD — the short-vector backend vs the scalar kernel path.
 //!
 //! For every size in a sweep, compile the tuner's winning formula
 //! *twice* — once with the `vec(ν)` tag at the host's detected lane
@@ -8,7 +8,7 @@
 //! tree, same twiddles, same exchange fusion. The artifact
 //! (`results/simd_ablation.json`) is the recorded evidence behind the
 //! backend dimension of the bench history: vector points must earn
-//! their keep against the scalar interpreter, not against a strawman.
+//! their keep against the scalar kernel path, not against a strawman.
 
 use crate::history::BenchHost;
 use serde::{Deserialize, Serialize};

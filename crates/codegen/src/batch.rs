@@ -150,28 +150,29 @@ impl BatchExecutor {
 
         let job = |tid: usize| {
             let (lo, hi) = crate::plan::share(shared.len, threads, tid);
-            let mut ws = PlanWorkspace::default();
-            // `b` indexes `inputs` and the raw `shared.rows` pointer in
-            // lockstep; an iterator over `inputs` would hide that pairing.
-            #[allow(clippy::needless_range_loop)]
-            for b in lo..hi {
-                #[cfg(feature = "trace")]
-                let t0 = tr.timeline.map(|_| std::time::Instant::now());
-                // Safety: see SharedRows — `b` ranges are disjoint across
-                // threads, so this is the row's only live reference.
-                let row: &mut Vec<Cplx> = unsafe { &mut *shared.rows.add(b) };
-                plan.execute_into(&inputs[b], row, &mut ws);
-                #[cfg(feature = "trace")]
-                if let (Some(tl), Some(t0)) = (tr.timeline, t0) {
-                    tl.span(
-                        tid,
-                        spiral_smp::trace::SpanKind::BatchTransform,
-                        crate::u32_idx(b),
-                        t0,
-                        std::time::Instant::now(),
-                    );
+            PlanWorkspace::with_thread_local(|ws| {
+                // `b` indexes `inputs` and the raw `shared.rows` pointer in
+                // lockstep; an iterator over `inputs` would hide that pairing.
+                #[allow(clippy::needless_range_loop)]
+                for b in lo..hi {
+                    #[cfg(feature = "trace")]
+                    let t0 = tr.timeline.map(|_| std::time::Instant::now());
+                    // Safety: see SharedRows — `b` ranges are disjoint across
+                    // threads, so this is the row's only live reference.
+                    let row: &mut Vec<Cplx> = unsafe { &mut *shared.rows.add(b) };
+                    plan.execute_into(&inputs[b], row, ws);
+                    #[cfg(feature = "trace")]
+                    if let (Some(tl), Some(t0)) = (tr.timeline, t0) {
+                        tl.span(
+                            tid,
+                            spiral_smp::trace::SpanKind::BatchTransform,
+                            crate::u32_idx(b),
+                            t0,
+                            std::time::Instant::now(),
+                        );
+                    }
                 }
-            }
+            });
         };
         #[cfg(feature = "trace")]
         let run_result = match tr.timeline {

@@ -1,14 +1,33 @@
-//! Arithmetic-expression DAGs for DFT codelets.
+//! Arithmetic-expression DAGs for DFT codelets, and their generator.
 //!
 //! Small-size DFT kernels ("codelets", after FFTW's `genfft`) are produced
 //! by *partial evaluation*: the Cooley–Tukey recursion is executed on
-//! symbolic values, yielding a straight-line program as a hash-consed DAG
-//! of complex additions, subtractions, and multiplications by constants.
-//! The DAG is both interpreted at run time (generic codelet execution)
-//! and pretty-printed by the C emitter.
+//! symbolic values ([`generate_dft_dag`]), yielding a straight-line
+//! program as a hash-consed DAG of complex additions, subtractions, and
+//! multiplications by constants.
+//!
+//! This module is shared with the crate's build script, which prints
+//! every DAG up to [`MAX_CODELET`] as a monomorphic Rust function (the
+//! kernels the executor runs); the C emitter prints the same DAGs, and
+//! [`Dag::eval`] is the reference semantics both are tested against. It
+//! therefore depends on nothing in this crate, only on `spiral-spl`.
 
 use spiral_spl::cplx::Cplx;
+use spiral_spl::num::{factorize, omega_pow, omega_pow2};
+use spiral_spl::perm::Perm;
 use std::collections::HashMap;
+
+/// Largest `DFT_n` leaf that becomes a codelet; bigger unexpanded DFTs
+/// are rejected so that an un-expanded non-terminal cannot silently turn
+/// into an O(n²) kernel. The build script generates one kernel per size
+/// `1..=MAX_CODELET`.
+pub const MAX_CODELET: usize = 64;
+
+/// Largest DAG (in nodes) whose kernel the build script prints as one
+/// lane-generic straight-line function. Larger kernels (DFT_13, 17, 19,
+/// 21, 22, 23 and every size from 25 up except 32) are scalar functions
+/// that `Lanes<ν>` runs one lane at a time.
+pub const STRAIGHT_LINE_NODES: usize = 256;
 
 /// Node index within a [`Dag`].
 pub type Id = u32;
@@ -91,40 +110,6 @@ impl Dag {
             out[k] = scratch[o as usize];
         }
     }
-
-    /// Evaluate `NU` independent lanes in lane-grouped layout (input slot
-    /// `i` at `input[i·NU..(i+1)·NU]`, output slot `k` at
-    /// `out[k·NU..(k+1)·NU]`). Each lane runs the identical node sequence
-    /// as [`eval`], so per-lane results are bit-identical to `NU` scalar
-    /// evaluations.
-    pub fn eval_lanes<const NU: usize>(
-        &self,
-        input: &[Cplx],
-        out: &mut [Cplx],
-        scratch: &mut Vec<Cplx>,
-    ) {
-        use crate::simd::Lanes;
-        debug_assert_eq!(input.len(), self.n_inputs * NU);
-        debug_assert_eq!(out.len(), self.outputs.len() * NU);
-        scratch.clear();
-        scratch.resize(self.nodes.len() * NU, Cplx::ZERO);
-        let at = |s: &[Cplx], id: Id| Lanes::<NU>::load(&s[id as usize * NU..]);
-        for (k, node) in self.nodes.iter().enumerate() {
-            let v = match *node {
-                Node::Input(i) => Lanes::<NU>::load(&input[i as usize * NU..]),
-                Node::Add(a, b) => at(scratch, a) + at(scratch, b),
-                Node::Sub(a, b) => at(scratch, a) - at(scratch, b),
-                Node::Mul(a, c) => at(scratch, a).mul_const(c),
-                Node::MulI(a) => at(scratch, a).mul_i(),
-                Node::MulNegI(a) => at(scratch, a).mul_neg_i(),
-                Node::Neg(a) => -at(scratch, a),
-            };
-            v.store(&mut scratch[k * NU..]);
-        }
-        for (k, &o) in self.outputs.iter().enumerate() {
-            at(scratch, o).store(&mut out[k * NU..]);
-        }
-    }
 }
 
 /// Hash-consing DAG builder.
@@ -165,7 +150,7 @@ impl DagBuilder {
             nodes: Vec::new(),
             memo: HashMap::new(),
         };
-        let inputs = (0..crate::u32_idx(n_inputs))
+        let inputs = (0..node_id(n_inputs))
             .map(|i| b.push(Node::Input(i)))
             .collect();
         (b, inputs)
@@ -176,7 +161,7 @@ impl DagBuilder {
         if let Some(&id) = self.memo.get(&key) {
             return id;
         }
-        let id = crate::u32_idx(self.nodes.len());
+        let id = node_id(self.nodes.len());
         self.nodes.push(n);
         self.memo.insert(key, id);
         id
@@ -217,6 +202,74 @@ impl DagBuilder {
             n_inputs,
         }
     }
+}
+
+fn node_id(v: usize) -> Id {
+    Id::try_from(v).expect("DAG exceeds u32 node ids")
+}
+
+/// Generate the straight-line DAG for `DFT_n` by symbolically executing
+/// the Cooley–Tukey recursion (naive definition for primes).
+pub fn generate_dft_dag(n: usize) -> Dag {
+    assert!(n >= 1, "DFT size must be positive");
+    let (mut b, inputs) = DagBuilder::new(n);
+    let outputs = dft_symbolic(&mut b, &inputs);
+    b.finish(outputs, n)
+}
+
+/// Symbolic `DFT_n` on a vector of DAG node ids.
+fn dft_symbolic(b: &mut DagBuilder, xs: &[Id]) -> Vec<Id> {
+    let n = xs.len();
+    if n == 1 {
+        return xs.to_vec();
+    }
+    if n == 2 {
+        return vec![b.add(xs[0], xs[1]), b.sub(xs[0], xs[1])];
+    }
+    // Split at the smallest prime factor (radix-2 for powers of two).
+    let m = factorize(n)[0].0;
+    if m == n {
+        // Prime: naive definition y_k = Σ_l ω^{kl} x_l.
+        return (0..n)
+            .map(|k| {
+                let mut acc: Option<Id> = None;
+                for (l, &x) in xs.iter().enumerate() {
+                    let term = b.mul(x, omega_pow2(n, k, l));
+                    acc = Some(match acc {
+                        None => term,
+                        Some(a) => b.add(a, term),
+                    });
+                }
+                acc.unwrap()
+            })
+            .collect();
+    }
+    let k = n / m;
+    // u = L^n_m x
+    let l = Perm::stride(n, m);
+    let u: Vec<Id> = (0..n).map(|r| xs[l.src(r)]).collect();
+    // v = (I_m ⊗ DFT_k) u, then twiddles T^n_k: v[a·k + j] *= ω_n^{a·j}
+    let mut v = Vec::with_capacity(n);
+    for a in 0..m {
+        let block = dft_symbolic(b, &u[a * k..(a + 1) * k]);
+        for (j, id) in block.into_iter().enumerate() {
+            v.push(b.mul(id, omega_pow(n, a * j)));
+        }
+    }
+    // y = (DFT_m ⊗ I_k) v: column-wise DFT_m at stride k.
+    let mut y = vec![0 as Id; n];
+    let mut col = Vec::with_capacity(m);
+    for j in 0..k {
+        col.clear();
+        for a in 0..m {
+            col.push(v[a * k + j]);
+        }
+        let res = dft_symbolic(b, &col.clone());
+        for (a, id) in res.into_iter().enumerate() {
+            y[a * k + j] = id;
+        }
+    }
+    y
 }
 
 #[cfg(test)]

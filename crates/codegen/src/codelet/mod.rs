@@ -1,279 +1,130 @@
 //! DFT codelets: the straight-line base-case kernels of the generator.
 //!
-//! Sizes 2, 4, and 8 have hand-unrolled hot paths; every other size is
-//! served by a generated DAG (partial evaluation of the Cooley–Tukey
-//! recursion, naive DFT for primes). All variants agree with the defining
-//! matrix-vector product — tested exhaustively.
+//! Every size `1..=MAX_CODELET` has one kernel, printed by the build
+//! script from the partial-evaluation DAG of [`dag`] (Cooley–Tukey
+//! recursion, naive DFT for primes) and compiled as monomorphic,
+//! fully unrolled code. The kernel is generic over the [`Lane`] type, so
+//! the same source serves the scalar path and every ν-lane path (a DAG
+//! over [`dag::STRAIGHT_LINE_NODES`] is one scalar function that lane
+//! types run one lane at a time); its output is bit-for-bit
+//! [`Dag::eval`] of the DAG it was printed from.
 
 pub mod dag;
 
-use dag::{Dag, DagBuilder, Id};
+use crate::simd::{Lane, Lanes};
+use dag::{generate_dft_dag, Dag, MAX_CODELET};
 use spiral_spl::cplx::Cplx;
-use spiral_spl::num::{factorize, omega_pow, omega_pow2};
-use spiral_spl::perm::Perm;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::marker::PhantomData;
+use std::sync::{Arc, OnceLock};
 
-/// An executable DFT kernel of a fixed (small) size.
+/// The generated kernels: `Kernels: Dft<n>` for every `n` in
+/// `1..=MAX_CODELET`.
+pub struct Kernels;
+
+/// A straight-line `DFT_C` over `C` values of any lane type.
+pub trait Dft<const C: usize> {
+    /// `DFT_C(x)`, lane-wise.
+    fn dft<T: Lane>(x: [T; C]) -> [T; C];
+}
+
+/// A computation to run once monomorphised for a codelet size (see
+/// [`with_size`]).
+pub(crate) trait SizeFn {
+    type Out;
+    fn call<const C: usize>(self) -> Self::Out
+    where
+        Kernels: Dft<C>;
+}
+
+#[allow(clippy::all, clippy::pedantic)]
+mod generated {
+    use super::{Dft, Kernels, SizeFn};
+    use crate::simd::Lane;
+    use spiral_spl::cplx::Cplx;
+    include!(concat!(env!("OUT_DIR"), "/kernels.rs"));
+}
+
+pub(crate) use generated::with_size;
+
+/// An executable DFT kernel of a fixed (small) size: the generated
+/// straight-line code, plus the DAG it was printed from (for the C
+/// emitter, flop accounting, and certification).
 #[derive(Clone, Debug)]
-pub enum Codelet {
-    /// Size-2 butterfly `F_2` (hand-unrolled).
-    F2,
-    /// Size-4 radix-2 kernel (hand-unrolled).
-    F4,
-    /// Size-8 split kernel (hand-unrolled DAG-free path).
-    F8,
-    /// Generated straight-line code for arbitrary sizes.
-    Dag(Arc<Dag>),
+pub struct Codelet {
+    dag: Arc<Dag>,
 }
 
 impl Codelet {
-    /// Build the codelet for `DFT_n`. Hand-unrolled kernels are used for
-    /// n ∈ {2, 4, 8}; other sizes get a generated DAG (cached globally —
-    /// generation is deterministic).
+    /// The codelet for `DFT_n`, `1 ≤ n ≤ MAX_CODELET`.
     pub fn for_size(n: usize) -> Codelet {
-        match n {
-            2 => Codelet::F2,
-            4 => Codelet::F4,
-            8 => Codelet::F8,
-            _ => Codelet::Dag(cached_dag(n)),
-        }
+        Codelet { dag: cached_dag(n) }
     }
 
-    /// The DAG form (also for the hand-unrolled sizes) — used by the C
-    /// emitter, which always prints generated code.
+    /// The DAG the kernel was generated from — what the C emitter prints
+    /// and the certifier evaluates exactly.
     pub fn dag(&self) -> Arc<Dag> {
-        match self {
-            Codelet::F2 => cached_dag(2),
-            Codelet::F4 => cached_dag(4),
-            Codelet::F8 => cached_dag(8),
-            Codelet::Dag(d) => Arc::clone(d),
-        }
+        Arc::clone(&self.dag)
     }
 
     /// Transform size.
     pub fn size(&self) -> usize {
-        match self {
-            Codelet::F2 => 2,
-            Codelet::F4 => 4,
-            Codelet::F8 => 8,
-            Codelet::Dag(d) => d.n_inputs,
-        }
+        self.dag.n_inputs
     }
 
     /// Real-flop count per application (for the cost model and the
     /// pseudo-Mflop/s accounting).
     pub fn flops(&self) -> u64 {
-        match self {
-            Codelet::F2 => 4,
-            Codelet::F4 => 16,
-            Codelet::F8 => cached_dag(8).flops(),
-            Codelet::Dag(d) => d.flops(),
-        }
+        self.dag.flops()
     }
 
-    /// Apply: `out = DFT_n(input)`. `scratch` is reused storage for the
-    /// DAG interpreter.
+    /// Apply: `out = DFT_n(input)`. The scratch argument is unused (the
+    /// kernel keeps its values in registers and on the stack).
     #[inline]
-    pub fn apply(&self, input: &[Cplx], out: &mut [Cplx], scratch: &mut Vec<Cplx>) {
-        match self {
-            Codelet::F2 => {
-                let (a, b) = (input[0], input[1]);
-                out[0] = a + b;
-                out[1] = a - b;
-            }
-            Codelet::F4 => {
-                // DFT_4 = (F2 ⊗ I2) T^4_2 (I2 ⊗ F2) L^4_2, fully unrolled.
-                let t0 = input[0] + input[2];
-                let t1 = input[0] - input[2];
-                let t2 = input[1] + input[3];
-                let t3 = (input[1] - input[3]).mul_neg_i(); // twiddle ω_4 = -i
-                out[0] = t0 + t2;
-                out[2] = t0 - t2;
-                out[1] = t1 + t3;
-                out[3] = t1 - t3;
-            }
-            Codelet::F8 => {
-                // Radix-2 DIT, constants √2/2 folded.
-                const H: f64 = std::f64::consts::FRAC_1_SQRT_2;
-                let w8 = Cplx::new(H, -H); // ω_8
-                let w83 = Cplx::new(-H, -H); // ω_8³
-                                             // Stage 1: DFT_2 on (0,4),(2,6),(1,5),(3,7)
-                let a0 = input[0] + input[4];
-                let a1 = input[0] - input[4];
-                let a2 = input[2] + input[6];
-                let a3 = input[2] - input[6];
-                let a4 = input[1] + input[5];
-                let a5 = input[1] - input[5];
-                let a6 = input[3] + input[7];
-                let a7 = input[3] - input[7];
-                // Stage 2: DFT_2 with twiddles (radix-2 on halves)
-                let b0 = a0 + a2;
-                let b2 = a0 - a2;
-                let b1 = a1 + a3.mul_neg_i();
-                let b3 = a1 - a3.mul_neg_i();
-                let b4 = a4 + a6;
-                let b6 = a4 - a6;
-                let b5 = a5 + a7.mul_neg_i();
-                let b7 = a5 - a7.mul_neg_i();
-                // Stage 3: combine with ω_8 twiddles
-                out[0] = b0 + b4;
-                out[4] = b0 - b4;
-                let t5 = b5 * w8;
-                out[1] = b1 + t5;
-                out[5] = b1 - t5;
-                let t6 = b6.mul_neg_i();
-                out[2] = b2 + t6;
-                out[6] = b2 - t6;
-                let t7 = b7 * w83;
-                out[3] = b3 + t7;
-                out[7] = b3 - t7;
-            }
-            Codelet::Dag(d) => d.eval(input, out, scratch),
-        }
+    pub fn apply(&self, input: &[Cplx], out: &mut [Cplx], _scratch: &mut Vec<Cplx>) {
+        with_size(self.size(), Apply::<Cplx>(input, out, PhantomData));
     }
 
     /// Vector apply: `NU` independent transforms in lane-grouped layout —
     /// slot `t` of the `c`-point transform occupies `input[t·NU..(t+1)·NU]`
     /// (lane `l` of slot `t` at `t·NU + l`), and likewise for `out`. Each
-    /// lane computes exactly the operation sequence of [`apply`]
-    /// (hand-unrolled kernels) or of the generated DAG, so per-lane results
-    /// are bit-identical to `NU` scalar applications.
+    /// lane runs the kernel of [`apply`](Self::apply) op for op, so
+    /// per-lane results are bit-identical to `NU` scalar applications.
     #[inline]
     pub fn apply_lanes<const NU: usize>(
         &self,
         input: &[Cplx],
         out: &mut [Cplx],
-        scratch: &mut Vec<Cplx>,
+        _scratch: &mut Vec<Cplx>,
     ) {
-        use crate::simd::Lanes;
-        let ld = |t: usize| Lanes::<NU>::load(&input[t * NU..]);
-        match self {
-            Codelet::F2 => {
-                let (a, b) = (ld(0), ld(1));
-                (a + b).store(&mut out[0..]);
-                (a - b).store(&mut out[NU..]);
-            }
-            Codelet::F4 => {
-                let t0 = ld(0) + ld(2);
-                let t1 = ld(0) - ld(2);
-                let t2 = ld(1) + ld(3);
-                let t3 = (ld(1) - ld(3)).mul_neg_i();
-                (t0 + t2).store(&mut out[0..]);
-                (t0 - t2).store(&mut out[2 * NU..]);
-                (t1 + t3).store(&mut out[NU..]);
-                (t1 - t3).store(&mut out[3 * NU..]);
-            }
-            Codelet::F8 => {
-                const H: f64 = std::f64::consts::FRAC_1_SQRT_2;
-                let w8 = Cplx::new(H, -H);
-                let w83 = Cplx::new(-H, -H);
-                let a0 = ld(0) + ld(4);
-                let a1 = ld(0) - ld(4);
-                let a2 = ld(2) + ld(6);
-                let a3 = ld(2) - ld(6);
-                let a4 = ld(1) + ld(5);
-                let a5 = ld(1) - ld(5);
-                let a6 = ld(3) + ld(7);
-                let a7 = ld(3) - ld(7);
-                let b0 = a0 + a2;
-                let b2 = a0 - a2;
-                let b1 = a1 + a3.mul_neg_i();
-                let b3 = a1 - a3.mul_neg_i();
-                let b4 = a4 + a6;
-                let b6 = a4 - a6;
-                let b5 = a5 + a7.mul_neg_i();
-                let b7 = a5 - a7.mul_neg_i();
-                (b0 + b4).store(&mut out[0..]);
-                (b0 - b4).store(&mut out[4 * NU..]);
-                let t5 = b5.mul_const(w8);
-                (b1 + t5).store(&mut out[NU..]);
-                (b1 - t5).store(&mut out[5 * NU..]);
-                let t6 = b6.mul_neg_i();
-                (b2 + t6).store(&mut out[2 * NU..]);
-                (b2 - t6).store(&mut out[6 * NU..]);
-                let t7 = b7.mul_const(w83);
-                (b3 + t7).store(&mut out[3 * NU..]);
-                (b3 - t7).store(&mut out[7 * NU..]);
-            }
-            Codelet::Dag(d) => d.eval_lanes::<NU>(input, out, scratch),
+        with_size(self.size(), Apply::<Lanes<NU>>(input, out, PhantomData));
+    }
+}
+
+/// One kernel application over lane-grouped slots: input, output.
+struct Apply<'a, T>(&'a [Cplx], &'a mut [Cplx], PhantomData<T>);
+
+impl<T: Lane> SizeFn for Apply<'_, T> {
+    type Out = ();
+    #[inline(never)]
+    fn call<const C: usize>(self)
+    where
+        Kernels: Dft<C>,
+    {
+        let x: [T; C] = std::array::from_fn(|t| T::load(self.0, t * T::NU));
+        for (t, v) in Kernels::dft(x).into_iter().enumerate() {
+            v.store(self.1, t * T::NU);
         }
     }
 }
 
 /// Global cache of generated DAGs (generation is pure, so sharing is safe).
 fn cached_dag(n: usize) -> Arc<Dag> {
-    static CACHE: OnceLock<Mutex<HashMap<usize, Arc<Dag>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(d) = cache.lock().unwrap().get(&n) {
-        return Arc::clone(d);
-    }
-    let d = Arc::new(generate_dft_dag(n));
-    cache.lock().unwrap().entry(n).or_insert(d).clone()
-}
-
-/// Generate the straight-line DAG for `DFT_n` by symbolically executing
-/// the Cooley–Tukey recursion (naive definition for primes).
-pub fn generate_dft_dag(n: usize) -> Dag {
-    assert!(n >= 1, "DFT size must be positive");
-    let (mut b, inputs) = DagBuilder::new(n);
-    let outputs = dft_symbolic(&mut b, &inputs);
-    b.finish(outputs, n)
-}
-
-/// Symbolic `DFT_n` on a vector of DAG node ids.
-fn dft_symbolic(b: &mut DagBuilder, xs: &[Id]) -> Vec<Id> {
-    let n = xs.len();
-    if n == 1 {
-        return xs.to_vec();
-    }
-    if n == 2 {
-        return vec![b.add(xs[0], xs[1]), b.sub(xs[0], xs[1])];
-    }
-    // Split at the smallest prime factor (radix-2 for powers of two).
-    let m = factorize(n)[0].0;
-    if m == n {
-        // Prime: naive definition y_k = Σ_l ω^{kl} x_l.
-        return (0..n)
-            .map(|k| {
-                let mut acc: Option<Id> = None;
-                for (l, &x) in xs.iter().enumerate() {
-                    let term = b.mul(x, omega_pow2(n, k, l));
-                    acc = Some(match acc {
-                        None => term,
-                        Some(a) => b.add(a, term),
-                    });
-                }
-                acc.unwrap()
-            })
-            .collect();
-    }
-    let k = n / m;
-    // u = L^n_m x
-    let l = Perm::stride(n, m);
-    let u: Vec<Id> = (0..n).map(|r| xs[l.src(r)]).collect();
-    // v = (I_m ⊗ DFT_k) u, then twiddles T^n_k: v[a·k + j] *= ω_n^{a·j}
-    let mut v = Vec::with_capacity(n);
-    for a in 0..m {
-        let block = dft_symbolic(b, &u[a * k..(a + 1) * k]);
-        for (j, id) in block.into_iter().enumerate() {
-            v.push(b.mul(id, omega_pow(n, a * j)));
-        }
-    }
-    // y = (DFT_m ⊗ I_k) v: column-wise DFT_m at stride k.
-    let mut y = vec![0 as Id; n];
-    let mut col = Vec::with_capacity(m);
-    for j in 0..k {
-        col.clear();
-        for a in 0..m {
-            col.push(v[a * k + j]);
-        }
-        let res = dft_symbolic(b, &col.clone());
-        for (a, id) in res.into_iter().enumerate() {
-            y[a * k + j] = id;
-        }
-    }
-    y
+    static CACHE: [OnceLock<Arc<Dag>>; MAX_CODELET] = [const { OnceLock::new() }; MAX_CODELET];
+    assert!(
+        (1..=MAX_CODELET).contains(&n),
+        "codelet size {n} outside 1..={MAX_CODELET}"
+    );
+    Arc::clone(CACHE[n - 1].get_or_init(|| Arc::new(generate_dft_dag(n))))
 }
 
 #[cfg(test)]
@@ -299,30 +150,49 @@ mod tests {
             .collect()
     }
 
-    fn check_codelet(n: usize) {
-        let c = Codelet::for_size(n);
-        assert_eq!(c.size(), n);
-        let mut scratch = Vec::new();
-        for seed in 1..4 {
-            let x = rand_input(n, seed);
-            let mut got = vec![Cplx::ZERO; n];
-            c.apply(&x, &mut got, &mut scratch);
-            let mut want = vec![Cplx::ZERO; n];
-            naive_dft(n, &x, &mut want);
-            assert_slices_close(&got, &want, 1e-10 * n as f64);
-        }
+    fn bits(v: &[Cplx]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
     }
 
+    /// The compiled kernel of every size, on every lane of every lane
+    /// width, is bit-for-bit `Dag::eval` of the DAG it was printed from.
+    /// The sizes cover both printed forms: lane-generic (DFT_32) and
+    /// scalar run lane by lane (DFT_13, DFT_64 and every prime ≥ 17).
     #[test]
-    fn hand_unrolled_kernels_match_definition() {
-        check_codelet(2);
-        check_codelet(4);
-        check_codelet(8);
+    fn compiled_kernels_are_bit_exact_dag_eval() {
+        fn check<const NU: usize>(c: &Codelet, n: usize) {
+            let x = rand_input(n * NU, (n * 31 + NU) as u64);
+            let mut got = vec![Cplx::ZERO; n * NU];
+            if NU == 1 {
+                c.apply(&x, &mut got, &mut Vec::new());
+            } else {
+                c.apply_lanes::<NU>(&x, &mut got, &mut Vec::new());
+            }
+            for l in 0..NU {
+                let lane: Vec<Cplx> = (0..n).map(|t| x[t * NU + l]).collect();
+                let mut want = vec![Cplx::ZERO; n];
+                c.dag().eval(&lane, &mut want, &mut Vec::new());
+                let got_lane: Vec<Cplx> = (0..n).map(|t| got[t * NU + l]).collect();
+                assert_eq!(bits(&got_lane), bits(&want), "DFT_{n}, ν={NU}, lane {l}");
+            }
+        }
+        for n in 1..=MAX_CODELET {
+            let c = Codelet::for_size(n);
+            assert_eq!(c.size(), n);
+            check::<1>(&c, n);
+            check::<2>(&c, n);
+            check::<4>(&c, n);
+        }
+        let nodes = |n| generate_dft_dag(n).nodes.len();
+        assert!(nodes(32) <= dag::STRAIGHT_LINE_NODES);
+        assert!([13, 17, 61, 64]
+            .iter()
+            .all(|&n| nodes(n) > dag::STRAIGHT_LINE_NODES));
     }
 
     #[test]
     fn generated_dags_match_definition_all_sizes() {
-        for n in 1..=32 {
+        for n in 1..=MAX_CODELET {
             let dag = generate_dft_dag(n);
             assert_eq!(dag.n_inputs, n);
             assert_eq!(dag.outputs.len(), n);
@@ -361,24 +231,7 @@ mod tests {
             let c = Codelet::for_size(n);
             assert!(c.flops() > 0, "n={n}");
         }
-        assert_eq!(Codelet::F2.flops(), 4);
-    }
-
-    #[test]
-    fn dag_matches_hand_unrolled() {
-        // The emitter uses dag() even for hand-unrolled sizes; they must
-        // agree numerically.
-        let mut scratch = Vec::new();
-        for n in [2usize, 4, 8] {
-            let hand = Codelet::for_size(n);
-            let dag = hand.dag();
-            let x = rand_input(n, 99 + n as u64);
-            let mut a = vec![Cplx::ZERO; n];
-            let mut b = vec![Cplx::ZERO; n];
-            hand.apply(&x, &mut a, &mut scratch);
-            dag.eval(&x, &mut b, &mut scratch);
-            assert_slices_close(&a, &b, 1e-12);
-        }
+        assert_eq!(Codelet::for_size(2).flops(), 4);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   diagonals fold into adjacent compute loops, so a Cooley–Tukey
 //!   formula becomes `log N` kernel passes;
 //! * [`codelet`] — genfft-style straight-line base-case kernels produced
-//!   by partial evaluation, with hand-tuned paths for sizes 2/4/8;
+//!   by partial evaluation and compiled: the build script prints every
+//!   DAG as a straight-line Rust function, generic over the lane type;
 //! * [`plan`] — the executable [`plan::Plan`]: steps separated by
 //!   barriers, with the tagged parallel operators mapped to statically
 //!   scheduled parallel steps;

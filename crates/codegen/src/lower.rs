@@ -27,16 +27,13 @@ impl std::fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-/// Largest `DFT_n` leaf that becomes a codelet; bigger unexpanded DFTs
-/// are rejected so that an un-expanded non-terminal cannot silently turn
-/// into an O(n²) kernel.
-pub const MAX_CODELET: usize = 64;
+pub use crate::codelet::dag::MAX_CODELET;
 
 /// Compile a formula to a sequential stage program.
 pub fn lower_seq(f: &Spl) -> Result<LocalProgram, LowerError> {
     match f {
         Spl::I(n) => Ok(LocalProgram::identity(*n)),
-        Spl::F2 => Ok(kernel_program(Codelet::F2)),
+        Spl::F2 => Ok(kernel_program(Codelet::for_size(2))),
         Spl::Dft(k) => {
             if *k > MAX_CODELET {
                 return Err(LowerError(format!(
@@ -392,7 +389,7 @@ mod tests {
     fn twiddle_for_kernel_matches_gather_order() {
         // Kernel (I_2 ⊗ F_2) with w = position index; gathered order is
         // identity here, so the twiddle table equals w.
-        let mut k = KernelStage::unit(Codelet::F2);
+        let mut k = KernelStage::unit(Codelet::for_size(2));
         k.loops.push(LoopDim {
             count: 2,
             in_stride: 2,

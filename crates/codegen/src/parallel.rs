@@ -30,7 +30,6 @@
 //! `spiral_smp::faults` to exercise all of the above.
 
 use crate::plan::{Plan, Step};
-use crate::stage::Scratch;
 use spiral_smp::align::AlignedVec;
 use spiral_smp::barrier::{Barrier, BarrierKind};
 use spiral_smp::error::{lock_recover, SpiralError};
@@ -304,7 +303,6 @@ impl ParallelExecutor {
 
         let job = |tid: usize| {
             let mut tmp: AlignedVec<Cplx> = AlignedVec::new(tmp_dim);
-            let mut scratch = Scratch::default();
             for (si, step) in plan.steps.iter().enumerate() {
                 if failed.load(Ordering::Acquire) {
                     break;
@@ -333,17 +331,11 @@ impl ParallelExecutor {
                 };
                 #[cfg(feature = "trace")]
                 let compute_t0 = tr.observing().then(std::time::Instant::now);
-                run_step_portion(
-                    step,
-                    n,
-                    plan.mu.max(1),
-                    tid,
-                    threads,
-                    src,
-                    dst,
-                    &mut tmp,
-                    &mut scratch,
-                );
+                // SAFETY: see SharedBufs — each thread writes only its own
+                // portion of `dst`, and `src` is the other buffer.
+                unsafe {
+                    run_step_portion(step, n, plan.mu.max(1), tid, threads, src, dst, &mut tmp);
+                }
                 #[cfg(feature = "trace")]
                 let compute_t1 = tr.observing().then(std::time::Instant::now);
                 #[cfg(feature = "faults")]
@@ -504,9 +496,17 @@ fn inject_nan(step: &Step, n: usize, plan_mu: usize, tid: usize, threads: usize,
     }
 }
 
-/// Execute thread `tid`'s statically scheduled portion of one step.
+/// Execute thread `tid`'s statically scheduled portion of one step. The
+/// sequential executor ([`Plan::execute_into`]) runs every step as the
+/// portion of thread 0 of 1, so both executors share this code.
+///
+/// # Safety
+///
+/// `dst` must point to `n` writable elements that do not overlap `src`,
+/// and while this call runs no other thread may access the part of
+/// them that thread `tid` of `threads` writes for `step`.
 #[allow(clippy::too_many_arguments)]
-fn run_step_portion(
+pub(crate) unsafe fn run_step_portion(
     step: &Step,
     n: usize,
     plan_mu: usize,
@@ -515,14 +515,13 @@ fn run_step_portion(
     src: &[Cplx],
     dst: *mut Cplx,
     tmp: &mut [Cplx],
-    scratch: &mut Scratch,
 ) {
     match step {
         Step::Seq(prog) => {
             if tid == 0 {
                 // Safety: only thread 0 writes during a Seq step.
                 let dst = unsafe { std::slice::from_raw_parts_mut(dst, n) };
-                prog.run(src, dst, tmp, scratch);
+                prog.run(src, dst, tmp);
             }
         }
         Step::Par {
@@ -547,7 +546,7 @@ fn run_step_portion(
                     },
                     None => crate::stage::SrcView::Local(&src[s..s + chunk]),
                 };
-                prog.run_view(view, dst_chunk, &mut tmp[..*chunk], scratch);
+                prog.run_view(view, dst_chunk, &mut tmp[..*chunk]);
             }
         }
         Step::Exchange { table, mu } => {

@@ -15,10 +15,12 @@
 use crate::fuse::fuse;
 use crate::hook::{MemHook, Region};
 use crate::lower::{lower_seq, LowerError};
-use crate::stage::{LocalProgram, LocalStage, Scratch};
+use crate::parallel::run_step_portion;
+use crate::stage::{LocalProgram, LocalStage};
 use spiral_spl::ast::Spl;
 use spiral_spl::cplx::Cplx;
 use spiral_spl::perm::Perm;
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 /// One synchronization-delimited step of a plan.
@@ -245,9 +247,11 @@ impl Plan {
     }
 
     /// Reference sequential execution (single thread, same schedule).
+    /// Runs [`execute_into`](Self::execute_into) in the calling thread's
+    /// own workspace, so a warm call allocates only the returned vector.
     pub fn execute(&self, x: &[Cplx]) -> Vec<Cplx> {
         let mut out = vec![Cplx::ZERO; self.n];
-        self.execute_into(x, &mut out, &mut PlanWorkspace::default());
+        PlanWorkspace::with_thread_local(|ws| self.execute_into(x, &mut out, ws));
         out
     }
 
@@ -268,39 +272,11 @@ impl Plan {
         let mut b: &mut [Cplx] = &mut ws.b[..self.n];
         a.copy_from_slice(x);
         let tmp = &mut ws.tmp;
-        let scratch = &mut ws.scratch;
         for step in &self.steps {
-            match step {
-                Step::Seq(p) => p.run(a, b, tmp, scratch),
-                Step::Par {
-                    chunk,
-                    programs,
-                    gather,
-                } => {
-                    for (c, prog) in programs.iter().enumerate() {
-                        let s = c * chunk;
-                        let view = match gather {
-                            Some(g) => crate::stage::SrcView::Gathered {
-                                buf: a,
-                                gather: g,
-                                off: s,
-                            },
-                            None => crate::stage::SrcView::Local(&a[s..s + chunk]),
-                        };
-                        prog.run_view(view, &mut b[s..s + chunk], &mut tmp[..*chunk], scratch);
-                    }
-                }
-                Step::Exchange { table, .. } => {
-                    for (i, &s) in table.iter().enumerate() {
-                        b[i] = a[s as usize];
-                    }
-                }
-                Step::ScaleAll(w) => {
-                    for i in 0..self.n {
-                        b[i] = a[i] * w[i];
-                    }
-                }
-            }
+            // SAFETY: the whole step is thread 0's portion of a 1-thread
+            // schedule, and `b` is an exclusive `n`-element buffer that
+            // does not overlap `a`.
+            unsafe { run_step_portion(step, self.n, self.mu.max(1), 0, 1, a, b.as_mut_ptr(), tmp) };
             std::mem::swap(&mut a, &mut b);
         }
         out.copy_from_slice(a);
@@ -365,18 +341,27 @@ impl Plan {
 }
 
 /// Reusable buffers for repeated sequential executions
-/// ([`Plan::execute_into`]): the ping-pong pair, the per-chunk temporary,
-/// and the codelet scratch. Sized lazily to the largest plan seen, so
-/// one workspace serves any mix of plans.
+/// ([`Plan::execute_into`]): the ping-pong pair and the per-chunk
+/// temporary. Sized lazily to the largest plan seen, so one workspace
+/// serves any mix of plans.
 #[derive(Default)]
 pub struct PlanWorkspace {
     a: Vec<Cplx>,
     b: Vec<Cplx>,
     tmp: Vec<Cplx>,
-    scratch: Scratch,
 }
 
 impl PlanWorkspace {
+    /// Run `f` with the calling thread's own workspace. It lives as long
+    /// as the thread and never shrinks: it keeps the buffers of the
+    /// largest plan that thread has run.
+    pub(crate) fn with_thread_local<R>(f: impl FnOnce(&mut PlanWorkspace) -> R) -> R {
+        thread_local! {
+            static WS: RefCell<PlanWorkspace> = RefCell::new(PlanWorkspace::default());
+        }
+        WS.with_borrow_mut(f)
+    }
+
     /// Grow the buffers to fit `plan` (never shrinks).
     fn prepare(&mut self, plan: &Plan) {
         if self.a.len() < plan.n {

@@ -11,7 +11,7 @@
 //!
 //! The backend degrades gracefully: hosts without a useful vector unit
 //! (or builds with the `force-scalar` feature) report width 1 and every
-//! `vec(ν)`-tagged stage executes through the scalar interpreter path,
+//! `vec(ν)`-tagged stage executes through the scalar kernel path,
 //! bit-identical to an untagged plan.
 
 use spiral_spl::cplx::Cplx;
@@ -38,6 +38,67 @@ pub fn detected_simd_width() -> usize {
     spiral_smp::topology::simd_width().min(MAX_LANES)
 }
 
+/// The value type a generated codelet computes on: one complex number
+/// (`Cplx`, ν = 1) or ν of them side by side ([`Lanes<ν>`](Lanes)). Every
+/// operation acts lane-wise with exactly the scalar `Cplx` arithmetic, so
+/// lane `l` of a kernel run on `Lanes<ν>` is bit-identical to the same
+/// kernel run on lane `l` alone.
+pub trait Lane:
+    Copy + std::ops::Add<Output = Self> + std::ops::Sub<Output = Self> + std::ops::Neg<Output = Self>
+{
+    /// Complex elements per value.
+    const NU: usize;
+    /// All lanes zero.
+    const ZERO: Self;
+    /// Load the value starting at `src[at]` (ν consecutive elements).
+    fn load(src: &[Cplx], at: usize) -> Self;
+    /// Store the value to `dst[at..at + ν]`.
+    fn store(self, dst: &mut [Cplx], at: usize);
+    /// Every lane times the same constant (a codelet twiddle).
+    fn mul_const(self, c: Cplx) -> Self;
+    /// Lane-wise product (per-lane twiddle application).
+    fn mul_lanes(self, w: Self) -> Self;
+    /// Lane-wise rotation by `i`.
+    fn mul_i(self) -> Self;
+    /// Lane-wise rotation by `-i`.
+    fn mul_neg_i(self) -> Self;
+    /// Apply the scalar kernel `f` to each lane on its own.
+    fn per_lane<const C: usize>(x: [Self; C], f: fn([Cplx; C]) -> [Cplx; C]) -> [Self; C];
+}
+
+impl Lane for Cplx {
+    const NU: usize = 1;
+    const ZERO: Cplx = Cplx::ZERO;
+    #[inline(always)]
+    fn load(src: &[Cplx], at: usize) -> Cplx {
+        src[at]
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [Cplx], at: usize) {
+        dst[at] = self;
+    }
+    #[inline(always)]
+    fn mul_const(self, c: Cplx) -> Cplx {
+        self * c
+    }
+    #[inline(always)]
+    fn mul_lanes(self, w: Cplx) -> Cplx {
+        self * w
+    }
+    #[inline(always)]
+    fn mul_i(self) -> Cplx {
+        Cplx::mul_i(self)
+    }
+    #[inline(always)]
+    fn mul_neg_i(self) -> Cplx {
+        Cplx::mul_neg_i(self)
+    }
+    #[inline(always)]
+    fn per_lane<const C: usize>(x: [Cplx; C], f: fn([Cplx; C]) -> [Cplx; C]) -> [Cplx; C] {
+        f(x)
+    }
+}
+
 /// ν complex lanes processed as one unit — the "vector register" of the
 /// portable backend.
 #[derive(Copy, Clone, Debug)]
@@ -45,62 +106,61 @@ pub fn detected_simd_width() -> usize {
 pub struct Lanes<const NU: usize>(pub [Cplx; NU]);
 
 impl<const NU: usize> Lanes<NU> {
-    /// All-zero lanes.
-    pub const ZERO: Lanes<NU> = Lanes([Cplx::ZERO; NU]);
-
-    /// Load ν consecutive complex elements.
     #[inline(always)]
-    pub fn load(src: &[Cplx]) -> Lanes<NU> {
-        let mut v = [Cplx::ZERO; NU];
-        v.copy_from_slice(&src[..NU]);
-        Lanes(v)
+    fn map(self, f: impl Fn(Cplx) -> Cplx) -> Lanes<NU> {
+        Lanes(self.0.map(f))
     }
 
-    /// Store the lanes to ν consecutive complex elements.
     #[inline(always)]
-    pub fn store(self, dst: &mut [Cplx]) {
-        dst[..NU].copy_from_slice(&self.0);
-    }
-
-    /// Every lane multiplied by the same complex constant (the twiddle of
-    /// a straight-line kernel is uniform across lanes).
-    #[inline(always)]
-    pub fn mul_const(self, c: Cplx) -> Lanes<NU> {
-        let mut v = self.0;
-        for x in &mut v {
-            *x *= c;
-        }
-        Lanes(v)
-    }
-
-    /// Lane-wise complex multiplication (per-lane twiddle application).
-    #[inline(always)]
-    pub fn mul_lanes(self, rhs: Lanes<NU>) -> Lanes<NU> {
+    fn zip(self, rhs: Lanes<NU>, f: impl Fn(Cplx, Cplx) -> Cplx) -> Lanes<NU> {
         let mut v = self.0;
         for (x, y) in v.iter_mut().zip(rhs.0) {
-            *x *= y;
+            *x = f(*x, y);
         }
         Lanes(v)
     }
+}
 
-    /// Lane-wise rotation by `i`.
+impl<const NU: usize> Lane for Lanes<NU> {
+    const NU: usize = NU;
+    const ZERO: Lanes<NU> = Lanes([Cplx::ZERO; NU]);
     #[inline(always)]
-    pub fn mul_i(self) -> Lanes<NU> {
-        let mut v = self.0;
-        for x in &mut v {
-            *x = x.mul_i();
-        }
+    fn load(src: &[Cplx], at: usize) -> Lanes<NU> {
+        let mut v = [Cplx::ZERO; NU];
+        v.copy_from_slice(&src[at..at + NU]);
         Lanes(v)
     }
-
-    /// Lane-wise rotation by `-i`.
     #[inline(always)]
-    pub fn mul_neg_i(self) -> Lanes<NU> {
-        let mut v = self.0;
-        for x in &mut v {
-            *x = x.mul_neg_i();
+    fn store(self, dst: &mut [Cplx], at: usize) {
+        dst[at..at + NU].copy_from_slice(&self.0);
+    }
+    #[inline(always)]
+    fn mul_const(self, c: Cplx) -> Lanes<NU> {
+        self.map(|x| x * c)
+    }
+    #[inline(always)]
+    fn mul_lanes(self, w: Lanes<NU>) -> Lanes<NU> {
+        self.zip(w, |x, y| x * y)
+    }
+    #[inline(always)]
+    fn mul_i(self) -> Lanes<NU> {
+        self.map(Cplx::mul_i)
+    }
+    #[inline(always)]
+    fn mul_neg_i(self) -> Lanes<NU> {
+        self.map(Cplx::mul_neg_i)
+    }
+    fn per_lane<const C: usize>(
+        mut x: [Lanes<NU>; C],
+        f: fn([Cplx; C]) -> [Cplx; C],
+    ) -> [Lanes<NU>; C] {
+        for l in 0..NU {
+            let y = f(x.map(|v| v.0[l]));
+            for (v, y) in x.iter_mut().zip(y) {
+                v.0[l] = y;
+            }
         }
-        Lanes(v)
+        x
     }
 }
 
@@ -109,11 +169,7 @@ impl<const NU: usize> std::ops::Add for Lanes<NU> {
     type Output = Lanes<NU>;
     #[inline(always)]
     fn add(self, rhs: Lanes<NU>) -> Lanes<NU> {
-        let mut v = self.0;
-        for (x, y) in v.iter_mut().zip(rhs.0) {
-            *x += y;
-        }
-        Lanes(v)
+        self.zip(rhs, |x, y| x + y)
     }
 }
 
@@ -122,11 +178,7 @@ impl<const NU: usize> std::ops::Sub for Lanes<NU> {
     type Output = Lanes<NU>;
     #[inline(always)]
     fn sub(self, rhs: Lanes<NU>) -> Lanes<NU> {
-        let mut v = self.0;
-        for (x, y) in v.iter_mut().zip(rhs.0) {
-            *x -= y;
-        }
-        Lanes(v)
+        self.zip(rhs, |x, y| x - y)
     }
 }
 
@@ -135,11 +187,7 @@ impl<const NU: usize> std::ops::Neg for Lanes<NU> {
     type Output = Lanes<NU>;
     #[inline(always)]
     fn neg(self) -> Lanes<NU> {
-        let mut v = self.0;
-        for x in &mut v {
-            *x = -*x;
-        }
-        Lanes(v)
+        self.map(|x| -x)
     }
 }
 

@@ -7,7 +7,8 @@
 //! loop merging of [11]: permutations and diagonals are not executed as
 //! separate passes but folded into the adjacent compute loop.
 
-use crate::codelet::Codelet;
+use crate::codelet::{with_size, Codelet, Dft, Kernels, SizeFn};
+use crate::simd::{Lane, Lanes};
 use spiral_spl::cplx::Cplx;
 use std::sync::Arc;
 
@@ -121,174 +122,104 @@ impl KernelStage {
     /// stage's exact access pattern — including the `flat` index that
     /// [`trace`](Self::trace) discards but twiddle lookup
     /// (`twiddle[flat·c + t]`) depends on.
+    pub fn for_each_iteration<F: FnMut(usize, usize, usize)>(&self, f: F) {
+        self.for_each_group(1, f);
+    }
+
+    /// [`for_each_iteration`](Self::for_each_iteration) over lane groups:
+    /// the innermost loop steps `nu` iterations at a time, and `f` gets
+    /// the group index `flat / nu` with the bases of the group's first
+    /// iteration. Vector-marked stages have a unit-stride innermost loop
+    /// whose count `nu` divides, so a group is `nu` consecutive elements
+    /// on both sides.
     ///
     /// The odometer lives on the stack: every loop the lowering builds
     /// has a count of at least 2 (the lifts skip count-1 loops), so each
     /// loop at least halves the remaining span and the nest is never
     /// deeper than the bits of a `usize`.
-    pub fn for_each_iteration<F: FnMut(usize, usize, usize)>(&self, mut f: F) {
+    fn for_each_group<F: FnMut(usize, usize, usize)>(&self, nu: usize, mut f: F) {
         const MAX_DEPTH: usize = usize::BITS as usize;
         let d = self.loops.len();
         assert!(d <= MAX_DEPTH, "loop nest of depth {d} exceeds {MAX_DEPTH}");
+        let mut dims = [(0usize, 0usize, 0usize); MAX_DEPTH];
+        for (dim, l) in dims.iter_mut().zip(&self.loops) {
+            *dim = (l.count, l.in_stride, l.out_stride);
+        }
+        if nu > 1 {
+            let inner = &mut dims[d - 1];
+            debug_assert!(inner.0.is_multiple_of(nu));
+            *inner = (inner.0 / nu, inner.1 * nu, inner.2 * nu);
+        }
+        let dims = &dims[..d];
         let mut idx = [0usize; MAX_DEPTH];
         let mut in_base = self.in_off;
         let mut out_base = self.out_off;
-        let total = self.iterations();
+        let total = self.iterations() / nu;
         for flat in 0..total {
             f(flat, in_base, out_base);
             // Odometer increment (innermost dimension last).
-            for k in (0..d).rev() {
+            for (k, &(count, in_stride, out_stride)) in dims.iter().enumerate().rev() {
                 idx[k] += 1;
-                in_base += self.loops[k].in_stride;
-                out_base += self.loops[k].out_stride;
-                if idx[k] < self.loops[k].count {
+                in_base += in_stride;
+                out_base += out_stride;
+                if idx[k] < count {
                     break;
                 }
                 idx[k] = 0;
-                in_base -= self.loops[k].count * self.loops[k].in_stride;
-                out_base -= self.loops[k].count * self.loops[k].out_stride;
+                in_base -= count * in_stride;
+                out_base -= count * out_stride;
             }
         }
     }
 
-    /// Execute `dst = stage(src)`.
-    pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx], scratch: &mut Scratch) {
-        self.apply_view(SrcView::Local(src), dst, scratch);
+    /// Execute `dst = stage(src)`. The scratch argument is unused.
+    pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx], _scratch: &mut Scratch) {
+        self.apply_view(SrcView::Local(src), dst);
     }
 
     /// Execute with an arbitrary input view (local slice or fused global
-    /// gather). The view dispatch is monomorphized out of the inner loop.
-    /// Stages marked by the `vectorize` pass take the ν-lane path when
-    /// the view is a plain local slice; gathered views (fused exchanges
-    /// read the *global* buffer through an arbitrary table, so lane
-    /// groups need not be contiguous there) fall back to the scalar
-    /// interpretation, which is always valid for vector-marked IR.
-    pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx], scratch: &mut Scratch) {
-        let vec_width = if cfg!(feature = "force-scalar") {
-            1
-        } else {
-            self.vec_width
+    /// gather). The codelet size and lane width are dispatched once per
+    /// call, to a loop nest monomorphised for both. Stages marked by the
+    /// `vectorize` pass take the ν-lane path when the view is a plain
+    /// local slice; gathered views (fused exchanges read the *global*
+    /// buffer through an arbitrary table, so lane groups need not be
+    /// contiguous there) take the scalar path, which is always valid for
+    /// vector-marked IR.
+    pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx]) {
+        with_size(self.codelet.size(), KernelLoop(self, src, dst));
+    }
+
+    /// The loop nest of one stage with codelet size `C` on lane type `T`:
+    /// each lane group's `C` slots are loaded from `load` (fused gather
+    /// map and on-load twiddles applied as they come) into a stack array,
+    /// transformed by the generated kernel, and stored straight to `dst`
+    /// (on-store twiddles, fused scatter map). Twiddle entry `t` of lane
+    /// group `g` sits at `(g·C + t)·ν` in the scalar (ν = 1) or
+    /// lane-grouped table.
+    #[inline(never)]
+    fn run<const C: usize, T: Lane>(
+        &self,
+        load: impl Fn(usize) -> T,
+        tw_in: Option<&[Cplx]>,
+        tw_out: Option<&[Cplx]>,
+        dst: &mut [Cplx],
+    ) where
+        Kernels: Dft<C>,
+    {
+        let (in_map, out_map) = (self.in_map.as_deref(), self.out_map.as_deref());
+        let scale = |v: T, tw: Option<&[Cplx]>, at: usize| match tw {
+            Some(w) => v.mul_lanes(T::load(w, at * T::NU)),
+            None => v,
         };
-        match src {
-            SrcView::Local(s) => match vec_width {
-                2 => self.apply_vector::<2>(s, dst, scratch),
-                4 => self.apply_vector::<4>(s, dst, scratch),
-                _ => self.apply_inner(|i| s[i], dst, scratch),
-            },
-            SrcView::Gathered { buf, gather, off } => {
-                self.apply_inner(|i| buf[gather[off + i] as usize], dst, scratch);
-            }
-        }
-    }
-
-    /// ν-lane execution: processes lane groups of `NU` consecutive flat
-    /// iterations at once. The innermost lane loop has unit strides, so
-    /// slot `t` of a group is `NU` consecutive complex elements on both
-    /// the gather and scatter side; twiddles read the lane-grouped
-    /// tables. Per-lane arithmetic matches the scalar path op-for-op.
-    fn apply_vector<const NU: usize>(&self, src: &[Cplx], dst: &mut [Cplx], scratch: &mut Scratch) {
-        let c = self.codelet.size();
-        scratch.gather.resize(c * NU, Cplx::ZERO);
-        scratch.result.resize(c * NU, Cplx::ZERO);
-        let in_map = self.in_map.as_deref();
-        let out_map = self.out_map.as_deref();
-        let tw = self.twiddle_lanes.as_deref();
-        let tw_out = self.twiddle_out_lanes.as_deref();
-        self.for_each_iteration(|flat, in_base, out_base| {
-            if !flat.is_multiple_of(NU) {
-                return;
-            }
-            let gbase = (flat / NU) * c * NU;
-            for t in 0..c {
+        self.for_each_group(T::NU, |g, in_base, out_base| {
+            let mut x = [T::ZERO; C];
+            for (t, x) in x.iter_mut().enumerate() {
                 let a = in_base + t * self.in_t_stride;
-                let start = match in_map {
-                    Some(m) => m[a] as usize,
-                    None => a,
-                };
-                scratch.gather[t * NU..(t + 1) * NU].copy_from_slice(&src[start..start + NU]);
+                *x = scale(load(in_map.map_or(a, |m| m[a] as usize)), tw_in, g * C + t);
             }
-            if let Some(w) = tw {
-                for (x, wv) in scratch.gather.iter_mut().zip(&w[gbase..gbase + c * NU]) {
-                    *x *= *wv;
-                }
-            }
-            self.codelet
-                .apply_lanes::<NU>(&scratch.gather, &mut scratch.result, &mut scratch.dag);
-            if let Some(w) = tw_out {
-                for (x, wv) in scratch.result.iter_mut().zip(&w[gbase..gbase + c * NU]) {
-                    *x *= *wv;
-                }
-            }
-            for t in 0..c {
+            for (t, y) in Kernels::dft(x).into_iter().enumerate() {
                 let a = out_base + t * self.out_t_stride;
-                let start = match out_map {
-                    Some(m) => m[a] as usize,
-                    None => a,
-                };
-                dst[start..start + NU].copy_from_slice(&scratch.result[t * NU..(t + 1) * NU]);
-            }
-        });
-    }
-
-    fn apply_inner<G: Fn(usize) -> Cplx>(&self, get: G, dst: &mut [Cplx], scratch: &mut Scratch) {
-        let c = self.codelet.size();
-        scratch.gather.resize(c, Cplx::ZERO);
-        scratch.result.resize(c, Cplx::ZERO);
-        let in_map = self.in_map.as_deref();
-        let out_map = self.out_map.as_deref();
-        let twiddle = self.twiddle.as_deref();
-        let twiddle_out = self.twiddle_out.as_deref();
-        self.for_each_iteration(|flat, in_base, out_base| {
-            // Gather (with optional fused permutation and twiddle scaling)
-            // — specialized loops keep the per-element path branch-free.
-            match (in_map, twiddle) {
-                (None, None) => {
-                    for t in 0..c {
-                        scratch.gather[t] = get(in_base + t * self.in_t_stride);
-                    }
-                }
-                (Some(m), None) => {
-                    for t in 0..c {
-                        scratch.gather[t] = get(m[in_base + t * self.in_t_stride] as usize);
-                    }
-                }
-                (None, Some(w)) => {
-                    for t in 0..c {
-                        scratch.gather[t] = get(in_base + t * self.in_t_stride) * w[flat * c + t];
-                    }
-                }
-                (Some(m), Some(w)) => {
-                    for t in 0..c {
-                        scratch.gather[t] =
-                            get(m[in_base + t * self.in_t_stride] as usize) * w[flat * c + t];
-                    }
-                }
-            }
-            self.codelet
-                .apply(&scratch.gather, &mut scratch.result, &mut scratch.dag);
-            // Scatter (with optional fused trailing diagonal).
-            match (out_map, twiddle_out) {
-                (None, None) => {
-                    for t in 0..c {
-                        dst[out_base + t * self.out_t_stride] = scratch.result[t];
-                    }
-                }
-                (Some(m), None) => {
-                    for t in 0..c {
-                        dst[m[out_base + t * self.out_t_stride] as usize] = scratch.result[t];
-                    }
-                }
-                (None, Some(w)) => {
-                    for t in 0..c {
-                        dst[out_base + t * self.out_t_stride] = scratch.result[t] * w[flat * c + t];
-                    }
-                }
-                (Some(m), Some(w)) => {
-                    for t in 0..c {
-                        dst[m[out_base + t * self.out_t_stride] as usize] =
-                            scratch.result[t] * w[flat * c + t];
-                    }
-                }
+                scale(y, tw_out, g * C + t).store(dst, out_map.map_or(a, |m| m[a] as usize));
             }
         });
     }
@@ -319,16 +250,47 @@ impl KernelStage {
     }
 }
 
-/// Reusable per-thread scratch for kernel execution.
-#[derive(Default)]
-pub struct Scratch {
-    /// Gathered codelet input slots.
-    pub gather: Vec<Cplx>,
-    /// Codelet output slots.
-    pub result: Vec<Cplx>,
-    /// DAG-interpreter value store.
-    pub dag: Vec<Cplx>,
+/// One [`KernelStage::apply_view`] call (stage, source, destination), to
+/// be monomorphised per codelet size by [`with_size`].
+struct KernelLoop<'a, 's>(&'s KernelStage, SrcView<'a>, &'s mut [Cplx]);
+
+impl SizeFn for KernelLoop<'_, '_> {
+    type Out = ();
+    #[inline(always)]
+    fn call<const C: usize>(self)
+    where
+        Kernels: Dft<C>,
+    {
+        let KernelLoop(k, src, dst) = self;
+        if !cfg!(feature = "force-scalar") {
+            if let SrcView::Local(s) = src {
+                let (tw, tw_out) = (table(&k.twiddle_lanes), table(&k.twiddle_out_lanes));
+                match k.vec_width {
+                    2 => return k.run::<C, Lanes<2>>(|i| Lanes::load(s, i), tw, tw_out, dst),
+                    4 => return k.run::<C, Lanes<4>>(|i| Lanes::load(s, i), tw, tw_out, dst),
+                    _ => {}
+                }
+            }
+        }
+        let (tw, tw_out) = (table(&k.twiddle), table(&k.twiddle_out));
+        match src {
+            SrcView::Local(s) => k.run::<C, Cplx>(|i| s[i], tw, tw_out, dst),
+            SrcView::Gathered { buf, gather, off } => {
+                k.run::<C, Cplx>(|i| buf[gather[off + i] as usize], tw, tw_out, dst);
+            }
+        }
+    }
 }
+
+fn table(t: &Option<Arc<Vec<Cplx>>>) -> Option<&[Cplx]> {
+    t.as_deref().map(Vec::as_slice)
+}
+
+/// Kept for callers that thread a scratch value through stage calls:
+/// the generated kernels keep their values in registers and on the
+/// stack, so there is nothing left to reuse.
+#[derive(Default)]
+pub struct Scratch;
 
 /// Input view of a stage: either a local slice, or an indirected view
 /// into a *global* buffer through a permutation table — the executable
@@ -359,21 +321,6 @@ impl<'a> SrcView<'a> {
             SrcView::Gathered { buf, gather, off } => buf[gather[off + i] as usize],
         }
     }
-
-    /// The absolute index this view reads for logical index `i` (for
-    /// tracing: gathered views address the global buffer).
-    #[inline]
-    pub fn global_index(&self, i: usize) -> usize {
-        match self {
-            SrcView::Local(_) => i,
-            SrcView::Gathered { gather, off, .. } => gather[off + i] as usize,
-        }
-    }
-
-    /// True when this view reads through a gather table.
-    pub fn is_gathered(&self) -> bool {
-        matches!(self, SrcView::Gathered { .. })
-    }
 }
 
 /// One out-of-place stage of a local program.
@@ -397,16 +344,16 @@ impl LocalStage {
         }
     }
 
-    /// Execute `dst = stage(src)`.
-    pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx], scratch: &mut Scratch) {
-        self.apply_view(SrcView::Local(src), dst, scratch);
+    /// Execute `dst = stage(src)`. The scratch argument is unused.
+    pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx], _scratch: &mut Scratch) {
+        self.apply_view(SrcView::Local(src), dst);
     }
 
     /// Execute with an arbitrary input view (dispatch hoisted out of the
     /// element loops).
-    pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx], scratch: &mut Scratch) {
+    pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx]) {
         match self {
-            LocalStage::Kernel(k) => k.apply_view(src, dst, scratch),
+            LocalStage::Kernel(k) => k.apply_view(src, dst),
             LocalStage::Permute(t) => match src {
                 SrcView::Local(s) => {
                     for (d, &i) in dst.iter_mut().zip(t.iter()) {
@@ -480,19 +427,13 @@ impl LocalProgram {
 
     /// Execute `dst = program(src)`. `tmp` must have length ≥ `dim`; it is
     /// used for intermediate ping-ponging so `src` is never written.
-    pub fn run(&self, src: &[Cplx], dst: &mut [Cplx], tmp: &mut [Cplx], scratch: &mut Scratch) {
-        self.run_view(SrcView::Local(src), dst, tmp, scratch);
+    pub fn run(&self, src: &[Cplx], dst: &mut [Cplx], tmp: &mut [Cplx]) {
+        self.run_view(SrcView::Local(src), dst, tmp);
     }
 
     /// Execute with an arbitrary input view feeding the first stage
     /// (used by fused-exchange parallel steps).
-    pub fn run_view(
-        &self,
-        src: SrcView<'_>,
-        dst: &mut [Cplx],
-        tmp: &mut [Cplx],
-        scratch: &mut Scratch,
-    ) {
+    pub fn run_view(&self, src: SrcView<'_>, dst: &mut [Cplx], tmp: &mut [Cplx]) {
         let l = self.stages.len();
         assert!(dst.len() == self.dim);
         assert!(tmp.len() >= self.dim);
@@ -507,10 +448,10 @@ impl LocalProgram {
         for (k, stage) in self.stages.iter().enumerate() {
             let to_dst = (l - 1 - k).is_multiple_of(2);
             match (k == 0, to_dst) {
-                (true, true) => stage.apply_view(src, dst, scratch),
-                (true, false) => stage.apply_view(src, tmp, scratch),
-                (false, true) => stage.apply(tmp, dst, scratch),
-                (false, false) => stage.apply(dst, tmp, scratch),
+                (true, true) => stage.apply_view(src, dst),
+                (true, false) => stage.apply_view(src, tmp),
+                (false, true) => stage.apply_view(SrcView::Local(tmp), dst),
+                (false, false) => stage.apply_view(SrcView::Local(dst), tmp),
             }
         }
     }
@@ -519,8 +460,7 @@ impl LocalProgram {
     pub fn eval(&self, src: &[Cplx]) -> Vec<Cplx> {
         let mut dst = vec![Cplx::ZERO; self.dim];
         let mut tmp = vec![Cplx::ZERO; self.dim];
-        let mut scratch = Scratch::default();
-        self.run(src, &mut dst, &mut tmp, &mut scratch);
+        self.run(src, &mut dst, &mut tmp);
         dst
     }
 }
@@ -539,11 +479,11 @@ mod tests {
 
     #[test]
     fn unit_kernel_stage_is_plain_codelet() {
-        let stage = KernelStage::unit(Codelet::F2);
+        let stage = KernelStage::unit(Codelet::for_size(2));
         assert_eq!(stage.span(), 2);
         let x = ramp(2);
         let mut y = vec![Cplx::ZERO; 2];
-        stage.apply(&x, &mut y, &mut Scratch::default());
+        stage.apply(&x, &mut y, &mut Scratch);
         assert!(y[0].approx_eq(x[0] + x[1], 1e-12));
         assert!(y[1].approx_eq(x[0] - x[1], 1e-12));
     }
@@ -551,7 +491,7 @@ mod tests {
     #[test]
     fn block_loop_matches_i_tensor_a() {
         // I_3 ⊗ F_2: 3 contiguous blocks.
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 3,
             in_stride: 2,
@@ -560,7 +500,7 @@ mod tests {
         assert_eq!(stage.span(), 6);
         let x = ramp(6);
         let mut y = vec![Cplx::ZERO; 6];
-        stage.apply(&x, &mut y, &mut Scratch::default());
+        stage.apply(&x, &mut y, &mut Scratch);
         let want =
             spiral_spl::builder::tensor(spiral_spl::builder::i(3), spiral_spl::builder::f2())
                 .eval(&x);
@@ -570,7 +510,7 @@ mod tests {
     #[test]
     fn stride_loop_matches_a_tensor_i() {
         // F_2 ⊗ I_3: codelet at stride 3, loop stride 1.
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.in_t_stride = 3;
         stage.out_t_stride = 3;
         stage.loops.push(LoopDim {
@@ -580,7 +520,7 @@ mod tests {
         });
         let x = ramp(6);
         let mut y = vec![Cplx::ZERO; 6];
-        stage.apply(&x, &mut y, &mut Scratch::default());
+        stage.apply(&x, &mut y, &mut Scratch);
         let want =
             spiral_spl::builder::tensor(spiral_spl::builder::f2(), spiral_spl::builder::i(3))
                 .eval(&x);
@@ -592,7 +532,7 @@ mod tests {
         // (I_2 ⊗ F_2) L^4_2 with the stride permutation fused as a gather.
         let l = Perm::stride(4, 2);
         let table: Arc<Vec<u32>> = Arc::new(l.table().iter().map(|&v| crate::u32_idx(v)).collect());
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 2,
             in_stride: 2,
@@ -601,7 +541,7 @@ mod tests {
         stage.in_map = Some(table);
         let x = ramp(4);
         let mut y = vec![Cplx::ZERO; 4];
-        stage.apply(&x, &mut y, &mut Scratch::default());
+        stage.apply(&x, &mut y, &mut Scratch);
         let want = spiral_spl::builder::compose(vec![
             spiral_spl::builder::tensor(spiral_spl::builder::i(2), spiral_spl::builder::f2()),
             spiral_spl::builder::stride(4, 2),
@@ -614,7 +554,7 @@ mod tests {
     fn fused_twiddle_scaling() {
         // (I_2 ⊗ F_2) · diag(w): twiddle applied on load.
         let w: Vec<Cplx> = (0..4).map(|k| Cplx::cis(0.3 * k as f64)).collect();
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 2,
             in_stride: 2,
@@ -623,7 +563,7 @@ mod tests {
         stage.twiddle = Some(Arc::new(w.clone()));
         let x = ramp(4);
         let mut y = vec![Cplx::ZERO; 4];
-        stage.apply(&x, &mut y, &mut Scratch::default());
+        stage.apply(&x, &mut y, &mut Scratch);
         let want = spiral_spl::builder::compose(vec![
             spiral_spl::builder::tensor(spiral_spl::builder::i(2), spiral_spl::builder::f2()),
             spiral_spl::builder::diag(w),
@@ -639,13 +579,13 @@ mod tests {
             Arc::new(perm.table().iter().map(|&v| crate::u32_idx(v)).collect());
         let x = ramp(6);
         let mut y = vec![Cplx::ZERO; 6];
-        LocalStage::Permute(table).apply(&x, &mut y, &mut Scratch::default());
+        LocalStage::Permute(table).apply(&x, &mut y, &mut Scratch);
         for r in 0..6 {
             assert!(y[r].approx_eq(x[perm.src(r)], 0.0));
         }
         let w: Vec<Cplx> = (0..6).map(|k| Cplx::real(k as f64)).collect();
         let mut z = vec![Cplx::ZERO; 6];
-        LocalStage::Scale(Arc::new(w.clone())).apply(&x, &mut z, &mut Scratch::default());
+        LocalStage::Scale(Arc::new(w.clone())).apply(&x, &mut z, &mut Scratch);
         for r in 0..6 {
             assert!(z[r].approx_eq(x[r] * w[r], 1e-12));
         }
@@ -655,7 +595,7 @@ mod tests {
     fn program_ping_pong_any_length() {
         // Four F2-block stages compose: (I2⊗F2)^4 = 4·(I2⊗I2)... i.e.
         // applying the same stage repeatedly; check against formula eval.
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 2,
             in_stride: 2,
@@ -688,7 +628,7 @@ mod tests {
 
     #[test]
     fn trace_covers_all_outputs_once() {
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 4,
             in_stride: 2,
@@ -709,7 +649,7 @@ mod tests {
 
     #[test]
     fn flop_accounting() {
-        let mut stage = KernelStage::unit(Codelet::F2);
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
         stage.loops.push(LoopDim {
             count: 4,
             in_stride: 2,

@@ -151,7 +151,7 @@ mod tests {
     use spiral_spl::cplx::Cplx;
 
     fn lane_stage(count: usize) -> KernelStage {
-        let mut k = KernelStage::unit(Codelet::F2);
+        let mut k = KernelStage::unit(Codelet::for_size(2));
         k.in_t_stride = count;
         k.out_t_stride = count;
         k.loops.push(LoopDim {
@@ -186,7 +186,7 @@ mod tests {
         let e = stage_alignment(&k, 2).unwrap_err();
         assert!(e.contains("misaligned nu-block"), "{e}");
         // No loops at all.
-        let k = KernelStage::unit(Codelet::F2);
+        let k = KernelStage::unit(Codelet::for_size(2));
         assert!(stage_alignment(&k, 2).is_err());
     }
 

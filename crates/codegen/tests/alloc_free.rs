@@ -1,9 +1,10 @@
 //! `Plan::execute_into` is documented as allocation-free once its
-//! workspace is warm. A counting global allocator checks that claim: the
-//! count is kept per thread, so the test harness's own threads cannot
-//! pollute it.
+//! workspace is warm, and `Plan::execute` as allocating only its output.
+//! A counting global allocator checks both claims: the count is kept per
+//! thread, so the test harness's own threads cannot pollute it.
 
-use spiral_codegen::{Plan, PlanWorkspace};
+use spiral_codegen::stage::LocalStage;
+use spiral_codegen::{Plan, PlanWorkspace, Step};
 use spiral_rewrite::{multicore_dft_expanded, sequential_dft};
 use spiral_spl::builder::vec_tag;
 use spiral_spl::cplx::Cplx;
@@ -82,4 +83,62 @@ fn warm_execute_into_does_not_allocate() {
         }
     }
     assert!(vectorized > 0, "no size produced a vec(4) plan");
+}
+
+/// Codelet sizes of the kernel stages of a sequential plan.
+fn leaves(plan: &Plan) -> Vec<usize> {
+    let [Step::Seq(p)] = plan.steps.as_slice() else {
+        panic!("not a one-step sequential plan");
+    };
+    p.stages
+        .iter()
+        .filter_map(|s| match s {
+            LocalStage::Kernel(k) => Some(k.codelet.size()),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn warm_execute_into_does_not_allocate_with_large_leaves() {
+    let mut vectorized = 0;
+    for (n, leaf) in [(256usize, 16usize), (1024, 32)] {
+        let seq = sequential_dft(n, leaf);
+        for nu in [1usize, 2, 4] {
+            let formula = if nu == 1 {
+                seq.clone()
+            } else {
+                vec_tag(nu, seq.clone())
+            };
+            let plan = Plan::from_formula(&formula, 1, 4).unwrap();
+            assert!(
+                leaves(&plan).contains(&leaf),
+                "n={n}: no DFT_{leaf} leaf in {:?}",
+                leaves(&plan)
+            );
+            if plan.vec_width > 1 {
+                vectorized += 1;
+            }
+            assert_eq!(
+                warm_allocs(&plan),
+                0,
+                "DFT_{leaf} leaves, ν={nu}, n={n} allocated"
+            );
+        }
+    }
+    assert!(vectorized > 0, "no large-leaf plan was vectorized");
+}
+
+#[test]
+fn warm_execute_allocates_only_its_output() {
+    for (n, leaf) in [(64usize, 8usize), (1024, 32)] {
+        let plan = Plan::from_formula(&sequential_dft(n, leaf), 1, 4).unwrap();
+        let x: Vec<Cplx> = (0..n).map(|k| Cplx::new(k as f64, 1.0)).collect();
+        // Cold call: sizes this thread's workspace.
+        let cold = plan.execute(&x);
+        let before = allocs();
+        let warm = plan.execute(&x);
+        assert_eq!(allocs() - before, 1, "warm execute at n={n}");
+        assert_eq!(cold, warm);
+    }
 }

@@ -25,4 +25,4 @@ pub use dp::{dp_search, SearchResult};
 pub use evolve::{evolve_search, EvolveOpts};
 pub use random::{random_search, random_tree};
 pub use spiral_codegen::SpiralError;
-pub use tuner::{QuarantineEntry, TuneOutcome, TuneReport, Tuned, Tuner};
+pub use tuner::{candidate_vec_widths, QuarantineEntry, TuneOutcome, TuneReport, Tuned, Tuner};

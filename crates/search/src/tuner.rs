@@ -15,8 +15,9 @@ use std::collections::HashMap;
 /// scalar (ν = 1) plus every supported width the host actually has.
 /// Under the `force-scalar` feature of `spiral-codegen` the detected
 /// width is 1, so this collapses to `[1]` and no vector candidate is
-/// ever generated.
-fn candidate_vec_widths() -> Vec<usize> {
+/// ever generated. The parallel search measures every split candidate
+/// once per width, in this order.
+pub fn candidate_vec_widths() -> Vec<usize> {
     let host = spiral_codegen::detected_simd_width();
     let mut widths = vec![1];
     widths.extend(

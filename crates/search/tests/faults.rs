@@ -6,7 +6,7 @@
 #![cfg(feature = "faults")]
 
 use spiral_codegen::ParallelExecutor;
-use spiral_search::{CostModel, Tuner};
+use spiral_search::{candidate_vec_widths, CostModel, Tuner};
 use spiral_smp::barrier::BarrierKind;
 use spiral_smp::faults::{install, Fault, FaultPlan, FaultSpec};
 use spiral_spl::cplx::{assert_slices_close, Cplx};
@@ -30,11 +30,13 @@ fn on_run(run: usize, fault: Fault) -> FaultSpec {
 }
 
 /// The tuner's host-measurement search over n=256, p=2, µ=4 has three
-/// split candidates (m ∈ {8, 16, 32}). Each candidate's warm-up is one
-/// executor run, so run-indexed faults target individual candidates:
-/// the first panics, the second produces NaN output. Both must be
-/// quarantined with reasons, and the third must win with a correct
-/// plan.
+/// split candidates (m ∈ {8, 16, 32}), each measured once per offered
+/// lane width (scalar first, then every vec(ν) the host supports). Each
+/// candidate's warm-up is one executor run, so run-indexed faults target
+/// individual candidates: the first (m=8, scalar) panics, the second
+/// (m=8 + vec(2), or m=16 on a scalar-only host) produces NaN output.
+/// Both must be quarantined with reasons, and the rest must still tune
+/// to a correct plan.
 #[test]
 fn tuner_quarantines_faulting_candidates_and_still_tunes() {
     let (n, p, mu) = (256usize, 2usize, 4usize);
@@ -50,20 +52,32 @@ fn tuner_quarantines_faulting_candidates_and_still_tunes() {
     let _g = install(FaultPlan {
         seed: 11,
         specs: vec![
-            // Candidate 0 (m=8) panics during its warm-up run.
+            // Candidate 0 panics during its warm-up run.
             on_run(0, Fault::Panic),
-            // Candidate 1 (m=16) silently corrupts its output.
+            // Candidate 1 silently corrupts its output.
             on_run(1, Fault::CorruptNan),
         ],
     });
     let outcome = tuner.tune_parallel_report(n).unwrap();
-    assert_eq!(outcome.report.evaluated, 3, "expected 3 split candidates");
+    let widths = candidate_vec_widths();
+    let splits = [8usize, 16, 32];
+    assert_eq!(
+        outcome.report.evaluated,
+        splits.len() * widths.len(),
+        "expected every split at every offered width {widths:?}"
+    );
     assert_eq!(
         outcome.report.quarantined.len(),
         2,
         "report: {:?}",
         outcome.report.quarantined
     );
+    let second = match widths.get(1) {
+        Some(nu) => format!("multicore split 8x32 + vec({nu})"),
+        None => "multicore split 16x16".to_string(),
+    };
+    assert_eq!(outcome.report.quarantined[0].choice, "multicore split 8x32");
+    assert_eq!(outcome.report.quarantined[1].choice, second);
     assert!(
         outcome.report.quarantined[0].reason.contains("panicked"),
         "first quarantine reason: {}",

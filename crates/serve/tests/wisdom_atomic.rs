@@ -5,6 +5,19 @@
 
 use spiral_serve::{PlanService, WisdomStore};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The serve fault registry is process-global: while one test has an
+/// injected torn write installed, every wisdom save in the process fails.
+/// Every test in this binary saves wisdom, so each holds this lock for
+/// its whole run.
+static FAULT_REGISTRY: Mutex<()> = Mutex::new(());
+
+fn serialised() -> MutexGuard<'static, ()> {
+    FAULT_REGISTRY
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir =
@@ -16,6 +29,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn save_leaves_the_file_and_no_temp_behind() {
+    let _serial = serialised();
     let dir = scratch_dir("clean");
     let path = dir.join("wisdom.json");
     let (svc, _) = PlanService::with_wisdom(1, 4, &path);
@@ -44,6 +58,7 @@ fn save_leaves_the_file_and_no_temp_behind() {
 
 #[test]
 fn torn_file_on_disk_is_rejected_cleanly_not_parsed() {
+    let _serial = serialised();
     let dir = scratch_dir("torn");
     let path = dir.join("wisdom.json");
 
@@ -79,6 +94,7 @@ fn torn_file_on_disk_is_rejected_cleanly_not_parsed() {
 
 #[test]
 fn rewriting_an_existing_file_is_all_or_nothing() {
+    let _serial = serialised();
     let dir = scratch_dir("rewrite");
     let path = dir.join("wisdom.json");
 
@@ -104,6 +120,7 @@ fn rewriting_an_existing_file_is_all_or_nothing() {
 #[cfg(feature = "faults")]
 #[test]
 fn injected_torn_write_never_corrupts_the_existing_file() {
+    let _serial = serialised();
     use spiral_smp::faults::{install_serve, ServeFaultPlan, ServeFaultSpec, ServeSite};
 
     let dir = scratch_dir("inject");

@@ -15,10 +15,9 @@
 //! * [`symbolic`] — a symbolic interpreter executing the plan over exact
 //!   cyclotomic arithmetic ([`spiral_spl::exact`]) and proving the
 //!   composed plan matrix equals `DFT_n` **entrywise with zero
-//!   tolerance**, for `n ≤ 64` (every codelet size). Both the
-//!   interpreter's semantics (hand-unrolled kernels mirrored exactly)
-//!   and the `cemit` C backend's semantics (codelet DAG form) are
-//!   certified.
+//!   tolerance**, for `n ≤ 64` (every codelet size). Codelets run as
+//!   the DAG the compiled kernels and the `cemit` C backend are both
+//!   printed from, so one semantics covers both backends.
 //!
 //! [`certify_plan`] composes both; the tuner, the wisdom loader, and the
 //! debug-build executor guard consume the verdicts.

@@ -14,23 +14,22 @@
 //! certificate speaks about the code that actually runs, not a model of
 //! it.
 //!
-//! Each plan is certified twice: once mirroring the interpreter's
-//! hand-unrolled `F2`/`F4`/`F8` kernels, and once forcing every codelet
-//! through its DAG form — the straight-line program the `cemit` C
-//! backend prints. A plan is accepted only if **both** lowerings equal
-//! `DFT_n` exactly: `plan(e_j)[k] = ω_n^{k·j}` for all `j, k`.
+//! Codelets are evaluated through their DAG — the straight-line program
+//! the build script prints as the compiled kernel (bit-for-bit, a codelet
+//! test checks) and the `cemit` C backend prints as C. There is one
+//! codelet semantics, and it is the code that runs: a plan is accepted
+//! only if it equals `DFT_n` exactly: `plan(e_j)[k] = ω_n^{k·j}` for all
+//! `j, k`.
 //!
 //! Vector-marked stages (`vec_width = ν > 1`) are replayed the way the
 //! ν-lane runtime path reads them: constants come from the lane-grouped
 //! `twiddle_lanes` tables at `(flat/ν)·c·ν + t·ν + flat mod ν`, so a
 //! swapped or mis-derived lane shuffle yields the wrong matrix and is
-//! rejected entrywise (the per-lane codelet arithmetic is the identical
-//! operation sequence to the scalar kernels, so no separate codelet
-//! semantics is needed).
+//! rejected entrywise (every lane runs the same generated kernel, so no
+//! separate codelet semantics is needed).
 
 use super::{CertFinding, CertPass};
 use spiral_codegen::codelet::dag::{Dag, Node};
-use spiral_codegen::codelet::Codelet;
 use spiral_codegen::plan::{Plan, Step};
 use spiral_codegen::stage::{KernelStage, LocalProgram, LocalStage};
 use spiral_spl::cplx::Cplx;
@@ -67,40 +66,33 @@ fn run(plan: &Plan) -> Result<(), CertFinding> {
         return Ok(());
     }
     let order = lcm(4, n);
-    for use_dag in [false, true] {
-        let semantics = if use_dag {
-            "cemit (codelet DAG)"
-        } else {
-            "interpreter (hand kernels)"
-        };
-        for j in 0..n {
-            let x: Vec<Cyclo> = (0..n)
-                .map(|i| {
-                    if i == j {
-                        Cyclo::one(order)
-                    } else {
-                        Cyclo::zero(order)
-                    }
-                })
-                .collect();
-            let y = exec_plan(plan, x, order, use_dag)?;
-            for (k, got) in y.iter().enumerate() {
-                // DFT_n column j, entry k: ω_n^{kj}, lifted to ω_N.
-                let expected = Cyclo::root(order, (k * j % n) * (order / n));
-                if !got.eq_exact(&expected) {
-                    return Err(fail(
-                        None,
-                        None,
-                        Some(k),
-                        format!(
-                            "{semantics} semantics: plan(e_{j})[{k}] = {:?} ≈ {:?}, but \
-                             DFT_{n}[{k},{j}] = ω_{n}^{} — plan is not DFT_{n}",
-                            got,
-                            got.to_cplx(),
-                            k * j % n,
-                        ),
-                    ));
+    for j in 0..n {
+        let x: Vec<Cyclo> = (0..n)
+            .map(|i| {
+                if i == j {
+                    Cyclo::one(order)
+                } else {
+                    Cyclo::zero(order)
                 }
+            })
+            .collect();
+        let y = exec_plan(plan, x, order)?;
+        for (k, got) in y.iter().enumerate() {
+            // DFT_n column j, entry k: ω_n^{kj}, lifted to ω_N.
+            let expected = Cyclo::root(order, (k * j % n) * (order / n));
+            if !got.eq_exact(&expected) {
+                return Err(fail(
+                    None,
+                    None,
+                    Some(k),
+                    format!(
+                        "plan(e_{j})[{k}] = {:?} ≈ {:?}, but \
+                         DFT_{n}[{k},{j}] = ω_{n}^{} — plan is not DFT_{n}",
+                        got,
+                        got.to_cplx(),
+                        k * j % n,
+                    ),
+                ));
             }
         }
     }
@@ -108,12 +100,7 @@ fn run(plan: &Plan) -> Result<(), CertFinding> {
 }
 
 /// Mirror of `Plan::execute_into` over exact values.
-fn exec_plan(
-    plan: &Plan,
-    x: Vec<Cyclo>,
-    order: usize,
-    use_dag: bool,
-) -> Result<Vec<Cyclo>, CertFinding> {
+fn exec_plan(plan: &Plan, x: Vec<Cyclo>, order: usize) -> Result<Vec<Cyclo>, CertFinding> {
     let n = plan.n;
     let mut a = x;
     let mut b = vec![Cyclo::zero(order); n];
@@ -128,7 +115,7 @@ fn exec_plan(
                         format!("sequential program dimension {} != plan size {n}", p.dim),
                     ));
                 }
-                run_program(p, &SymSrc::Local(&a, 0), &mut b, order, use_dag, si)?;
+                run_program(p, &SymSrc::Local(&a, 0), &mut b, order, si)?;
             }
             Step::Par {
                 chunk,
@@ -156,7 +143,7 @@ fn exec_plan(
                             ),
                         )
                     })?;
-                    run_program(prog, &src, dst, order, use_dag, si)?;
+                    run_program(prog, &src, dst, order, si)?;
                 }
             }
             Step::Exchange { table, .. } => {
@@ -229,7 +216,6 @@ fn run_program(
     src: &SymSrc<'_>,
     dst: &mut [Cyclo],
     order: usize,
-    use_dag: bool,
     si: usize,
 ) -> Result<(), CertFinding> {
     let dim = prog.dim;
@@ -259,15 +245,15 @@ fn run_program(
     for (k, stage) in prog.stages.iter().enumerate() {
         let to_dst = (l - 1 - k).is_multiple_of(2);
         match (k == 0, to_dst) {
-            (true, true) => apply_stage(stage, src, dst, order, use_dag, si, k)?,
-            (true, false) => apply_stage(stage, src, &mut tmp, order, use_dag, si, k)?,
+            (true, true) => apply_stage(stage, src, dst, order, si, k)?,
+            (true, false) => apply_stage(stage, src, &mut tmp, order, si, k)?,
             (false, true) => {
                 let view = SymSrc::Local(&tmp, 0);
-                apply_stage(stage, &view, dst, order, use_dag, si, k)?;
+                apply_stage(stage, &view, dst, order, si, k)?;
             }
             (false, false) => {
                 let view = SymSrc::Local(&*dst, 0);
-                apply_stage(stage, &view, &mut tmp, order, use_dag, si, k)?;
+                apply_stage(stage, &view, &mut tmp, order, si, k)?;
             }
         }
     }
@@ -279,12 +265,11 @@ fn apply_stage(
     src: &SymSrc<'_>,
     out: &mut [Cyclo],
     order: usize,
-    use_dag: bool,
     si: usize,
     k: usize,
 ) -> Result<(), CertFinding> {
     match stage {
-        LocalStage::Kernel(ks) => apply_kernel(ks, src, out, order, use_dag, si, k),
+        LocalStage::Kernel(ks) => apply_kernel(ks, src, out, order, si, k),
         LocalStage::Permute(t) => {
             if t.len() != out.len() {
                 return Err(fail(
@@ -339,7 +324,7 @@ fn apply_stage(
     }
 }
 
-/// Mirror of `KernelStage::apply_inner`: gather (fused permutation +
+/// Mirror of the `KernelStage` loop nest: gather (fused permutation +
 /// twiddle-on-load), codelet, scatter (fused permutation +
 /// twiddle-on-store), over the exact iteration space.
 #[allow(clippy::too_many_arguments)]
@@ -348,7 +333,6 @@ fn apply_kernel(
     src: &SymSrc<'_>,
     out: &mut [Cyclo],
     order: usize,
-    use_dag: bool,
     si: usize,
     k: usize,
 ) -> Result<(), CertFinding> {
@@ -416,7 +400,7 @@ fn apply_kernel(
                 }
                 *slot = v;
             }
-            let result = codelet_symbolic(&ks.codelet, &input, order, use_dag, si, k)?;
+            let result = dag_symbolic(&ks.codelet.dag(), &input, order, si, k)?;
             for (t, mut v) in result.into_iter().enumerate() {
                 let (w, name) = if lanes_out {
                     (&ks.twiddle_out_lanes, "twiddle_out_lanes")
@@ -468,73 +452,9 @@ fn apply_kernel(
     }
 }
 
-/// Exact codelet application. With `use_dag` every size runs its DAG
-/// form (what `cemit` prints); otherwise the hand-unrolled 2/4/8 paths
-/// are mirrored operation-for-operation.
-fn codelet_symbolic(
-    codelet: &Codelet,
-    x: &[Cyclo],
-    order: usize,
-    use_dag: bool,
-    si: usize,
-    k: usize,
-) -> Result<Vec<Cyclo>, CertFinding> {
-    if use_dag {
-        return dag_symbolic(&codelet.dag(), x, order, si, k);
-    }
-    // −i = ω_N^{N/4}, +i = ω_N^{3N/4} (N is a multiple of 4).
-    let neg_i = order / 4;
-    match codelet {
-        Codelet::F2 => Ok(vec![x[0].add(&x[1]), x[0].sub(&x[1])]),
-        Codelet::F4 => {
-            let t0 = x[0].add(&x[2]);
-            let t1 = x[0].sub(&x[2]);
-            let t2 = x[1].add(&x[3]);
-            let t3 = x[1].sub(&x[3]).mul_root(neg_i);
-            Ok(vec![t0.add(&t2), t1.add(&t3), t0.sub(&t2), t1.sub(&t3)])
-        }
-        Codelet::F8 => {
-            const H: f64 = std::f64::consts::FRAC_1_SQRT_2;
-            let w8 = snap(Cplx::new(H, -H), order, si, Some(k), None)?;
-            let w83 = snap(Cplx::new(-H, -H), order, si, Some(k), None)?;
-            let a0 = x[0].add(&x[4]);
-            let a1 = x[0].sub(&x[4]);
-            let a2 = x[2].add(&x[6]);
-            let a3 = x[2].sub(&x[6]);
-            let a4 = x[1].add(&x[5]);
-            let a5 = x[1].sub(&x[5]);
-            let a6 = x[3].add(&x[7]);
-            let a7 = x[3].sub(&x[7]);
-            let a3r = a3.mul_root(neg_i);
-            let a7r = a7.mul_root(neg_i);
-            let b0 = a0.add(&a2);
-            let b2 = a0.sub(&a2);
-            let b1 = a1.add(&a3r);
-            let b3 = a1.sub(&a3r);
-            let b4 = a4.add(&a6);
-            let b6 = a4.sub(&a6);
-            let b5 = a5.add(&a7r);
-            let b7 = a5.sub(&a7r);
-            let t5 = b5.mul(&w8);
-            let t6 = b6.mul_root(neg_i);
-            let t7 = b7.mul(&w83);
-            Ok(vec![
-                b0.add(&b4),
-                b1.add(&t5),
-                b2.add(&t6),
-                b3.add(&t7),
-                b0.sub(&b4),
-                b1.sub(&t5),
-                b2.sub(&t6),
-                b3.sub(&t7),
-            ])
-        }
-        Codelet::Dag(d) => dag_symbolic(d, x, order, si, k),
-    }
-}
-
-/// Exact evaluation of a codelet DAG — the straight-line program the C
-/// emitter prints, executed over cyclotomic values.
+/// Exact evaluation of a codelet DAG — the straight-line program the
+/// compiled kernel and the C emitter are printed from, executed over
+/// cyclotomic values.
 fn dag_symbolic(
     d: &Dag,
     input: &[Cyclo],

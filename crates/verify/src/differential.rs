@@ -2,7 +2,7 @@
 //!
 //! Every vector plan must agree with two independent oracles:
 //!
-//! 1. **the scalar interpreter** — the ν-lane path runs the *identical*
+//! 1. **the scalar kernel path** — the ν-lane path runs the *identical*
 //!    operation sequence per lane, so the bound is tight: ≤ [`MAX_ULPS`]
 //!    ulps per element (in practice 0 — bit equality — which this
 //!    harness deliberately does not assume, so a future fused-multiply

@@ -1,5 +1,5 @@
 //! Differential accuracy suite gating the short-vector backend: every
-//! vector plan is property-tested against the scalar interpreter
+//! vector plan is property-tested against the scalar kernel path
 //! (≤ 4 ulps per element — in practice bit-equal) and the naive `O(n²)`
 //! reference DFT (scaled tolerance), over random rule trees, random and
 //! adversarial inputs (denormals, mixed-sign, zero blocks), at
