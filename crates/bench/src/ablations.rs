@@ -342,13 +342,13 @@ pub struct FaultOverheadRow {
     /// µs of one deadline-bounded barrier round-trip at `threads`.
     pub barrier_wait_us: f64,
     /// Trace-attributed per-transform compute µs (sum over threads and
-    /// stages, from a traced run). `0.0` when built without `trace`.
+    /// stages, from runs observed by a `Collector`).
     pub compute_us: f64,
     /// Trace-attributed per-transform barrier-wait µs (sum over threads
-    /// and stages). `0.0` when built without `trace`.
+    /// and stages).
     pub barrier_us: f64,
     /// Barrier-wait share of thread busy time, in percent
-    /// (`RunProfile::barrier_share`). `0.0` when built without `trace`.
+    /// (`RunProfile::barrier_share`).
     pub barrier_share_pct: f64,
 }
 
@@ -401,26 +401,17 @@ pub fn fault_overhead_ablation(
         // Trace-based attribution: split the run into measured compute
         // and measured barrier wait instead of inferring barrier cost
         // from a standalone round-trip microbenchmark.
-        #[cfg_attr(not(feature = "trace"), allow(unused_mut))]
-        let (mut compute_us, mut barrier_us, mut barrier_share_pct) = (0.0, 0.0, 0.0);
-        #[cfg(feature = "trace")]
-        {
-            let mut merged: Option<spiral_trace::RunProfile> = None;
-            for _ in 0..reps {
-                if let Ok((_, p)) = exec.try_execute_traced(&case.plan, &case.x) {
-                    merged = Some(match merged.take() {
-                        Some(m) => m.try_merge(&p).unwrap_or(p),
-                        None => p,
-                    });
-                }
-            }
-            if let Some(p) = merged {
-                let runs = p.runs.max(1) as f64;
-                compute_us = p.total_compute_ns() as f64 / 1e3 / runs;
-                barrier_us = p.total_barrier_wait_ns() as f64 / 1e3 / runs;
-                barrier_share_pct = 100.0 * p.barrier_share();
-            }
-        }
+        let merged = (0..reps)
+            .filter_map(|_| profiled(&exec, &case).ok().map(|(_, p)| p))
+            .reduce(|m, p| m.try_merge(&p).unwrap_or(p));
+        let (compute_us, barrier_us, barrier_share_pct) = merged.map_or((0.0, 0.0, 0.0), |p| {
+            let runs = p.runs.max(1) as f64;
+            (
+                p.total_compute_ns() as f64 / 1e3 / runs,
+                p.total_barrier_wait_ns() as f64 / 1e3 / runs,
+                100.0 * p.barrier_share(),
+            )
+        });
         rows.push(FaultOverheadRow {
             log2n: case.log2n,
             exec_us,
@@ -441,25 +432,29 @@ pub struct TraceOverheadRow {
     /// Transform size as log2 n.
     pub log2n: u32,
     /// Wall-clock µs per transform through the plain fallible path
-    /// (`try_execute`) — min over reps.
+    /// (`try_execute`, the no-op observer `&()`) — min over reps.
     pub plain_us: f64,
-    /// Wall-clock µs per transform through the traced path
-    /// (`try_execute_traced`) when built with `trace`; a second plain
-    /// pass otherwise (so the row doubles as a noise floor).
+    /// Wall-clock µs per transform observed by a fresh `Collector` and
+    /// reduced into a `RunProfile` — min over reps.
     pub traced_us: f64,
     /// `100 · (traced - plain) / plain`.
     pub overhead_pct: f64,
-    /// Whether the traced column really measured the instrumented path
-    /// (`false` = built without the `trace` feature).
-    pub traced_available: bool,
+}
+
+/// One run of `case` observed by a fresh `Collector`, with its profile.
+fn profiled(
+    exec: &spiral_codegen::ParallelExecutor,
+    case: &HostCase,
+) -> Result<(Vec<spiral_spl::cplx::Cplx>, spiral_trace::RunProfile), spiral_smp::SpiralError> {
+    let plan = &case.plan;
+    spiral_trace::profile_run(plan.n, exec.threads(), &plan.stage_labels(), |c| {
+        exec.try_execute_with(plan, &case.x, c)
+    })
 }
 
 /// Measure what the observability layer costs when it is ON: tuned plan,
-/// plain `try_execute` vs `try_execute_traced`, min-of-reps. Built
-/// without the `trace` feature, the second pass is plain again — the
-/// delta then shows the noise floor of the comparison itself, which is
-/// the relevant claim for the disabled configuration (the instrumented
-/// code does not exist, so the overhead is structurally zero).
+/// the no-op observer (`try_execute`) vs a `Collector` reduced into a
+/// `RunProfile` per run, min-of-reps. Both arms run in the same binary.
 pub fn trace_overhead_ablation(
     threads: usize,
     min_log2: u32,
@@ -473,30 +468,20 @@ pub fn trace_overhead_ablation(
     let exec = ParallelExecutor::new(threads, BarrierKind::Park);
     let mut rows = Vec::new();
     for case in tuned_host_cases(threads, min_log2, max_log2) {
-        let time_plain = || {
-            min_time_us(reps, || {
-                std::hint::black_box(
-                    exec.try_execute(&case.plan, &case.x)
-                        .expect("healthy plan must execute"),
-                );
-            })
-        };
-        let plain_us = time_plain();
-        #[cfg(feature = "trace")]
-        let traced_us = min_time_us(reps, || {
+        let plain_us = min_time_us(reps, || {
             std::hint::black_box(
-                exec.try_execute_traced(&case.plan, &case.x)
+                exec.try_execute(&case.plan, &case.x)
                     .expect("healthy plan must execute"),
             );
         });
-        #[cfg(not(feature = "trace"))]
-        let traced_us = time_plain();
+        let traced_us = min_time_us(reps, || {
+            std::hint::black_box(profiled(&exec, &case).expect("healthy plan must execute"));
+        });
         rows.push(TraceOverheadRow {
             log2n: case.log2n,
             plain_us,
             traced_us,
             overhead_pct: 100.0 * (traced_us - plain_us) / plain_us,
-            traced_available: cfg!(feature = "trace"),
         });
     }
     rows
@@ -508,26 +493,21 @@ pub struct TimelineOverheadRow {
     /// Transform size as log2 n.
     pub log2n: u32,
     /// Wall-clock µs per transform through the plain fallible path
-    /// (`try_execute`) — min over reps.
+    /// (`try_execute`, the no-op observer `&()`) — min over reps.
     pub plain_us: f64,
     /// Wall-clock µs per transform with full event-timeline recording
-    /// (`try_execute_observed` into a `spiral_trace::Timeline`) when
-    /// built with `trace`; a second plain pass otherwise.
+    /// (`try_execute_with` into a `spiral_trace::Timeline`).
     pub observed_us: f64,
     /// `100 · (observed - plain) / plain`.
     pub overhead_pct: f64,
-    /// Whether the observed column really streamed timeline events
-    /// (`false` = built without the `trace` feature).
-    pub observed_available: bool,
 }
 
 /// Measure what event-timeline recording costs when it is ON: tuned
-/// plan, plain `try_execute` vs `try_execute_observed` streaming every
-/// pool-job/compute/barrier span into a lock-free `Timeline` ring,
-/// min-of-reps. The per-event cost is two `Instant::now()` calls and
+/// plan, the no-op observer (`try_execute`) vs `try_execute_with`
+/// streaming every pool-job/compute/barrier span into a lock-free
+/// `Timeline` ring, min-of-reps. The per-event cost is a clock read and
 /// three relaxed atomic stores, so the overhead should stay within the
-/// noise floor (≲1%) from `n = 2^14` up. Built without `trace`, the
-/// second pass is plain again and the delta shows that noise floor.
+/// noise floor (≲1%) from `n = 2^14` up.
 pub fn timeline_overhead_ablation(
     threads: usize,
     min_log2: u32,
@@ -541,35 +521,26 @@ pub fn timeline_overhead_ablation(
     let exec = ParallelExecutor::new(threads, BarrierKind::Park);
     let mut rows = Vec::new();
     for case in tuned_host_cases(threads, min_log2, max_log2) {
-        let time_plain = || {
-            min_time_us(reps, || {
-                std::hint::black_box(
-                    exec.try_execute(&case.plan, &case.x)
-                        .expect("healthy plan must execute"),
-                );
-            })
-        };
-        let plain_us = time_plain();
-        #[cfg(feature = "trace")]
-        let observed_us = {
-            // One ring set for all reps: the bounded ring wraps, so
-            // steady-state cost is what a long-running service would see.
-            let timeline = spiral_trace::Timeline::new(threads);
-            min_time_us(reps, || {
-                std::hint::black_box(
-                    exec.try_execute_observed(&case.plan, &case.x, &timeline)
-                        .expect("healthy plan must execute"),
-                );
-            })
-        };
-        #[cfg(not(feature = "trace"))]
-        let observed_us = time_plain();
+        let plain_us = min_time_us(reps, || {
+            std::hint::black_box(
+                exec.try_execute(&case.plan, &case.x)
+                    .expect("healthy plan must execute"),
+            );
+        });
+        // One ring set for all reps: the bounded ring wraps, so
+        // steady-state cost is what a long-running service would see.
+        let timeline = spiral_trace::Timeline::new(threads);
+        let observed_us = min_time_us(reps, || {
+            std::hint::black_box(
+                exec.try_execute_with(&case.plan, &case.x, &timeline)
+                    .expect("healthy plan must execute"),
+            );
+        });
         rows.push(TimelineOverheadRow {
             log2n: case.log2n,
             plain_us,
             observed_us,
             overhead_pct: 100.0 * (observed_us - plain_us) / plain_us,
-            observed_available: cfg!(feature = "trace"),
         });
     }
     rows
@@ -728,7 +699,6 @@ mod tests {
             assert!(r.plain_us > 0.0 && r.plain_us.is_finite(), "{r:?}");
             assert!(r.traced_us > 0.0 && r.traced_us.is_finite(), "{r:?}");
             assert!(r.overhead_pct.is_finite(), "{r:?}");
-            assert_eq!(r.traced_available, cfg!(feature = "trace"), "{r:?}");
         }
     }
 
@@ -740,11 +710,9 @@ mod tests {
             assert!(r.plain_us > 0.0 && r.plain_us.is_finite(), "{r:?}");
             assert!(r.observed_us > 0.0 && r.observed_us.is_finite(), "{r:?}");
             assert!(r.overhead_pct.is_finite(), "{r:?}");
-            assert_eq!(r.observed_available, cfg!(feature = "trace"), "{r:?}");
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn fault_rows_carry_trace_attribution() {
         let rows = fault_overhead_ablation(2, 8, 8, 2);

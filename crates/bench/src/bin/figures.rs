@@ -13,8 +13,8 @@
 //! figures ablation-trace [--min 8] [--max 14] [--out results/]
 //! figures ablation-timeline [--min 8] [--max 14] [--out results/]
 //! figures ablation-simd [--min 8] [--max 12] [--threads 1] [--reps 5] [--out results/]
-//! figures trace [--size 12] [--threads 2] [--out results/]      (needs --features trace)
-//! figures timeline [--size 12] [--threads 2] [--out results/]   (needs --features trace)
+//! figures trace [--size 12] [--threads 2] [--out results/]
+//! figures timeline [--size 12] [--threads 2] [--out results/]
 //! figures search
 //! figures verify [--machine core-duo] [--min 8] [--max 14] [--out results/]
 //! figures batch [--min 6] [--max 10] [--threads 2] [--batch 32] [--reps 5] [--out results/]
@@ -107,12 +107,12 @@ const COMMANDS: &[CmdSpec] = &[
     },
     CmdSpec {
         name: "trace",
-        desc: "per-stage waterfall of one traced run (needs --features trace)",
+        desc: "per-stage waterfall of one traced run",
         flags: &["size", "threads", "out"],
     },
     CmdSpec {
         name: "timeline",
-        desc: "Chrome/Perfetto event timeline of one observed run (needs --features trace)",
+        desc: "Chrome/Perfetto event timeline of one observed run",
         flags: &["size", "threads", "out"],
     },
     CmdSpec {
@@ -285,7 +285,6 @@ fn print_list() {
         println!("  {:<24} {}{}", c.name, c.desc, flags);
     }
     println!("\nmachines: core-duo opteron pentium-d xeon-mp");
-    println!("trace/timeline need the instrumented build: --features trace");
 }
 
 fn usage_and_exit() -> ! {
@@ -606,11 +605,6 @@ fn run_abl_fault(opts: &HashMap<String, String>, out_dir: Option<&str>) {
             r.barrier_share_pct
         );
     }
-    if rows.iter().all(|r| r.compute_us == 0.0) {
-        println!(
-            "  (trace-attributed columns need: cargo run -p spiral-bench --features trace ...)"
-        );
-    }
     if let Some(dir) = out_dir {
         let path = format!("{dir}/abl_fault_overhead.json");
         write_artifact(&path, &serde_json::to_string_pretty(&rows).unwrap());
@@ -619,10 +613,7 @@ fn run_abl_fault(opts: &HashMap<String, String>, out_dir: Option<&str>) {
 }
 
 /// ABL-TRACE: wall-clock cost of the observability layer when it is ON
-/// (`try_execute` vs `try_execute_traced`). Built without the `trace`
-/// feature, the comparison degenerates to plain-vs-plain and shows the
-/// noise floor instead (the disabled configuration has no instrumented
-/// code at all, so its overhead is structurally zero).
+/// (the no-op observer vs a `Collector` reduced into a `RunProfile`).
 fn run_abl_trace(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     let (min, max) = range(opts, 8, 14);
     let threads = opts
@@ -630,12 +621,7 @@ fn run_abl_trace(opts: &HashMap<String, String>, out_dir: Option<&str>) {
         .and_then(|s| s.parse().ok())
         .unwrap_or(2);
     let reps = opts.get("reps").and_then(|s| s.parse().ok()).unwrap_or(5);
-    let mode = if cfg!(feature = "trace") {
-        "traced vs plain"
-    } else {
-        "plain vs plain (noise floor; rebuild with --features trace)"
-    };
-    println!("\nABL-TRACE — tracing overhead, p={threads}, host ({mode})");
+    println!("\nABL-TRACE — tracing overhead, p={threads}, host (Collector vs no-op observer)");
     println!(
         "{:>7} {:>12} {:>12} {:>10}",
         "log2n", "plain µs", "traced µs", "overhead"
@@ -655,10 +641,7 @@ fn run_abl_trace(opts: &HashMap<String, String>, out_dir: Option<&str>) {
 }
 
 /// ABL-TIMELINE: wall-clock cost of event-timeline recording when it is
-/// ON (`try_execute` vs `try_execute_observed` streaming into a
-/// lock-free ring). Built without the `trace` feature, the comparison
-/// degenerates to plain-vs-plain and shows the noise floor (the
-/// disabled configuration has no instrumented code at all).
+/// ON (the no-op observer vs a `Timeline` lock-free ring).
 fn run_abl_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     let (min, max) = range(opts, 8, 14);
     let threads = opts
@@ -666,12 +649,9 @@ fn run_abl_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
         .and_then(|s| s.parse().ok())
         .unwrap_or(2);
     let reps = opts.get("reps").and_then(|s| s.parse().ok()).unwrap_or(5);
-    let mode = if cfg!(feature = "trace") {
-        "observed vs plain"
-    } else {
-        "plain vs plain (noise floor; rebuild with --features trace)"
-    };
-    println!("\nABL-TIMELINE — event-timeline overhead, p={threads}, host ({mode})");
+    println!(
+        "\nABL-TIMELINE — event-timeline overhead, p={threads}, host (Timeline vs no-op observer)"
+    );
     println!(
         "{:>7} {:>12} {:>12} {:>10}",
         "log2n", "plain µs", "observed µs", "overhead"
@@ -692,19 +672,7 @@ fn run_abl_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
 
 /// `figures trace`: execute the tuned plan for `--size` with per-stage
 /// instrumentation and print the waterfall table of where the run's
-/// time went. Requires the `trace` build; prints a rebuild hint
-/// otherwise.
-#[cfg(not(feature = "trace"))]
-fn run_trace(_opts: &HashMap<String, String>, _out_dir: Option<&str>) {
-    eprintln!("figures trace needs the instrumented build:");
-    eprintln!("  cargo run --release -p spiral-bench --features trace --bin figures -- trace");
-    std::process::exit(2);
-}
-
-/// `figures trace`: execute the tuned plan for `--size` with per-stage
-/// instrumentation and print the waterfall table of where the run's
 /// time went.
-#[cfg(feature = "trace")]
 fn run_trace(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     use spiral_codegen::ParallelExecutor;
     use spiral_search::{CostModel, Tuner};
@@ -729,11 +697,13 @@ fn run_trace(opts: &HashMap<String, String>, out_dir: Option<&str>) {
         .map(|i| Cplx::new(i as f64, -0.5 * i as f64))
         .collect();
     let exec = ParallelExecutor::with_auto_barrier(threads);
+    let plan = &tuned.plan;
+    let labels = plan.stage_labels();
     let mut merged: Option<spiral_trace::RunProfile> = None;
     for _ in 0..reps {
-        let (_, p) = exec
-            .try_execute_traced(&tuned.plan, &x)
-            .expect("healthy plan must execute");
+        let (_, p) =
+            spiral_trace::profile_run(n, threads, &labels, |c| exec.try_execute_with(plan, &x, c))
+                .expect("healthy plan must execute");
         merged = Some(match merged.take() {
             Some(m) => m.try_merge(&p).expect("same plan, same shape"),
             None => p,
@@ -751,7 +721,6 @@ fn run_trace(opts: &HashMap<String, String>, out_dir: Option<&str>) {
 /// Per-stage waterfall of a measured profile: compute/barrier split,
 /// imbalance, throughput, and a bar proportional to the stage's share of
 /// critical-path compute time.
-#[cfg(feature = "trace")]
 fn print_waterfall(p: &spiral_trace::RunProfile, choice: &str) {
     println!(
         "\nTRACE — n={} p={} runs={} ({choice})",
@@ -807,23 +776,12 @@ fn print_waterfall(p: &spiral_trace::RunProfile, choice: &str) {
     );
 }
 
-/// `figures timeline`: record the tuner search and one observed run
-/// into an event timeline and export it as Chrome trace-event JSON.
-/// Requires the `trace` build; prints a rebuild hint otherwise.
-#[cfg(not(feature = "trace"))]
-fn run_timeline(_opts: &HashMap<String, String>, _out_dir: Option<&str>) {
-    eprintln!("figures timeline needs the instrumented build:");
-    eprintln!("  cargo run --release -p spiral-bench --features trace --bin figures -- timeline");
-    std::process::exit(2);
-}
-
 /// `figures timeline`: record the tuner search (candidate spans,
 /// quarantine marks) and one observed execution (pool jobs, per-stage
 /// compute, barrier waits and releases) for `--size` into an event
 /// timeline, cross-check the timeline against the run's aggregated
 /// `RunProfile` and the static timeline checker, and export Chrome
 /// trace-event JSON loadable in Perfetto / `chrome://tracing`.
-#[cfg(feature = "trace")]
 fn run_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     use spiral_codegen::ParallelExecutor;
     use spiral_search::{CostModel, Tuner};
@@ -841,7 +799,7 @@ fn run_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     let timeline = Timeline::new(threads);
 
     let outcome = Tuner::new(threads, mu, CostModel::Analytic)
-        .tune_parallel_report_observed(n, &timeline)
+        .tune_parallel_report_with(n, &timeline)
         .unwrap_or_else(|e| {
             eprintln!("tuning failed for n=2^{k}, p={threads}: {e}");
             std::process::exit(2);
@@ -854,9 +812,12 @@ fn run_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
         .map(|i| Cplx::new(i as f64, -0.5 * i as f64))
         .collect();
     let exec = ParallelExecutor::with_auto_barrier(threads);
-    let (_, profile) = exec
-        .try_execute_observed(&tuned.plan, &x, &timeline)
-        .expect("healthy plan must execute");
+    let plan = &tuned.plan;
+    let labels = plan.stage_labels();
+    let (_, profile) = spiral_trace::profile_run(n, threads, &labels, |c| {
+        exec.try_execute_with(plan, &x, &(c, &timeline))
+    })
+    .expect("healthy plan must execute");
 
     let events = timeline.events();
     println!(
@@ -926,7 +887,6 @@ fn run_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     }
 
     if let Some(dir) = out_dir {
-        let labels: Vec<String> = tuned.plan.steps.iter().map(|s| s.label()).collect();
         let path = format!("{dir}/timeline_2e{k}_p{threads}.json");
         write_artifact(&path, &timeline.chrome_trace(&labels));
         println!("wrote {path} (load in Perfetto or chrome://tracing)");
@@ -1499,10 +1459,7 @@ fn run_serve_dash(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     }
     match &flight_path {
         Some(p) if p.exists() => println!("wrote {} (SLO-breach flight record)", p.display()),
-        Some(p) => println!(
-            "no flight record at {} — built without --features trace, or nothing breached",
-            p.display()
-        ),
+        Some(p) => println!("no flight record at {} — nothing breached", p.display()),
         None => {}
     }
 }
@@ -1558,8 +1515,7 @@ fn run_abl_serve_metrics(opts: &HashMap<String, String>, out_dir: Option<&str>) 
         );
     }
     println!(
-        "overhead: p50 {:+.2}%, p99 {:+.2}% (target: ~1%; without --features trace the \
-         histograms are compiled out and this measures the bare seam)",
+        "overhead: p50 {:+.2}%, p99 {:+.2}% (target: ~1%)",
         file.overhead_pct_p50, file.overhead_pct_p99
     );
     if let Some(dir) = out_dir {

@@ -38,8 +38,7 @@ use std::sync::Arc;
 /// * v3 — rows add the tail percentile `p999_us`; the file adds a
 ///   [`ServerLatencySummary`] derived from the server's own
 ///   `serve_request_seconds` histogram at drain (all zeros when the
-///   server was built without the `trace` feature — the histogram is
-///   compiled out structurally).
+///   server ran with `metrics_enabled` off and recorded nothing).
 pub const SERVE_LOAD_SCHEMA_VERSION: u64 = 3;
 
 /// One measured load phase at one transform size.
@@ -85,7 +84,7 @@ pub struct ServeLoadRow {
 /// Latency percentiles the *server* measured about itself, from its
 /// `serve_request_seconds` histogram at drain — the cross-check against
 /// the socket-side percentiles the clients measured. All zeros when the
-/// serving tier was compiled without histograms (`trace` off).
+/// server recorded nothing (`metrics_enabled` off).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerLatencySummary {
     /// Requests the histogram saw (every terminal response).
@@ -131,7 +130,7 @@ pub struct ServeLoadFile {
     /// included. Zero when serving from warm wisdom — the warm-path
     /// invariant the CI smoke asserts via `--require-warm`.
     pub tuner_invocations: u64,
-    /// The server's own latency view at drain (zeros without `trace`).
+    /// The server's own latency view at drain.
     pub server: ServerLatencySummary,
     /// Measured phases, size-major then single/warm/overload.
     pub rows: Vec<ServeLoadRow>,
@@ -341,10 +340,8 @@ pub struct MetricsOverheadFile {
 
 /// ABL-SERVE-METRICS: drive the warm phase against two servers sharing
 /// one warm plan cache — telemetry recording disabled vs enabled — and
-/// report the relative latency cost. Without the serving tier's `trace`
-/// feature both arms skip histogram recording structurally, so the
-/// measured overhead is the residual cost of the seam itself (a few
-/// branch tests), which should be indistinguishable from noise.
+/// report the relative latency cost of histogram and flight-recorder
+/// recording on the request path.
 pub fn measure_metrics_overhead(opts: &ServeLoadOpts) -> Result<MetricsOverheadFile, String> {
     let mu = spiral_smp::topology::mu();
     let service = Arc::new(PlanService::new(opts.workers, mu));
@@ -619,10 +616,9 @@ mod tests {
         assert_eq!(back, file);
     }
 
-    /// With histograms compiled in, the server's own latency view must
-    /// agree with what the clients saw on the socket — same requests,
-    /// measured from the other end of the wire.
-    #[cfg(feature = "trace")]
+    /// The server's own latency view must agree with what the clients
+    /// saw on the socket — same requests, measured from the other end of
+    /// the wire.
     #[test]
     fn server_histogram_percentiles_track_the_socket_percentiles() {
         let file = measure_serve_load(&quick_opts()).expect("measurement runs");

@@ -27,7 +27,9 @@
 use crate::plan::{Plan, PlanWorkspace};
 use spiral_smp::error::SpiralError;
 use spiral_smp::pool::Pool;
+use spiral_smp::trace::{Observer, SpanKind};
 use spiral_spl::cplx::{first_non_finite, Cplx};
+use std::time::Instant;
 
 /// Executes batches of independent transforms across a persistent pool,
 /// partitioned by the batch dimension.
@@ -71,15 +73,6 @@ impl BatchExecutor {
         self.pool.healthy()
     }
 
-    /// Execute `plan` once per input, in input order. Panics on failure;
-    /// see [`try_execute_batch`](Self::try_execute_batch).
-    pub fn execute_batch(&self, plan: &Plan, inputs: &[Vec<Cplx>]) -> Vec<Vec<Cplx>> {
-        match self.try_execute_batch(plan, inputs) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Execute `plan` once per input, in input order, as one pool
     /// dispatch. Output `b` is the transform of `inputs[b]`, elementwise
     /// identical to `plan.execute(&inputs[b])` (both run the same
@@ -91,40 +84,19 @@ impl BatchExecutor {
         plan: &Plan,
         inputs: &[Vec<Cplx>],
     ) -> Result<Vec<Vec<Cplx>>, SpiralError> {
-        self.exec_impl(plan, inputs, BatchTrace::default())
+        self.try_execute_batch_with(plan, inputs, &())
     }
 
-    /// Like [`try_execute_batch`](Self::try_execute_batch), but record a
-    /// timestamped [`spiral_smp::trace::SpanKind::BatchTransform`] span
-    /// per transform (stage = transform index within the batch) plus the
-    /// pool-job spans into `timeline` — the batch-dimension counterpart
-    /// of the stage executor's observed run.
-    ///
-    /// Only available with the `trace` feature.
-    #[cfg(feature = "trace")]
-    pub fn try_execute_batch_observed(
+    /// [`try_execute_batch`](Self::try_execute_batch), reporting to `obs`
+    /// one `PoolJob` span per thread and one
+    /// [`SpanKind::BatchTransform`] span per transform (stage = transform
+    /// index within the batch). With `&()` no clock is read.
+    pub fn try_execute_batch_with<O: Observer>(
         &self,
         plan: &Plan,
         inputs: &[Vec<Cplx>],
-        timeline: &dyn spiral_smp::trace::TimelineSink,
+        obs: &O,
     ) -> Result<Vec<Vec<Cplx>>, SpiralError> {
-        self.exec_impl(
-            plan,
-            inputs,
-            BatchTrace {
-                timeline: Some(timeline),
-                _marker: std::marker::PhantomData,
-            },
-        )
-    }
-
-    fn exec_impl(
-        &self,
-        plan: &Plan,
-        inputs: &[Vec<Cplx>],
-        tr: BatchTrace<'_>,
-    ) -> Result<Vec<Vec<Cplx>>, SpiralError> {
-        let _ = &tr;
         for (b, x) in inputs.iter().enumerate() {
             if x.len() != plan.n {
                 return Err(SpiralError::Plan(format!(
@@ -149,39 +121,29 @@ impl BatchExecutor {
         let threads = self.threads;
 
         let job = |tid: usize| {
+            let job_t0 = obs.active().then(Instant::now);
             let (lo, hi) = crate::plan::share(shared.len, threads, tid);
             PlanWorkspace::with_thread_local(|ws| {
                 // `b` indexes `inputs` and the raw `shared.rows` pointer in
                 // lockstep; an iterator over `inputs` would hide that pairing.
                 #[allow(clippy::needless_range_loop)]
                 for b in lo..hi {
-                    #[cfg(feature = "trace")]
-                    let t0 = tr.timeline.map(|_| std::time::Instant::now());
+                    let t0 = obs.active().then(Instant::now);
                     // Safety: see SharedRows — `b` ranges are disjoint across
                     // threads, so this is the row's only live reference.
                     let row: &mut Vec<Cplx> = unsafe { &mut *shared.rows.add(b) };
                     plan.execute_into(&inputs[b], row, ws);
-                    #[cfg(feature = "trace")]
-                    if let (Some(tl), Some(t0)) = (tr.timeline, t0) {
-                        tl.span(
-                            tid,
-                            spiral_smp::trace::SpanKind::BatchTransform,
-                            crate::u32_idx(b),
-                            t0,
-                            std::time::Instant::now(),
-                        );
+                    if let Some(t0) = t0 {
+                        let idx = crate::u32_idx(b);
+                        obs.span(tid, SpanKind::BatchTransform, idx, t0, Instant::now());
                     }
                 }
             });
+            if let Some(t0) = job_t0 {
+                obs.span(tid, SpanKind::PoolJob, 0, t0, Instant::now());
+            }
         };
-        #[cfg(feature = "trace")]
-        let run_result = match tr.timeline {
-            Some(tl) => self.pool.try_run_observed(&job, None, Some(tl)),
-            None => self.pool.try_run(&job),
-        };
-        #[cfg(not(feature = "trace"))]
-        let run_result = self.pool.try_run(&job);
-        run_result?;
+        self.pool.try_run(&job)?;
 
         // Corruption guard: non-finite values never leave the executor.
         for (b, row) in out.iter().enumerate() {
@@ -194,16 +156,6 @@ impl BatchExecutor {
         }
         Ok(out)
     }
-}
-
-/// Optional tracing context for the batch run. Without the `trace`
-/// feature this is a zero-sized struct and every use compiles out.
-#[derive(Clone, Copy, Default)]
-struct BatchTrace<'a> {
-    /// Where timestamped per-transform spans go, when observing.
-    #[cfg(feature = "trace")]
-    timeline: Option<&'a dyn spiral_smp::trace::TimelineSink>,
-    _marker: std::marker::PhantomData<&'a ()>,
 }
 
 #[cfg(test)]
@@ -251,10 +203,28 @@ mod tests {
         let plan = plan_for(n);
         let exec = BatchExecutor::new(2);
         let xs = batch_inputs(5, n);
-        let got = exec.execute_batch(&plan, &xs);
+        let got = exec.try_execute_batch(&plan, &xs).unwrap();
         for (y, x) in got.iter().zip(&xs) {
             assert_slices_close(y, &dft(n).eval(x), 1e-8 * n as f64);
         }
+    }
+
+    #[test]
+    fn observed_batch_reports_one_span_per_transform_and_thread() {
+        let (n, p, b) = (16usize, 3usize, 7usize);
+        let plan = plan_for(n);
+        let exec = BatchExecutor::new(p);
+        let (xs, events) = (
+            batch_inputs(b, n),
+            crate::parallel::tests::Events::default(),
+        );
+        let got = exec.try_execute_batch_with(&plan, &xs, &events).unwrap();
+        assert_eq!(got, exec.try_execute_batch(&plan, &xs).unwrap());
+        let events = events.0.into_inner().unwrap();
+        let count = |kind| events.iter().filter(|e| e.1 == Ok(kind)).count();
+        assert_eq!(count(SpanKind::BatchTransform), b);
+        assert_eq!(count(SpanKind::PoolJob), p);
+        assert_eq!(events.len(), b + p, "a batch run has no barriers");
     }
 
     #[test]
@@ -282,7 +252,7 @@ mod tests {
         for n in [16usize, 64, 32] {
             let plan = plan_for(n);
             let xs = batch_inputs(9, n);
-            let got = exec.execute_batch(&plan, &xs);
+            let got = exec.try_execute_batch(&plan, &xs).unwrap();
             for (y, x) in got.iter().zip(&xs) {
                 assert_eq!(y, &plan.execute(x));
             }
@@ -296,7 +266,7 @@ mod tests {
         let plan = plan_for(n);
         let exec = BatchExecutor::new(4);
         let xs = batch_inputs(2, n);
-        let got = exec.execute_batch(&plan, &xs);
+        let got = exec.try_execute_batch(&plan, &xs).unwrap();
         for (y, x) in got.iter().zip(&xs) {
             assert_eq!(y, &plan.execute(x));
         }

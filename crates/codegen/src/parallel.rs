@@ -28,17 +28,26 @@
 //! With the `faults` feature, deterministic faults (panics, delays, NaN
 //! corruption) can be injected at any `(stage, thread)` point via
 //! `spiral_smp::faults` to exercise all of the above.
+//!
+//! ## Observation
+//!
+//! [`ParallelExecutor::try_execute_with`] reports each thread's pool job,
+//! per-stage compute and barrier wait as spans, and each barrier release
+//! or watchdog fire as a mark, to a [`spiral_smp::trace::Observer`]. The
+//! plain entry points pass the no-op `&()`, which monomorphises to the
+//! uninstrumented loop.
 
-use crate::plan::{Plan, Step};
+use crate::plan::{share, Plan, Step};
 use spiral_smp::align::AlignedVec;
 use spiral_smp::barrier::{Barrier, BarrierKind};
 use spiral_smp::error::{lock_recover, SpiralError};
 use spiral_smp::pool::Pool;
+use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use spiral_spl::cplx::{first_non_finite, Cplx};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default stage-barrier watchdog. Generous: a healthy stage never takes
 /// seconds, so tripping it means a peer is dead or wedged.
@@ -74,9 +83,9 @@ pub struct ParallelExecutor {
 /// invariant no two threads ever form a data race on `a`/`b` — writes are
 /// unaliased, and every read-after-write pair is ordered by a barrier.
 /// All plans produced by `Plan::from_formula` satisfy it; debug builds
-/// additionally re-verify each plan through the [`crate::validate`]
-/// registry when an analyzer is installed
-/// (`spiral_verify::install_executor_guard`).
+/// additionally re-verify each plan through the validator registered
+/// with [`crate::plan::install_validator`]
+/// (`spiral_verify::install_executor_guard` installs the analyzer).
 struct SharedBufs {
     a: *mut Cplx,
     b: *mut Cplx,
@@ -89,29 +98,6 @@ unsafe impl Sync for SharedBufs {}
 /// straggler can burn one more.
 fn pool_watchdog(stage_watchdog: Duration) -> Duration {
     stage_watchdog * 2 + Duration::from_millis(250)
-}
-
-/// Optional tracing context threaded through [`ParallelExecutor`]'s
-/// internal run path. Without the `trace` feature this is a zero-sized
-/// struct and every use compiles out — `try_execute` is byte-for-byte
-/// the untraced executor.
-#[derive(Clone, Copy, Default)]
-struct ExecTrace<'a> {
-    /// Where per-(stage, thread) timings go, when tracing this run.
-    #[cfg(feature = "trace")]
-    sink: Option<&'a dyn spiral_smp::trace::TraceSink>,
-    /// Where timestamped spans/instants go, when timelining this run.
-    #[cfg(feature = "trace")]
-    timeline: Option<&'a dyn spiral_smp::trace::TimelineSink>,
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-#[cfg(feature = "trace")]
-impl ExecTrace<'_> {
-    /// Any sink attached — timestamps must be taken for this run.
-    fn observing(&self) -> bool {
-        self.sink.is_some() || self.timeline.is_some()
-    }
 }
 
 impl ParallelExecutor {
@@ -178,75 +164,21 @@ impl ParallelExecutor {
     /// allocations, and non-finite output all return `Err` in bounded
     /// time, and the executor remains usable afterwards.
     pub fn try_execute(&self, plan: &Plan, x: &[Cplx]) -> Result<Vec<Cplx>, SpiralError> {
-        self.exec_impl(plan, x, ExecTrace::default())
+        self.try_execute_with(plan, x, &())
     }
 
-    /// Execute `plan` on `x` while recording per-(stage, thread) compute
-    /// time, barrier-wait time, job counts, and element counts into a
-    /// fresh `spiral_trace::Collector`, returning the output together
-    /// with the aggregated [`spiral_trace::RunProfile`]. Failure behavior
-    /// is identical to [`try_execute`](Self::try_execute).
-    ///
-    /// Only available with the `trace` feature; without it the executor
-    /// carries no instrumentation at all.
-    #[cfg(feature = "trace")]
-    pub fn try_execute_traced(
+    /// [`try_execute`](Self::try_execute), reporting the run to `obs`:
+    /// per thread, one `PoolJob` span, and per stage a `StageCompute`
+    /// span (carrying the portion's deterministic job and element
+    /// counts), a `BarrierWait` span (arrival → release) and a
+    /// `BarrierRelease` or `WatchdogFire` mark. With `&()` no clock is
+    /// read. Failure behavior is identical.
+    pub fn try_execute_with<O: Observer>(
         &self,
         plan: &Plan,
         x: &[Cplx],
-    ) -> Result<(Vec<Cplx>, spiral_trace::RunProfile), SpiralError> {
-        self.observed_impl(plan, x, None)
-    }
-
-    /// Like [`try_execute_traced`](Self::try_execute_traced), but
-    /// additionally stream timestamped spans and instants (pool job,
-    /// per-stage compute, barrier arrive→release, watchdog fires) into
-    /// `timeline` — the event source for Chrome-trace/Perfetto export
-    /// (`spiral_trace::Timeline`). The returned [`spiral_trace::RunProfile`]
-    /// aggregates the *same* run, so timeline durations can be
-    /// cross-checked against profile totals.
-    ///
-    /// Only available with the `trace` feature.
-    #[cfg(feature = "trace")]
-    pub fn try_execute_observed(
-        &self,
-        plan: &Plan,
-        x: &[Cplx],
-        timeline: &dyn spiral_smp::trace::TimelineSink,
-    ) -> Result<(Vec<Cplx>, spiral_trace::RunProfile), SpiralError> {
-        self.observed_impl(plan, x, Some(timeline))
-    }
-
-    #[cfg(feature = "trace")]
-    fn observed_impl(
-        &self,
-        plan: &Plan,
-        x: &[Cplx],
-        timeline: Option<&dyn spiral_smp::trace::TimelineSink>,
-    ) -> Result<(Vec<Cplx>, spiral_trace::RunProfile), SpiralError> {
-        let collector = spiral_trace::Collector::new(self.threads, plan.steps.len());
-        let wall_t0 = std::time::Instant::now();
-        let out = self.exec_impl(
-            plan,
-            x,
-            ExecTrace {
-                sink: Some(&collector),
-                timeline,
-                _marker: std::marker::PhantomData,
-            },
-        )?;
-        let wall = wall_t0.elapsed();
-        let labels: Vec<String> = plan.steps.iter().map(|s| s.label()).collect();
-        Ok((out, collector.finish(plan.n, &labels, wall)))
-    }
-
-    fn exec_impl(
-        &self,
-        plan: &Plan,
-        x: &[Cplx],
-        tr: ExecTrace<'_>,
+        obs: &O,
     ) -> Result<Vec<Cplx>, SpiralError> {
-        let _ = &tr;
         if x.len() != plan.n {
             return Err(SpiralError::Plan(format!(
                 "input length {} does not match plan size {}",
@@ -302,6 +234,7 @@ impl ParallelExecutor {
         let failed = AtomicBool::new(false);
 
         let job = |tid: usize| {
+            let job_t0 = obs.active().then(Instant::now);
             let mut tmp: AlignedVec<Cplx> = AlignedVec::new(tmp_dim);
             for (si, step) in plan.steps.iter().enumerate() {
                 if failed.load(Ordering::Acquire) {
@@ -329,42 +262,31 @@ impl ParallelExecutor {
                     Some(spiral_smp::faults::Fault::CorruptNan) => true,
                     None => false,
                 };
-                #[cfg(feature = "trace")]
-                let compute_t0 = tr.observing().then(std::time::Instant::now);
+                let t0 = obs.active().then(Instant::now);
                 // SAFETY: see SharedBufs — each thread writes only its own
                 // portion of `dst`, and `src` is the other buffer.
                 unsafe {
                     run_step_portion(step, n, plan.mu.max(1), tid, threads, src, dst, &mut tmp);
                 }
-                #[cfg(feature = "trace")]
-                let compute_t1 = tr.observing().then(std::time::Instant::now);
                 #[cfg(feature = "faults")]
                 if corrupt {
                     inject_nan(step, n, plan.mu.max(1), tid, threads, dst);
                 }
-                #[cfg(feature = "trace")]
-                let barrier_t0 = tr.observing().then(std::time::Instant::now);
+                let t1 = t0.map(|_| Instant::now());
                 let waited = barrier.wait_deadline(watchdog);
-                #[cfg(feature = "trace")]
-                if let (Some(t0), Some(t1), Some(b0)) = (compute_t0, compute_t1, barrier_t0) {
-                    // Arrival → release span: on a clean stage this is the
+                if let (Some(t0), Some(t1)) = (t0, t1) {
+                    // Arrival → release: on a clean stage this is the
                     // time spent blocked waiting for slower peers.
-                    let b1 = std::time::Instant::now();
-                    if let Some(sink) = tr.sink {
-                        let (jobs, elements) = portion_stats(step, n, plan.mu.max(1), tid, threads);
-                        sink.stage(tid, si, t1 - t0, b1 - b0, jobs, elements);
-                    }
-                    if let Some(tl) = tr.timeline {
-                        use spiral_smp::trace::{MarkKind, SpanKind};
-                        let si = crate::u32_idx(si);
-                        tl.span(tid, SpanKind::StageCompute, si, t0, t1);
-                        tl.span(tid, SpanKind::BarrierWait, si, b0, b1);
-                        let mark = match &waited {
-                            Ok(_) => MarkKind::BarrierRelease,
-                            Err(_) => MarkKind::WatchdogFire,
-                        };
-                        tl.mark(tid, mark, si, b1);
-                    }
+                    let b1 = Instant::now();
+                    let (jobs, elements) = portion_stats(step, n, plan.mu.max(1), tid, threads);
+                    let si = crate::u32_idx(si);
+                    obs.span(tid, SpanKind::StageCompute { jobs, elements }, si, t0, t1);
+                    obs.span(tid, SpanKind::BarrierWait, si, t1, b1);
+                    let mark = match &waited {
+                        Ok(_) => MarkKind::BarrierRelease,
+                        Err(_) => MarkKind::WatchdogFire,
+                    };
+                    obs.mark(tid, mark, si, b1);
                 }
                 if let Err(e) = waited {
                     failed.store(true, Ordering::Release);
@@ -375,14 +297,10 @@ impl ParallelExecutor {
                     break;
                 }
             }
+            if let Some(t0) = job_t0 {
+                obs.span(tid, SpanKind::PoolJob, 0, t0, Instant::now());
+            }
         };
-        #[cfg(feature = "trace")]
-        let run_result = if tr.observing() {
-            self.pool.try_run_observed(&job, tr.sink, tr.timeline)
-        } else {
-            self.pool.try_run(&job)
-        };
-        #[cfg(not(feature = "trace"))]
         let run_result = self.pool.try_run(&job);
 
         // A failed run can leave the stage barrier mid-phase (retracted
@@ -588,7 +506,6 @@ pub(crate) unsafe fn run_step_portion(
 /// elements written. Deterministic, so trace profiles can cross-check
 /// `spiral-verify`'s static load-balance verdicts without relying on
 /// timing.
-#[cfg(feature = "trace")]
 fn portion_stats(step: &Step, n: usize, plan_mu: usize, tid: usize, threads: usize) -> (u64, u64) {
     match step {
         Step::Seq(_) => {
@@ -622,15 +539,8 @@ fn portion_stats(step: &Step, n: usize, plan_mu: usize, tid: usize, threads: usi
     }
 }
 
-fn share(total: usize, p: usize, tid: usize) -> (usize, usize) {
-    let base = total / p;
-    let rem = total % p;
-    let lo = tid * base + tid.min(rem);
-    (lo, lo + base + usize::from(tid < rem))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::plan::Plan;
     use spiral_rewrite::{multicore_dft_expanded, sequential_dft};
@@ -727,6 +637,49 @@ mod tests {
         assert!(matches!(err, SpiralError::Plan(_)));
         // Neither is a runtime fault: the resilient path must not retry.
         assert!(!err.is_runtime_fault());
+    }
+
+    /// Every span and mark one observed run reports, as `(tid, event)`.
+    #[derive(Default)]
+    pub(crate) struct Events(pub Mutex<Vec<(usize, Result<SpanKind, MarkKind>)>>);
+
+    impl Observer for Events {
+        fn span(&self, tid: usize, kind: SpanKind, _: u32, start: Instant, end: Instant) {
+            assert!(start <= end);
+            self.0.lock().unwrap().push((tid, Ok(kind)));
+        }
+        fn mark(&self, tid: usize, kind: MarkKind, _: u32, _: Instant) {
+            self.0.lock().unwrap().push((tid, Err(kind)));
+        }
+    }
+
+    #[test]
+    fn observed_run_reports_every_span_and_mark() {
+        let (n, p) = (256usize, 2usize);
+        let f = multicore_dft_expanded(n, p, 4, None, 8).unwrap();
+        let plan = Plan::from_formula(&f, p, 4).unwrap();
+        let exec = ParallelExecutor::new(p, BarrierKind::Park);
+        let (x, events) = (ramp(n), Events::default());
+        let got = exec.try_execute_with(&plan, &x, &events).unwrap();
+        assert_eq!(got, exec.execute(&plan, &x));
+        let events = events.0.into_inner().unwrap();
+        let count = |e: Result<SpanKind, MarkKind>| events.iter().filter(|v| v.1 == e).count();
+        let stages = plan.steps.len() * p;
+        // One pool job per thread; per stage and thread a barrier wait
+        // and a release.
+        assert_eq!(count(Ok(SpanKind::PoolJob)), p);
+        assert_eq!(count(Ok(SpanKind::BarrierWait)), stages);
+        assert_eq!(count(Err(MarkKind::BarrierRelease)), stages);
+        // Compute spans carry the schedule: every stage writes the whole
+        // vector exactly once.
+        let elements: u64 = events
+            .iter()
+            .filter_map(|v| match v.1 {
+                Ok(SpanKind::StageCompute { elements, .. }) => Some(elements),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(elements, (plan.steps.len() * n) as u64);
     }
 
     #[test]

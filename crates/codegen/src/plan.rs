@@ -233,6 +233,12 @@ impl Plan {
         self.steps.len()
     }
 
+    /// [`Step::label`] of every step, in plan order (the stage names of
+    /// per-stage profiles and exported timelines).
+    pub fn stage_labels(&self) -> Vec<String> {
+        self.steps.iter().map(Step::label).collect()
+    }
+
     /// Largest chunk dimension any thread needs as private scratch.
     pub fn max_local_dim(&self) -> usize {
         self.steps

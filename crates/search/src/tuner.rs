@@ -6,10 +6,12 @@ use crate::dp::dp_search;
 use spiral_codegen::plan::Plan;
 use spiral_codegen::SpiralError;
 use spiral_rewrite::{expand_dfts, multicore_dft, RuleTree};
+use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use spiral_spl::builder::vec_tag;
 use spiral_spl::num::divisors;
 use spiral_spl::Spl;
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// Lane widths the search proposes as the vec(ν) candidate dimension:
 /// scalar (ν = 1) plus every supported width the host actually has.
@@ -61,12 +63,6 @@ pub struct TuneReport {
     pub evaluated: usize,
     /// Candidates excluded from the search, with reasons.
     pub quarantined: Vec<QuarantineEntry>,
-    /// Measured per-stage/per-thread profile of one execution of the
-    /// winning plan (feature `trace`): load-imbalance and barrier-wait
-    /// diagnostics for the implementation the search selected. `None`
-    /// when no candidate survived or the diagnostic run faulted.
-    #[cfg(feature = "trace")]
-    pub profile: Option<spiral_trace::RunProfile>,
 }
 
 /// Result of [`Tuner::tune_parallel_report`]: the winner (if any
@@ -77,66 +73,6 @@ pub struct TuneOutcome {
     pub best: Option<Tuned>,
     /// What the search evaluated and quarantined.
     pub report: TuneReport,
-}
-
-/// Optional observation context threaded through the parallel search.
-/// Mirrors the executor's `ExecTrace`: a ZST without the `trace`
-/// feature, so the uninstrumented search carries no observation state
-/// at all.
-#[derive(Clone, Copy, Default)]
-struct TuneObs<'a> {
-    /// Timeline sink receiving a `TunerCandidate` span per measured
-    /// candidate and a `TunerReject` mark per quarantine (feature
-    /// `trace`). Events are recorded for tid 0 — the coordinating
-    /// thread — with `stage` carrying the candidate index.
-    #[cfg(feature = "trace")]
-    timeline: Option<&'a dyn spiral_smp::trace::TimelineSink>,
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-impl TuneObs<'_> {
-    /// Whether anything is listening (a `false` constant without the
-    /// `trace` feature, so every observation branch folds away).
-    fn active(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.timeline.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
-    }
-
-    /// Record the span of evaluating candidate `index` (derivation
-    /// through costing), `[start, now]`.
-    #[allow(unused_variables)]
-    fn candidate(&self, index: usize, start: std::time::Instant) {
-        #[cfg(feature = "trace")]
-        if let Some(tl) = self.timeline {
-            tl.span(
-                0,
-                spiral_smp::trace::SpanKind::TunerCandidate,
-                u32::try_from(index).unwrap_or(u32::MAX),
-                start,
-                std::time::Instant::now(),
-            );
-        }
-    }
-
-    /// Mark candidate `index` as quarantined.
-    #[allow(unused_variables)]
-    fn reject(&self, index: usize) {
-        #[cfg(feature = "trace")]
-        if let Some(tl) = self.timeline {
-            tl.mark(
-                0,
-                spiral_smp::trace::MarkKind::TunerReject,
-                u32::try_from(index).unwrap_or(u32::MAX),
-                std::time::Instant::now(),
-            );
-        }
-    }
 }
 
 /// Autotuner for a fixed machine configuration.
@@ -227,30 +163,31 @@ impl Tuner {
     /// *quarantined* — recorded with a reason and excluded — and the
     /// search continues with the remaining candidates.
     pub fn tune_parallel_report(&self, n: usize) -> Result<TuneOutcome, SpiralError> {
-        self.tune_report_impl(n, TuneObs::default())
+        self.tune_parallel_report_with(n, &())
     }
 
-    /// Like [`tune_parallel_report`](Self::tune_parallel_report), but
-    /// records the search itself onto `timeline`: one `TunerCandidate`
-    /// span per split candidate (derivation through costing, indexed in
-    /// candidate order) and one `TunerReject` mark per quarantine, all
-    /// attributed to tid 0, the coordinating thread.
-    #[cfg(feature = "trace")]
-    pub fn tune_parallel_report_observed(
+    /// [`tune_parallel_report`](Self::tune_parallel_report), recording
+    /// the search itself to `obs`: one `TunerCandidate` span per measured
+    /// split candidate (derivation through costing, indexed in candidate
+    /// order) and one `TunerReject` mark per quarantine, all attributed
+    /// to tid 0, the coordinating thread. With `&()` no clock is read.
+    pub fn tune_parallel_report_with<O: Observer>(
         &self,
         n: usize,
-        timeline: &dyn spiral_smp::trace::TimelineSink,
+        obs: &O,
     ) -> Result<TuneOutcome, SpiralError> {
-        self.tune_report_impl(
-            n,
-            TuneObs {
-                timeline: Some(timeline),
-                _marker: std::marker::PhantomData,
-            },
-        )
-    }
-
-    fn tune_report_impl(&self, n: usize, obs: TuneObs<'_>) -> Result<TuneOutcome, SpiralError> {
+        // Candidate indices are u32 event stages; saturate past that.
+        let idx = |ci: usize| u32::try_from(ci).unwrap_or(u32::MAX);
+        let reject = |ci: usize| {
+            if obs.active() {
+                obs.mark(0, MarkKind::TunerReject, idx(ci), Instant::now());
+            }
+        };
+        let candidate = |ci: usize, t0: Option<Instant>| {
+            if let Some(t0) = t0 {
+                obs.span(0, SpanKind::TunerCandidate, idx(ci), t0, Instant::now());
+            }
+        };
         let mut report = TuneReport::default();
         if self.p == 1 {
             let tuned = self.tune_sequential(n)?;
@@ -280,7 +217,7 @@ impl Tuner {
                         choice: base_choice,
                         reason: format!("derivation failed: {e:?}"),
                     });
-                    obs.reject(ci);
+                    reject(ci);
                     ci += 1;
                     continue;
                 }
@@ -304,7 +241,7 @@ impl Tuner {
                         format!("{base_choice} + vec({nu})"),
                     )
                 };
-                let t0 = obs.active().then(std::time::Instant::now);
+                let t0 = obs.active().then(Instant::now);
                 let plan = match Plan::from_formula(&formula, self.p, self.mu) {
                     // Loop merging across the parallel boundary: fold the
                     // P ⊗̄ I_µ exchanges into the compute steps (§3.1).
@@ -314,7 +251,7 @@ impl Tuner {
                             choice,
                             reason: format!("failed to lower: {e}"),
                         });
-                        obs.reject(ci);
+                        reject(ci);
                         ci += 1;
                         continue;
                     }
@@ -335,7 +272,7 @@ impl Tuner {
                         choice,
                         reason: "failed static verification".to_string(),
                     });
-                    obs.reject(ci);
+                    reject(ci);
                     ci += 1;
                     continue;
                 }
@@ -351,7 +288,7 @@ impl Tuner {
                         choice,
                         reason: format!("failed dataflow certification: {f}"),
                     });
-                    obs.reject(ci);
+                    reject(ci);
                     ci += 1;
                     continue;
                 }
@@ -366,17 +303,13 @@ impl Tuner {
                             choice,
                             reason: e.to_string(),
                         });
-                        if let Some(t0) = t0 {
-                            obs.candidate(ci, t0);
-                        }
-                        obs.reject(ci);
+                        candidate(ci, t0);
+                        reject(ci);
                         ci += 1;
                         continue;
                     }
                 };
-                if let Some(t0) = t0 {
-                    obs.candidate(ci, t0);
-                }
+                candidate(ci, t0);
                 ci += 1;
                 if best.as_ref().is_none_or(|b| cost < b.cost) {
                     best = Some(Tuned {
@@ -387,17 +320,6 @@ impl Tuner {
                     });
                 }
             }
-        }
-        #[cfg(feature = "trace")]
-        if let Some(b) = &best {
-            // Diagnostic run of the winner: where its time actually goes,
-            // per stage and per thread. A faulting run only drops the
-            // diagnostic, never the tuning result.
-            let exec = spiral_codegen::parallel::ParallelExecutor::with_auto_barrier(self.p);
-            let x: Vec<spiral_spl::Cplx> = (0..n)
-                .map(|k| spiral_spl::Cplx::new(k as f64 / n as f64, -(k as f64) / n as f64))
-                .collect();
-            report.profile = exec.try_execute_traced(&b.plan, &x).ok().map(|(_, p)| p);
         }
         Ok(TuneOutcome { best, report })
     }
@@ -489,28 +411,35 @@ mod tests {
         assert_eq!(tuned.plan.threads, 1);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn observed_search_records_candidate_spans() {
-        use spiral_trace::{Timeline, TimelineEventKind};
-        let tl = Timeline::new(1);
+        use std::sync::Mutex;
+        /// `(tid, is_candidate_span)` per event, in arrival order.
+        #[derive(Default)]
+        struct Events(Mutex<Vec<(usize, bool)>>);
+        impl Observer for Events {
+            fn span(&self, tid: usize, kind: SpanKind, _: u32, start: Instant, end: Instant) {
+                assert_eq!(kind, SpanKind::TunerCandidate);
+                assert!(start <= end);
+                self.0.lock().unwrap().push((tid, true));
+            }
+            fn mark(&self, tid: usize, kind: MarkKind, _: u32, _: Instant) {
+                assert_eq!(kind, MarkKind::TunerReject);
+                self.0.lock().unwrap().push((tid, false));
+            }
+        }
+        let obs = Events::default();
         let t = Tuner::new(2, 4, CostModel::Analytic);
-        let outcome = t.tune_parallel_report_observed(256, &tl).unwrap();
+        let outcome = t.tune_parallel_report_with(256, &obs).unwrap();
         assert!(outcome.best.is_some());
-        let events = tl.events();
-        let spans = events
-            .iter()
-            .filter(|e| e.kind == TimelineEventKind::TunerCandidate)
-            .count();
+        let events = obs.0.into_inner().unwrap();
+        let spans = events.iter().filter(|e| e.1).count();
         // One span per candidate that passed static verification.
         assert_eq!(spans, outcome.report.evaluated);
-        let rejects = events
-            .iter()
-            .filter(|e| e.kind == TimelineEventKind::TunerReject)
-            .count();
+        let rejects = events.len() - spans;
         assert_eq!(rejects, outcome.report.quarantined.len());
-        // All attributed to the coordinating thread, chronological.
-        assert!(events.iter().all(|e| e.tid == 0));
+        // All attributed to the coordinating thread.
+        assert!(events.iter().all(|e| e.0 == 0));
     }
 
     #[test]

@@ -17,24 +17,20 @@
 //!   conn-queue wait, exec-queue wait, pool execute, end-to-end) and the
 //!   coalesce-size distribution only exist if the hot path records them,
 //!   so they live in a [`MetricsRegistry`] of cache-line-padded,
-//!   single-writer-sharded log-linear histograms — and they compile out
-//!   *structurally* when the `trace` feature is off: a default build has
-//!   no histogram storage and no recording calls, only the snapshot-time
-//!   counter/gauge views.
+//!   single-writer-sharded log-linear histograms. The server records
+//!   into them only while `ServerConfig::metrics_enabled` is set.
 //!
-//! The same feature gates the [`FlightRecorder`]: always-on bounded
-//! timeline rings that every served request and pool dispatch writes
-//! through, exported as Perfetto JSON on the first SLO breach or on an
-//! `SS01 dump` request.
+//! Next to the histograms sits the [`FlightRecorder`]: bounded timeline
+//! rings that every served request and pool dispatch writes through
+//! (under the same switch), exported as Perfetto JSON on the first SLO
+//! breach or on an `SS01 dump` request.
 
 use crate::overload::CounterSnapshot;
-use spiral_trace::metrics::{CounterSample, GaugeSample, MetricsSnapshot};
-use std::time::Duration;
-
-#[cfg(feature = "trace")]
-use spiral_trace::metrics::{MetricKind, MetricSpec, MetricsRegistry};
-#[cfg(feature = "trace")]
+use spiral_trace::metrics::{
+    CounterSample, GaugeSample, MetricKind, MetricSpec, MetricsRegistry, MetricsSnapshot,
+};
 use spiral_trace::FlightRecorder;
+use std::time::Duration;
 
 /// Time from the first byte of a request frame to its decoded form.
 pub const PARSE_SECONDS: &str = "serve_parse_seconds";
@@ -49,7 +45,6 @@ pub const POOL_EXECUTE_SECONDS: &str = "serve_pool_execute_seconds";
 /// End-to-end request latency, arrival through response encode.
 pub const REQUEST_SECONDS: &str = "serve_request_seconds";
 
-#[cfg(feature = "trace")]
 static HISTOGRAM_SPECS: &[MetricSpec] = &[
     MetricSpec {
         name: PARSE_SECONDS,
@@ -164,15 +159,13 @@ pub struct GaugeReadings {
     pub degraded: bool,
 }
 
-/// The serving tier's metric surface: histogram registry and flight
-/// recorder under the `trace` feature, counter/gauge views always.
+/// The serving tier's metric surface: histogram registry, flight
+/// recorder, and counter/gauge views.
 pub struct ServeMetrics {
     /// Histogram writer lanes: worker `wid` records on lane `wid`, the
     /// dispatcher on lane `writers - 1`.
     writers: usize,
-    #[cfg(feature = "trace")]
     registry: MetricsRegistry,
-    #[cfg(feature = "trace")]
     recorder: FlightRecorder,
 }
 
@@ -183,10 +176,8 @@ impl ServeMetrics {
         let writers = workers + 1;
         ServeMetrics {
             writers,
-            #[cfg(feature = "trace")]
             registry: MetricsRegistry::new(HISTOGRAM_SPECS, writers)
                 .expect("serve histogram layout is valid"),
-            #[cfg(feature = "trace")]
             recorder: FlightRecorder::new(writers),
         }
     }
@@ -196,33 +187,25 @@ impl ServeMetrics {
         self.writers - 1
     }
 
-    /// The flight recorder (always-on bounded timeline rings).
-    #[cfg(feature = "trace")]
+    /// The flight recorder (bounded timeline rings).
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
     }
 
     /// Record one phase duration into histogram `name` on `writer`'s
-    /// lane. Compiles to nothing without the `trace` feature.
+    /// lane.
     pub fn record(&self, name: &str, writer: usize, d: Duration) {
-        #[cfg(feature = "trace")]
         self.registry.histogram(name).record_duration(writer, d);
-        #[cfg(not(feature = "trace"))]
-        let _ = (name, writer, d);
     }
 
     /// Record a dimensionless value (coalesce group size) into histogram
-    /// `name`. Compiles to nothing without the `trace` feature.
+    /// `name`.
     pub fn record_size(&self, name: &str, writer: usize, value: u64) {
-        #[cfg(feature = "trace")]
         self.registry.histogram(name).record(writer, value);
-        #[cfg(not(feature = "trace"))]
-        let _ = (name, writer, value);
     }
 
     /// Build the full snapshot: counter views over `counters`, gauge
-    /// views over `gauges`, histogram snapshots from the registry (empty
-    /// without the `trace` feature).
+    /// views over `gauges`, histogram snapshots from the registry.
     pub fn snapshot(&self, counters: &CounterSnapshot, gauges: &GaugeReadings) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         for v in COUNTER_VIEWS {
@@ -235,7 +218,7 @@ impl ServeMetrics {
         snap.counters.push(CounterSample {
             name: "serve_slo_breaches_total".to_string(),
             help: "SLO breaches recorded by the flight recorder".to_string(),
-            value: self.breaches(),
+            value: self.recorder.breaches(),
         });
         snap.gauges.push(GaugeSample {
             name: "serve_conn_queue_depth".to_string(),
@@ -255,51 +238,15 @@ impl ServeMetrics {
         snap.gauges.push(GaugeSample {
             name: "serve_recorder_dropped_events".to_string(),
             help: "Timeline events lost to flight-recorder ring wrap".to_string(),
-            value: self.recorder_dropped(),
+            value: self.recorder.dropped_events(),
         });
-        #[cfg(feature = "trace")]
-        {
-            snap.histograms = self.registry.snapshot().histograms;
-        }
+        snap.histograms = self.registry.snapshot().histograms;
         snap
     }
 
-    /// SLO breaches recorded so far (0 without the `trace` feature).
-    pub fn breaches(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.recorder.breaches()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
-    }
-
-    /// Flight-recorder ring-wrap losses (0 without the `trace` feature).
-    pub fn recorder_dropped(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.recorder.dropped_events()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
-    }
-
-    /// Flight-recorder export: Perfetto JSON of the recent past. Without
-    /// the `trace` feature there are no rings, so the export is an empty
-    /// (but valid) trace document.
+    /// Flight-recorder export: Perfetto JSON of the recent past.
     pub fn dump(&self) -> String {
-        #[cfg(feature = "trace")]
-        {
-            self.recorder.dump()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            "{\n  \"traceEvents\": []\n}".to_string()
-        }
+        self.recorder.dump()
     }
 }
 
@@ -373,7 +320,6 @@ mod tests {
         lint_prometheus(&snap.to_prometheus()).expect("serve exposition lints clean");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn recorded_phases_appear_in_histograms() {
         let m = ServeMetrics::new(2);
@@ -384,15 +330,6 @@ mod tests {
         let h = snap.histogram(REQUEST_SECONDS).expect("present");
         assert_eq!(h.count, 2);
         h.validate().expect("valid layout");
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn default_build_has_no_histograms() {
-        let m = ServeMetrics::new(2);
-        m.record(REQUEST_SECONDS, 0, Duration::from_micros(100));
-        let snap = m.snapshot(&sample_counters(), &GaugeReadings::default());
-        assert!(snap.histograms.is_empty());
     }
 
     #[test]

@@ -43,6 +43,7 @@ use crate::metrics::{self, GaugeReadings, ServeMetrics};
 use crate::overload::{BoundedQueue, CounterSnapshot, Push, ServeCounters};
 use crate::wire::{self, ReadEvent, Request, Response, StatsKind, WireError, MAX_FRAME_BYTES};
 use spiral_smp::topology;
+use spiral_smp::trace::{Observer, SpanKind};
 use spiral_spl::cplx::Cplx;
 use spiral_trace::metrics::MetricsSnapshot;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -52,9 +53,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-#[cfg(feature = "trace")]
-use spiral_smp::trace::{SpanKind, TimelineSink};
 
 /// Server tuning knobs. `Default` is sized for tests and small hosts;
 /// production callers set `workers` to the machine's core count
@@ -85,8 +83,7 @@ pub struct ServerConfig {
     /// Hot-path telemetry toggle (the overhead-ablation knob): when
     /// false, per-phase histogram recording and flight-recorder writes
     /// are skipped. Snapshot-time counter/gauge views stay live either
-    /// way. A build without the `trace` feature has no recording to
-    /// toggle.
+    /// way.
     pub metrics_enabled: bool,
     /// SLO breach threshold as a fraction of a request's deadline
     /// budget: a request whose end-to-end latency exceeds
@@ -96,10 +93,6 @@ pub struct ServerConfig {
     /// Where to persist the flight-recorder export on the *first* SLO
     /// breach (`None` = never persist; `SS01 dump` still works).
     pub flight_record_path: Option<PathBuf>,
-    /// Optional timeline sink; workers record one `RequestServe` span
-    /// per served request (tid = worker index).
-    #[cfg(feature = "trace")]
-    pub sink: Option<Arc<dyn TimelineSink + Send + Sync>>,
 }
 
 impl Default for ServerConfig {
@@ -117,8 +110,6 @@ impl Default for ServerConfig {
             metrics_enabled: true,
             slo_fraction: 1.0,
             flight_record_path: None,
-            #[cfg(feature = "trace")]
-            sink: None,
         }
     }
 }
@@ -207,8 +198,7 @@ struct Shared {
 }
 
 /// Build the live metrics snapshot: counter/gauge views over the
-/// accounting surface and queues, plus histogram snapshots when the
-/// `trace` feature records them.
+/// accounting surface and queues, plus the recorded histograms.
 fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
     shared.metrics.snapshot(
         &shared.counters.snapshot(),
@@ -543,10 +533,6 @@ fn serve_connection(wid: usize, shared: &Shared, mut stream: TcpStream, request_
         *request_seq = request_seq.wrapping_add(1);
         let response = handle_request(shared, request, arrival, seq);
         let finished = Instant::now();
-        #[cfg(feature = "trace")]
-        if let Some(sink) = &shared.cfg.sink {
-            sink.span(wid, SpanKind::RequestServe, seq, arrival, finished);
-        }
         if shared.cfg.metrics_enabled {
             shared
                 .metrics
@@ -568,7 +554,6 @@ fn serve_connection(wid: usize, shared: &Shared, mut stream: TcpStream, request_
 /// rings and, when the request was shed or blew `slo_fraction` of its
 /// deadline budget, mark an SLO breach on the same lane — persisting
 /// the recorder export on the first breach if configured.
-#[cfg(feature = "trace")]
 fn observe_outcome(
     shared: &Shared,
     wid: usize,
@@ -578,7 +563,6 @@ fn observe_outcome(
     budget: Duration,
     response: &Response,
 ) {
-    use spiral_smp::trace::TimelineSink as _;
     let recorder = shared.metrics.recorder();
     recorder.span(wid, SpanKind::RequestServe, seq, arrival, finished);
     let shed = matches!(
@@ -591,20 +575,6 @@ fn observe_outcome(
             let _ = std::fs::write(path, recorder.dump());
         }
     }
-}
-
-/// Without the `trace` feature there are no rings to feed; the breach
-/// policy compiles out with them.
-#[cfg(not(feature = "trace"))]
-fn observe_outcome(
-    _shared: &Shared,
-    _wid: usize,
-    _seq: u32,
-    _arrival: Instant,
-    _finished: Instant,
-    _budget: Duration,
-    _response: &Response,
-) {
 }
 
 /// Admission, shedding, queueing, and the reply wait for one request.
@@ -763,34 +733,16 @@ fn dispatch_loop(shared: &Shared) {
             shared
                 .metrics
                 .record(metrics::POOL_EXECUTE_SECONDS, lane, exec_end - exec_start);
-            observe_pool_execute(shared, lane, dispatch_stage, exec_start, exec_end);
+            shared.metrics.recorder().span(
+                lane,
+                SpanKind::PoolExecute,
+                dispatch_stage,
+                exec_start,
+                exec_end,
+            );
         }
         dispatch_stage = dispatch_stage.wrapping_add(1);
     }
-}
-
-/// Record the dispatch's `PoolExecute` span in the flight recorder and
-/// the optional configured sink (stage = dispatch sequence number).
-#[cfg(feature = "trace")]
-fn observe_pool_execute(shared: &Shared, lane: usize, stage: u32, start: Instant, end: Instant) {
-    use spiral_smp::trace::TimelineSink as _;
-    shared
-        .metrics
-        .recorder()
-        .span(lane, SpanKind::PoolExecute, stage, start, end);
-    if let Some(sink) = &shared.cfg.sink {
-        sink.span(lane, SpanKind::PoolExecute, stage, start, end);
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-fn observe_pool_execute(
-    _shared: &Shared,
-    _lane: usize,
-    _stage: u32,
-    _start: Instant,
-    _end: Instant,
-) {
 }
 
 enum BatchedResult {

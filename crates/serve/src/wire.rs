@@ -439,14 +439,14 @@ fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
     let n = u32::from_le_bytes(payload[12..16].try_into().expect("4-byte slice"));
     let batch = u32::from_le_bytes(payload[16..20].try_into().expect("4-byte slice"));
     let deadline_ms = u32::from_le_bytes(payload[20..24].try_into().expect("4-byte slice"));
-    let points = (n as usize)
+    let (points, bytes) = (n as usize)
         .checked_mul(batch as usize)
-        .ok_or_else(|| WireError::Malformed("n·batch overflows".to_string()))?;
+        .and_then(|p| Some((p, p.checked_mul(16)?)))
+        .ok_or_else(|| WireError::Malformed("n·batch·16 bytes overflows".to_string()))?;
     let body = &payload[REQUEST_HEADER_BYTES..];
-    if body.len() != points * 16 {
+    if body.len() != bytes {
         return Err(WireError::Malformed(format!(
-            "request declares {points} points ({} bytes) but carries {} bytes",
-            points * 16,
+            "request declares {points} points ({bytes} bytes) but carries {} bytes",
             body.len()
         )));
     }

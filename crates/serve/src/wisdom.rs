@@ -162,7 +162,11 @@ impl WisdomStore {
         let text = match std::fs::read_to_string(&store.path) {
             Ok(t) => t,
             // Missing file: a fresh store, not an error.
-            Err(_) => return (store, report),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return (store, report),
+            Err(e) => {
+                report.discarded = Some(format!("unreadable wisdom file: {e}"));
+                return (store, report);
+            }
         };
         let file: WisdomFile = match serde_json::from_str(&text) {
             Ok(f) => f,

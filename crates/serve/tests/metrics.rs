@@ -106,8 +106,7 @@ fn ss01_stats_serve_both_formats_without_counting_as_requests() {
     assert!(prom.contains("serve_requests_total 1"));
     assert!(prom.contains("# TYPE serve_exec_queue_depth gauge"));
 
-    // Dump: valid Perfetto/Chrome JSON (empty without the trace
-    // feature, populated rings with it — either way it must parse).
+    // Dump: valid Perfetto/Chrome JSON holding the recorder's rings.
     let dump = client.stats(StatsKind::Dump).expect("dump stats");
     let doc: Value = serde_json::from_str(&dump).expect("dump parses as JSON");
     assert!(matches!(doc.get("traceEvents"), Some(Value::Arr(_))));
@@ -125,7 +124,6 @@ fn ss01_stats_serve_both_formats_without_counting_as_requests() {
     assert_eq!(report.metrics.counter("serve_requests_total"), Some(2));
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn warm_histograms_populate_and_forced_breach_persists_a_flight_record() {
     let dir = std::env::temp_dir().join(format!("spiral-flight-{}", std::process::id()));
@@ -176,7 +174,6 @@ fn warm_histograms_populate_and_forced_breach_persists_a_flight_record() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn metrics_disabled_records_nothing_but_keeps_counter_views() {
     let service = Arc::new(PlanService::new(2, 4));
@@ -207,8 +204,8 @@ fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/serve_metrics_schema.json")
 }
 
-/// Fixed literals — identical on every machine and under every feature
-/// set, so the golden pins the interchange layout itself.
+/// Fixed literals — identical on every machine, so the golden pins the
+/// interchange layout itself.
 fn fixture() -> MetricsSnapshot {
     let mut snap = ServeMetrics::new(1).snapshot(
         &spiral_serve::CounterSnapshot {
@@ -232,7 +229,7 @@ fn fixture() -> MetricsSnapshot {
         },
     );
     // One histogram with fixed contents, attached by hand so the golden
-    // is feature-independent (a default build has no live histograms).
+    // does not depend on recorded timings.
     snap.histograms = vec![HistogramSample {
         name: "serve_request_seconds".to_string(),
         help: "End-to-end served request latency".to_string(),

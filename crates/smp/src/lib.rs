@@ -15,9 +15,9 @@
 //!   poison recovery);
 //! * [`faults`] *(feature `faults`)* — deterministic fault injection for
 //!   exercising the failure model;
-//! * [`trace`] *(feature `trace`)* — the [`trace::TraceSink`] hook the
-//!   execution layers report per-thread timing events through (the
-//!   collector lives in `spiral-trace`).
+//! * [`trace`] — the [`trace::Observer`] hook the execution layers
+//!   report timestamped spans and marks through; `()` is the no-op
+//!   observer (the recorders live in `spiral-trace`).
 
 #![warn(missing_docs)]
 
@@ -28,7 +28,6 @@ pub mod error;
 pub mod faults;
 pub mod pool;
 pub mod topology;
-#[cfg(feature = "trace")]
 pub mod trace;
 
 pub use align::{AlignedVec, CACHE_LINE_BYTES};

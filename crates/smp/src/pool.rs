@@ -138,47 +138,6 @@ impl Pool {
         }
     }
 
-    /// Like [`Pool::try_run`], but report each thread's whole-job span
-    /// to `sink` (compiled only with the `trace` feature). A panicking
-    /// job reports no span — the panic unwinds past the timing point —
-    /// which matches the failed run being unusable for profiling anyway.
-    #[cfg(feature = "trace")]
-    pub fn try_run_traced(
-        &self,
-        f: &(dyn Fn(usize) + Sync),
-        sink: &dyn crate::trace::TraceSink,
-    ) -> Result<(), SpiralError> {
-        self.try_run_observed(f, Some(sink), None)
-    }
-
-    /// Like [`Pool::try_run`], but report each thread's whole-job span to
-    /// an aggregate `trace` sink, a temporal `timeline` sink, or both
-    /// (compiled only with the `trace` feature). With both sinks `None`
-    /// this is exactly [`Pool::try_run`]. A panicking job reports
-    /// nothing — the panic unwinds past the timing points.
-    #[cfg(feature = "trace")]
-    pub fn try_run_observed(
-        &self,
-        f: &(dyn Fn(usize) + Sync),
-        trace: Option<&dyn crate::trace::TraceSink>,
-        timeline: Option<&dyn crate::trace::TimelineSink>,
-    ) -> Result<(), SpiralError> {
-        if trace.is_none() && timeline.is_none() {
-            return self.try_run(f);
-        }
-        self.try_run(&|tid| {
-            let t0 = Instant::now();
-            f(tid);
-            let t1 = Instant::now();
-            if let Some(sink) = trace {
-                sink.pool_job(tid, t1 - t0);
-            }
-            if let Some(tl) = timeline {
-                tl.span(tid, crate::trace::SpanKind::PoolJob, 0, t0, t1);
-            }
-        })
-    }
-
     /// Run `f(tid)` on all `p` threads, isolating panics: a panic on any
     /// thread is caught, the run completes on the other threads, and the
     /// first recorded panic returns as [`SpiralError::WorkerPanic`]. The

@@ -30,7 +30,7 @@ pub struct HostFingerprint {
     /// host's width.
     pub simd_width: u64,
     /// Optional instrumentation features compiled into the build
-    /// (`"trace"`, `"faults"`) plus the detected `"simdN"` token, in
+    /// (`"faults"`) plus the detected `"simdN"` token, in
     /// fixed order ([`enabled_features`]).
     pub features: Vec<String>,
 }
@@ -153,16 +153,13 @@ pub fn simd_width() -> usize {
 }
 
 /// Names of the optional instrumentation features compiled into this
-/// build of the substrate, in a fixed order (`"trace"`, `"faults"`),
-/// followed by the runtime-detected `"simdN"` capability token.
-/// Recorded into profile/bench artifacts so a reader can tell an
-/// instrumented measurement from a bare one, and a vector-backend
+/// build of the substrate (`"faults"`), followed by the runtime-detected
+/// `"simdN"` capability token. Recorded into profile/bench artifacts so
+/// a reader can tell a fault-injection build from a bare one, and a
+/// vector-backend
 /// measurement from a scalar-only host's.
 pub fn enabled_features() -> Vec<String> {
     let mut v = Vec::new();
-    if cfg!(feature = "trace") {
-        v.push("trace".to_string());
-    }
     if cfg!(feature = "faults") {
         v.push("faults".to_string());
     }
@@ -198,17 +195,10 @@ mod tests {
     #[test]
     fn enabled_features_reflect_compilation() {
         let f = enabled_features();
-        assert_eq!(f.contains(&"trace".to_string()), cfg!(feature = "trace"));
         assert_eq!(f.contains(&"faults".to_string()), cfg!(feature = "faults"));
-        // Fixed order keeps serialized artifacts stable: optional
-        // instrumentation features first, the simdN capability last.
-        let order = ["trace", "faults"];
-        let idx = |name: &str| order.iter().position(|o| *o == name);
-        assert!(f.windows(2).all(|w| match (idx(&w[0]), idx(&w[1])) {
-            (Some(a), Some(b)) => a < b,
-            (Some(_), None) => true,
-            _ => false,
-        }));
+        // Fixed order keeps serialized artifacts stable: the optional
+        // `faults` feature first, the simdN capability last.
+        assert_eq!(f.len(), 1 + usize::from(cfg!(feature = "faults")));
         assert_eq!(
             f.last().map(String::as_str),
             Some(format!("simd{}", simd_width()).as_str())

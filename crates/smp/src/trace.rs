@@ -1,63 +1,43 @@
-//! The substrate-level tracing hooks (compiled only with the `trace`
-//! feature).
+//! The substrate-level observation hook.
 //!
-//! The execution layer reports per-thread timing events through two
-//! traits:
+//! Every execution layer (stage executor, batch executor, tuner, serving
+//! tier) reports what it does through one trait, [`Observer`]:
 //!
-//! * [`TraceSink`] — *aggregate* per-(stage, thread) durations: the pool
-//!   reports whole-job spans, the stage executor above reports compute
-//!   and barrier-wait totals. Enough for load-imbalance and barrier-share
-//!   metrics, but order- and gap-blind.
-//! * [`TimelineSink`] — *temporal* events: timestamped spans
-//!   (pool job, per-stage compute, barrier wait, tuner candidate) and
-//!   instants (barrier release, watchdog fire, candidate rejection).
-//!   This is what a Chrome-trace/Perfetto timeline is built from —
-//!   scheduling gaps and barrier convoys are visible only here.
+//! * [`Observer::span`] — a timestamped interval on one logical thread
+//!   (pool job, per-stage compute, barrier wait, tuner candidate, batch
+//!   transform, served request, serving dispatch);
+//! * [`Observer::mark`] — a timestamped instant (barrier release,
+//!   watchdog fire, candidate rejection, SLO breach);
+//! * [`Observer::active`] — whether anything is listening. Callers take
+//!   no clock reads when it is `false`.
 //!
-//! Both traits live here — below every consumer — so the pool can accept
-//! a sink without depending on the collector crate (`spiral-trace`),
-//! which provides the canonical implementations.
-//!
-//! Mirroring the `faults` feature, none of this exists in a default
-//! build: the hook methods, the extra `Pool` entry points, and every
-//! call site compile out entirely, so the disabled-feature overhead is
-//! exactly zero by construction.
+//! The unit type `()` is the no-op observer: its `active()` is the
+//! constant `false`, so an entry point generic over `O: Observer` and
+//! called with `&()` monomorphises to the plain, uninstrumented loop —
+//! zero cost without a cargo feature. The recording implementations
+//! (`Collector` for per-stage aggregates, `Timeline` for Perfetto
+//! export, `FlightRecorder` for the serving tier) live in `spiral-trace`;
+//! the trait lives here, below every consumer, so the executors need no
+//! dependency on them. A pair `(A, B)` observes with both.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Receiver for execution timing events.
-///
-/// Implementations are written to concurrently from all pool threads;
-/// each `(stage, tid)` pair is only ever reported by thread `tid`, so a
-/// sink can keep per-thread slots free of write sharing (see
-/// `spiral-trace`'s cache-line-padded collector).
-pub trait TraceSink: Sync {
-    /// Thread `tid` spent `compute` executing its statically scheduled
-    /// portion of stage `stage`: `jobs` schedulable units covering
-    /// `elements` output elements, then `barrier_wait` blocked at the
-    /// stage barrier (arrival through release).
-    fn stage(
-        &self,
-        tid: usize,
-        stage: usize,
-        compute: Duration,
-        barrier_wait: Duration,
-        jobs: u64,
-        elements: u64,
-    );
-
-    /// Thread `tid`'s whole pool job (all stages plus barrier waits)
-    /// took `total`.
-    fn pool_job(&self, tid: usize, total: Duration);
-}
-
-/// What a timeline span covers.
+/// What a span covers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
     /// A thread's whole pool job (stage 0; spans every stage).
     PoolJob,
-    /// One thread's statically scheduled portion of one stage.
-    StageCompute,
+    /// One thread's statically scheduled portion of one stage: `jobs`
+    /// schedulable units (chunks, block ranges) covering `elements`
+    /// output elements. The counts are deterministic properties of the
+    /// schedule, so a collector can reduce them into timing-free
+    /// load-balance figures.
+    StageCompute {
+        /// Schedulable units executed.
+        jobs: u64,
+        /// Output elements written.
+        elements: u64,
+    },
     /// Blocked at the stage barrier, arrival through release.
     BarrierWait,
     /// The tuner evaluating one candidate (stage = candidate index).
@@ -76,7 +56,7 @@ pub enum SpanKind {
     PoolExecute,
 }
 
-/// What a timeline instant marks.
+/// What an instant marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MarkKind {
     /// The stage barrier released this thread (one per thread per stage
@@ -93,16 +73,21 @@ pub enum MarkKind {
     SloBreach,
 }
 
-/// Receiver for timestamped execution events — the temporal counterpart
-/// of [`TraceSink`].
+/// Receiver for timestamped execution events.
 ///
 /// Implementations are written to concurrently from all pool threads;
-/// every event for thread `tid` is reported *by* thread `tid`, so a sink
-/// can keep per-thread ring buffers free of write sharing (see
-/// `spiral-trace`'s `Timeline`). Timestamps are the caller's
-/// [`Instant`]s, taken at the event boundary itself; the sink anchors
-/// them to its own epoch.
-pub trait TimelineSink: Sync {
+/// every event for thread `tid` is reported *by* thread `tid`, so an
+/// observer can keep per-thread slots or rings free of write sharing.
+/// Timestamps are the caller's [`Instant`]s, taken at the event boundary
+/// itself; the observer anchors them to its own epoch.
+pub trait Observer: Sync {
+    /// Whether this observer records anything. When `false` the caller
+    /// skips its clock reads and never calls [`span`](Self::span) or
+    /// [`mark`](Self::mark).
+    fn active(&self) -> bool {
+        true
+    }
+
     /// Thread `tid` spent `[start, end]` in a `kind` span of `stage`
     /// (stage index for executor spans, candidate index for tuner spans,
     /// 0 for pool jobs).
@@ -112,63 +97,41 @@ pub trait TimelineSink: Sync {
     fn mark(&self, tid: usize, kind: MarkKind, stage: u32, at: Instant);
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pool::Pool;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    struct CountingSink {
-        jobs: AtomicU64,
-        total_ns: AtomicU64,
+/// The no-op observer.
+impl Observer for () {
+    #[inline(always)]
+    fn active(&self) -> bool {
+        false
     }
+    #[inline(always)]
+    fn span(&self, _: usize, _: SpanKind, _: u32, _: Instant, _: Instant) {}
+    #[inline(always)]
+    fn mark(&self, _: usize, _: MarkKind, _: u32, _: Instant) {}
+}
 
-    impl TraceSink for CountingSink {
-        fn stage(&self, _: usize, _: usize, _: Duration, _: Duration, _: u64, _: u64) {}
-        fn pool_job(&self, _tid: usize, total: Duration) {
-            self.jobs.fetch_add(1, Ordering::Relaxed);
-            self.total_ns
-                .fetch_add(u64::try_from(total.as_nanos()).unwrap(), Ordering::Relaxed);
-        }
+impl<O: Observer + ?Sized> Observer for &O {
+    fn active(&self) -> bool {
+        (**self).active()
     }
-
-    #[test]
-    fn pool_reports_one_job_span_per_thread() {
-        let sink = CountingSink {
-            jobs: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-        };
-        let pool = Pool::new(3);
-        pool.try_run_traced(&|_tid| std::thread::sleep(Duration::from_millis(2)), &sink)
-            .unwrap();
-        assert_eq!(sink.jobs.load(Ordering::Relaxed), 3);
-        // Every span covers at least the sleep.
-        assert!(sink.total_ns.load(Ordering::Relaxed) >= 3 * 2_000_000);
+    fn span(&self, tid: usize, kind: SpanKind, stage: u32, start: Instant, end: Instant) {
+        (**self).span(tid, kind, stage, start, end);
     }
+    fn mark(&self, tid: usize, kind: MarkKind, stage: u32, at: Instant) {
+        (**self).mark(tid, kind, stage, at);
+    }
+}
 
-    #[test]
-    fn traced_run_preserves_panic_isolation() {
-        let sink = CountingSink {
-            jobs: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-        };
-        let pool = Pool::new(2);
-        let err = pool
-            .try_run_traced(
-                &|tid| {
-                    if tid == 1 {
-                        panic!("traced boom");
-                    }
-                },
-                &sink,
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            crate::error::SpiralError::WorkerPanic { thread: 1, .. }
-        ));
-        // The surviving thread still reported its span.
-        assert!(sink.jobs.load(Ordering::Relaxed) >= 1);
-        assert!(pool.healthy());
+/// Observe with both: one run feeds e.g. a `Collector` and a `Timeline`.
+impl<A: Observer, B: Observer> Observer for (A, B) {
+    fn active(&self) -> bool {
+        self.0.active() || self.1.active()
+    }
+    fn span(&self, tid: usize, kind: SpanKind, stage: u32, start: Instant, end: Instant) {
+        self.0.span(tid, kind, stage, start, end);
+        self.1.span(tid, kind, stage, start, end);
+    }
+    fn mark(&self, tid: usize, kind: MarkKind, stage: u32, at: Instant) {
+        self.0.mark(tid, kind, stage, at);
+        self.1.mark(tid, kind, stage, at);
     }
 }

@@ -59,6 +59,23 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// Reject a node whose dimension overflows `usize`, so every formula
+    /// the parser returns has a computable `dim()`. Children were checked
+    /// when they were built, so calling their `dim()` is safe.
+    fn sized(&self, f: Spl) -> Result<Spl, ParseError> {
+        let dim = match &f {
+            Spl::Tensor(a, b) => a.dim().checked_mul(b.dim()),
+            Spl::TensorPar { p, a } => p.checked_mul(a.dim()),
+            Spl::PermBar { perm, mu } => perm.dim().checked_mul(*mu),
+            Spl::DirectSum(fs) | Spl::DirectSumPar(fs) => fs
+                .iter()
+                .try_fold(0usize, |sum, f| sum.checked_add(f.dim())),
+            _ => Some(0),
+        };
+        dim.map(|_| f)
+            .ok_or_else(|| self.err("formula dimension overflows"))
+    }
+
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
             pos: self.pos,
@@ -179,7 +196,7 @@ impl<'a> Parser<'a> {
                         return Err(self.err(format!("@|| requires I_p on the left, got {other}")))
                     }
                 };
-                left = builder::tensor_par(p, right);
+                left = self.sized(builder::tensor_par(p, right))?;
             } else if self.s[self.pos..].starts_with(b"bar") {
                 self.pos += 3;
                 let right = self.atom()?;
@@ -194,10 +211,10 @@ impl<'a> Parser<'a> {
                         "@bar requires a permutation on the left, got {left}"
                     ))
                 })?;
-                left = builder::perm_bar(perm, mu);
+                left = self.sized(builder::perm_bar(perm, mu))?;
             } else {
                 let right = self.atom()?;
-                left = builder::tensor(left, right);
+                left = self.sized(builder::tensor(left, right))?;
             }
         }
         Ok(left)
@@ -275,7 +292,7 @@ impl<'a> Parser<'a> {
                     parts.push(self.expr()?);
                 }
                 self.expect(b')')?;
-                Ok(if par {
+                self.sized(if par {
                     builder::dsum_par(parts)
                 } else {
                     builder::dsum(parts)

@@ -12,8 +12,11 @@
 //! * [`Collector`] — the in-run recorder. One cache-line-padded slot per
 //!   `(stage, thread)` pair (64-byte aligned, matching
 //!   [`spiral_smp::CACHE_LINE_BYTES`]), written only by its owning
-//!   thread through the [`spiral_smp::trace::TraceSink`] hook, so
+//!   thread through the [`spiral_smp::trace::Observer`] hook, so
 //!   recording adds no shared-write contention to the run it observes.
+//!   It reduces the executor's span stream: `StageCompute` spans (with
+//!   their deterministic job/element counts), `BarrierWait` spans and
+//!   `PoolJob` spans.
 //! * [`RunProfile`] — the aggregated, serializable result, with the
 //!   derived metrics the paper's claims are stated in: per-stage
 //!   load-imbalance ratio (`max/mean` compute time), barrier-wait share,
@@ -24,35 +27,28 @@
 //! and every derived metric is invariant under permutation of the thread
 //! slots — both properties are enforced by the crate's property tests.
 //!
-//! The layer is feature-gated end to end (`trace` on `spiral-smp`,
-//! `spiral-codegen`, …, mirroring the `faults` pattern): with the
-//! feature off nothing here is reachable from the executors and the
-//! instrumentation cost is exactly zero; with it on, the cost is two
-//! monotonic clock reads and one padded-slot accumulation per
-//! `(stage, thread)` — bounded, and measured by the `ablation-trace`
+//! [`Timeline`] (Perfetto export) and [`FlightRecorder`] (the serving
+//! tier's always-on rings) observe the same stream. Every build carries
+//! the hooks; an executor run with the no-op observer `&()` reads no
+//! clock, and a run observed by a [`Collector`] costs three monotonic
+//! clock reads and four relaxed adds into the thread's own padded slot
+//! per `(stage, thread)` — bounded, and measured by the `ablation-trace`
 //! bench.
 
 #![warn(missing_docs)]
 
 pub mod metrics;
-#[cfg(feature = "sink")]
 pub mod recorder;
-#[cfg(feature = "sink")]
 pub mod timeline;
 
-#[cfg(feature = "sink")]
 pub use recorder::FlightRecorder;
-#[cfg(feature = "sink")]
 pub use timeline::{Timeline, TimelineEvent, TimelineEventKind};
 
 use serde::{Deserialize, Serialize};
-#[cfg(feature = "sink")]
-use spiral_smp::trace::TraceSink;
-#[cfg(feature = "sink")]
+use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use spiral_smp::CACHE_LINE_BYTES;
-#[cfg(feature = "sink")]
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Duration → saturating nanosecond count (u64 holds ~584 years).
 pub(crate) fn ns_u64(d: Duration) -> u64 {
@@ -85,7 +81,6 @@ pub use spiral_smp::topology::HostFingerprint as HostMeta;
 /// One `(stage, thread)` accumulation slot, padded to a full cache line
 /// so concurrent writers never share a line (the same guarantee the
 /// executor's data buffers get from `smp::align`).
-#[cfg(feature = "sink")]
 #[repr(align(64))]
 #[derive(Default)]
 struct Slot {
@@ -95,13 +90,10 @@ struct Slot {
     elements: AtomicU64,
 }
 
-#[cfg(feature = "sink")]
 const _: () = assert!(std::mem::align_of::<Slot>() == CACHE_LINE_BYTES);
-#[cfg(feature = "sink")]
 const _: () = assert!(std::mem::size_of::<Slot>() == CACHE_LINE_BYTES);
 
 /// One per-thread pool-job slot, padded like [`Slot`].
-#[cfg(feature = "sink")]
 #[repr(align(64))]
 #[derive(Default)]
 struct JobSlot {
@@ -109,11 +101,9 @@ struct JobSlot {
 }
 
 /// In-run recorder: `threads × stages` padded slots plus one pool-job
-/// slot per thread. Implements [`TraceSink`]; plug it into
-/// `ParallelExecutor::try_execute_traced` (feature `trace`) or any other
-/// instrumented runner, then [`finish`](Collector::finish) it into a
-/// [`RunProfile`].
-#[cfg(feature = "sink")]
+/// slot per thread. Implements [`Observer`]; pass it to
+/// `ParallelExecutor::try_execute_with` (or use [`profile_run`]), then
+/// [`finish`](Collector::finish) it into a [`RunProfile`].
 pub struct Collector {
     threads: usize,
     stages: usize,
@@ -122,7 +112,6 @@ pub struct Collector {
     jobs: Box<[JobSlot]>,
 }
 
-#[cfg(feature = "sink")]
 impl Collector {
     /// Collector for `threads` threads and `stages` plan steps.
     pub fn new(threads: usize, stages: usize) -> Collector {
@@ -135,27 +124,10 @@ impl Collector {
         }
     }
 
-    /// Number of thread slots.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of stage slots.
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// Zero every slot (reuse across runs without reallocating).
-    pub fn reset(&self) {
-        for s in self.slots.iter() {
-            s.compute_ns.store(0, Ordering::Relaxed);
-            s.barrier_wait_ns.store(0, Ordering::Relaxed);
-            s.jobs.store(0, Ordering::Relaxed);
-            s.elements.store(0, Ordering::Relaxed);
-        }
-        for j in self.jobs.iter() {
-            j.total_ns.store(0, Ordering::Relaxed);
-        }
+    /// The `(stage, thread)` slot, when both are in range.
+    fn slot(&self, tid: usize, stage: u32) -> Option<&Slot> {
+        let stage = usize::try_from(stage).ok()?;
+        (tid < self.threads && stage < self.stages).then(|| &self.slots[tid * self.stages + stage])
     }
 
     /// Aggregate the recorded slots into a [`RunProfile`]. `labels` are
@@ -197,36 +169,55 @@ impl Collector {
     }
 }
 
-#[cfg(feature = "sink")]
-impl TraceSink for Collector {
-    fn stage(
-        &self,
-        tid: usize,
-        stage: usize,
-        compute: Duration,
-        barrier_wait: Duration,
-        jobs: u64,
-        elements: u64,
-    ) {
-        if tid >= self.threads || stage >= self.stages {
-            return;
+/// Relaxed accumulation: each slot is written by exactly one thread;
+/// the publisher's run-completion synchronization orders the final reads
+/// in [`Collector::finish`]. Spans other than pool jobs, stage compute
+/// and barrier waits, and all marks, carry nothing a profile keeps.
+impl Observer for Collector {
+    fn span(&self, tid: usize, kind: SpanKind, stage: u32, start: Instant, end: Instant) {
+        let ns = ns_u64(end.saturating_duration_since(start));
+        match kind {
+            SpanKind::StageCompute { jobs, elements } => {
+                if let Some(s) = self.slot(tid, stage) {
+                    s.compute_ns.fetch_add(ns, Ordering::Relaxed);
+                    s.jobs.fetch_add(jobs, Ordering::Relaxed);
+                    s.elements.fetch_add(elements, Ordering::Relaxed);
+                }
+            }
+            SpanKind::BarrierWait => {
+                if let Some(s) = self.slot(tid, stage) {
+                    s.barrier_wait_ns.fetch_add(ns, Ordering::Relaxed);
+                }
+            }
+            SpanKind::PoolJob => {
+                if let Some(j) = self.jobs.get(tid) {
+                    j.total_ns.fetch_add(ns, Ordering::Relaxed);
+                }
+            }
+            _ => {}
         }
-        // Relaxed: each slot is written by exactly one thread; the
-        // publisher's run-completion synchronization orders the final
-        // reads in `finish`.
-        let s = &self.slots[tid * self.stages + stage];
-        s.compute_ns.fetch_add(ns_u64(compute), Ordering::Relaxed);
-        s.barrier_wait_ns
-            .fetch_add(ns_u64(barrier_wait), Ordering::Relaxed);
-        s.jobs.fetch_add(jobs, Ordering::Relaxed);
-        s.elements.fetch_add(elements, Ordering::Relaxed);
     }
 
-    fn pool_job(&self, tid: usize, total: Duration) {
-        if let Some(j) = self.jobs.get(tid) {
-            j.total_ns.fetch_add(ns_u64(total), Ordering::Relaxed);
-        }
-    }
+    fn mark(&self, _: usize, _: MarkKind, _: u32, _: Instant) {}
+}
+
+/// Run `run` once under a fresh [`Collector`] sized for `threads` threads
+/// and `labels.len()` stages, and reduce it into the [`RunProfile`] of an
+/// `n`-point transform; the wall time spans the whole call. The closure
+/// passes the collector (alone, or paired with another observer) to an
+/// observed entry point, e.g.
+/// `|c| exec.try_execute_with(&plan, &x, c)`.
+pub fn profile_run<T, E>(
+    n: usize,
+    threads: usize,
+    labels: &[String],
+    run: impl FnOnce(&Collector) -> Result<T, E>,
+) -> Result<(T, RunProfile), E> {
+    let collector = Collector::new(threads, labels.len());
+    let t0 = Instant::now();
+    let out = run(&collector)?;
+    let wall = t0.elapsed();
+    Ok((out, collector.finish(n, labels, wall)))
 }
 
 /// What one thread did in one stage.
@@ -476,7 +467,6 @@ impl RunProfile {
     /// Stamp the drop count of the bounded [`Timeline`] that observed
     /// these runs: nonzero means the ring wrapped and the exported
     /// timeline is missing its oldest events.
-    #[cfg(feature = "sink")]
     pub fn with_timeline(mut self, timeline: &Timeline) -> RunProfile {
         self.timeline_dropped = timeline.total_dropped();
         self
@@ -545,16 +535,44 @@ fn ratio_max_mean(values: impl Iterator<Item = u64>) -> f64 {
     max as f64 * count as f64 / sum as f64
 }
 
-#[cfg(all(test, feature = "sink"))]
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Feed `c` the spans the stage executor emits for one `(stage, tid)`
+    /// portion: compute, then barrier wait.
+    fn stage(
+        c: &Collector,
+        tid: usize,
+        stage: u32,
+        compute: Duration,
+        wait: Duration,
+        jobs: u64,
+        elements: u64,
+    ) {
+        let t0 = Instant::now();
+        c.span(
+            tid,
+            SpanKind::StageCompute { jobs, elements },
+            stage,
+            t0,
+            t0 + compute,
+        );
+        c.span(tid, SpanKind::BarrierWait, stage, t0, t0 + wait);
+    }
+
+    fn pool_job(c: &Collector, tid: usize, total: Duration) {
+        let t0 = Instant::now();
+        c.span(tid, SpanKind::PoolJob, 0, t0, t0 + total);
+    }
 
     /// A deterministic profile for metric tests: 2 stages × 3 threads.
     fn sample() -> RunProfile {
         let c = Collector::new(3, 2);
         // Stage 0: balanced 100ns each, 8 elements each.
         for tid in 0..3 {
-            c.stage(
+            stage(
+                &c,
                 tid,
                 0,
                 Duration::from_nanos(100),
@@ -565,7 +583,8 @@ mod tests {
         }
         // Stage 1: thread 2 does double work.
         for (tid, ns) in [(0usize, 100u64), (1, 100), (2, 200)] {
-            c.stage(
+            stage(
+                &c,
                 tid,
                 1,
                 Duration::from_nanos(ns),
@@ -574,9 +593,9 @@ mod tests {
                 ns / 10,
             );
         }
-        c.pool_job(0, Duration::from_nanos(400));
-        c.pool_job(1, Duration::from_nanos(400));
-        c.pool_job(2, Duration::from_nanos(500));
+        pool_job(&c, 0, Duration::from_nanos(400));
+        pool_job(&c, 1, Duration::from_nanos(400));
+        pool_job(&c, 2, Duration::from_nanos(500));
         c.finish(
             64,
             &["par[3x8]".to_string(), "exchange(mu=4)".to_string()],
@@ -633,8 +652,6 @@ mod tests {
         assert!(p.host.cores >= 1);
         assert!(p.host.mu >= 1);
         assert!(p.host.cache_line_bytes.is_power_of_two());
-        // spiral-trace linked in implies the trace layer is compiled in.
-        assert!(p.host.features.iter().any(|f| f == "trace"));
     }
 
     #[test]
@@ -657,9 +674,25 @@ mod tests {
     #[test]
     fn collector_ignores_out_of_range_slots() {
         let c = Collector::new(2, 1);
-        c.stage(7, 0, Duration::from_nanos(1), Duration::from_nanos(1), 1, 1);
-        c.stage(0, 9, Duration::from_nanos(1), Duration::from_nanos(1), 1, 1);
-        c.pool_job(5, Duration::from_nanos(1));
+        stage(
+            &c,
+            7,
+            0,
+            Duration::from_nanos(1),
+            Duration::from_nanos(1),
+            1,
+            1,
+        );
+        stage(
+            &c,
+            0,
+            9,
+            Duration::from_nanos(1),
+            Duration::from_nanos(1),
+            1,
+            1,
+        );
+        pool_job(&c, 5, Duration::from_nanos(1));
         let p = c.finish(4, &["x".to_string()], Duration::from_nanos(1));
         assert_eq!(p.total_compute_ns(), 0);
         assert_eq!(p.pool_job_ns, vec![0, 0]);

@@ -12,7 +12,7 @@
 //!
 //! The recorder is a thin policy layer over [`Timeline`]:
 //!
-//! * it forwards the [`TimelineSink`] hooks, so server workers record
+//! * it forwards the [`Observer`] hooks, so server workers record
 //!   `RequestServe` spans and dispatchers record `PoolExecute` spans
 //!   into it exactly as they would into any timeline;
 //! * [`FlightRecorder::breach`] records an [`MarkKind::SloBreach`]
@@ -30,7 +30,7 @@
 //! metrics snapshot.
 
 use crate::timeline::Timeline;
-use spiral_smp::trace::{MarkKind, SpanKind, TimelineSink};
+use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -103,7 +103,7 @@ impl FlightRecorder {
     }
 }
 
-impl TimelineSink for FlightRecorder {
+impl Observer for FlightRecorder {
     fn span(&self, tid: usize, kind: SpanKind, stage: u32, start: Instant, end: Instant) {
         self.timeline.span(tid, kind, stage, start, end);
     }

@@ -6,7 +6,7 @@
 //! straggler), and tuner candidate churn are temporal phenomena, so this
 //! module adds the missing recorder: a [`Timeline`] of timestamped spans
 //! and instants, one bounded lock-free ring buffer per thread, fed
-//! through the [`spiral_smp::trace::TimelineSink`] hook.
+//! through the [`spiral_smp::trace::Observer`] hook.
 //!
 //! Design constraints, in order:
 //!
@@ -26,7 +26,7 @@
 //! [Perfetto](https://ui.perfetto.dev).
 
 use serde::Value;
-use spiral_smp::trace::{MarkKind, SpanKind, TimelineSink};
+use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -216,9 +216,9 @@ impl ThreadRing {
 
 /// Bounded, lock-free event-timeline recorder: one ring per thread,
 /// timestamps relative to the construction epoch. Implements
-/// [`TimelineSink`]; plug it into
-/// `ParallelExecutor::try_execute_observed`, `Pool::try_run_observed`,
-/// or the tuner's observed search (all feature `trace`).
+/// [`Observer`]; pass it to `ParallelExecutor::try_execute_with`,
+/// `BatchExecutor::try_execute_batch_with` or
+/// `Tuner::tune_parallel_report_with`.
 pub struct Timeline {
     epoch: Instant,
     rings: Box<[ThreadRing]>,
@@ -375,12 +375,12 @@ impl Timeline {
     }
 }
 
-impl TimelineSink for Timeline {
+impl Observer for Timeline {
     fn span(&self, tid: usize, kind: SpanKind, stage: u32, start: Instant, end: Instant) {
         if let Some(ring) = self.rings.get(tid) {
             let kind = match kind {
                 SpanKind::PoolJob => TimelineEventKind::PoolJob,
-                SpanKind::StageCompute => TimelineEventKind::StageCompute,
+                SpanKind::StageCompute { .. } => TimelineEventKind::StageCompute,
                 SpanKind::BarrierWait => TimelineEventKind::BarrierWait,
                 SpanKind::TunerCandidate => TimelineEventKind::TunerCandidate,
                 SpanKind::BatchTransform => TimelineEventKind::BatchTransform,
@@ -462,6 +462,11 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    const STAGE: SpanKind = SpanKind::StageCompute {
+        jobs: 1,
+        elements: 1,
+    };
+
     fn t(epoch: Instant, ns: u64) -> Instant {
         epoch + Duration::from_nanos(ns)
     }
@@ -472,10 +477,10 @@ mod tests {
         let e = tl.epoch;
         for tid in 0..2usize {
             let skew = (tid as u64) * 10;
-            tl.span(tid, SpanKind::StageCompute, 0, t(e, 100 + skew), t(e, 200));
+            tl.span(tid, STAGE, 0, t(e, 100 + skew), t(e, 200));
             tl.span(tid, SpanKind::BarrierWait, 0, t(e, 200), t(e, 230));
             tl.mark(tid, MarkKind::BarrierRelease, 0, t(e, 230));
-            tl.span(tid, SpanKind::StageCompute, 1, t(e, 230), t(e, 300));
+            tl.span(tid, STAGE, 1, t(e, 230), t(e, 300));
             tl.span(tid, SpanKind::BarrierWait, 1, t(e, 300), t(e, 310));
             tl.mark(tid, MarkKind::BarrierRelease, 1, t(e, 310));
             tl.span(tid, SpanKind::PoolJob, 0, t(e, 90 + skew), t(e, 315));
@@ -573,7 +578,7 @@ mod tests {
         let tl = Timeline::with_capacity(1, 8);
         let e = tl.epoch;
         // end < start (clock weirdness) must clamp, not underflow.
-        tl.span(0, SpanKind::StageCompute, 0, t(e, 100), t(e, 50));
+        tl.span(0, STAGE, 0, t(e, 100), t(e, 50));
         let ev = tl.events();
         assert_eq!(ev[0].start_ns, 100);
         assert_eq!(ev[0].end_ns, 100);

@@ -11,7 +11,16 @@ use spiral_codegen::ParallelExecutor;
 use spiral_rewrite::multicore_dft_expanded;
 use spiral_smp::topology::processors;
 use spiral_spl::cplx::Cplx;
+use spiral_trace::{profile_run, RunProfile};
 use spiral_verify::{static_stage_balance, verify_plan, DiagKind, VerifyOptions};
+
+/// One run of `plan` observed by a `Collector`.
+fn traced(exec: &ParallelExecutor, plan: &Plan, x: &[Cplx]) -> (Vec<Cplx>, RunProfile) {
+    profile_run(plan.n, exec.threads(), &plan.stage_labels(), |c| {
+        exec.try_execute_with(plan, x, c)
+    })
+    .unwrap()
+}
 
 fn ramp(n: usize) -> Vec<Cplx> {
     (0..n)
@@ -42,7 +51,7 @@ fn static_balance_agrees_with_measured_elements_on_generated_plans() {
         // Measured counterpart: the executed schedule distributes
         // elements the way the analyzer said it would.
         let exec = ParallelExecutor::with_auto_barrier(p);
-        let (_, profile) = exec.try_execute_traced(&plan, &ramp(n)).unwrap();
+        let (_, profile) = traced(&exec, &plan, &ramp(n));
         for s in &profile.stages {
             assert!(
                 s.element_imbalance() <= 1.05,
@@ -79,7 +88,7 @@ fn static_and_measured_agree_on_a_deliberately_imbalanced_plan() {
         "static analysis missed the imbalance: {static_ratios:?}"
     );
     let exec = ParallelExecutor::with_auto_barrier(3);
-    let (out, profile) = exec.try_execute_traced(&plan, &ramp(n)).unwrap();
+    let (out, profile) = traced(&exec, &plan, &ramp(n));
     // Execution is still correct — imbalance is a performance defect.
     spiral_spl::cplx::assert_slices_close(&out, &spiral_spl::builder::dft(n).eval(&ramp(n)), 1e-7);
     let worst_measured = profile
@@ -123,7 +132,7 @@ fn measured_compute_time_tracks_static_balance_on_multicore_hosts() {
     let x = ramp(n);
     let best = (0..5)
         .map(|_| {
-            let (_, pr) = exec.try_execute_traced(&plan, &x).unwrap();
+            let (_, pr) = traced(&exec, &plan, &x);
             pr.max_stage_imbalance()
         })
         .fold(f64::INFINITY, f64::min);

@@ -1,5 +1,5 @@
 //! Property tests for the event timeline's Chrome trace export: for
-//! arbitrary well-nested span trees pushed through the `TimelineSink`
+//! arbitrary well-nested span trees pushed through the `Observer`
 //! interface, the exported JSON must parse, keep `B`/`E` phases
 //! balanced and paired, keep per-thread timestamps monotone, and tag
 //! every instant as thread-scoped — the invariants Perfetto and
@@ -12,7 +12,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use serde_json::Value;
-use spiral_smp::trace::{MarkKind, SpanKind, TimelineSink};
+use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use spiral_trace::{Timeline, TimelineEventKind};
 use std::time::{Duration, Instant};
 
@@ -38,7 +38,10 @@ fn build(jobs_per_thread: &[Vec<Job>]) -> (Timeline, usize) {
                 let step = dur / kids as u64;
                 timeline.span(
                     tid,
-                    SpanKind::StageCompute,
+                    SpanKind::StageCompute {
+                        jobs: 1,
+                        elements: step,
+                    },
                     stage as u32,
                     at(t),
                     at(t + step),

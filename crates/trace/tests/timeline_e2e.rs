@@ -1,5 +1,5 @@
 //! End-to-end timeline checks on real observed executions: the event
-//! stream recorded by `try_execute_observed` must agree with the
+//! stream recorded through `try_execute_with` must agree with the
 //! independently aggregated `RunProfile` of the same run, satisfy the
 //! static timeline checker, count one barrier release per thread per
 //! synchronized stage, and export as well-formed Chrome trace JSON.
@@ -13,7 +13,7 @@ use spiral_codegen::plan::Plan;
 use spiral_codegen::ParallelExecutor;
 use spiral_rewrite::multicore_dft_expanded;
 use spiral_spl::cplx::Cplx;
-use spiral_trace::{RunProfile, Timeline, TimelineEvent, TimelineEventKind};
+use spiral_trace::{profile_run, RunProfile, Timeline, TimelineEvent, TimelineEventKind};
 use spiral_verify::timeline::{verify_timeline, TlEvent, TlKind};
 
 fn ramp(n: usize) -> Vec<Cplx> {
@@ -27,13 +27,19 @@ fn balanced_plan(n: usize, p: usize) -> Plan {
     Plan::from_formula(&f, p, 4).unwrap().fuse_exchanges()
 }
 
+/// One run of `plan` observed by a `Collector` and `timeline` together.
+fn profile_into(plan: &Plan, p: usize, timeline: &Timeline) -> (Vec<Cplx>, RunProfile) {
+    let exec = ParallelExecutor::with_auto_barrier(p);
+    profile_run(plan.n, p, &plan.stage_labels(), |c| {
+        exec.try_execute_with(plan, &ramp(plan.n), &(c, timeline))
+    })
+    .expect("healthy plan must execute")
+}
+
 fn observed_run(n: usize, p: usize) -> (Timeline, RunProfile, Plan) {
     let plan = balanced_plan(n, p);
-    let exec = ParallelExecutor::with_auto_barrier(p);
     let timeline = Timeline::new(p);
-    let (out, profile) = exec
-        .try_execute_observed(&plan, &ramp(n), &timeline)
-        .expect("healthy plan must execute");
+    let (out, profile) = profile_into(&plan, p, &timeline);
     assert_eq!(out.len(), n);
     (timeline, profile, plan)
 }
@@ -126,8 +132,7 @@ fn static_timeline_checker_passes_a_real_run() {
 #[test]
 fn chrome_export_of_real_run_is_well_formed() {
     let (timeline, _, plan) = observed_run(1 << 10, 2);
-    let labels: Vec<String> = plan.steps.iter().map(|s| s.label()).collect();
-    let json = timeline.chrome_trace(&labels);
+    let json = timeline.chrome_trace(&plan.stage_labels());
     let doc: Value = serde_json::from_str(&json).expect("export must parse");
     let Some(Value::Arr(events)) = doc.get("traceEvents") else {
         panic!("traceEvents must be an array");
@@ -169,11 +174,8 @@ fn overflowed_tiny_ring_reports_nonzero_drop_count_in_profile() {
     let n = 1 << 10;
     let p = 2;
     let plan = balanced_plan(n, p);
-    let exec = ParallelExecutor::with_auto_barrier(p);
     let timeline = Timeline::with_capacity(p, 2);
-    let (_, profile) = exec
-        .try_execute_observed(&plan, &ramp(n), &timeline)
-        .expect("healthy plan must execute");
+    let (_, profile) = profile_into(&plan, p, &timeline);
     let profile = profile.with_timeline(&timeline);
     assert!(
         timeline.total_dropped() > 0,
