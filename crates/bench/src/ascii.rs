@@ -118,36 +118,6 @@ pub fn csv(series: &[Series]) -> String {
     out
 }
 
-/// Render a value sequence as a one-line Unicode sparkline
-/// (`▁▂▃▄▅▆▇█`), scaled over the sequence's own min..max range so small
-/// relative changes stay visible. Non-finite values render as spaces;
-/// an all-equal (or single-point) sequence renders at mid height.
-pub fn sparkline(values: &[f64]) -> String {
-    const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    let (lo, hi) = finite
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(v), hi.max(v))
-        });
-    values
-        .iter()
-        .map(|&v| {
-            if !v.is_finite() {
-                ' '
-            } else if hi <= lo {
-                BLOCKS[3]
-            } else {
-                // lo/hi are the min/max over these values, so t ∈ [0, 1].
-                let t = ((v - lo) / (hi - lo)).clamp(0.0, 1.0);
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let block = (t * 7.0).round() as usize;
-                BLOCKS[block.min(7)]
-            }
-        })
-        .collect()
-}
-
 fn truncate(s: &str, n: usize) -> &str {
     if s.len() <= n {
         s
@@ -216,34 +186,5 @@ mod tests {
     fn chart_handles_empty() {
         let ch = chart("empty", &[], 10);
         assert!(ch.contains("no data"));
-    }
-
-    #[test]
-    fn sparkline_golden_ramp() {
-        // Monotone ramp hits every block level exactly once.
-        let v: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        assert_eq!(sparkline(&v), "▁▂▃▄▅▆▇█");
-    }
-
-    #[test]
-    fn sparkline_golden_vee() {
-        // Midpoint 2.0 maps to t=0.5 → round(3.5) = level 4 (`▅`).
-        assert_eq!(sparkline(&[4.0, 2.0, 0.0, 2.0, 4.0]), "█▅▁▅█");
-    }
-
-    #[test]
-    fn sparkline_scales_to_own_range() {
-        // A 1% wiggle around a large base still spans the full height:
-        // the scale is min..max, not 0..max.
-        let s = sparkline(&[1000.0, 1010.0, 1000.0]);
-        assert_eq!(s, "▁█▁");
-    }
-
-    #[test]
-    fn sparkline_flat_and_degenerate_inputs() {
-        assert_eq!(sparkline(&[5.0, 5.0, 5.0]), "▄▄▄");
-        assert_eq!(sparkline(&[7.0]), "▄");
-        assert_eq!(sparkline(&[]), "");
-        assert_eq!(sparkline(&[1.0, f64::NAN, 3.0]), "▁ █");
     }
 }

@@ -9,7 +9,7 @@
 //! both paths on the host and reports per-transform medians, so the
 //! ≥1.5× acceptance bound is a recorded number, not an assumption.
 
-use crate::history::{mad, median, pseudo_gflops, BenchEntry};
+use crate::history::{mad, median};
 use serde::Serialize;
 use spiral_codegen::{BatchExecutor, ParallelExecutor};
 use spiral_search::{CostModel, Tuner};
@@ -138,33 +138,6 @@ pub fn measure_batch_rows(
     rows
 }
 
-/// The batched path of each row as a bench-history grid point:
-/// per-transform timings keyed by `(log2n, threads, batch)`, so the
-/// regression harness tracks batched throughput alongside the batch=1
-/// grid.
-pub fn rows_to_entries(rows: &[BatchRow], reps: usize) -> Vec<BenchEntry> {
-    rows.iter()
-        .map(|r| {
-            let n = 1usize << r.log2n;
-            BenchEntry {
-                log2n: r.log2n,
-                threads: r.threads,
-                batch: r.batch,
-                connections: 1,
-                backend: crate::history::backend_from_choice(&r.batch_choice).to_string(),
-                plan_kind: format!("batched {}", r.batch_choice),
-                reps: reps as u64,
-                median_us: r.batch_us,
-                mad_us: r.batch_mad_us,
-                p99_us: 0.0,
-                p999_us: 0.0,
-                gflops: pseudo_gflops(n, r.batch_us),
-                gflops_mad: 0.0,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,15 +153,5 @@ mod tests {
             assert!(r.speedup.is_finite() && r.speedup > 0.0);
             assert!(!r.batch_choice.is_empty());
         }
-    }
-
-    #[test]
-    fn history_entries_carry_the_batch_key() {
-        let rows = measure_batch_rows(&[5], &[2], 3, 2);
-        let entries = rows_to_entries(&rows, 2);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].batch, 3);
-        assert!(entries[0].plan_kind.starts_with("batched "));
-        assert!(entries[0].gflops > 0.0);
     }
 }

@@ -1,21 +1,22 @@
-//! `bench` — the benchmark-history CLI.
+//! `bench` — the benchmark-history CLI over perfbench results.
 //!
 //! ```text
-//! bench history record  [--out FILE] [--sizes 8,10] [--threads 1,2] [--reps 5] [--batch 32]
+//! bench history record  --from FILE --workload W --seed S --commit SHA [--out FILE]
 //! bench history compare [--file FILE] [--mad-factor 4.0] [--min-drop 0.05]
 //! bench history show    [--file FILE]
 //! ```
 //!
-//! `record` measures a (sizes × threads) grid of tuned transforms and
-//! appends a run to the history file (default
-//! `results/BENCH_<host>.json`, file created on first use). `compare`
-//! checks the latest run against the most recent earlier run on the
-//! same host and exits 1 if any grid point regressed beyond its
-//! noise-aware threshold — the CI contract. `show` prints the stored
-//! trajectories as sparklines.
+//! `record` reads the last non-empty line of a saved perfbench stdout,
+//! checks it against `BENCHMARK.json`, and appends it as one run to the
+//! history file (default `BENCH_<host>.json` in the working directory,
+//! the repository root; created on first use). `compare` compares the
+//! last two commits recorded on the latest run's host and exits 1 on any
+//! regression — the CI contract. `show` prints each end-to-end metric's
+//! per-commit medians as the trajectory.
 
-use spiral_bench::ascii::sparkline;
-use spiral_bench::history::{compare_latest, measure_grid, BenchHistory, BenchHost, CompareOpts};
+use spiral_bench::history::{
+    compare_last_two, declaration, BenchHistory, BenchHost, BenchRun, CompareOpts,
+};
 use std::path::PathBuf;
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
 }
 
 const USAGE: &str = "usage:
-  bench history record  [--out FILE] [--sizes 8,10] [--threads 1,2] [--reps 5] [--batch 32]
+  bench history record  --from FILE --workload W --seed S --commit SHA [--out FILE]
   bench history compare [--file FILE] [--mad-factor 4.0] [--min-drop 0.05]
   bench history show    [--file FILE]";
 
@@ -63,7 +64,7 @@ fn history_cmd(args: &[String]) -> Result<i32, String> {
 
 fn flag_names(sub: &str) -> Result<&'static [&'static str], String> {
     match sub {
-        "record" => Ok(&["--out", "--sizes", "--threads", "--reps", "--batch"]),
+        "record" => Ok(&["--from", "--workload", "--seed", "--commit", "--out"]),
         "compare" => Ok(&["--file", "--mad-factor", "--min-drop"]),
         "show" => Ok(&["--file"]),
         other => Err(format!(
@@ -100,86 +101,43 @@ fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-fn default_path() -> PathBuf {
-    PathBuf::from(format!(
-        "results/BENCH_{}.json",
-        BenchHost::current().slug()
-    ))
+fn required<'a>(flags: &'a [(String, String)], name: &str) -> Result<&'a str, String> {
+    flag(flags, name).ok_or_else(|| format!("{name} is required"))
 }
 
 fn history_path(flags: &[(String, String)], key: &str) -> PathBuf {
-    flag(flags, key).map_or_else(default_path, PathBuf::from)
-}
-
-fn parse_list(s: &str, what: &str) -> Result<Vec<usize>, String> {
-    s.split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad {what} entry `{t}`"))
-        })
-        .collect()
+    flag(flags, key).map_or_else(
+        || PathBuf::from(format!("BENCH_{}.json", BenchHost::current().slug())),
+        PathBuf::from,
+    )
 }
 
 fn record(flags: &[(String, String)]) -> Result<i32, String> {
-    let path = history_path(flags, "--out");
-    let sizes: Vec<u32> = parse_list(flag(flags, "--sizes").unwrap_or("8,10"), "--sizes")?
-        .into_iter()
-        .map(|k| u32::try_from(k).expect("log2 size fits u32"))
-        .collect();
-    let threads = parse_list(flag(flags, "--threads").unwrap_or("1,2"), "--threads")?;
-    let reps: usize = flag(flags, "--reps")
-        .unwrap_or("5")
+    let from = required(flags, "--from")?;
+    let workload = required(flags, "--workload")?;
+    let commit = required(flags, "--commit")?;
+    let seed: u64 = required(flags, "--seed")?
         .parse()
-        .map_err(|_| "bad --reps value".to_string())?;
+        .map_err(|_| "bad --seed value".to_string())?;
+    let path = history_path(flags, "--out");
 
-    let batch: Option<usize> = match flag(flags, "--batch") {
-        Some(v) => Some(v.parse().map_err(|_| "bad --batch value".to_string())?),
-        None => None,
-    };
-
+    let bytes = std::fs::read(from).map_err(|e| format!("reading {from}: {e}"))?;
+    let run = BenchRun::from_perfbench(&bytes, commit, workload, seed)
+        .map_err(|e| format!("{from}: {e}"))?;
     let mut history = BenchHistory::load(&path)?;
-    let mut run = measure_grid(&sizes, &threads, reps);
-    if let Some(b) = batch {
-        // Batched grid points ride along in the same run, keyed by
-        // (log2n, threads, batch) so compare/trajectory track them
-        // separately from the batch=1 grid.
-        let rows = spiral_bench::batch::measure_batch_rows(&sizes, &threads, b, reps);
-        run.entries
-            .extend(spiral_bench::batch::rows_to_entries(&rows, reps));
-    }
-    if run.entries.is_empty() {
-        return Err("no grid point was measurable (sizes too small for the thread counts?)".into());
-    }
-    println!(
-        "recorded run on {} ({} grid points, {} reps each):",
-        run.host.name,
-        run.entries.len(),
-        reps
-    );
-    for e in &run.entries {
-        println!(
-            "  n=2^{:<2} p={} b={:<3} c={:<3} {:>8.1} µs (±{:.1})  {:>6.3} GF/s (±{:.3})  [{}]",
-            e.log2n,
-            e.threads,
-            e.batch,
-            e.connections,
-            e.median_us,
-            e.mad_us,
-            e.gflops,
-            e.gflops_mad,
-            e.plan_kind
-        );
-    }
     history.append(run);
-    history.validate()?;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    }
     history.save(&path)?;
+    let run = history.runs.last().expect("just appended");
     println!(
-        "history: {} run(s) in {}",
-        history.runs.len(),
+        "recorded run #{} ({} {} seed {}{}, {} metric(s), {}/{} failed) in {}",
+        run.seq,
+        run.commit,
+        run.workload,
+        run.seed,
+        if run.is_traced() { ", traced" } else { "" },
+        run.metrics.len(),
+        run.failed,
+        run.attempted,
         path.display()
     );
     Ok(0)
@@ -198,45 +156,49 @@ fn compare(flags: &[(String, String)]) -> Result<i32, String> {
             .map_err(|_| "bad --min-drop value".to_string())?,
     };
     let history = BenchHistory::load(&path)?;
-    let Some(report) = compare_latest(&history, &opts) else {
+    let Some(report) = compare_last_two(&history, &opts) else {
         println!(
-            "{}: no runs recorded yet — nothing to compare",
+            "{}: fewer than two commits recorded on the latest run's host — nothing to compare",
             path.display()
         );
         return Ok(0);
     };
-    if report.lines.is_empty() {
-        println!(
-            "{}: no comparable baseline (first run on this host, or new grid points); \
-             {} point(s) unmatched",
-            path.display(),
-            report.unmatched
-        );
-        return Ok(0);
-    }
     println!(
-        "comparing latest run against baseline ({}; threshold = max({}·MAD/base, {:.0}%)):",
+        "{}: {} (base) → {} (head) on {}; regressed = worse by > max({}·MAD/base, {:.0}%), \
+         gain = head wins ≥ 9/10 same-seed pairs and moves the median by > base IQR",
         path.display(),
+        report.base_commit,
+        report.head_commit,
+        report.host,
         opts.mad_factor,
         100.0 * opts.min_rel_drop
     );
+    println!(
+        "  {:<9} {:<19} {:>28}  {:>28}  {:>7} {:>6} {:>6}  verdict",
+        "workload", "metric", "base q1 / median / q3", "head q1 / median / q3", "wins", "Δ", "tol"
+    );
     for l in &report.lines {
         println!(
-            "  n=2^{:<2} p={} b={:<3} c={:<3} {:>6.3} → {:>6.3} GF/s  {:>+6.1}% (tol {:.1}%)  {}  {}",
-            l.log2n,
-            l.threads,
-            l.batch,
-            l.connections,
-            l.base_gflops,
-            l.cur_gflops,
-            100.0 * l.rel_delta,
+            "  {:<9} {:<19} {:>28}  {:>28}  {:>3}/{:<3} {:>+5.1}% {:>5.1}%  {}",
+            l.workload,
+            l.metric,
+            format!("{:.4} / {:.4} / {:.4}", l.base[0], l.base[1], l.base[2]),
+            format!("{:.4} / {:.4} / {:.4}", l.head[0], l.head[1], l.head[2]),
+            l.head_wins,
+            l.pairs,
+            100.0 * l.rel_gain,
             100.0 * l.threshold,
-            sparkline(&l.trajectory),
-            if l.regressed { "REGRESSED" } else { "ok" }
+            l.verdict
         );
     }
-    if report.unmatched > 0 {
-        println!("  ({} point(s) had no baseline)", report.unmatched);
+    for f in &report.failed {
+        println!(
+            "  {:<9} failed share {:.6} → {:.6}  {}",
+            f.workload,
+            f.base,
+            f.head,
+            if f.head > f.base { "regressed" } else { "ok" }
+        );
     }
     let regressions = report.regressions();
     if regressions > 0 {
@@ -250,41 +212,39 @@ fn compare(flags: &[(String, String)]) -> Result<i32, String> {
 fn show(flags: &[(String, String)]) -> Result<i32, String> {
     let path = history_path(flags, "--file");
     let history = BenchHistory::load(&path)?;
-    if history.runs.is_empty() {
+    let Some(host) = history.latest_host() else {
         println!("{}: empty history", path.display());
         return Ok(0);
-    }
+    };
+    let commits = history.commits(host);
     println!(
-        "{}: {} run(s), schema v{}",
+        "{}: {} run(s), schema v{}; host {}: {} commit(s), oldest first: {}",
         path.display(),
         history.runs.len(),
-        history.schema
+        history.schema,
+        host,
+        commits.len(),
+        commits.join(" ")
     );
-    let latest = history.runs.last().expect("non-empty");
-    println!(
-        "latest: run #{} on {} ({} cores, µ={})",
-        latest.seq, latest.host.name, latest.host.fingerprint.cores, latest.host.fingerprint.mu
-    );
-    for e in &latest.entries {
-        let traj = history.trajectory(
-            e.log2n,
-            e.threads,
-            e.batch,
-            e.connections,
-            &e.backend,
-            &latest.host.name,
-        );
-        println!(
-            "  n=2^{:<2} p={} b={:<3} c={:<3} {:<6} {:>6.3} GF/s  {}  ({} run(s))",
-            e.log2n,
-            e.threads,
-            e.batch,
-            e.connections,
-            e.backend,
-            e.gflops,
-            sparkline(&traj),
-            traj.len()
-        );
+    for workload in history.workloads(host) {
+        for spec in &declaration().end_to_end {
+            let t = history.trajectory(host, workload, &spec.name);
+            if t.is_empty() {
+                continue;
+            }
+            let points: Vec<String> = t
+                .iter()
+                .map(|(c, m, n)| format!("{c} {m:.4} ({n})"))
+                .collect();
+            println!(
+                "  {:<9} {:<19} [{}, {} is better]  {}",
+                workload,
+                spec.name,
+                spec.unit,
+                spec.better,
+                points.join(" → ")
+            );
+        }
     }
     Ok(0)
 }

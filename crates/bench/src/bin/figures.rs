@@ -21,7 +21,7 @@
 //! figures certify [--min 2] [--max 6] [--threads 4] [--out results/]
 //! figures serve-load [--min 6] [--max 8] [--workers 2] [--connections 4] [--requests 32]
 //!                    [--batch 8] [--deadline-ms 0] [--wisdom PATH] [--require-warm 0|1]
-//!                    [--history FILE] [--out results/]
+//!                    [--out results/]
 //! figures serve-dash [--size 8] [--workers 2] [--connections 4] [--requests 32] [--out results/]
 //! figures ablation-serve-metrics [--size 8] [--workers 2] [--connections 4] [--requests 64]
 //!                    [--out results/]
@@ -149,7 +149,6 @@ const COMMANDS: &[CmdSpec] = &[
             "deadline-ms",
             "wisdom",
             "require-warm",
-            "history",
             "out",
         ],
     },
@@ -983,8 +982,7 @@ fn run_batch(opts: &HashMap<String, String>, out_dir: Option<&str>) {
 
 /// ABL-SIMD: the tuner winner compiled under both backends — the
 /// `vec(ν)` tag stripped or added at the detected width — and timed on
-/// the host; the recorded evidence behind the bench history's backend
-/// dimension.
+/// the host.
 fn run_abl_simd(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     use spiral_bench::simd_ablation::{simd_ablation, validate_file};
 
@@ -1087,10 +1085,9 @@ fn run_certify(opts: &HashMap<String, String>, out_dir: Option<&str>) {
 }
 
 /// SERVE-LOAD: drive the network tier through the single / warm /
-/// overload phases, record the artifact, optionally append the grid
-/// points to a bench history, and gate on the robustness contract:
-/// zero client-visible protocol errors, warm p99 within the deadline,
-/// overload actually shed (`Overloaded` seen), and — under
+/// overload phases, record the artifact, and gate on the robustness
+/// contract: zero client-visible protocol errors, warm p99 within the
+/// deadline, overload actually shed (`Overloaded` seen), and — under
 /// `--require-warm 1` — zero tuner invocations (the warm-path
 /// invariant).
 fn run_serve_load(opts: &HashMap<String, String>, out_dir: Option<&str>) {
@@ -1201,15 +1198,6 @@ fn run_serve_load(opts: &HashMap<String, String>, out_dir: Option<&str>) {
         write_artifact(&path, &serde_json::to_string_pretty(&file).unwrap());
         println!("wrote {path}");
     }
-    if let Some(hist_path) = opts.get("history") {
-        match append_serve_history(&file, std::path::Path::new(hist_path)) {
-            Ok(count) => println!("history: appended {count} grid point(s) to {hist_path}"),
-            Err(e) => {
-                eprintln!("serve-load: history append failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 
     let mut failures = Vec::new();
     let protocol_errors: u64 = file.rows.iter().map(|r| r.protocol_errors).sum();
@@ -1259,37 +1247,6 @@ fn run_serve_load(opts: &HashMap<String, String>, out_dir: Option<&str>) {
         std::process::exit(1);
     }
     println!("serve-load: contract holds (shed under overload, warm p99 within deadline)");
-}
-
-/// Append the serve-load grid points as one run in a bench history
-/// file (creating it if missing).
-fn append_serve_history(
-    file: &spiral_bench::serve_load::ServeLoadFile,
-    path: &std::path::Path,
-) -> Result<usize, String> {
-    use spiral_bench::history::{BenchHistory, BenchRun};
-    let entries = spiral_bench::serve_load::rows_to_entries(file);
-    if entries.is_empty() {
-        return Err("no successful requests to record".to_string());
-    }
-    let count = entries.len();
-    let mut history = BenchHistory::load(path)?;
-    history.append(BenchRun {
-        seq: 0, // assigned by append
-        unix_ms: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
-        host: file.host.clone(),
-        entries,
-    });
-    history.validate()?;
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-    }
-    history.save(path)?;
-    Ok(count)
 }
 
 /// The SERVE-DASH dashboard artifact: one warm load run's telemetry,

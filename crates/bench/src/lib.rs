@@ -6,8 +6,8 @@
 //! * [`ascii`] — terminal tables/charts and CSV output;
 //! * [`ablations`] — false-sharing, scheduling-grain, six-step, and
 //!   search-strategy ablations;
-//! * [`history`] — longitudinal `BENCH_<host>.json` benchmark history
-//!   with noise-aware regression comparison (the `bench` binary);
+//! * [`history`] — the `BENCH_<host>.json` record of perfbench runs
+//!   per commit, with noise-aware comparison (the `bench` binary);
 //! * [`batch`] — BATCH: batched small-DFT throughput vs per-transform
 //!   dispatch, the serving layer's speedup measurement;
 //! * [`certify`] — CERT: the static certification sweep (exact

@@ -1,9 +1,8 @@
 //! SERVE-LOAD: served throughput and latency under concurrency.
 //!
-//! The in-process grid ([`crate::history::measure_grid`]) answers "how
-//! fast does a transform execute"; this module answers "how fast does
-//! the *network tier* serve it" — round-trip latency percentiles over
-//! the wire, measured in three phases per size:
+//! This module answers "how fast does the *network tier* serve a
+//! transform" — round-trip latency percentiles over the wire, measured
+//! in three phases per size:
 //!
 //! * **single** — one blocking client: the uncontended round-trip
 //!   baseline;
@@ -18,11 +17,9 @@
 //!   the proof that shedding protected them.
 //!
 //! The result is a schema-versioned `serve_load.json` artifact (golden
-//! under `results/`) plus [`rows_to_entries`] grid points for the
-//! longitudinal bench history, keyed by `(log2n, threads, batch,
-//! connections)`.
+//! under `results/`).
 
-use crate::history::{pseudo_gflops, BenchEntry, BenchHost};
+use crate::history::BenchHost;
 use serde::{Deserialize, Serialize};
 use spiral_serve::{drive, percentile_us, LoadSpec, PlanService, Server, ServerConfig};
 use std::sync::Arc;
@@ -53,8 +50,8 @@ pub struct ServeLoadRow {
     /// `"single"`, `"warm"`, or `"overload"`.
     pub phase: String,
     /// Tuner choice of the served (sequential, per-transform) plan —
-    /// e.g. `"sequential tree (8 x 8) + vec(4)"`. Carries the execution
-    /// backend into the bench history.
+    /// e.g. `"sequential tree (8 x 8) + vec(4)"`, which names the
+    /// execution backend that served the phase.
     pub plan_kind: String,
     /// Requests the clients attempted.
     pub requests: u64,
@@ -413,48 +410,6 @@ pub fn measure_metrics_overhead(opts: &ServeLoadOpts) -> Result<MetricsOverheadF
     Ok(file)
 }
 
-/// The measured phases as bench-history grid points, keyed by `(log2n,
-/// threads, batch, connections)`. The per-transform median is the `Ok`
-/// round-trip p50 divided by the batch size — wire overhead included,
-/// which is the point: the history tracks *served* throughput. Rows
-/// with no successful requests are skipped, as are rows whose key a
-/// previous row already claimed (a warm phase configured with one
-/// connection collides with the single phase).
-pub fn rows_to_entries(file: &ServeLoadFile) -> Vec<BenchEntry> {
-    let mut seen = std::collections::HashSet::new();
-    let mut entries = Vec::new();
-    for r in &file.rows {
-        if r.ok == 0 || r.p50_us == 0 {
-            continue;
-        }
-        if !seen.insert((r.log2n, r.batch, r.connections)) {
-            continue;
-        }
-        let n = 1usize << r.log2n;
-        let per_transform_us = r.p50_us as f64 / r.batch.max(1) as f64;
-        // Robust spread proxy: half the p50→p95 gap, per transform.
-        let spread_us = (r.p95_us.saturating_sub(r.p50_us)) as f64 / (2.0 * r.batch.max(1) as f64);
-        let gflops = pseudo_gflops(n, per_transform_us);
-        let gflops_spread = (gflops - pseudo_gflops(n, per_transform_us + spread_us)).abs();
-        entries.push(BenchEntry {
-            log2n: r.log2n,
-            threads: file.workers,
-            batch: r.batch,
-            connections: r.connections,
-            backend: crate::history::backend_from_choice(&r.plan_kind).to_string(),
-            plan_kind: format!("served {}", r.phase),
-            reps: r.ok,
-            median_us: per_transform_us,
-            mad_us: spread_us,
-            p99_us: r.p99_us as f64 / r.batch.max(1) as f64,
-            p999_us: r.p999_us as f64 / r.batch.max(1) as f64,
-            gflops,
-            gflops_mad: gflops_spread,
-        });
-    }
-    entries
-}
-
 /// Aggregate sanity check used by tests and the smoke gate: every
 /// phase's client-side tallies are internally consistent.
 pub fn validate_file(file: &ServeLoadFile) -> Result<(), String> {
@@ -541,25 +496,6 @@ mod tests {
         let json = serde_json::to_string_pretty(&file).expect("serializes");
         let back: ServeLoadFile = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, file);
-    }
-
-    #[test]
-    fn history_entries_carry_the_connections_key() {
-        let file = measure_serve_load(&quick_opts()).expect("measurement runs");
-        let entries = rows_to_entries(&file);
-        assert!(!entries.is_empty());
-        assert!(entries.iter().any(|e| e.connections == 1));
-        assert!(entries.iter().any(|e| e.connections > 1));
-        for e in &entries {
-            assert!(e.gflops > 0.0, "{e:?}");
-            assert!(e.plan_kind.starts_with("served "), "{e:?}");
-        }
-        // The entries slot into a valid history.
-        let mut h = crate::history::BenchHistory::default();
-        let mut run = crate::history::measure_grid(&[5], &[1], 2);
-        run.entries.extend(entries);
-        h.append(run);
-        h.validate().expect("serve-load entries validate");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! differ only in which kernel stages take the ν-lane path, so the
 //! ratio is the vectorization speedup and nothing else: same split
 //! tree, same twiddles, same exchange fusion. The artifact
-//! (`results/simd_ablation.json`) is the recorded evidence behind the
-//! backend dimension of the bench history: vector points must earn
-//! their keep against the scalar kernel path, not against a strawman.
+//! (`results/simd_ablation.json`) is the recorded evidence that vector
+//! plans earn their keep against the scalar kernel path, not against a
+//! strawman.
 
 use crate::history::BenchHost;
 use serde::{Deserialize, Serialize};

@@ -5,117 +5,60 @@
 //! `BENCH_SCHEMA_VERSION` and regenerate with `UPDATE_GOLDEN=1 cargo
 //! test -p spiral-bench --test history_golden`.
 
-use spiral_bench::history::{BenchEntry, BenchHistory, BenchHost, BenchRun, BENCH_SCHEMA_VERSION};
+use spiral_bench::history::{BenchHistory, BenchHost, BenchRun, MetricValue, BENCH_SCHEMA_VERSION};
 use spiral_smp::topology::HostFingerprint;
 
 fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_history_schema.json")
 }
 
-/// A fully populated, deterministic history exercising every field.
+/// A fully populated, deterministic history exercising every field: an
+/// untraced run and a traced run.
 /// Fixed literals, NOT `BenchHost::current()`: the golden must be
 /// byte-identical on every machine that runs this test.
 fn representative_history() -> BenchHistory {
     let host = BenchHost {
         name: "example-host".to_string(),
         fingerprint: HostFingerprint {
-            cores: 4,
+            cores: 2,
             mu: 4,
             cache_line_bytes: 64,
             simd_width: 4,
-            features: vec!["trace".to_string(), "simd4".to_string()],
+            features: vec!["simd4".to_string()],
         },
+    };
+    let run = |seq, metrics: &[(&str, f64, &str)]| BenchRun {
+        seq,
+        unix_ms: 1_700_000_000_000 + 60_000 * seq,
+        host: host.clone(),
+        commit: "0ad9c9f".to_string(),
+        workload: "fft-seq".to_string(),
+        seed: 1,
+        attempted: 262_144,
+        failed: 0,
+        metrics: metrics
+            .iter()
+            .map(|&(name, value, unit)| {
+                let unit = unit.to_string();
+                (name.to_string(), MetricValue { value, unit })
+            })
+            .collect(),
     };
     BenchHistory {
         schema: BENCH_SCHEMA_VERSION,
         runs: vec![
-            BenchRun {
-                seq: 1,
-                unix_ms: 1_700_000_000_000,
-                host: host.clone(),
-                entries: vec![BenchEntry {
-                    log2n: 12,
-                    threads: 2,
-                    batch: 1,
-                    connections: 1,
-                    backend: "scalar".to_string(),
-                    plan_kind: "multicore split 64x64".to_string(),
-                    reps: 5,
-                    median_us: 120.5,
-                    mad_us: 2.25,
-                    p99_us: 125.0,
-                    p999_us: 130.25,
-                    gflops: 1.75,
-                    gflops_mad: 0.03,
-                }],
-            },
-            BenchRun {
-                seq: 2,
-                unix_ms: 1_700_000_060_000,
-                host,
-                entries: vec![
-                    BenchEntry {
-                        log2n: 12,
-                        threads: 2,
-                        batch: 1,
-                        connections: 1,
-                        backend: "scalar".to_string(),
-                        plan_kind: "multicore split 64x64".to_string(),
-                        reps: 5,
-                        median_us: 118.0,
-                        mad_us: 1.5,
-                        p99_us: 121.0,
-                        p999_us: 124.5,
-                        gflops: 1.79,
-                        gflops_mad: 0.02,
-                    },
-                    BenchEntry {
-                        log2n: 12,
-                        threads: 2,
-                        batch: 1,
-                        connections: 1,
-                        backend: "vector".to_string(),
-                        plan_kind: "multicore split 64x64 + vec(4)".to_string(),
-                        reps: 5,
-                        median_us: 95.0,
-                        mad_us: 1.2,
-                        p99_us: 97.5,
-                        p999_us: 101.0,
-                        gflops: 2.22,
-                        gflops_mad: 0.02,
-                    },
-                    BenchEntry {
-                        log2n: 8,
-                        threads: 2,
-                        batch: 32,
-                        connections: 1,
-                        backend: "scalar".to_string(),
-                        plan_kind: "batched sequential 2^8".to_string(),
-                        reps: 5,
-                        median_us: 4.2,
-                        mad_us: 0.1,
-                        p99_us: 0.0,
-                        p999_us: 0.0,
-                        gflops: 2.4,
-                        gflops_mad: 0.05,
-                    },
-                    BenchEntry {
-                        log2n: 8,
-                        threads: 2,
-                        batch: 8,
-                        connections: 8,
-                        backend: "vector".to_string(),
-                        plan_kind: "served sequential 2^8".to_string(),
-                        reps: 64,
-                        median_us: 350.0,
-                        mad_us: 12.0,
-                        p99_us: 410.0,
-                        p999_us: 520.0,
-                        gflops: 0.03,
-                        gflops_mad: 0.002,
-                    },
+            run(
+                1,
+                &[
+                    ("setup_s", 0.125, "s"),
+                    ("small_vs_iterative", 1.25, "x"),
+                    ("large_vs_iterative", 1.0625, "x"),
                 ],
-            },
+            ),
+            run(
+                2,
+                &[("e2e.p50_us", 3.5, "us"), ("trace.spans", 4096.0, "count")],
+            ),
         ],
     }
 }

@@ -168,6 +168,32 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+impl<T: Serialize> Serialize for std::collections::BTreeMap<String, T> {
+    fn to_value(&self) -> Value {
+        Value::Obj(
+            self.iter()
+                .map(|(k, v)| (k.clone(), v.to_value()))
+                .collect(),
+        )
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::collections::BTreeMap<String, T> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let Value::Obj(fields) = v else {
+            return Err(Error(format!("expected object, got {v:?}")));
+        };
+        let mut map = std::collections::BTreeMap::new();
+        for (k, val) in fields {
+            let parsed = T::from_value(val).map_err(|e| Error(format!("key {k}: {}", e.0)))?;
+            if map.insert(k.clone(), parsed).is_some() {
+                return Err(Error(format!("duplicate key {k}")));
+            }
+        }
+        Ok(map)
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
@@ -198,6 +224,16 @@ mod tests {
         let v = vec![1usize, 2, 3];
         assert_eq!(Vec::<usize>::from_value(&v.to_value()).unwrap(), v);
         assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
+        let m: std::collections::BTreeMap<String, u32> = [("a".to_string(), 1)].into();
+        assert_eq!(
+            std::collections::BTreeMap::<String, u32>::from_value(&m.to_value()).unwrap(),
+            m
+        );
+        let dup = Value::Obj(vec![
+            ("a".into(), Value::Num(1.0)),
+            ("a".into(), Value::Num(2.0)),
+        ]);
+        assert!(std::collections::BTreeMap::<String, u32>::from_value(&dup).is_err());
     }
 
     #[test]

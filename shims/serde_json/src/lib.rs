@@ -43,6 +43,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -163,9 +164,14 @@ fn print_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest value nesting the parser accepts (serde_json's default
+/// recursion limit): deeper input is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -200,6 +206,19 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = self.parse_nested();
+        self.depth -= 1;
+        v
+    }
+
+    fn parse_nested(&mut self) -> Result<Value, Error> {
         match self.peek()? {
             b'n' => self.literal("null", Value::Null),
             b't' => self.literal("true", Value::Bool(true)),
@@ -374,6 +393,7 @@ mod tests {
             let mut p = Parser {
                 bytes: text.as_bytes(),
                 pos: 0,
+                depth: 0,
             };
             assert_eq!(p.parse_value().unwrap(), v);
         }
@@ -391,6 +411,9 @@ mod tests {
         }
         assert!(from_str::<f64>("1.2.3").is_err());
         assert!(from_str::<f64>("[1,").is_err());
+        let deep = "[".repeat(100_000);
+        let err = from_str::<Value>(&deep).unwrap_err();
+        assert!(err.0.contains("nesting deeper than"), "{err}");
     }
 
     struct VWrap(Value);
