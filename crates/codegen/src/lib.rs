@@ -67,7 +67,7 @@ pub use codelet::Codelet;
 pub use hook::{MemHook, NullHook, Region};
 pub use lower::{lower_seq, LowerError};
 pub use parallel::{ExecOutcome, ParallelExecutor};
-pub use plan::{install_validator, Plan, PlanValidator, PlanWorkspace, Step};
+pub use plan::{install_validator, Plan, PlanShape, PlanValidator, PlanWorkspace, Step};
 pub use simd::detected_simd_width;
 pub use spiral_smp::SpiralError;
 pub use vectorize::{stage_alignment, vectorize_plan, vectorize_program};

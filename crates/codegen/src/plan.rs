@@ -102,6 +102,39 @@ impl Step {
     }
 }
 
+/// The integers a structural cost model reads off a plan. A lowered
+/// plan reports its own ([`Plan::shape`]); a search can also compute
+/// the same summary from a formula's structure without building any
+/// tables ([`PlanShape::sequential`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct PlanShape {
+    /// Transform size.
+    pub n: usize,
+    /// Total real flops of one execution ([`Plan::flops`]).
+    pub flops: u64,
+    /// Flops inside vector-marked kernel stages ([`Plan::vec_flops`]).
+    pub vec_flops: u64,
+    /// Synchronization-delimited steps ([`Plan::barriers`]).
+    pub steps: usize,
+    /// Lane width ν of the vector-marked stages (1 = scalar).
+    pub vec_width: usize,
+}
+
+impl PlanShape {
+    /// Shape of an untagged sequential formula with at least one kernel
+    /// and `flops` real flops: [`Plan::from_formula`] fuses it into one
+    /// scalar [`Step::Seq`].
+    pub fn sequential(n: usize, flops: u64) -> PlanShape {
+        PlanShape {
+            n,
+            flops,
+            vec_flops: 0,
+            steps: 1,
+            vec_width: 1,
+        }
+    }
+}
+
 /// A compiled transform.
 #[derive(Clone, Debug)]
 pub struct Plan {
@@ -183,6 +216,17 @@ impl Plan {
                 Step::Exchange { .. } | Step::ScaleAll(_) => 0,
             })
             .sum()
+    }
+
+    /// The structural summary a cost model reads ([`PlanShape`]).
+    pub fn shape(&self) -> PlanShape {
+        PlanShape {
+            n: self.n,
+            flops: self.flops(),
+            vec_flops: self.vec_flops(),
+            steps: self.steps.len(),
+            vec_width: self.vec_width,
+        }
     }
 
     /// Merge every `Exchange` step into the immediately following `Par`

@@ -1,21 +1,21 @@
 //! Cost models for the search engine (the paper's evaluation level:
 //! "the actual runtime is measured", plus cheaper surrogates).
 
-use spiral_codegen::plan::Plan;
-use spiral_codegen::{ParallelExecutor, SpiralError};
+use spiral_codegen::lower::MAX_CODELET;
+use spiral_codegen::plan::{Plan, PlanShape};
+use spiral_codegen::{Codelet, ParallelExecutor, SpiralError};
 use spiral_rewrite::RuleTree;
 use spiral_sim::{simulate_plan, MachineSpec};
 use spiral_smp::panic_payload;
 use spiral_spl::cplx::{first_non_finite, Cplx};
-use spiral_spl::Spl;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// How candidate implementations are costed.
 pub enum CostModel {
-    /// Structural estimate: flops + weighted memory traffic of the
-    /// compiled plan. Deterministic and fast — good for tests and as a
-    /// DP pre-filter.
+    /// Structural estimate from a [`PlanShape`] (a rule tree's:
+    /// [`tree_shape`]); runs nothing. The tuner ranks by it, then
+    /// verifies and certifies candidates in rank order until one passes.
     Analytic,
     /// Cycle estimate from the machine simulator (deterministic).
     Sim {
@@ -35,21 +35,13 @@ pub enum CostModel {
 
 impl CostModel {
     /// Cost of executing `plan` once (lower is better; units depend on
-    /// the model — they are only compared within one model). Failed
-    /// measurements (panics, watchdog expiries, non-finite results) cost
-    /// `+∞`, so comparisons against healthy candidates stay valid; use
-    /// [`try_cost`](Self::try_cost) when the failure reason matters.
-    pub fn cost(&self, plan: &Plan) -> f64 {
-        self.try_cost(plan).unwrap_or(f64::INFINITY)
-    }
-
-    /// Cost of executing `plan` once, propagating measurement failures.
-    /// A candidate whose measurement panics, trips the executor
-    /// watchdog, or yields a non-finite time/result returns `Err`
-    /// instead of poisoning the search with a bogus number.
+    /// the model — they are only compared within one model). A
+    /// candidate whose measurement panics, trips the executor watchdog,
+    /// or yields a non-finite time/result returns `Err` instead of
+    /// poisoning the search with a bogus number.
     pub fn try_cost(&self, plan: &Plan) -> Result<f64, SpiralError> {
         let c = match self {
-            CostModel::Analytic => analytic_cost(plan),
+            CostModel::Analytic => analytic_cost(&plan.shape()),
             CostModel::Sim { machine, warm } => catch_unwind(AssertUnwindSafe(|| {
                 simulate_plan(plan, machine, *warm).cycles
             }))
@@ -68,15 +60,16 @@ impl CostModel {
         Ok(c)
     }
 
-    /// Compile a sequential formula and cost it.
-    pub fn cost_formula(&self, f: &Spl, threads: usize, mu: usize) -> Option<f64> {
-        let plan = Plan::from_formula(f, threads, mu).ok()?;
-        self.try_cost(&plan).ok()
-    }
-
-    /// Cost a sequential rule tree.
+    /// Cost a sequential rule tree. The analytic model reads the tree's
+    /// [`tree_shape`] and builds nothing; the measured models compile
+    /// the expansion and run it.
     pub fn cost_tree(&self, tree: &RuleTree, mu: usize) -> Option<f64> {
-        self.cost_formula(&tree.expand().normalized(), 1, mu)
+        match self {
+            CostModel::Analytic => tree_shape(tree).map(|s| analytic_cost(&s)),
+            _ => self
+                .try_cost(&Plan::from_formula(&tree.expand().normalized(), 1, mu).ok()?)
+                .ok(),
+        }
     }
 }
 
@@ -84,12 +77,30 @@ impl CostModel {
 /// pass-heavy plans. Flops inside vector-marked stages are credited with
 /// ν-lane throughput (one vector op retires ν scalar lanes), so the
 /// search sees the vec(ν) dimension even under the structural model.
-fn analytic_cost(plan: &Plan) -> f64 {
-    // Each step reads and writes the whole vector once.
-    let mem_ops = plan.steps.len() as f64 * 2.0 * plan.n as f64;
-    let nu = plan.vec_width.max(1) as f64;
-    let flops = plan.flops() as f64 - plan.vec_flops() as f64 * (1.0 - 1.0 / nu);
-    flops + 1.5 * mem_ops + 200.0 * plan.barriers() as f64
+pub fn analytic_cost(shape: &PlanShape) -> f64 {
+    // Each step reads and writes the whole vector once, then syncs.
+    let steps = shape.steps as f64;
+    let mem_ops = steps * 2.0 * shape.n as f64;
+    let nu = shape.vec_width.max(1) as f64;
+    let flops = shape.flops as f64 - shape.vec_flops as f64 * (1.0 - 1.0 / nu);
+    flops + 1.5 * mem_ops + 200.0 * steps
+}
+
+/// The [`PlanShape`] of the tree's lowered expansion, without lowering:
+/// one scalar step; leaf flops are its codelet's, `Ct(A, B)` (n = m·k)
+/// has `k·F(A) + m·F(B) + 6n` (twiddles). `None` iff lowering fails.
+pub fn tree_shape(tree: &RuleTree) -> Option<PlanShape> {
+    fn flops(t: &RuleTree) -> Option<u64> {
+        match t {
+            RuleTree::Leaf(n) if *n > MAX_CODELET => None,
+            RuleTree::Leaf(n) => Some(Codelet::for_size(*n).flops()),
+            RuleTree::Ct(a, b) => {
+                let (m, k) = (a.size() as u64, b.size() as u64);
+                Some(k * flops(a)? + m * flops(b)? + 6 * m * k)
+            }
+        }
+    }
+    Some(PlanShape::sequential(tree.size(), flops(tree)?))
 }
 
 fn try_host_time(
@@ -155,7 +166,7 @@ mod tests {
         let shallow = Plan::from_formula(&sequential_dft(64, 8), 1, 4).unwrap();
         let deep = Plan::from_formula(&sequential_dft(64, 2), 1, 4).unwrap();
         let cm = CostModel::Analytic;
-        assert!(cm.cost(&shallow) < cm.cost(&deep));
+        assert!(cm.try_cost(&shallow).unwrap() < cm.try_cost(&deep).unwrap());
     }
 
     #[test]
@@ -165,8 +176,8 @@ mod tests {
             machine: spiral_sim::core_duo(),
             warm: true,
         };
-        let a = cm.cost(&plan);
-        let b = cm.cost(&plan);
+        let a = cm.try_cost(&plan).unwrap();
+        let b = cm.try_cost(&plan).unwrap();
         assert_eq!(a, b);
         assert!(a > 0.0);
     }
@@ -178,7 +189,7 @@ mod tests {
             reps: 2,
             executor: None,
         };
-        let c = cm.cost(&plan);
+        let c = cm.try_cost(&plan).unwrap();
         assert!(c > 0.0 && c.is_finite());
     }
 

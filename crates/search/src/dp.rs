@@ -3,8 +3,9 @@
 //!
 //! DP assumes the best implementation of a sub-transform is independent
 //! of its context: `best(n) = argmin over n = m·k of Ct(best(m),
-//! best(k))`, plus the codelet-leaf option for small `n`. Each candidate
-//! is compiled and costed with the configured [`CostModel`].
+//! best(k))`, plus the codelet-leaf option for small `n`. The analytic
+//! model costs each candidate from its structure alone; the measured
+//! models compile and run each ([`CostModel::cost_tree`]).
 
 use crate::cost::CostModel;
 use spiral_rewrite::RuleTree;
@@ -18,7 +19,7 @@ pub struct SearchResult {
     pub tree: RuleTree,
     /// Its cost under the search's model.
     pub cost: f64,
-    /// Number of candidate plans compiled and costed.
+    /// Number of candidates the cost model saw.
     pub evaluated: usize,
 }
 

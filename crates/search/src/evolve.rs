@@ -106,55 +106,29 @@ fn tournament<'a, R: Rng>(
 /// Replace a uniformly chosen subtree with a fresh random tree of the
 /// same size.
 pub fn mutate<R: Rng>(t: &RuleTree, max_leaf: usize, rng: &mut R) -> RuleTree {
-    let count = subtree_count(t);
-    let target = rng.gen_range(0..count);
+    let target = rng.gen_range(0..subtrees(t).len());
     replace_nth(t, target, &mut |size| random_tree(size, max_leaf, rng)).0
 }
 
 /// Swap a random subtree of `a` with a same-size subtree of `b` (falls
 /// back to `a` clone if no size matches).
 pub fn crossover<R: Rng>(a: &RuleTree, b: &RuleTree, rng: &mut R) -> RuleTree {
-    let mut sizes_b = Vec::new();
-    collect_sizes(b, &mut sizes_b);
-    let count = subtree_count(a);
+    let (subs_a, subs_b) = (subtrees(a), subtrees(b));
     // Try a few times to find a donor of matching size.
     for _ in 0..8 {
-        let target = rng.gen_range(0..count);
-        if let Some(size) = nth_size(a, target) {
-            let donors: Vec<&RuleTree> = sizes_b
-                .iter()
-                .filter(|s| s.size() == size)
-                .cloned()
-                .collect();
-            if let Some(d) = donors.choose(rng) {
-                let donor = (*d).clone();
-                return replace_nth(a, target, &mut |_| donor.clone()).0;
-            }
+        let target = rng.gen_range(0..subs_a.len());
+        let size = subs_a[target].size();
+        let donors: Vec<&RuleTree> = subs_b
+            .iter()
+            .filter(|s| s.size() == size)
+            .copied()
+            .collect();
+        if let Some(d) = donors.choose(rng) {
+            let donor = (*d).clone();
+            return replace_nth(a, target, &mut |_| donor.clone()).0;
         }
     }
     a.clone()
-}
-
-fn subtree_count(t: &RuleTree) -> usize {
-    match t {
-        RuleTree::Leaf(_) => 1,
-        RuleTree::Ct(m, k) => 1 + subtree_count(m) + subtree_count(k),
-    }
-}
-
-fn nth_size(t: &RuleTree, n: usize) -> Option<usize> {
-    fn go(t: &RuleTree, n: &mut usize) -> Option<usize> {
-        if *n == 0 {
-            return Some(t.size());
-        }
-        *n -= 1;
-        match t {
-            RuleTree::Leaf(_) => None,
-            RuleTree::Ct(m, k) => go(m, n).or_else(|| go(k, n)),
-        }
-    }
-    let mut n = n;
-    go(t, &mut n)
 }
 
 fn replace_nth(
@@ -178,12 +152,18 @@ fn replace_nth(
     }
 }
 
-fn collect_sizes<'a>(t: &'a RuleTree, out: &mut Vec<&'a RuleTree>) {
-    out.push(t);
-    if let RuleTree::Ct(m, k) = t {
-        collect_sizes(m, out);
-        collect_sizes(k, out);
+/// Every subtree of `t`, in pre-order (the numbering of `replace_nth`).
+fn subtrees(t: &RuleTree) -> Vec<&RuleTree> {
+    fn go<'a>(t: &'a RuleTree, out: &mut Vec<&'a RuleTree>) {
+        out.push(t);
+        if let RuleTree::Ct(m, k) = t {
+            go(m, out);
+            go(k, out);
+        }
     }
+    let mut out = Vec::new();
+    go(t, &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! The full autotuning loop (Figure 1's feedback cycle): generate
-//! candidate formulas, compile, measure, pick the best.
+//! candidate formulas, compile, cost, pick the best. Every plan the
+//! tuner returns has passed static verification and dataflow
+//! certification.
 
 use crate::cost::CostModel;
 use crate::dp::dp_search;
@@ -10,6 +12,7 @@ use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use spiral_spl::builder::vec_tag;
 use spiral_spl::num::divisors;
 use spiral_spl::Spl;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -17,7 +20,7 @@ use std::time::Instant;
 /// scalar (ν = 1) plus every supported width the host actually has.
 /// Under the `force-scalar` feature of `spiral-codegen` the detected
 /// width is 1, so this collapses to `[1]` and no vector candidate is
-/// ever generated. The parallel search measures every split candidate
+/// ever generated. The parallel search offers every split candidate
 /// once per width, in this order.
 pub fn candidate_vec_widths() -> Vec<usize> {
     let host = spiral_codegen::detected_simd_width();
@@ -50,13 +53,13 @@ pub struct QuarantineEntry {
     /// The candidate's description (same format as [`Tuned::choice`]).
     pub choice: String,
     /// Why it was excluded (derivation/lowering failure, failed static
-    /// verification, or a measurement fault: panic, watchdog expiry,
-    /// non-finite cost or output).
+    /// verification or dataflow certification, or a measurement fault:
+    /// panic, watchdog expiry, non-finite cost or output).
     pub reason: String,
 }
 
-/// What the parallel search saw: how many candidates were measured and
-/// which were quarantined.
+/// What the search saw: how many candidates were costed and which were
+/// quarantined.
 #[derive(Debug, Default)]
 pub struct TuneReport {
     /// Candidates that reached the cost model.
@@ -73,6 +76,52 @@ pub struct TuneOutcome {
     pub best: Option<Tuned>,
     /// What the search evaluated and quarantined.
     pub report: TuneReport,
+}
+
+impl TuneReport {
+    /// Record a quarantined candidate, with a `TunerReject` mark.
+    fn quarantine<O: Observer>(&mut self, obs: &O, ci: usize, choice: String, reason: String) {
+        self.quarantined.push(QuarantineEntry { choice, reason });
+        if obs.active() {
+            obs.mark(0, MarkKind::TunerReject, event_index(ci), Instant::now());
+        }
+    }
+}
+
+/// Candidate indices are u32 event stages; saturate past that.
+fn event_index(ci: usize) -> u32 {
+    u32::try_from(ci).unwrap_or(u32::MAX)
+}
+
+/// A candidate's choice string and formula (`Err`: why it could not be
+/// derived).
+type Candidate = (String, Result<Spl, String>);
+
+/// `formula` scalar, then tagged with every offered vec(ν) width.
+fn vec_variants(formula: &Spl, choice: &str) -> Vec<Candidate> {
+    candidate_vec_widths()
+        .into_iter()
+        .map(|nu| match nu {
+            1 => (choice.to_string(), Ok(formula.clone())),
+            _ => (
+                format!("{choice} + vec({nu})"),
+                Ok(vec_tag(nu, formula.clone())),
+            ),
+        })
+        .collect()
+}
+
+/// The tuner's gate: the scheduling analyzer (races, false sharing,
+/// bounds, tenure — Definition 1), then the independent dataflow
+/// certifier (a plan failing it computes garbage however fast it runs).
+fn verify_and_certify(plan: &Plan) -> Result<(), String> {
+    if spiral_verify::verify_plan(plan, &spiral_verify::VerifyOptions::default()).has_errors() {
+        return Err("failed static verification".to_string());
+    }
+    match spiral_verify::certify::dataflow::certify_dataflow(plan).first() {
+        Some(f) => Err(format!("failed dataflow certification: {f}")),
+        None => Ok(()),
+    }
 }
 
 /// Autotuner for a fixed machine configuration.
@@ -102,49 +151,24 @@ impl Tuner {
     }
 
     /// Best sequential implementation of `DFT_n` (DP over rule trees,
-    /// then the scalar-vs-vec(ν) backend dimension on the DP winner).
-    /// `Err` when the DP-chosen expansion fails to lower or its scalar
-    /// measurement faults — both indicate a broken toolchain rather than
-    /// a bad candidate, so there is nothing to quarantine. A faulting
-    /// *vector* variant merely loses to the scalar baseline.
+    /// then the scalar-vs-vec(ν) backend dimension on the DP winner),
+    /// selected and gated like the parallel candidates. `Err` when no
+    /// variant survives, which indicates a broken toolchain rather than
+    /// a bad candidate.
     pub fn tune_sequential(&self, n: usize) -> Result<Tuned, SpiralError> {
-        let r = dp_search(n, self.max_leaf, self.mu, &self.model);
-        let base = r.tree.expand().normalized();
-        let plan = Plan::from_formula(&base, 1, self.mu).map_err(|e| {
-            SpiralError::Lower(format!("sequential expansion failed to lower: {e}"))
-        })?;
-        let mut best = Tuned {
-            cost: self.model.try_cost(&plan)?,
-            formula: base.clone(),
-            plan,
-            choice: format!("sequential tree {}", r.tree),
-        };
-        for nu in candidate_vec_widths() {
-            if nu == 1 {
-                continue;
-            }
-            let formula = vec_tag(nu, base.clone());
-            let Ok(plan) = Plan::from_formula(&formula, 1, self.mu) else {
-                continue;
-            };
-            if plan.vec_width == 1 {
-                // No stage passed ν-alignment: identical to the scalar
-                // baseline, nothing new to measure.
-                continue;
-            }
-            let Ok(cost) = self.model.try_cost(&plan) else {
-                continue;
-            };
-            if cost < best.cost {
-                best = Tuned {
-                    formula,
-                    plan,
-                    cost,
-                    choice: format!("sequential tree {} + vec({nu})", r.tree),
-                };
-            }
-        }
-        Ok(best)
+        let mut report = TuneReport::default();
+        let cands = self.sequential_candidates(n);
+        let best = self.select(1, cands, &verify_and_certify, &mut report, &());
+        best.ok_or_else(|| SpiralError::Search(format!("DFT_{n}: {:?}", report.quarantined)))
+    }
+
+    /// The DP winner's expansion, scalar and with every vec(ν) tag.
+    fn sequential_candidates(&self, n: usize) -> Vec<Candidate> {
+        let tree = dp_search(n, self.max_leaf, self.mu, &self.model).tree;
+        vec_variants(
+            &tree.expand().normalized(),
+            &format!("sequential tree {tree}"),
+        )
     }
 
     /// Best parallel implementation: searches the top-level split `m` of
@@ -158,170 +182,154 @@ impl Tuner {
     }
 
     /// Like [`tune_parallel`](Self::tune_parallel), but also reports
-    /// what the search saw. Candidates whose measurement panics, trips
-    /// the executor watchdog, or produces non-finite cost/output are
-    /// *quarantined* — recorded with a reason and excluded — and the
-    /// search continues with the remaining candidates.
+    /// what the search saw. A candidate that cannot be derived or
+    /// lowered, fails verification or certification (the gate), or
+    /// faults in measurement is *quarantined*: recorded with a reason
+    /// and excluded, and the search goes on. Measured models gate every
+    /// candidate; the analytic model gates in rank order until one
+    /// passes, so only candidates ranked above the winner are gated.
     pub fn tune_parallel_report(&self, n: usize) -> Result<TuneOutcome, SpiralError> {
         self.tune_parallel_report_with(n, &())
     }
 
     /// [`tune_parallel_report`](Self::tune_parallel_report), recording
-    /// the search itself to `obs`: one `TunerCandidate` span per measured
-    /// split candidate (derivation through costing, indexed in candidate
-    /// order) and one `TunerReject` mark per quarantine, all attributed
-    /// to tid 0, the coordinating thread. With `&()` no clock is read.
+    /// the search itself to `obs`: one `TunerCandidate` span per
+    /// candidate the cost model saw (lowering through costing, indexed
+    /// in candidate order) and one `TunerReject` mark per quarantine,
+    /// all attributed to tid 0, the coordinating thread. With `&()` no
+    /// clock is read.
     pub fn tune_parallel_report_with<O: Observer>(
         &self,
         n: usize,
         obs: &O,
     ) -> Result<TuneOutcome, SpiralError> {
-        // Candidate indices are u32 event stages; saturate past that.
-        let idx = |ci: usize| u32::try_from(ci).unwrap_or(u32::MAX);
-        let reject = |ci: usize| {
-            if obs.active() {
-                obs.mark(0, MarkKind::TunerReject, idx(ci), Instant::now());
-            }
-        };
-        let candidate = |ci: usize, t0: Option<Instant>| {
-            if let Some(t0) = t0 {
-                obs.span(0, SpanKind::TunerCandidate, idx(ci), t0, Instant::now());
-            }
+        let cands = match self.p {
+            1 => self.sequential_candidates(n),
+            _ => self.parallel_candidates(n),
         };
         let mut report = TuneReport::default();
-        if self.p == 1 {
-            let tuned = self.tune_sequential(n)?;
-            report.evaluated = 1;
-            return Ok(TuneOutcome {
-                best: Some(tuned),
-                report,
-            });
-        }
+        let best = self.select(self.p, cands, &verify_and_certify, &mut report, obs);
+        Ok(TuneOutcome { best, report })
+    }
+
+    /// Every split × vec(ν) candidate of the multicore Cooley–Tukey
+    /// (14), splits ascending, each split scalar first.
+    fn parallel_candidates(&self, n: usize) -> Vec<Candidate> {
         let pmu = self.p * self.mu;
-        let splits: Vec<usize> = divisors(n)
-            .into_iter()
-            .filter(|&m| m > 1 && m < n && m % pmu == 0 && (n / m).is_multiple_of(pmu))
-            .collect();
         // DP-best sequential trees, shared across split candidates.
-        let tree_cache: std::cell::RefCell<HashMap<usize, RuleTree>> =
-            std::cell::RefCell::new(HashMap::new());
-        let mut best: Option<Tuned> = None;
-        let widths = candidate_vec_widths();
-        let mut ci = 0usize;
+        let trees: RefCell<HashMap<usize, RuleTree>> = RefCell::new(HashMap::new());
+        let splits = divisors(n)
+            .into_iter()
+            .filter(|&m| m > 1 && m < n && m % pmu == 0 && (n / m).is_multiple_of(pmu));
+        let mut cands = Vec::new();
         for m in splits {
-            let base_choice = format!("multicore split {m}x{}", n / m);
-            let derived = match multicore_dft(n, self.p, self.mu, Some(m)) {
-                Ok(d) => d,
-                Err(e) => {
-                    report.quarantined.push(QuarantineEntry {
-                        choice: base_choice,
-                        reason: format!("derivation failed: {e:?}"),
-                    });
-                    reject(ci);
-                    ci += 1;
+            let choice = format!("multicore split {m}x{}", n / m);
+            match multicore_dft(n, self.p, self.mu, Some(m)) {
+                Ok(derived) => {
+                    let expanded = expand_dfts(&derived.formula, &|k| {
+                        trees
+                            .borrow_mut()
+                            .entry(k)
+                            .or_insert_with(|| {
+                                dp_search(k, self.max_leaf, self.mu, &self.model).tree
+                            })
+                            .clone()
+                    })
+                    .normalized();
+                    cands.extend(vec_variants(&expanded, &choice));
+                }
+                Err(e) => cands.push((choice, Err(format!("derivation failed: {e:?}")))),
+            }
+        }
+        cands
+    }
+
+    /// Pick the cheapest candidate that passes `gate` (whose `Err` is
+    /// the quarantine reason). Candidates are lowered for `threads`
+    /// threads, exchanges folded into compute steps (§3.1), and costed
+    /// in order; a vec(ν) variant that vectorized nothing is skipped.
+    /// The analytic model runs nothing, so the gate runs afterwards in
+    /// rank order until one passes; measured models gate each candidate
+    /// before measuring it. Equal costs keep candidate order.
+    fn select<O: Observer>(
+        &self,
+        threads: usize,
+        cands: Vec<Candidate>,
+        gate: &dyn Fn(&Plan) -> Result<(), String>,
+        report: &mut TuneReport,
+        obs: &O,
+    ) -> Option<Tuned> {
+        // Measured models gate a candidate before running it; the
+        // analytic model runs nothing and gates after ranking.
+        let pass: &dyn Fn(&Plan) -> Result<(), String> = &|_| Ok(());
+        let (before_cost, after_rank) = match self.model {
+            CostModel::Analytic => (pass, gate),
+            _ => (gate, pass),
+        };
+        let lower = |f: &Spl| {
+            Plan::from_formula(f, threads, self.mu)
+                .map(Plan::fuse_exchanges)
+                .map_err(|e| format!("failed to lower: {e}"))
+        };
+        // Only the cheapest plan so far is kept; the others are dropped
+        // after costing (a plan's tables are O(n) each) and lowered again
+        // if the gate reaches them (lowering is deterministic).
+        let mut ranked: Vec<(f64, usize, String, Spl)> = Vec::new();
+        let mut cheapest: Option<(f64, usize, Plan)> = None;
+        for (ci, (choice, formula)) in cands.into_iter().enumerate() {
+            let t0 = obs.active().then(Instant::now);
+            let (formula, plan) = match formula.and_then(|f| Ok((lower(&f)?, f))) {
+                Ok((plan, f)) => (f, plan),
+                Err(reason) => {
+                    report.quarantine(obs, ci, choice, reason);
                     continue;
                 }
             };
-            let expanded = expand_dfts(&derived.formula, &|k| {
-                tree_cache
-                    .borrow_mut()
-                    .entry(k)
-                    .or_insert_with(|| dp_search(k, self.max_leaf, self.mu, &self.model).tree)
-                    .clone()
-            })
-            .normalized();
-            // The backend dimension: the same split measured scalar and
-            // with every host-supported vec(ν) tag.
-            for &nu in &widths {
-                let (formula, choice) = if nu == 1 {
-                    (expanded.clone(), base_choice.clone())
-                } else {
-                    (
-                        vec_tag(nu, expanded.clone()),
-                        format!("{base_choice} + vec({nu})"),
-                    )
-                };
-                let t0 = obs.active().then(Instant::now);
-                let plan = match Plan::from_formula(&formula, self.p, self.mu) {
-                    // Loop merging across the parallel boundary: fold the
-                    // P ⊗̄ I_µ exchanges into the compute steps (§3.1).
-                    Ok(p) => p.fuse_exchanges(),
-                    Err(e) => {
-                        report.quarantined.push(QuarantineEntry {
-                            choice,
-                            reason: format!("failed to lower: {e}"),
-                        });
-                        reject(ci);
-                        ci += 1;
-                        continue;
+            if formula.vec_width() > 1 && plan.vec_width == 1 {
+                continue;
+            }
+            if let Err(reason) = before_cost(&plan) {
+                report.quarantine(obs, ci, choice, reason);
+                continue;
+            }
+            report.evaluated += 1;
+            let cost = self.model.try_cost(&plan);
+            if let Some(t0) = t0 {
+                let idx = event_index(ci);
+                obs.span(0, SpanKind::TunerCandidate, idx, t0, Instant::now());
+            }
+            match cost {
+                Ok(cost) => {
+                    if cheapest.as_ref().is_none_or(|b| cost < b.0) {
+                        cheapest = Some((cost, ci, plan));
                     }
-                };
-                if nu > 1 && plan.vec_width == 1 {
-                    // No stage passed ν-alignment: the plan is identical
-                    // to the scalar candidate, skip the duplicate.
-                    continue;
+                    ranked.push((cost, ci, choice, formula));
                 }
-                // Candidates that fail static verification (races, false
-                // sharing, out-of-bounds) never enter the search space:
-                // the analyzer enforces Definition 1 before any
-                // measurement.
-                if spiral_verify::verify_plan(&plan, &spiral_verify::VerifyOptions::default())
-                    .has_errors()
-                {
-                    report.quarantined.push(QuarantineEntry {
-                        choice,
-                        reason: "failed static verification".to_string(),
-                    });
-                    reject(ci);
-                    ci += 1;
-                    continue;
-                }
-                // Dataflow certification: abstract interpretation of the
-                // lowered IR (bounds, write-once coverage, ping-pong
-                // discipline, exchange-fusion legality, ν-alignment of
-                // vector-marked stages). Independent of the scheduling
-                // analyzer above; a plan failing it computes garbage
-                // regardless of how fast it runs.
-                let cert = spiral_verify::certify::dataflow::certify_dataflow(&plan);
-                if let Some(f) = cert.first() {
-                    report.quarantined.push(QuarantineEntry {
-                        choice,
-                        reason: format!("failed dataflow certification: {f}"),
-                    });
-                    reject(ci);
-                    ci += 1;
-                    continue;
-                }
-                report.evaluated += 1;
-                let cost = match self.model.try_cost(&plan) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        // A faulting measurement disqualifies the
-                        // candidate, not the search: record it and keep
-                        // going.
-                        report.quarantined.push(QuarantineEntry {
-                            choice,
-                            reason: e.to_string(),
-                        });
-                        candidate(ci, t0);
-                        reject(ci);
-                        ci += 1;
-                        continue;
-                    }
-                };
-                candidate(ci, t0);
-                ci += 1;
-                if best.as_ref().is_none_or(|b| cost < b.cost) {
-                    best = Some(Tuned {
+                // A faulting measurement disqualifies the candidate, not
+                // the search.
+                Err(e) => report.quarantine(obs, ci, choice, e.to_string()),
+            }
+        }
+        // Stable: equal costs keep candidate order.
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for (cost, ci, choice, formula) in ranked {
+            let plan = match cheapest.take() {
+                Some((_, kept, plan)) if kept == ci => Ok(plan),
+                _ => lower(&formula),
+            };
+            match plan.and_then(|p| after_rank(&p).map(|()| p)) {
+                Ok(plan) => {
+                    return Some(Tuned {
                         formula,
                         plan,
                         cost,
                         choice,
-                    });
+                    })
                 }
+                Err(reason) => report.quarantine(obs, ci, choice, reason),
             }
         }
-        Ok(TuneOutcome { best, report })
+        None
     }
 }
 
@@ -488,6 +496,80 @@ mod tests {
             &spiral_spl::builder::dft(256).eval(&x),
             1e-6,
         );
+    }
+
+    /// The analytic ranking `select` gates in: every non-duplicate
+    /// candidate lowered and costed, stable-sorted by cost.
+    fn analytic_ranking(t: &Tuner, threads: usize, cands: Vec<Candidate>) -> Vec<String> {
+        let mut ranked: Vec<(f64, String)> = cands
+            .into_iter()
+            .filter_map(|(choice, f)| {
+                let f = f.ok()?;
+                let plan = Plan::from_formula(&f, threads, t.mu).ok()?.fuse_exchanges();
+                (f.vec_width() == 1 || plan.vec_width > 1)
+                    .then(|| (t.model.try_cost(&plan).unwrap(), choice))
+            })
+            .collect();
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+        ranked.into_iter().map(|r| r.1).collect()
+    }
+
+    #[test]
+    fn failing_top_candidate_hands_the_win_to_the_next_in_rank() {
+        let t = Tuner::new(2, 4, CostModel::Analytic);
+        for (threads, n) in [(2usize, 1024usize), (1, 256)] {
+            let cands = || match threads {
+                1 => t.sequential_candidates(n),
+                _ => t.parallel_candidates(n),
+            };
+            let ranked = analytic_ranking(&t, threads, cands());
+            if ranked.len() < 2 {
+                continue; // a scalar-only host offers one sequential variant
+            }
+            let calls = std::cell::Cell::new(0usize);
+            let gate = |plan: &Plan| {
+                calls.set(calls.get() + 1);
+                if calls.get() == 1 {
+                    Err("forced gate failure".to_string())
+                } else {
+                    verify_and_certify(plan)
+                }
+            };
+            let mut report = TuneReport::default();
+            let best = t
+                .select(threads, cands(), &gate, &mut report, &())
+                .expect("the runner-up passes the gate");
+            assert_eq!(best.choice, ranked[1], "p={threads} n={n}");
+            assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
+            assert_eq!(report.quarantined[0].choice, ranked[0]);
+            assert_eq!(report.quarantined[0].reason, "forced gate failure");
+            // Every candidate was costed; the gate stopped at the winner.
+            assert_eq!(report.evaluated, ranked.len());
+            assert_eq!(calls.get(), 2);
+            verify_and_certify(&best.plan).unwrap();
+        }
+    }
+
+    #[test]
+    fn measured_models_gate_every_candidate() {
+        let t = Tuner::new(
+            2,
+            4,
+            CostModel::Sim {
+                machine: spiral_sim::core_duo(),
+                warm: true,
+            },
+        );
+        let calls = std::cell::Cell::new(0usize);
+        let gate = |plan: &Plan| {
+            calls.set(calls.get() + 1);
+            verify_and_certify(plan)
+        };
+        let mut report = TuneReport::default();
+        let best = t.select(2, t.parallel_candidates(256), &gate, &mut report, &());
+        assert!(best.is_some());
+        assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+        assert_eq!(calls.get(), report.evaluated);
     }
 
     #[test]
