@@ -69,6 +69,35 @@ pub struct ParallelExecutor {
     barrier: Box<dyn Barrier>,
     threads: usize,
     watchdog: Duration,
+    /// Held for a whole run, so concurrent callers take turns.
+    workspace: Mutex<Workspace>,
+}
+
+/// Buffers reused across runs: the ping-pong pair and each thread's
+/// private scratch, grown to the largest plan run so far (never shrunk).
+/// A warm run allocates only the vector it returns.
+struct Workspace {
+    a: AlignedVec<Cplx>,
+    b: AlignedVec<Cplx>,
+    tmp: Vec<AlignedVec<Cplx>>,
+}
+
+impl Workspace {
+    /// Grow to `n`-element ping-pong buffers and `threads` scratch
+    /// buffers of `local` elements.
+    fn fit(&mut self, n: usize, local: usize, threads: usize) -> Result<(), SpiralError> {
+        let line = spiral_smp::CACHE_LINE_BYTES;
+        if self.a.len() < n {
+            self.a = AlignedVec::try_with_alignment(n, line)?;
+            self.b = AlignedVec::try_with_alignment(n, line)?;
+        }
+        if self.tmp.first().is_none_or(|t| t.len() < local) {
+            self.tmp = (0..threads)
+                .map(|_| AlignedVec::try_with_alignment(local, line))
+                .collect::<Result<_, _>>()?;
+        }
+        Ok(())
+    }
 }
 
 /// Shared mutable buffer pointers for the workers.
@@ -80,16 +109,23 @@ pub struct ParallelExecutor {
 /// step, per-thread write index sets are pairwise disjoint and in bounds,
 /// and reads target only the opposite ping-pong buffer, whose contents
 /// were fixed before the barrier that opened the step. Under that
-/// invariant no two threads ever form a data race on `a`/`b` — writes are
-/// unaliased, and every read-after-write pair is ordered by a barrier.
+/// invariant no two threads ever form a data race on `a`/`b`/`out` —
+/// writes are unaliased, and every read-after-write pair is ordered by a
+/// barrier. Step 0 reads the caller's input `x`, and the last step writes
+/// the returned vector `out`, so no step reads the buffer it writes.
+/// Thread `tid` alone uses `tmp[tid]`.
 /// All plans produced by `Plan::from_formula` satisfy it; debug builds
 /// additionally re-verify each plan through the validator registered
 /// with [`crate::plan::install_validator`]
 /// (`spiral_verify::install_executor_guard` installs the analyzer).
 struct SharedBufs {
+    x: *const Cplx,
     a: *mut Cplx,
     b: *mut Cplx,
+    out: *mut Cplx,
+    tmp: *mut AlignedVec<Cplx>,
     n: usize,
+    last: usize,
 }
 unsafe impl Sync for SharedBufs {}
 
@@ -118,6 +154,11 @@ impl ParallelExecutor {
             barrier: kind.build(threads),
             threads,
             watchdog,
+            workspace: Mutex::new(Workspace {
+                a: AlignedVec::new(0),
+                b: AlignedVec::new(0),
+                tmp: Vec::new(),
+            }),
         }
     }
 
@@ -204,16 +245,21 @@ impl ParallelExecutor {
             }
         }
         let n = plan.n;
-        let mut buf_a: AlignedVec<Cplx> =
-            AlignedVec::try_with_alignment(n.max(1), spiral_smp::CACHE_LINE_BYTES)?;
-        let mut buf_b: AlignedVec<Cplx> =
-            AlignedVec::try_with_alignment(n.max(1), spiral_smp::CACHE_LINE_BYTES)?;
-        buf_a.copy_from(x);
-        let _ = &mut buf_b;
+        let Some(last) = plan.steps.len().checked_sub(1) else {
+            return Ok(x.to_vec());
+        };
+        let mut ws = lock_recover(&self.workspace);
+        ws.fit(n, plan.max_local_dim().max(1), self.threads)?;
+        // The one allocation of a warm run: the last step writes here.
+        let mut out = vec![Cplx::ZERO; n];
         let shared = SharedBufs {
-            a: buf_a.as_ptr(),
-            b: buf_b.as_ptr(),
+            x: x.as_ptr(),
+            a: ws.a.as_ptr(),
+            b: ws.b.as_ptr(),
+            out: out.as_mut_ptr(),
+            tmp: ws.tmp.as_mut_ptr(),
             n,
+            last,
         };
         // Borrow the whole struct so the closure captures one `&SharedBufs`
         // (edition-2021 disjoint capture would otherwise grab `&*mut Cplx`,
@@ -222,7 +268,6 @@ impl ParallelExecutor {
         let barrier = &*self.barrier;
         let threads = self.threads;
         let watchdog = self.watchdog;
-        let tmp_dim = plan.max_local_dim().max(1);
 
         #[cfg(feature = "faults")]
         spiral_smp::faults::begin_run();
@@ -235,21 +280,27 @@ impl ParallelExecutor {
 
         let job = |tid: usize| {
             let job_t0 = obs.active().then(Instant::now);
-            let mut tmp: AlignedVec<Cplx> = AlignedVec::new(tmp_dim);
+            // Safety: see SharedBufs — `tmp[tid]` is this thread's alone.
+            let tmp = unsafe { &mut *shared.tmp.add(tid) };
             for (si, step) in plan.steps.iter().enumerate() {
                 if failed.load(Ordering::Acquire) {
                     break;
                 }
-                // Ping-pong: even steps read A write B.
-                // Safety: see SharedBufs — disjoint writes, barrier-ordered
-                // reads.
-                let (src, dst): (&[Cplx], *mut Cplx) = unsafe {
-                    if si % 2 == 0 {
-                        (std::slice::from_raw_parts(shared.a, shared.n), shared.b)
-                    } else {
-                        (std::slice::from_raw_parts(shared.b, shared.n), shared.a)
-                    }
+                // Step 0 reads `x`; then ping-pong, even steps writing A
+                // and odd steps B; the last step writes `out`.
+                let src: *const Cplx = match si {
+                    0 => shared.x,
+                    _ if si % 2 == 1 => shared.a,
+                    _ => shared.b,
                 };
+                let dst = match si {
+                    _ if si == shared.last => shared.out,
+                    _ if si % 2 == 0 => shared.a,
+                    _ => shared.b,
+                };
+                // Safety: see SharedBufs — disjoint writes, barrier-ordered
+                // reads, and `src` is never `dst`.
+                let src = unsafe { std::slice::from_raw_parts(src, shared.n) };
                 #[cfg(feature = "faults")]
                 let corrupt = match spiral_smp::faults::at(si, tid) {
                     Some(spiral_smp::faults::Fault::Panic) => {
@@ -266,7 +317,7 @@ impl ParallelExecutor {
                 // SAFETY: see SharedBufs — each thread writes only its own
                 // portion of `dst`, and `src` is the other buffer.
                 unsafe {
-                    run_step_portion(step, n, plan.mu.max(1), tid, threads, src, dst, &mut tmp);
+                    run_step_portion(step, n, plan.mu.max(1), tid, threads, src, dst, tmp);
                 }
                 #[cfg(feature = "faults")]
                 if corrupt {
@@ -312,13 +363,6 @@ impl ParallelExecutor {
         if let Some(e) = lock_recover(&stage_err).take() {
             return Err(e);
         }
-
-        let result_in_a = plan.steps.len().is_multiple_of(2);
-        let out = if result_in_a {
-            buf_a.as_slice().to_vec()
-        } else {
-            buf_b.as_slice().to_vec()
-        };
         // Corruption guard: non-finite values never leave the executor.
         if let Some(index) = first_non_finite(&out) {
             return Err(SpiralError::NonFinite {
@@ -680,6 +724,42 @@ pub(crate) mod tests {
             })
             .sum();
         assert_eq!(elements, (plan.steps.len() * n) as u64);
+    }
+
+    /// One executor shared by two threads: the calls take turns on the
+    /// pool and the workspace, every output is exact, and the whole run
+    /// finishes in bounded time (a lost hand-off would hang it).
+    #[test]
+    fn shared_executor_serves_concurrent_callers() {
+        use std::sync::{mpsc, Arc};
+        let (n, p) = (4096usize, 2usize);
+        let f = multicore_dft_expanded(n, p, 4, None, 8).unwrap();
+        let plan = Arc::new(Plan::from_formula(&f, p, 4).unwrap().fuse_exchanges());
+        let exec = Arc::new(ParallelExecutor::with_auto_barrier(p));
+        let x = Arc::new(ramp(n));
+        let want = Arc::new(exec.execute(&plan, &x));
+        assert_slices_close(&want, &plan.execute(&x), 1e-12);
+        let (tx, rx) = mpsc::channel();
+        for caller in 0..2 {
+            let (exec, plan, x, want, tx) = (
+                Arc::clone(&exec),
+                Arc::clone(&plan),
+                Arc::clone(&x),
+                Arc::clone(&want),
+                tx.clone(),
+            );
+            std::thread::spawn(move || {
+                let ok =
+                    (0..200).all(|_| exec.try_execute(&plan, &x).ok().as_ref() == Some(&*want));
+                tx.send((caller, ok)).unwrap();
+            });
+        }
+        for _ in 0..2 {
+            let (caller, ok) = rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("concurrent callers did not finish in 120 s");
+            assert!(ok, "caller {caller} saw a wrong or failed output");
+        }
     }
 
     #[test]

@@ -118,6 +118,8 @@ pub struct PlanShape {
     pub steps: usize,
     /// Lane width ν of the vector-marked stages (1 = scalar).
     pub vec_width: usize,
+    /// Threads the plan runs on ([`Plan::threads`]).
+    pub threads: usize,
 }
 
 impl PlanShape {
@@ -131,6 +133,7 @@ impl PlanShape {
             vec_flops: 0,
             steps: 1,
             vec_width: 1,
+            threads: 1,
         }
     }
 }
@@ -226,6 +229,7 @@ impl Plan {
             vec_flops: self.vec_flops(),
             steps: self.steps.len(),
             vec_width: self.vec_width,
+            threads: self.threads,
         }
     }
 

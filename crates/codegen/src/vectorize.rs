@@ -9,7 +9,7 @@
 //! IR, so a marked stage that violates them is *rejected* IR, not a
 //! fallback case.
 
-use crate::plan::{Plan, Step};
+use crate::plan::{Plan, PlanShape, Step};
 use crate::simd::{self, lane_shuffle_twiddle};
 use crate::stage::{KernelStage, LocalProgram, LocalStage};
 use std::sync::Arc;
@@ -119,6 +119,33 @@ pub fn vectorize_program(prog: &mut LocalProgram, nu: usize) -> usize {
         }
     }
     marked
+}
+
+/// The [`PlanShape`] `plan` would report after
+/// [`vectorize_plan`]`(plan, nu)`, read without marking anything: the
+/// flops of every scalar kernel stage that passes [`stage_alignment`]
+/// move to the vector share. `None` when no stage qualifies (the plan
+/// would stay scalar). A search costs each vec(ν) variant of a lowered
+/// plan this way and builds only the variant it returns.
+pub fn vectorized_shape(plan: &Plan, nu: usize) -> Option<PlanShape> {
+    let mut shape = plan.shape();
+    let mut marked = 0;
+    for prog in plan.steps.iter().flat_map(|step| match step {
+        Step::Seq(p) => std::slice::from_ref(p),
+        Step::Par { programs, .. } => programs.as_slice(),
+        Step::Exchange { .. } | Step::ScaleAll(_) => &[],
+    }) {
+        for s in &prog.stages {
+            if let LocalStage::Kernel(k) = s {
+                if k.vec_width == 1 && stage_alignment(k, nu).is_ok() {
+                    shape.vec_flops += k.flops();
+                    marked += 1;
+                }
+            }
+        }
+    }
+    shape.vec_width = nu;
+    (marked > 0).then_some(shape)
 }
 
 /// Mark every qualifying kernel stage across all steps of a plan and

@@ -1,10 +1,11 @@
 //! `Plan::execute_into` is documented as allocation-free once its
-//! workspace is warm, and `Plan::execute` as allocating only its output.
-//! A counting global allocator checks both claims: the count is kept per
+//! workspace is warm, and `Plan::execute` and
+//! `ParallelExecutor::try_execute` as allocating only their output. A
+//! counting global allocator checks these claims: the count is kept per
 //! thread, so the test harness's own threads cannot pollute it.
 
 use spiral_codegen::stage::LocalStage;
-use spiral_codegen::{Plan, PlanWorkspace, Step};
+use spiral_codegen::{ParallelExecutor, Plan, PlanWorkspace, Step};
 use spiral_rewrite::{multicore_dft_expanded, sequential_dft};
 use spiral_spl::builder::vec_tag;
 use spiral_spl::cplx::Cplx;
@@ -140,5 +141,27 @@ fn warm_execute_allocates_only_its_output() {
         let warm = plan.execute(&x);
         assert_eq!(allocs() - before, 1, "warm execute at n={n}");
         assert_eq!(cold, warm);
+    }
+}
+
+#[test]
+fn warm_parallel_execute_allocates_only_its_output() {
+    let exec = ParallelExecutor::with_auto_barrier(2);
+    for k in [8u32, 12] {
+        let n = 1usize << k;
+        let f = multicore_dft_expanded(n, 2, 4, None, 8).unwrap();
+        let scalar = Plan::from_formula(&f, 2, 4).unwrap().fuse_exchanges();
+        let tagged = Plan::from_formula(&vec_tag(4, f), 2, 4)
+            .unwrap()
+            .fuse_exchanges();
+        let x: Vec<Cplx> = (0..n).map(|k| Cplx::new(k as f64, 1.0)).collect();
+        for plan in [&scalar, &tagged] {
+            // Cold call: sizes the executor's workspace.
+            let cold = exec.try_execute(plan, &x).unwrap();
+            let before = allocs();
+            let warm = exec.try_execute(plan, &x).unwrap();
+            assert_eq!(allocs() - before, 1, "warm parallel execute at n=2^{k}");
+            assert_eq!(cold, warm);
+        }
     }
 }

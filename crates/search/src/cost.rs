@@ -73,17 +73,44 @@ impl CostModel {
     }
 }
 
+/// Cost of one pool dispatch and drain (the caller wakes the workers
+/// and waits for them), charged once per call of a `p`-thread plan:
+/// the perfbench probe `smp.pool.dispatch_us`. Units: see
+/// [`analytic_cost`].
+pub const SYNC_PER_CALL: f64 = 1000.0;
+
+/// Cost of one barrier round, charged per step of a `p`-thread plan:
+/// the probe `smp.barrier.round_us.spin`.
+pub const SYNC_PER_STEP: f64 = 250.0;
+
+/// Cost per element per step of a `p`-thread plan for reading data
+/// another core wrote in the step before (whole cache lines move
+/// between the cores' caches). Fitted at `p = 2`.
+pub const SHARED_PER_ELEMENT: f64 = 3.8;
+
 /// Flops plus weighted memory operations; a barrier penalty discourages
 /// pass-heavy plans. Flops inside vector-marked stages are credited with
 /// ν-lane throughput (one vector op retires ν scalar lanes), so the
 /// search sees the vec(ν) dimension even under the structural model.
+///
+/// A plan on `p > 1` threads is charged its work divided by `p`, plus
+/// its synchronization: [`SYNC_PER_CALL`] once, and per step
+/// [`SYNC_PER_STEP`] and [`SHARED_PER_ELEMENT`] per element. The same
+/// number then ranks one thread against `p`. One unit is about one
+/// scalar flop of the sequential plans, 0.4–0.75 ns on the 2-vCPU host
+/// the three constants were fitted on (EXPERIMENTS.md, HOST-XOVER); no
+/// timing runs during construction.
 pub fn analytic_cost(shape: &PlanShape) -> f64 {
     // Each step reads and writes the whole vector once, then syncs.
     let steps = shape.steps as f64;
     let mem_ops = steps * 2.0 * shape.n as f64;
     let nu = shape.vec_width.max(1) as f64;
     let flops = shape.flops as f64 - shape.vec_flops as f64 * (1.0 - 1.0 / nu);
-    flops + 1.5 * mem_ops + 200.0 * steps
+    if shape.threads <= 1 {
+        return flops + 1.5 * mem_ops + 200.0 * steps;
+    }
+    let per_step = SYNC_PER_STEP + SHARED_PER_ELEMENT * shape.n as f64;
+    (flops + 1.5 * mem_ops) / shape.threads as f64 + per_step * steps + SYNC_PER_CALL
 }
 
 /// The [`PlanShape`] of the tree's lowered expansion, without lowering:

@@ -3,10 +3,10 @@
 //! tuner returns has passed static verification and dataflow
 //! certification.
 
-use crate::cost::CostModel;
+use crate::cost::{analytic_cost, CostModel};
 use crate::dp::dp_search;
 use spiral_codegen::plan::Plan;
-use spiral_codegen::SpiralError;
+use spiral_codegen::{vectorize_plan, vectorized_shape, SpiralError};
 use spiral_rewrite::{expand_dfts, multicore_dft, RuleTree};
 use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use spiral_spl::builder::vec_tag;
@@ -20,8 +20,8 @@ use std::time::Instant;
 /// scalar (ν = 1) plus every supported width the host actually has.
 /// Under the `force-scalar` feature of `spiral-codegen` the detected
 /// width is 1, so this collapses to `[1]` and no vector candidate is
-/// ever generated. The parallel search offers every split candidate
-/// once per width, in this order.
+/// ever generated. The search offers every candidate formula once per
+/// width, in this order.
 pub fn candidate_vec_widths() -> Vec<usize> {
     let host = spiral_codegen::detected_simd_width();
     let mut widths = vec![1];
@@ -93,22 +93,28 @@ fn event_index(ci: usize) -> u32 {
     u32::try_from(ci).unwrap_or(u32::MAX)
 }
 
-/// A candidate's choice string and formula (`Err`: why it could not be
-/// derived).
-type Candidate = (String, Result<Spl, String>);
+/// A candidate formula, offered scalar and at every vec(ν) width.
+struct Candidate {
+    /// Description of the scalar variant (see [`Tuned::choice`]).
+    choice: String,
+    /// Threads the formula is lowered for.
+    threads: usize,
+    /// The untagged formula (`Err`: why it could not be derived).
+    formula: Result<Spl, String>,
+}
 
-/// `formula` scalar, then tagged with every offered vec(ν) width.
-fn vec_variants(formula: &Spl, choice: &str) -> Vec<Candidate> {
-    candidate_vec_widths()
-        .into_iter()
-        .map(|nu| match nu {
-            1 => (choice.to_string(), Ok(formula.clone())),
-            _ => (
-                format!("{choice} + vec({nu})"),
-                Ok(vec_tag(nu, formula.clone())),
-            ),
-        })
-        .collect()
+/// The choice string of `choice`'s vec(ν) variant.
+fn variant_choice(choice: &str, nu: usize) -> String {
+    match nu {
+        1 => choice.to_string(),
+        _ => format!("{choice} + vec({nu})"),
+    }
+}
+
+/// The vec(ν) variant of a lowered untagged plan: the marking pass the
+/// tagged formula's lowering would run. `None` when no stage qualifies.
+fn variant(mut plan: Plan, nu: usize) -> Option<Plan> {
+    (nu == 1 || vectorize_plan(&mut plan, nu) > 0).then_some(plan)
 }
 
 /// The tuner's gate: the scheduling analyzer (races, false sharing,
@@ -158,17 +164,40 @@ impl Tuner {
     pub fn tune_sequential(&self, n: usize) -> Result<Tuned, SpiralError> {
         let mut report = TuneReport::default();
         let cands = self.sequential_candidates(n);
-        let best = self.select(1, cands, &verify_and_certify, &mut report, &());
+        let best = self.select(&cands, &verify_and_certify, &mut report, &());
         best.ok_or_else(|| SpiralError::Search(format!("DFT_{n}: {:?}", report.quarantined)))
     }
 
-    /// The DP winner's expansion, scalar and with every vec(ν) tag.
+    /// Best implementation of `DFT_n` on up to `p` threads: the `p`-thread
+    /// split candidates of [`tune_parallel`](Self::tune_parallel) and the
+    /// sequential DP winner of [`tune_sequential`](Self::tune_sequential),
+    /// each at every vec(ν) width, ranked together by the cost model
+    /// (which charges a `p`-thread plan its synchronization), so a small
+    /// transform gets one thread where `p` do not pay. `Ok(None)` when
+    /// `p > 1` and `(pµ)² ∤ n` (no `p`-thread split exists), or when every
+    /// candidate was quarantined.
+    pub fn tune(&self, n: usize) -> Result<Option<Tuned>, SpiralError> {
+        let parallel = match self.p {
+            1 => Vec::new(),
+            _ => self.parallel_candidates(n),
+        };
+        if self.p > 1 && parallel.is_empty() {
+            return Ok(None);
+        }
+        let mut cands = self.sequential_candidates(n);
+        cands.extend(parallel);
+        let mut report = TuneReport::default();
+        Ok(self.select(&cands, &verify_and_certify, &mut report, &()))
+    }
+
+    /// The DP winner's expansion, for one thread.
     fn sequential_candidates(&self, n: usize) -> Vec<Candidate> {
         let tree = dp_search(n, self.max_leaf, self.mu, &self.model).tree;
-        vec_variants(
-            &tree.expand().normalized(),
-            &format!("sequential tree {tree}"),
-        )
+        vec![Candidate {
+            choice: format!("sequential tree {tree}"),
+            threads: 1,
+            formula: Ok(tree.expand().normalized()),
+        }]
     }
 
     /// Best parallel implementation: searches the top-level split `m` of
@@ -208,12 +237,12 @@ impl Tuner {
             _ => self.parallel_candidates(n),
         };
         let mut report = TuneReport::default();
-        let best = self.select(self.p, cands, &verify_and_certify, &mut report, obs);
+        let best = self.select(&cands, &verify_and_certify, &mut report, obs);
         Ok(TuneOutcome { best, report })
     }
 
-    /// Every split × vec(ν) candidate of the multicore Cooley–Tukey
-    /// (14), splits ascending, each split scalar first.
+    /// Every split candidate of the multicore Cooley–Tukey (14), splits
+    /// ascending.
     fn parallel_candidates(&self, n: usize) -> Vec<Candidate> {
         let pmu = self.p * self.mu;
         // DP-best sequential trees, shared across split candidates.
@@ -236,95 +265,145 @@ impl Tuner {
                             .clone()
                     })
                     .normalized();
-                    cands.extend(vec_variants(&expanded, &choice));
+                    cands.push(Candidate {
+                        choice,
+                        threads: self.p,
+                        formula: Ok(expanded),
+                    });
                 }
-                Err(e) => cands.push((choice, Err(format!("derivation failed: {e:?}")))),
+                Err(e) => cands.push(Candidate {
+                    choice,
+                    threads: self.p,
+                    formula: Err(format!("derivation failed: {e:?}")),
+                }),
             }
         }
         cands
     }
 
-    /// Pick the cheapest candidate that passes `gate` (whose `Err` is
-    /// the quarantine reason). Candidates are lowered for `threads`
-    /// threads, exchanges folded into compute steps (§3.1), and costed
-    /// in order; a vec(ν) variant that vectorized nothing is skipped.
-    /// The analytic model runs nothing, so the gate runs afterwards in
-    /// rank order until one passes; measured models gate each candidate
-    /// before measuring it. Equal costs keep candidate order.
+    /// Lower `f` for `threads` threads, exchanges folded into compute
+    /// steps (§3.1).
+    fn lower(&self, f: &Spl, threads: usize) -> Result<Plan, String> {
+        Plan::from_formula(f, threads, self.mu)
+            .map(Plan::fuse_exchanges)
+            .map_err(|e| format!("failed to lower: {e}"))
+    }
+
+    /// Pick the cheapest variant that passes `gate` (whose `Err` is the
+    /// quarantine reason). Each candidate formula is lowered once,
+    /// untagged; its vec(ν) variants come from that plan by the marking
+    /// pass, and a variant that vectorizes nothing is skipped. The
+    /// analytic model reads each variant's shape without building it and
+    /// runs nothing, so the gate runs afterwards in rank order until one
+    /// passes; measured models build, gate and run every variant. Equal
+    /// costs keep candidate order.
     fn select<O: Observer>(
         &self,
-        threads: usize,
-        cands: Vec<Candidate>,
+        cands: &[Candidate],
         gate: &dyn Fn(&Plan) -> Result<(), String>,
         report: &mut TuneReport,
         obs: &O,
     ) -> Option<Tuned> {
-        // Measured models gate a candidate before running it; the
-        // analytic model runs nothing and gates after ranking.
-        let pass: &dyn Fn(&Plan) -> Result<(), String> = &|_| Ok(());
-        let (before_cost, after_rank) = match self.model {
-            CostModel::Analytic => (pass, gate),
-            _ => (gate, pass),
-        };
-        let lower = |f: &Spl| {
-            Plan::from_formula(f, threads, self.mu)
-                .map(Plan::fuse_exchanges)
-                .map_err(|e| format!("failed to lower: {e}"))
-        };
-        // Only the cheapest plan so far is kept; the others are dropped
-        // after costing (a plan's tables are O(n) each) and lowered again
-        // if the gate reaches them (lowering is deterministic).
-        let mut ranked: Vec<(f64, usize, String, Spl)> = Vec::new();
-        let mut cheapest: Option<(f64, usize, Plan)> = None;
-        for (ci, (choice, formula)) in cands.into_iter().enumerate() {
-            let t0 = obs.active().then(Instant::now);
-            let (formula, plan) = match formula.and_then(|f| Ok((lower(&f)?, f))) {
-                Ok((plan, f)) => (f, plan),
+        let analytic = matches!(self.model, CostModel::Analytic);
+        let widths = candidate_vec_widths();
+        // (cost, event index, candidate, ν) of every costed variant.
+        let mut ranked: Vec<(f64, usize, usize, usize)> = Vec::new();
+        // Only the cheapest variant's untagged plan is kept; the others
+        // are dropped after costing (a plan's tables are O(n) each) and
+        // lowered again if the gate reaches them (lowering is
+        // deterministic).
+        let mut best: Option<(f64, usize)> = None;
+        let mut kept: Option<(usize, Plan)> = None;
+        for (bi, cand) in cands.iter().enumerate() {
+            let mut t0 = obs.active().then(Instant::now);
+            let lowered = cand
+                .formula
+                .clone()
+                .and_then(|f| self.lower(&f, cand.threads));
+            let base = match lowered {
+                Ok(plan) => plan,
                 Err(reason) => {
-                    report.quarantine(obs, ci, choice, reason);
+                    let ci = bi * widths.len();
+                    report.quarantine(obs, ci, cand.choice.clone(), reason);
                     continue;
                 }
             };
-            if formula.vec_width() > 1 && plan.vec_width == 1 {
-                continue;
-            }
-            if let Err(reason) = before_cost(&plan) {
-                report.quarantine(obs, ci, choice, reason);
-                continue;
-            }
-            report.evaluated += 1;
-            let cost = self.model.try_cost(&plan);
-            if let Some(t0) = t0 {
-                let idx = event_index(ci);
-                obs.span(0, SpanKind::TunerCandidate, idx, t0, Instant::now());
-            }
-            match cost {
-                Ok(cost) => {
-                    if cheapest.as_ref().is_none_or(|b| cost < b.0) {
-                        cheapest = Some((cost, ci, plan));
-                    }
-                    ranked.push((cost, ci, choice, formula));
+            for (wi, &nu) in widths.iter().enumerate() {
+                let ci = bi * widths.len() + wi;
+                if wi > 0 {
+                    t0 = obs.active().then(Instant::now);
                 }
-                // A faulting measurement disqualifies the candidate, not
-                // the search.
-                Err(e) => report.quarantine(obs, ci, choice, e.to_string()),
+                let cost = if analytic {
+                    let shape = match nu {
+                        1 => Some(base.shape()),
+                        _ => vectorized_shape(&base, nu),
+                    };
+                    let Some(shape) = shape else { continue };
+                    Ok(analytic_cost(&shape))
+                } else {
+                    let Some(plan) = variant(base.clone(), nu) else {
+                        continue;
+                    };
+                    if let Err(reason) = gate(&plan) {
+                        report.quarantine(obs, ci, variant_choice(&cand.choice, nu), reason);
+                        continue;
+                    }
+                    self.model.try_cost(&plan).map_err(|e| e.to_string())
+                };
+                report.evaluated += 1;
+                if let Some(t0) = t0 {
+                    let idx = event_index(ci);
+                    obs.span(0, SpanKind::TunerCandidate, idx, t0, Instant::now());
+                }
+                match cost {
+                    Ok(cost) => {
+                        if best.is_none_or(|b| cost < b.0) {
+                            best = Some((cost, bi));
+                        }
+                        ranked.push((cost, ci, bi, nu));
+                    }
+                    // A faulting measurement disqualifies the variant, not
+                    // the search.
+                    Err(reason) => {
+                        report.quarantine(obs, ci, variant_choice(&cand.choice, nu), reason);
+                    }
+                }
+            }
+            if best.is_some_and(|b| b.1 == bi) {
+                kept = Some((bi, base));
             }
         }
         // Stable: equal costs keep candidate order.
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (cost, ci, choice, formula) in ranked {
-            let plan = match cheapest.take() {
-                Some((_, kept, plan)) if kept == ci => Ok(plan),
-                _ => lower(&formula),
+        for (cost, ci, bi, nu) in ranked {
+            let cand = &cands[bi];
+            let choice = variant_choice(&cand.choice, nu);
+            let Ok(formula) = &cand.formula else {
+                unreachable!("only lowered candidates are ranked")
             };
-            match plan.and_then(|p| after_rank(&p).map(|()| p)) {
+            let base = match kept.take() {
+                Some((k, plan)) if k == bi => Ok(plan),
+                _ => self.lower(formula, cand.threads),
+            };
+            let plan = base.and_then(|base| {
+                let plan = variant(base, nu).ok_or("vectorized nothing")?;
+                match analytic {
+                    true => gate(&plan).map(|()| plan),
+                    false => Ok(plan),
+                }
+            });
+            match plan {
                 Ok(plan) => {
+                    let formula = match nu {
+                        1 => formula.clone(),
+                        _ => vec_tag(nu, formula.clone()),
+                    };
                     return Some(Tuned {
                         formula,
                         plan,
                         cost,
                         choice,
-                    })
+                    });
                 }
                 Err(reason) => report.quarantine(obs, ci, choice, reason),
             }
@@ -498,18 +577,27 @@ mod tests {
         );
     }
 
-    /// The analytic ranking `select` gates in: every non-duplicate
-    /// candidate lowered and costed, stable-sorted by cost.
-    fn analytic_ranking(t: &Tuner, threads: usize, cands: Vec<Candidate>) -> Vec<String> {
-        let mut ranked: Vec<(f64, String)> = cands
-            .into_iter()
-            .filter_map(|(choice, f)| {
-                let f = f.ok()?;
-                let plan = Plan::from_formula(&f, threads, t.mu).ok()?.fuse_exchanges();
-                (f.vec_width() == 1 || plan.vec_width > 1)
-                    .then(|| (t.model.try_cost(&plan).unwrap(), choice))
-            })
-            .collect();
+    /// The analytic ranking `select` gates in: every variant that
+    /// vectorizes something, its tagged formula lowered and costed,
+    /// stable-sorted by cost.
+    fn analytic_ranking(t: &Tuner, cands: &[Candidate]) -> Vec<String> {
+        let mut ranked: Vec<(f64, String)> = Vec::new();
+        for c in cands {
+            let Ok(f) = &c.formula else { continue };
+            for nu in candidate_vec_widths() {
+                let tagged = match nu {
+                    1 => f.clone(),
+                    _ => vec_tag(nu, f.clone()),
+                };
+                let plan = Plan::from_formula(&tagged, c.threads, t.mu)
+                    .unwrap()
+                    .fuse_exchanges();
+                if nu == 1 || plan.vec_width > 1 {
+                    let cost = t.model.try_cost(&plan).unwrap();
+                    ranked.push((cost, variant_choice(&c.choice, nu)));
+                }
+            }
+        }
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
         ranked.into_iter().map(|r| r.1).collect()
     }
@@ -522,7 +610,7 @@ mod tests {
                 1 => t.sequential_candidates(n),
                 _ => t.parallel_candidates(n),
             };
-            let ranked = analytic_ranking(&t, threads, cands());
+            let ranked = analytic_ranking(&t, &cands());
             if ranked.len() < 2 {
                 continue; // a scalar-only host offers one sequential variant
             }
@@ -537,7 +625,7 @@ mod tests {
             };
             let mut report = TuneReport::default();
             let best = t
-                .select(threads, cands(), &gate, &mut report, &())
+                .select(&cands(), &gate, &mut report, &())
                 .expect("the runner-up passes the gate");
             assert_eq!(best.choice, ranked[1], "p={threads} n={n}");
             assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
@@ -566,7 +654,7 @@ mod tests {
             verify_and_certify(plan)
         };
         let mut report = TuneReport::default();
-        let best = t.select(2, t.parallel_candidates(256), &gate, &mut report, &());
+        let best = t.select(&t.parallel_candidates(256), &gate, &mut report, &());
         assert!(best.is_some());
         assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
         assert_eq!(calls.get(), report.evaluated);

@@ -5,7 +5,10 @@
 //! * the structural `PlanShape` of every DP candidate equals the shape
 //!   of the lowered plan, so the costs are bit-identical;
 //! * the analytic cost read from a lowered parallel plan's shape equals
-//!   the flops/vec-flops/barrier formula read off the plan itself;
+//!   the flops/vec-flops/barrier formula read off the plan itself, plus
+//!   the `p`-thread synchronization terms;
+//! * the shape of each vec(ν) variant, read off the lowered untagged
+//!   plan, equals the shape of the lowered tagged formula;
 //! * the exhaustive selection — lower, gate and cost every candidate,
 //!   DP included, then take the first minimum — picks the same formula
 //!   as the tuner.
@@ -15,8 +18,11 @@ use proptest::sample::select;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spiral_codegen::plan::Plan;
+use spiral_codegen::{vectorize_plan, vectorized_shape};
 use spiral_rewrite::{expand_dfts, multicore_dft, RuleTree};
-use spiral_search::cost::{analytic_cost, tree_shape};
+use spiral_search::cost::{
+    analytic_cost, tree_shape, SHARED_PER_ELEMENT, SYNC_PER_CALL, SYNC_PER_STEP,
+};
 use spiral_search::random::random_tree;
 use spiral_search::{candidate_vec_widths, CostModel, Tuner};
 use spiral_spl::builder::vec_tag;
@@ -91,15 +97,24 @@ fn variants(formula: &Spl) -> Vec<Spl> {
         .collect()
 }
 
-/// Every split × vec(ν) candidate formula of the multicore Cooley–Tukey
-/// at `(n, p, µ)`, sub-DFTs expanded with `tree`.
-fn parallel_formulas(n: usize, p: usize, mu: usize, tree: &dyn Fn(usize) -> RuleTree) -> Vec<Spl> {
+/// Every split candidate formula of the multicore Cooley–Tukey at
+/// `(n, p, µ)`, untagged, sub-DFTs expanded with `tree`.
+fn parallel_bases(n: usize, p: usize, mu: usize, tree: &dyn Fn(usize) -> RuleTree) -> Vec<Spl> {
     let pmu = p * mu;
     divisors(n)
         .into_iter()
         .filter(|&m| m > 1 && m < n && m % pmu == 0 && (n / m).is_multiple_of(pmu))
         .filter_map(|m| multicore_dft(n, p, mu, Some(m)).ok())
-        .flat_map(|d| variants(&expand_dfts(&d.formula, tree).normalized()))
+        .map(|d| expand_dfts(&d.formula, tree).normalized())
+        .collect()
+}
+
+/// Every split × vec(ν) candidate formula of the multicore Cooley–Tukey
+/// at `(n, p, µ)`, sub-DFTs expanded with `tree`.
+fn parallel_formulas(n: usize, p: usize, mu: usize, tree: &dyn Fn(usize) -> RuleTree) -> Vec<Spl> {
+    parallel_bases(n, p, mu, tree)
+        .iter()
+        .flat_map(variants)
         .collect()
 }
 
@@ -168,12 +183,15 @@ fn analytic_cost_reads_the_same_integers_off_every_parallel_candidate() {
                 let Some(plan) = lower(&f, p, mu) else {
                     continue;
                 };
-                // The cost formula on the plan's own accessors.
+                // The cost formula on the plan's own accessors: the work
+                // split p ways, plus per-step and per-call synchronization.
                 let nu = plan.vec_width.max(1) as f64;
                 let steps = plan.steps.len() as f64;
-                let expected = plan.flops() as f64 - plan.vec_flops() as f64 * (1.0 - 1.0 / nu)
-                    + 1.5 * (steps * 2.0 * plan.n as f64)
-                    + 200.0 * plan.barriers() as f64;
+                let work = plan.flops() as f64 - plan.vec_flops() as f64 * (1.0 - 1.0 / nu)
+                    + 1.5 * (steps * 2.0 * plan.n as f64);
+                let per_step = SYNC_PER_STEP + SHARED_PER_ELEMENT * plan.n as f64;
+                let expected =
+                    work / plan.threads as f64 + per_step * plan.barriers() as f64 + SYNC_PER_CALL;
                 let shape = plan.shape();
                 assert_eq!(shape.steps, plan.barriers());
                 assert_eq!(analytic_cost(&shape).to_bits(), expected.to_bits(), "{f}");
@@ -243,4 +261,68 @@ fn tuner_picks_what_exhaustive_selection_picks() {
 fn tuner_picks_what_exhaustive_selection_picks_up_to_benchmark_sizes() {
     check_sequential(1..=18);
     check_parallel(6..=16);
+}
+
+/// The tuner lowers each candidate formula once, untagged, and reads
+/// each vec(ν) variant's shape off that plan (`vectorized_shape`); the
+/// variant it returns is that plan marked by `vectorize_plan`. Both must
+/// equal what lowering the tagged formula gives: the same shape, and for
+/// plans up to `debug_upto` points the same plan.
+fn check_derived_variants(f: &Spl, threads: usize, mu: usize, debug_upto: usize) -> usize {
+    let base = Plan::from_formula(f, threads, mu).unwrap().fuse_exchanges();
+    let mut checked = 0;
+    for nu in candidate_vec_widths().into_iter().filter(|&nu| nu > 1) {
+        let tagged = Plan::from_formula(&vec_tag(nu, f.clone()), threads, mu)
+            .unwrap()
+            .fuse_exchanges();
+        let derived = vectorized_shape(&base, nu);
+        if tagged.vec_width == 1 {
+            assert_eq!(derived, None, "ν={nu} vectorized nothing: {f}");
+            continue;
+        }
+        assert_eq!(derived, Some(tagged.shape()), "ν={nu}: {f}");
+        if f.dim() <= debug_upto {
+            let mut marked = base.clone();
+            vectorize_plan(&mut marked, nu);
+            assert_eq!(format!("{marked:?}"), format!("{tagged:?}"), "ν={nu}: {f}");
+        }
+        checked += 1;
+    }
+    checked
+}
+
+/// Sequential DP winners of every size `selection` tunes, plus the mixed
+/// radices of the structural test, and every 2-thread split (µ = 4) for
+/// n = 2^6..2^`max_k`.
+fn check_all_derived_variants(max_k: u32) {
+    let mu = 4;
+    let tree = |s: usize| spiral_search::dp_search(s, MAX_LEAF, mu, &CostModel::Analytic).tree;
+    let mut checked = 0;
+    let sizes = (1..=14)
+        .map(|k| 1usize << k)
+        .chain([48, 360, 105, 208, 1000]);
+    for n in sizes {
+        checked += check_derived_variants(&tree(n).expand().normalized(), 1, mu, 1 << 12);
+    }
+    for k in 6..=max_k {
+        for f in parallel_bases(1 << k, 2, mu, &tree) {
+            checked += check_derived_variants(&f, 2, mu, 1 << 12);
+        }
+    }
+    if spiral_codegen::detected_simd_width() > 1 {
+        assert!(checked > 20, "only {checked} vectorized variants");
+    }
+}
+
+#[test]
+fn variant_shapes_read_off_the_untagged_plan_match_tagged_lowering() {
+    check_all_derived_variants(12);
+}
+
+/// The full benchmark range; slow in a debug build, so run it with
+/// `cargo test --release -p spiral-search --test selection -- --ignored`.
+#[test]
+#[ignore]
+fn variant_shapes_match_tagged_lowering_up_to_benchmark_sizes() {
+    check_all_derived_variants(16);
 }

@@ -15,8 +15,8 @@
 //! tuner invocations" is an *observable* invariant, not a hope.
 //!
 //! Execution: the pool behind [`BatchExecutor`] (and the stage
-//! executor) is not safe for concurrent dispatch, so execution is
-//! serialized behind a mutex while planning stays concurrent. Serving
+//! executor) runs one job at a time and serializes concurrent
+//! dispatches itself, while planning stays concurrent. Serving
 //! throughput comes from batching — one pool dispatch per batch — not
 //! from dispatching many transforms' pools at once.
 
@@ -74,8 +74,8 @@ pub struct PlanService {
     shards: Vec<Shard>,
     inflight: Mutex<HashMap<Key, Arc<Flight>>>,
     wisdom: Option<Mutex<WisdomStore>>,
-    batch: Mutex<BatchExecutor>,
-    stage_exec: Mutex<ParallelExecutor>,
+    batch: BatchExecutor,
+    stage_exec: ParallelExecutor,
     tuner_invocations: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -111,8 +111,8 @@ impl PlanService {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             inflight: Mutex::new(HashMap::new()),
             wisdom: wisdom.map(Mutex::new),
-            batch: Mutex::new(BatchExecutor::new(threads)),
-            stage_exec: Mutex::new(ParallelExecutor::with_auto_barrier(threads)),
+            batch: BatchExecutor::new(threads),
+            stage_exec: ParallelExecutor::with_auto_barrier(threads),
             tuner_invocations: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
@@ -181,7 +181,7 @@ impl PlanService {
     pub fn serve_one(&self, n: usize, x: &[Cplx]) -> Result<Vec<Cplx>, SpiralError> {
         let served = self.plan(n)?;
         if served.plan.threads > 1 {
-            self.stage_exec.lock().unwrap().try_execute(&served.plan, x)
+            self.stage_exec.try_execute(&served.plan, x)
         } else {
             let mut out = vec![Cplx::ZERO; n];
             served
@@ -200,10 +200,7 @@ impl PlanService {
         inputs: &[Vec<Cplx>],
     ) -> Result<Vec<Vec<Cplx>>, SpiralError> {
         let served = self.sequential_plan(n)?;
-        self.batch
-            .lock()
-            .unwrap()
-            .try_execute_batch(&served.plan, inputs)
+        self.batch.try_execute_batch(&served.plan, inputs)
     }
 
     fn plan_for(&self, n: usize, threads: usize) -> Result<Arc<ServedPlan>, SpiralError> {

@@ -3,9 +3,25 @@
 //! FFTW's experimental "thread pooling" (which the paper found broken on
 //! 4 processors) exists to avoid paying thread-creation cost per
 //! transform; Spiral-generated code assumes the same. This pool keeps
-//! `p-1` workers parked between calls; [`Pool::run`] executes a closure
-//! on all `p` logical threads (the caller participates as thread 0) and
-//! returns when every thread has finished.
+//! `p-1` workers between calls; [`Pool::run`] executes a closure on all
+//! `p` logical threads (the caller participates as thread 0) and returns
+//! when every thread has finished.
+//!
+//! ## Dispatch: spin, then park
+//!
+//! An idle worker polls the atomic job generation for
+//! [`SPIN_WINDOW`] before it parks on a condvar, and the caller polls the
+//! completion counter for the same window before it parks; a poller
+//! yields its core between bursts of polls. Back-to-back dispatches (a
+//! closed loop of small transforms) therefore never wait for a wake-up,
+//! while an idle pool still sleeps after at most one window. Wake-ups
+//! are skipped when nobody is parked: a parked count (workers) and a
+//! parked flag (caller) say whether a `notify` is needed.
+//!
+//! Jobs are serialized inside [`Pool::try_run`]: concurrent callers on
+//! one pool take turns, so a shared executor needs no lock of its own. A
+//! job must not dispatch on the pool that runs it (it would wait for
+//! itself).
 //!
 //! ## Failure model
 //!
@@ -24,7 +40,7 @@
 
 use crate::error::{lock_recover, panic_payload, SpiralError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,6 +48,17 @@ use std::time::{Duration, Instant};
 /// Default pool watchdog: generous, so healthy long transforms never
 /// trip it; executors layer tighter stage-level deadlines underneath.
 pub const DEFAULT_POOL_WATCHDOG: Duration = Duration::from_secs(60);
+
+/// How long an idle worker waits for the next job, and the caller for
+/// the workers to finish, by polling before parking on a condvar. Long
+/// enough to cover the gap between the calls of a closed loop over small
+/// transforms (a few µs), short enough that an idle pool sleeps almost
+/// at once.
+pub const SPIN_WINDOW: Duration = Duration::from_micros(50);
+const _: () = assert!(
+    SPIN_WINDOW.as_micros() <= 100,
+    "spin window is capped at 100 µs"
+);
 
 /// Type-erased job pointer. Valid only while the publishing `run` call is
 /// blocked, which the completion protocol guarantees.
@@ -42,7 +69,6 @@ struct Job {
 unsafe impl Send for Job {}
 
 struct Slot {
-    generation: u64,
     job: Option<Job>,
     shutdown: bool,
 }
@@ -50,20 +76,51 @@ struct Slot {
 struct Shared {
     slot: Mutex<Slot>,
     start: Condvar,
+    /// Bumped for every job and at shutdown; written only under the
+    /// `slot` lock, so parked workers can wait on it, and read without
+    /// the lock by spinning ones.
+    generation: AtomicU64,
+    /// Workers parked (or about to park) on `start`; changed only under
+    /// the `slot` lock, so a publisher holding it reads it exactly.
+    parked: AtomicUsize,
     /// Number of workers still running the current job.
     remaining: AtomicUsize,
+    /// The caller is parked (or about to park) on `done`.
+    caller_parked: AtomicBool,
     done_lock: Mutex<()>,
     done: Condvar,
     /// Panics caught during the current job, in completion order.
     panics: Mutex<Vec<(usize, String)>>,
 }
 
-/// A pool of `p` logical threads: `p - 1` parked workers plus the caller.
+/// Poll `ready` for up to [`SPIN_WINDOW`]; returns whether it turned true.
+/// Between bursts of polls the thread yields its core, so a poller never
+/// holds off a thread that has real work (the host may have fewer cores
+/// than runnable threads); on an idle core the yield returns at once.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        for _ in 0..64 {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= SPIN_WINDOW {
+            return ready();
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// A pool of `p` logical threads: `p - 1` workers plus the caller.
 pub struct Pool {
     p: usize,
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     watchdog: Duration,
+    /// Held for a whole job: one job at a time per pool.
+    running: Mutex<()>,
 }
 
 impl Pool {
@@ -78,12 +135,14 @@ impl Pool {
         assert!(p >= 1, "pool needs at least one thread");
         let shared = Arc::new(Shared {
             slot: Mutex::new(Slot {
-                generation: 0,
                 job: None,
                 shutdown: false,
             }),
             start: Condvar::new(),
+            generation: AtomicU64::new(0),
+            parked: AtomicUsize::new(0),
             remaining: AtomicUsize::new(0),
+            caller_parked: AtomicBool::new(false),
             done_lock: Mutex::new(()),
             done: Condvar::new(),
             panics: Mutex::new(Vec::new()),
@@ -102,6 +161,7 @@ impl Pool {
             shared,
             handles,
             watchdog,
+            running: Mutex::new(()),
         }
     }
 
@@ -141,7 +201,8 @@ impl Pool {
     /// Run `f(tid)` on all `p` threads, isolating panics: a panic on any
     /// thread is caught, the run completes on the other threads, and the
     /// first recorded panic returns as [`SpiralError::WorkerPanic`]. The
-    /// pool remains usable after an `Err`.
+    /// pool remains usable after an `Err`. Concurrent calls on one pool
+    /// run one after the other.
     pub fn try_run(&self, f: &(dyn Fn(usize) + Sync)) -> Result<(), SpiralError> {
         if self.p == 1 {
             return match catch_unwind(AssertUnwindSafe(|| f(0))) {
@@ -152,54 +213,62 @@ impl Pool {
                 }),
             };
         }
-        lock_recover(&self.shared.panics).clear();
+        let _running = lock_recover(&self.running);
+        let sh = &*self.shared;
+        lock_recover(&sh.panics).clear();
         // Publish the job.
         {
-            let mut slot = lock_recover(&self.shared.slot);
-            debug_assert!(slot.job.is_none(), "pool is not reentrant");
-            self.shared.remaining.store(self.p - 1, Ordering::Release);
-            slot.generation += 1;
+            let mut slot = lock_recover(&sh.slot);
+            sh.remaining.store(self.p - 1, Ordering::Release);
             // Safety: erase the borrow's lifetime; `try_run` blocks until
             // all workers finish with the pointer, then clears the slot.
             let erased: *const (dyn Fn(usize) + Sync + 'static) =
                 unsafe { std::mem::transmute(f as *const (dyn Fn(usize) + Sync)) };
             slot.job = Some(Job { f: erased });
-            self.shared.start.notify_all();
+            sh.generation.fetch_add(1, Ordering::Release);
+            if sh.parked.load(Ordering::Relaxed) > 0 {
+                sh.start.notify_all();
+            }
         }
         // Participate as thread 0, isolating our own panic so we always
-        // reach the drain loop below (returning early would dangle the
+        // reach the drain below (returning early would dangle the
         // published job pointer under running workers).
         let caller = catch_unwind(AssertUnwindSafe(|| f(0)));
-        // Wait for the workers, under the watchdog.
+        // Wait for the workers: spin, then park under the watchdog.
         let start = Instant::now();
-        let deadline = start + self.watchdog;
         let mut overrun = false;
-        let mut guard = lock_recover(&self.shared.done_lock);
-        while self.shared.remaining.load(Ordering::Acquire) != 0 {
-            let now = Instant::now();
-            let wait = if now < deadline {
-                deadline - now
-            } else {
-                // Past the deadline: the run is failed, but we must not
-                // return while a worker may still dereference the job
-                // pointer. Stage-level deadlines below us bound how long
-                // this drain can take.
-                overrun = true;
-                Duration::from_millis(100)
-            };
-            let (g, _) = self
-                .shared
-                .done
-                .wait_timeout(guard, wait)
-                .unwrap_or_else(PoisonError::into_inner);
-            guard = g;
+        if !spin_until(|| sh.remaining.load(Ordering::Acquire) == 0) {
+            let deadline = start + self.watchdog;
+            let mut guard = lock_recover(&sh.done_lock);
+            // Announce the park before the last check; the last worker
+            // checks the flag after its decrement (both SeqCst), so one
+            // of the two sees the other and no wake-up is lost.
+            sh.caller_parked.store(true, Ordering::SeqCst);
+            while sh.remaining.load(Ordering::SeqCst) != 0 {
+                let now = Instant::now();
+                let wait = if now < deadline {
+                    deadline - now
+                } else {
+                    // Past the deadline: the run is failed, but we must
+                    // not return while a worker may still dereference the
+                    // job pointer. Stage-level deadlines below us bound
+                    // how long this drain can take.
+                    overrun = true;
+                    Duration::from_millis(100)
+                };
+                let (g, _) = sh
+                    .done
+                    .wait_timeout(guard, wait)
+                    .unwrap_or_else(PoisonError::into_inner);
+                guard = g;
+            }
+            sh.caller_parked.store(false, Ordering::Relaxed);
         }
-        drop(guard);
         // Clear the job so the pointer cannot be observed after return.
-        lock_recover(&self.shared.slot).job = None;
+        lock_recover(&sh.slot).job = None;
         // Surface failures: first recorded panic wins, then the caller's
         // own panic, then a watchdog overrun.
-        let mut panics = lock_recover(&self.shared.panics);
+        let mut panics = lock_recover(&sh.panics);
         if let Err(p) = caller {
             panics.push((0, panic_payload(p)));
         }
@@ -222,7 +291,7 @@ impl Drop for Pool {
         {
             let mut slot = lock_recover(&self.shared.slot);
             slot.shutdown = true;
-            slot.generation += 1;
+            self.shared.generation.fetch_add(1, Ordering::Release);
             self.shared.start.notify_all();
         }
         for h in self.handles.drain(..) {
@@ -234,15 +303,21 @@ impl Drop for Pool {
 fn worker_loop(tid: usize, sh: Arc<Shared>) {
     let mut seen_generation = 0u64;
     loop {
+        let generation = || sh.generation.load(Ordering::Acquire);
+        spin_until(|| generation() != seen_generation);
         let job = {
             let mut slot = lock_recover(&sh.slot);
-            while slot.generation == seen_generation && !slot.shutdown {
-                slot = sh.start.wait(slot).unwrap_or_else(PoisonError::into_inner);
+            if generation() == seen_generation && !slot.shutdown {
+                sh.parked.fetch_add(1, Ordering::Relaxed);
+                while generation() == seen_generation && !slot.shutdown {
+                    slot = sh.start.wait(slot).unwrap_or_else(PoisonError::into_inner);
+                }
+                sh.parked.fetch_sub(1, Ordering::Relaxed);
             }
             if slot.shutdown {
                 return;
             }
-            seen_generation = slot.generation;
+            seen_generation = generation();
             match &slot.job {
                 Some(j) => Job { f: j.f },
                 None => continue,
@@ -257,7 +332,9 @@ fn worker_loop(tid: usize, sh: Arc<Shared>) {
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(tid))) {
             lock_recover(&sh.panics).push((tid, panic_payload(p)));
         }
-        if sh.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if sh.remaining.fetch_sub(1, Ordering::SeqCst) == 1
+            && sh.caller_parked.load(Ordering::SeqCst)
+        {
             let _g = lock_recover(&sh.done_lock);
             sh.done.notify_all();
         }
@@ -418,5 +495,93 @@ mod tests {
         // The straggler drained before return; the pool is reusable.
         assert!(pool.healthy());
         pool.try_run(&|_tid| {}).unwrap();
+    }
+
+    /// Poll `cond` every 100 µs for up to `limit`; whether it held.
+    fn eventually(limit: Duration, cond: impl Fn() -> bool) -> bool {
+        let start = Instant::now();
+        while start.elapsed() < limit {
+            if cond() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        cond()
+    }
+
+    #[test]
+    fn idle_workers_park_after_the_spin_window() {
+        let pool = Pool::new(3);
+        pool.run(&|_tid| {});
+        // Each worker spins for one SPIN_WINDOW (≤ 100 µs), then parks;
+        // the generous limit only absorbs scheduling delay on a loaded
+        // host.
+        let parked = || pool.shared.parked.load(Ordering::Relaxed) == 2;
+        assert!(eventually(Duration::from_secs(2), parked));
+        // Parked workers still wake for the next job.
+        let hits = AtomicU64::new(0);
+        pool.run(&|_tid| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(hits.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn dropping_a_pool_with_spinning_workers_joins_promptly() {
+        for p in [2usize, 4] {
+            let pool = Pool::new(p);
+            pool.run(&|_tid| {});
+            // The workers are inside their spin window now.
+            let t0 = Instant::now();
+            drop(pool);
+            assert!(t0.elapsed() < Duration::from_millis(500), "p={p}");
+        }
+    }
+
+    /// Back-to-back dispatches, with pauses longer than the spin window
+    /// (workers park) and slow workers (the caller parks), so both the
+    /// spinning and the parking hand-offs run thousands of times. A lost
+    /// wake-up would surface as a watchdog error.
+    #[test]
+    fn ten_thousand_dispatches_lose_no_wake_up() {
+        for p in [2usize, 4] {
+            let pool = Pool::with_watchdog(p, Duration::from_secs(10));
+            let total = AtomicU64::new(0);
+            let rounds = 10_000u64;
+            for round in 0..rounds {
+                if round % 500 == 0 {
+                    std::thread::sleep(SPIN_WINDOW * 3);
+                }
+                let slow = round % 500 == 250;
+                pool.try_run(&|tid| {
+                    if slow && tid != 0 {
+                        std::thread::sleep(SPIN_WINDOW * 3);
+                    }
+                    total.fetch_add(1, Ordering::Relaxed);
+                })
+                .unwrap_or_else(|e| panic!("p={p} round {round}: {e}"));
+            }
+            assert_eq!(total.load(Ordering::Relaxed), rounds * p as u64);
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_take_turns() {
+        let pool = Pool::with_watchdog(2, Duration::from_secs(10));
+        std::thread::scope(|s| {
+            for caller in 0..2u64 {
+                let pool = &pool;
+                s.spawn(move || {
+                    for _ in 0..200 {
+                        let hits = AtomicU64::new(0);
+                        pool.try_run(&|tid| {
+                            hits.fetch_add(1 << (tid * 8), Ordering::SeqCst);
+                        })
+                        .unwrap();
+                        assert_eq!(hits.load(Ordering::SeqCst), 0x0101, "caller {caller}");
+                    }
+                });
+            }
+        });
     }
 }

@@ -1,5 +1,6 @@
-//! Emit the generated C code (the paper's actual backend) for a parallel
-//! DFT and print it — OpenMP or pthreads flavor.
+//! Emit the generated C code (the paper's actual backend) for a DFT on
+//! up to 2 threads and print it — OpenMP or pthreads flavor. A size too
+//! small for 2 threads to pay gets sequential C.
 //!
 //! ```text
 //! cargo run --release --example emit_c [n] [openmp|pthreads]

@@ -46,22 +46,27 @@ fn main() {
     println!("  max |Δ| vs naive DFT: {:.3e}", max_dist(&y, &reference));
 
     // --- parallel -----------------------------------------------------
+    // Up to p threads: the tuner runs the transform on one thread where
+    // p threads do not pay, and reports its choice in the plan.
     let p = 2;
     let mu = spiral_fft::smp::topology::mu();
-    match SpiralFft::parallel(n, p, mu) {
-        Ok(pfft) => {
-            println!("\ngenerated parallel DFT_{n} for p = {p}, µ = {mu}");
-            println!("  formula: {}", pfft.formula().pretty());
-            let yp = pfft.forward(&x);
-            println!(
-                "  max |Δ| parallel vs sequential: {:.3e}",
-                max_dist(&y, &yp)
-            );
-            // The generated formula is provably fully optimized:
-            spiral_fft::rewrite::check_fully_optimized(pfft.formula(), p, mu)
-                .expect("Definition 1 violated?!");
-            println!("  Definition 1 check: load-balanced, no false sharing ✓");
+    for n in [n, 1 << 14] {
+        let x: Vec<Cplx> = (0..n).map(|k| Cplx::new(k as f64, 1.0)).collect();
+        match SpiralFft::parallel(n, p, mu) {
+            Ok(pfft) => {
+                let threads = pfft.plan().threads;
+                println!("\ngenerated DFT_{n} for up to p = {p}, µ = {mu}: {threads} thread(s)");
+                let yp = pfft.forward(&x);
+                let ys = SpiralFft::sequential(n).forward(&x);
+                println!("  max |Δ| vs sequential: {:.3e}", max_dist(&ys, &yp));
+                if threads == p {
+                    // The generated formula is provably fully optimized:
+                    spiral_fft::rewrite::check_fully_optimized(pfft.formula(), p, mu)
+                        .expect("Definition 1 violated?!");
+                    println!("  Definition 1 check: load-balanced, no false sharing ✓");
+                }
+            }
+            Err(e) => println!("\nparallel generation not possible: {e}"),
         }
-        Err(e) => println!("\nparallel generation not possible: {e}"),
     }
 }

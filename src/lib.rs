@@ -26,8 +26,10 @@
 //! use spiral_fft::SpiralFft;
 //! use spiral_fft::spl::Cplx;
 //!
-//! // Generate (and autotune) a parallel DFT_256 for 2 processors, µ = 4.
+//! // Generate (and autotune) a DFT_256 for up to 2 processors, µ = 4.
 //! let fft = SpiralFft::parallel(256, 2, 4).expect("256 is (pµ)²-compatible");
+//! // The tuner picks how many of the 2 threads pay at this size.
+//! assert!(fft.plan().threads <= 2);
 //! let x: Vec<Cplx> = (0..256).map(|k| Cplx::real(k as f64)).collect();
 //! let y = fft.forward(&x);
 //! assert_eq!(y.len(), 256);
@@ -136,13 +138,19 @@ impl SpiralFft {
         }
     }
 
-    /// Generate and tune a `p`-thread `DFT_n` for cache-line length `µ`
-    /// (in complex elements; pass `spiral_smp::topology::mu()` for this
-    /// host). The result is fully optimized in the paper's Definition 1
-    /// sense: load-balanced and free of false sharing.
+    /// Generate and tune a `DFT_n` for up to `p` threads and cache-line
+    /// length `µ` (in complex elements; pass
+    /// `spiral_smp::topology::mu()` for this host). The tuner ranks the
+    /// `p`-thread formulas against the sequential one
+    /// ([`Tuner::tune`]), so a transform too small for `p` threads to pay
+    /// runs on one; [`plan`](Self::plan)`().threads` reports the choice,
+    /// and no thread pool is built for one thread. A `p`-thread result is
+    /// fully optimized in the paper's Definition 1 sense: load-balanced
+    /// and free of false sharing. Fails with [`Error::NoParallelSplit`]
+    /// when no `p`-thread formula exists (`(pµ)² ∤ n`).
     pub fn parallel(n: usize, p: usize, mu: usize) -> Result<SpiralFft, Error> {
         let tuned = Tuner::new(p, mu, CostModel::Analytic)
-            .tune_parallel(n)?
+            .tune(n)?
             .ok_or(Error::NoParallelSplit { n, p, mu })?;
         let executor = if tuned.plan.threads > 1 {
             Some(ParallelExecutor::with_auto_barrier(tuned.plan.threads))
@@ -268,10 +276,24 @@ impl SpiralFft {
         }
     }
 
+    /// `Err` unless `x` has [`len`](Self::len) elements, whichever
+    /// backend runs it.
+    fn check_len(&self, x: &[Cplx]) -> Result<(), Error> {
+        if x.len() == self.len() {
+            return Ok(());
+        }
+        Err(Error::Fault(spiral_smp::SpiralError::Plan(format!(
+            "input length {} does not match transform size {}",
+            x.len(),
+            self.len()
+        ))))
+    }
+
     /// Compute the forward DFT of `x`, propagating execution-layer
-    /// faults (worker panics, watchdog expiries, non-finite output) as
-    /// [`Error::Fault`] instead of panicking.
+    /// faults (worker panics, watchdog expiries, non-finite output) and
+    /// a wrong input length as [`Error::Fault`] instead of panicking.
     pub fn try_forward(&self, x: &[Cplx]) -> Result<Vec<Cplx>, Error> {
+        self.check_len(x)?;
         match &self.backend {
             Backend::Plan {
                 plan,
@@ -293,6 +315,7 @@ impl SpiralFft {
         &self,
         x: &[Cplx],
     ) -> Result<(Vec<Cplx>, Option<spiral_smp::SpiralError>), Error> {
+        self.check_len(x)?;
         match &self.backend {
             Backend::Plan {
                 plan,
@@ -347,10 +370,18 @@ mod tests {
 
     #[test]
     fn parallel_front_door() {
-        let fft = SpiralFft::parallel(256, 2, 4).unwrap();
-        let x = ramp(256);
-        assert_slices_close(&fft.forward(&x), &dft(256).eval(&x), 1e-6);
-        spiral_rewrite::check_fully_optimized(fft.formula(), 2, 4).unwrap();
+        // One thread where two do not pay, two where they do; a 2-thread
+        // result is fully optimized.
+        for (n, threads) in [(256usize, 1usize), (1 << 14, 2)] {
+            let fft = SpiralFft::parallel(n, 2, 4).unwrap();
+            assert_eq!(fft.plan().threads, threads, "n={n}");
+            let x = ramp(n);
+            let want = spiral_baselines::IterativeFft::new(n).run(&x);
+            assert_slices_close(&fft.forward(&x), &want, 1e-9 * n as f64);
+            if threads == 2 {
+                spiral_rewrite::check_fully_optimized(fft.formula(), 2, 4).unwrap();
+            }
+        }
     }
 
     #[test]

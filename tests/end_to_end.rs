@@ -112,11 +112,18 @@ fn linearity_and_parseval_of_generated_transforms() {
 
 #[test]
 fn emitted_c_structure_for_tuned_plans() {
-    let fft = SpiralFft::parallel(256, 2, 4).unwrap();
-    let omp = fft.emit_c(spiral_fft::codegen::CFlavor::OpenMp);
+    // The forced 2-thread tuner: the facade may run 256 points on one
+    // thread, whose C has no parallel loops or barriers.
+    use spiral_fft::codegen::{emit_c, CFlavor};
+    use spiral_fft::search::{CostModel, Tuner};
+    let tuned = Tuner::new(2, 4, CostModel::Analytic)
+        .tune_parallel(256)
+        .unwrap()
+        .expect("256 admits p=2 µ=4 splits");
+    let omp = emit_c(&tuned.plan, CFlavor::OpenMp);
     assert!(omp.contains("#pragma omp parallel for"));
     assert!(omp.contains("void spiral_dft_256"));
-    let pth = fft.emit_c(spiral_fft::codegen::CFlavor::Pthreads);
+    let pth = emit_c(&tuned.plan, CFlavor::Pthreads);
     assert!(pth.contains("pthread_barrier_wait"));
 }
 

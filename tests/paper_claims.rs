@@ -269,6 +269,86 @@ mod measured_claims {
         }
     }
 
+    /// Median per-call µs of `a` and `b`, timed in alternating pairs
+    /// for about `budget` (the pairing cancels host speed drift).
+    fn paired_medians(
+        budget: std::time::Duration,
+        mut a: impl FnMut(),
+        mut b: impl FnMut(),
+    ) -> (f64, f64) {
+        use std::time::Instant;
+        let (mut ta, mut tb) = (Vec::new(), Vec::new());
+        for _ in 0..5 {
+            a();
+            b();
+        }
+        let start = Instant::now();
+        while start.elapsed() < budget || ta.len() < 21 {
+            let t = Instant::now();
+            a();
+            ta.push(t.elapsed().as_secs_f64() * 1e6);
+            let t = Instant::now();
+            b();
+            tb.push(t.elapsed().as_secs_f64() * 1e6);
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        (median(&mut ta), median(&mut tb))
+    }
+
+    #[test]
+    #[ignore = "wall-clock crossover; meaningful only in a release build on an idle host"]
+    fn claim_xover_host_thread_choice() {
+        // §1/§4 on the host: where do two threads start to pay, and does
+        // the cost model's thread choice (`Tuner::tune`) follow it? Prints
+        // one row per size: the measured 1- and 2-thread times, the
+        // thread count the model picks, and the regret (the pick's time
+        // over the faster one's). Asserts only that the pick is one of
+        // the two plans timed; the numbers go to EXPERIMENTS.md.
+        use spiral_fft::search::cost::analytic_cost;
+        use spiral_fft::search::{CostModel, Tuner};
+        let (p, mu) = (2usize, spiral_fft::smp::topology::mu());
+        if p > processors() {
+            eprintln!("skipping the host crossover: fewer than {p} cores");
+            return;
+        }
+        let seq_tuner = Tuner::new(1, mu, CostModel::Analytic);
+        let par_tuner = Tuner::new(p, mu, CostModel::Analytic);
+        let exec = ParallelExecutor::with_auto_barrier(p);
+        println!("| log2 n | 1 thread (µs) | 2 threads (µs) | cost 1 | cost 2 | steps 2 | picked p | regret |");
+        println!("|---|---|---|---|---|---|---|---|");
+        for k in 6..=16u32 {
+            let n = 1usize << k;
+            let seq = seq_tuner.tune_sequential(n).unwrap();
+            let par = par_tuner.tune_parallel(n).unwrap().unwrap();
+            let pick = par_tuner.tune(n).unwrap().unwrap();
+            let want = if pick.plan.threads == 1 { &seq } else { &par };
+            assert_eq!(pick.choice, want.choice, "n=2^{k}");
+            let x = ramp(n);
+            let budget = std::time::Duration::from_millis(400);
+            let (t1, t2) = paired_medians(
+                budget,
+                || {
+                    std::hint::black_box(seq.plan.execute(&x));
+                },
+                || {
+                    std::hint::black_box(exec.try_execute(&par.plan, &x).unwrap());
+                },
+            );
+            let picked = if pick.plan.threads == 1 { t1 } else { t2 };
+            println!(
+                "| {k} | {t1:.2} | {t2:.2} | {:.0} | {:.0} | {} | {} | {:.2} |",
+                analytic_cost(&seq.plan.shape()),
+                analytic_cost(&par.plan.shape()),
+                par.plan.steps.len(),
+                pick.plan.threads,
+                picked / t1.min(t2)
+            );
+        }
+    }
+
     #[test]
     fn negative_control_imbalanced_plan_fails_the_balance_bound() {
         // A deliberately imbalanced plan — a sequential (Seq-step) plan
