@@ -431,7 +431,7 @@ impl<'a> Emitter<'a> {
             self.emit_cplx_table(&format!("two_{tag}"), w);
         }
         // Loop nest.
-        s.push_str("    {\n        int ib, ob, flat = 0;\n        (void)flat;\n");
+        s.push_str("    {\n        int ib, ob;\n");
         let mut open = 0;
         let _ = writeln!(s, "        ib = {}; ob = {};", ks.in_off, ks.out_off);
         let mut vars = Vec::new();
@@ -464,13 +464,14 @@ impl<'a> Emitter<'a> {
         };
         let _ = write!(s, "{pad}{{\n{pad}    double gin[2*{c}], gout[2*{c}];\n");
         let _ = writeln!(s, "{pad}    int ibase = {ib_expr}, obase = {ob_expr};");
-        // Flat (mixed-radix) iteration index for the twiddle tables.
+        // Twiddle iteration: the loop variables times their twiddle
+        // strides (loops the tables do not vary along have stride 0).
         if ks.twiddle.is_some() || ks.twiddle_out.is_some() {
             let mut expr = String::from("0");
-            for (v, l) in &vars {
-                expr = format!("(({expr}) * {} + {v})", l.count);
+            for (v, l) in vars.iter().filter(|(_, l)| l.tw_stride > 0) {
+                let _ = write!(expr, " + {v}*{}", l.tw_stride);
             }
-            let _ = writeln!(s, "{pad}    int fl = {expr};");
+            let _ = writeln!(s, "{pad}    int twi = {expr};");
         }
         if !simd_pragma.is_empty() {
             let _ = write!(s, "{pad}    {simd_pragma}");
@@ -490,7 +491,7 @@ impl<'a> Emitter<'a> {
             let _ = write!(
                 s,
                 "{pad}        double re = {in_buf}[2*{in_expr}], im = {in_buf}[2*{in_expr}+1];\n\
-                 {pad}        double wre = tw_{tag}[2*(fl*{c}+t)], wim = tw_{tag}[2*(fl*{c}+t)+1];\n\
+                 {pad}        double wre = tw_{tag}[2*(twi*{c}+t)], wim = tw_{tag}[2*(twi*{c}+t)+1];\n\
                  {pad}        gin[2*t] = re*wre - im*wim; gin[2*t+1] = re*wim + im*wre;\n"
             );
         } else {
@@ -515,7 +516,7 @@ impl<'a> Emitter<'a> {
                 s,
                 "{out_pragma}{pad}    for (int t = 0; t < {c}; t++) {{\n\
                  {pad}        int oi = {idx_out};\n\
-                 {pad}        double wre = two_{tag}[2*(fl*{c}+t)], wim = two_{tag}[2*(fl*{c}+t)+1];\n\
+                 {pad}        double wre = two_{tag}[2*(twi*{c}+t)], wim = two_{tag}[2*(twi*{c}+t)+1];\n\
                  {pad}        {out_buf}[2*(({out_off})+oi)]   = gout[2*t]*wre - gout[2*t+1]*wim;\n\
                  {pad}        {out_buf}[2*(({out_off})+oi)+1] = gout[2*t]*wim + gout[2*t+1]*wre;\n\
                  {pad}    }}\n{pad}}}\n"

@@ -70,4 +70,4 @@ pub use parallel::{ExecOutcome, ParallelExecutor};
 pub use plan::{install_validator, Plan, PlanShape, PlanValidator, PlanWorkspace, Step};
 pub use simd::detected_simd_width;
 pub use spiral_smp::SpiralError;
-pub use vectorize::{stage_alignment, vectorize_plan, vectorize_program, vectorized_shape};
+pub use vectorize::{stage_alignment, vectorize_plan, vectorized_shape};

@@ -150,12 +150,14 @@ pub fn lift_block(prog: LocalProgram, m: usize) -> LocalProgram {
         .into_iter()
         .map(|s| match s {
             LocalStage::Kernel(mut k) => {
+                let rows = k.iterations();
                 k.loops.insert(
                     0,
                     LoopDim {
                         count: m,
                         in_stride: d,
                         out_stride: d,
+                        tw_stride: rows,
                     },
                 );
                 k.in_map = k.in_map.map(|t| Arc::new(block_lift_table(&t, m, d)));
@@ -208,6 +210,7 @@ pub fn lift_stride(prog: LocalProgram, k: usize) -> LocalProgram {
                 for l in &mut ks.loops {
                     l.in_stride *= k;
                     l.out_stride *= k;
+                    l.tw_stride *= k;
                 }
                 ks.in_off *= k;
                 ks.out_off *= k;
@@ -217,6 +220,7 @@ pub fn lift_stride(prog: LocalProgram, k: usize) -> LocalProgram {
                     count: k,
                     in_stride: 1,
                     out_stride: 1,
+                    tw_stride: 1,
                 });
                 ks.in_map = ks.in_map.map(|t| Arc::new(stride_lift_table(&t, k)));
                 ks.out_map = ks.out_map.map(|t| Arc::new(stride_lift_table(&t, k)));
@@ -394,6 +398,7 @@ mod tests {
             count: 2,
             in_stride: 2,
             out_stride: 2,
+            tw_stride: 1,
         });
         let w: Vec<Cplx> = (0..4).map(|i| Cplx::real(i as f64)).collect();
         let tw = twiddle_for_kernel(&k, &w);

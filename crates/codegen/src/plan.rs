@@ -16,7 +16,7 @@ use crate::fuse::fuse;
 use crate::hook::{MemHook, Region};
 use crate::lower::{lower_seq, LowerError};
 use crate::parallel::run_step_portion;
-use crate::stage::{LocalProgram, LocalStage};
+use crate::stage::{KernelStage, LocalProgram, LocalStage};
 use spiral_spl::ast::Spl;
 use spiral_spl::cplx::Cplx;
 use spiral_spl::perm::Perm;
@@ -174,7 +174,13 @@ impl Plan {
                 steps.push(Step::Seq(prog));
             }
         }
-        let steps = merge_par_steps(steps);
+        let mut steps = merge_par_steps(steps);
+        // Tables are final once fusion is done: store one twiddle row per
+        // value of the loops they vary with, before the vectorize pass
+        // lane-groups them.
+        for k in kernels_mut(&mut steps) {
+            k.compact_twiddles();
+        }
         let mut plan = Plan {
             n,
             threads: threads.max(1),
@@ -240,12 +246,13 @@ impl Plan {
     /// one barrier and one full data pass per fused exchange.
     pub fn fuse_exchanges(mut self) -> Plan {
         let mut out: Vec<Step> = Vec::with_capacity(self.steps.len());
-        let mut pending: Option<Arc<Vec<u32>>> = None;
+        // An exchange not yet placed, with its own block granularity.
+        let mut pending: Option<(Arc<Vec<u32>>, usize)> = None;
         for step in self.steps.drain(..) {
             match (pending.take(), step) {
-                (None, Step::Exchange { table, mu: _ }) => pending = Some(table),
+                (None, Step::Exchange { table, mu }) => pending = Some((table, mu)),
                 (
-                    Some(table),
+                    Some((table, _)),
                     Step::Par {
                         chunk,
                         programs,
@@ -256,22 +263,24 @@ impl Plan {
                     programs,
                     gather: Some(table),
                 }),
-                (Some(prev), Step::Exchange { table, mu }) => {
-                    // Two exchanges in a row: compose, keep pending.
+                (Some((prev, prev_mu)), Step::Exchange { table, mu }) => {
+                    // Two exchanges in a row: compose, keep pending. The
+                    // composition moves whole blocks of the smaller µ
+                    // (block sizes are powers of two, so it divides the
+                    // larger).
                     let composed: Vec<u32> = table.iter().map(|&i| prev[i as usize]).collect();
-                    pending = Some(Arc::new(composed));
-                    let _ = mu;
+                    pending = Some((Arc::new(composed), prev_mu.min(mu)));
                 }
-                (Some(table), other) => {
+                (Some((table, mu)), other) => {
                     // Cannot fuse into this step: emit the exchange as is.
-                    out.push(Step::Exchange { table, mu: self.mu });
+                    out.push(Step::Exchange { table, mu });
                     out.push(other);
                 }
                 (None, other) => out.push(other),
             }
         }
-        if let Some(table) = pending {
-            out.push(Step::Exchange { table, mu: self.mu });
+        if let Some((table, mu)) = pending {
+            out.push(Step::Exchange { table, mu });
         }
         Plan { steps: out, ..self }
     }
@@ -313,27 +322,40 @@ impl Plan {
     /// reusing `ws` across calls. This is the allocation-free core of
     /// [`execute`](Self::execute) and the per-thread inner loop of the
     /// batch executor: re-running the same plan over many inputs touches
-    /// only the workspace buffers, so repeated transforms pay no
-    /// per-call allocation. Identical arithmetic to `execute` (both run
-    /// this code), so outputs are bitwise equal.
+    /// only `x`, `out` and one workspace buffer, so repeated transforms
+    /// pay no per-call allocation and no copy in or out. Identical
+    /// arithmetic to `execute` (both run this code), so outputs are
+    /// bitwise equal.
     pub fn execute_into(&self, x: &[Cplx], out: &mut [Cplx], ws: &mut PlanWorkspace) {
         assert_eq!(x.len(), self.n, "input length mismatch");
         assert_eq!(out.len(), self.n, "output length mismatch");
-        ws.prepare(self);
-        // Exact-length views: the workspace may be sized for a larger
-        // plan, but programs assert on their buffer dimensions.
-        let mut a: &mut [Cplx] = &mut ws.a[..self.n];
-        let mut b: &mut [Cplx] = &mut ws.b[..self.n];
-        a.copy_from_slice(x);
-        let tmp = &mut ws.tmp;
-        for step in &self.steps {
-            // SAFETY: the whole step is thread 0's portion of a 1-thread
-            // schedule, and `b` is an exclusive `n`-element buffer that
-            // does not overlap `a`.
-            unsafe { run_step_portion(step, self.n, self.mu.max(1), 0, 1, a, b.as_mut_ptr(), tmp) };
-            std::mem::swap(&mut a, &mut b);
+        let l = self.steps.len();
+        if l == 0 {
+            out.copy_from_slice(x);
+            return;
         }
-        out.copy_from_slice(a);
+        ws.prepare(self);
+        // Exact-length view: the workspace may be sized for a larger
+        // plan, but programs assert on their buffer dimensions.
+        let a = &mut ws.a[..self.n];
+        let tmp = &mut ws.tmp;
+        let mu = self.mu.max(1);
+        // Step 0 reads `x` in place; targets alternate between `out` and
+        // `a` so that step L-1 writes `out` (the parity rule of
+        // `LocalProgram::run_view`).
+        for (k, step) in self.steps.iter().enumerate() {
+            let to_out = (l - 1 - k).is_multiple_of(2);
+            let (src, dst): (&[Cplx], &mut [Cplx]) = match (k == 0, to_out) {
+                (true, true) => (x, &mut *out),
+                (true, false) => (x, &mut *a),
+                (false, true) => (&*a, &mut *out),
+                (false, false) => (&*out, &mut *a),
+            };
+            // SAFETY: the whole step is thread 0's portion of a 1-thread
+            // schedule, and `dst` is an exclusive `n`-element buffer that
+            // does not overlap `src`.
+            unsafe { run_step_portion(step, self.n, mu, 0, 1, src, dst.as_mut_ptr(), tmp) };
+        }
     }
 
     /// Replay the parallel execution schedule into a [`MemHook`]: which
@@ -395,13 +417,12 @@ impl Plan {
 }
 
 /// Reusable buffers for repeated sequential executions
-/// ([`Plan::execute_into`]): the ping-pong pair and the per-chunk
-/// temporary. Sized lazily to the largest plan seen, so one workspace
-/// serves any mix of plans.
+/// ([`Plan::execute_into`]): the step buffer that alternates with the
+/// output, and the per-chunk temporary. Sized lazily to the largest plan
+/// seen, so one workspace serves any mix of plans.
 #[derive(Default)]
 pub struct PlanWorkspace {
     a: Vec<Cplx>,
-    b: Vec<Cplx>,
     tmp: Vec<Cplx>,
 }
 
@@ -420,7 +441,6 @@ impl PlanWorkspace {
     fn prepare(&mut self, plan: &Plan) {
         if self.a.len() < plan.n {
             self.a.resize(plan.n, Cplx::ZERO);
-            self.b.resize(plan.n, Cplx::ZERO);
         }
         let local = plan.max_local_dim().max(1);
         if self.tmp.len() < local {
@@ -565,6 +585,22 @@ fn merge_par_steps(steps: Vec<Step>) -> Vec<Step> {
         }
     }
     out
+}
+
+/// Every kernel stage of every step.
+pub(crate) fn kernels_mut(steps: &mut [Step]) -> impl Iterator<Item = &mut KernelStage> {
+    steps
+        .iter_mut()
+        .flat_map(|step| match step {
+            Step::Seq(p) => std::slice::from_mut(p),
+            Step::Par { programs, .. } => programs.as_mut_slice(),
+            Step::Exchange { .. } | Step::ScaleAll(_) => &mut [],
+        })
+        .flat_map(|p| &mut p.stages)
+        .filter_map(|s| match s {
+            LocalStage::Kernel(k) => Some(k),
+            _ => None,
+        })
 }
 
 fn has_parallel_construct(f: &Spl) -> bool {
@@ -790,6 +826,57 @@ mod tests {
             .count();
         assert_eq!(gathered, 2);
         assert!(matches!(fused.steps.last(), Some(Step::Exchange { .. })));
+    }
+
+    #[test]
+    fn fuse_exchanges_keeps_each_exchange_granularity() {
+        // A µ = 1 permutation with nothing to fuse into stays µ = 1: at
+        // the plan's µ = 4 it would move only ⌊6/4⌋·4 of the 6 elements.
+        let f = spiral_spl::builder::compose(vec![
+            spiral_spl::builder::stride(6, 2),
+            spiral_spl::builder::tensor_par(2, dft(3)),
+        ]);
+        let fused = Plan::from_formula(&f, 2, 4).unwrap().fuse_exchanges();
+        assert!(matches!(
+            fused.steps.last(),
+            Some(Step::Exchange { mu: 1, .. })
+        ));
+        let x = ramp(6);
+        let want = f.eval(&x);
+        assert_slices_close(&fused.execute(&x), &want, 1e-12);
+        let exec = crate::ParallelExecutor::new(2, spiral_smp::barrier::BarrierKind::Park);
+        assert_slices_close(&exec.try_execute(&fused, &x).unwrap(), &want, 1e-12);
+    }
+
+    #[test]
+    fn execute_into_reads_input_in_place_for_any_step_count() {
+        // Step 0 reads `x`, targets alternate between `out` and the
+        // workspace so the last step lands in `out`: check 0..=4 steps.
+        let n = 8;
+        let perm = spiral_spl::builder::stride(n, 2);
+        let x = ramp(n);
+        let mut ws = PlanWorkspace::default();
+        for steps in 0..=4 {
+            let f = spiral_spl::builder::compose(
+                std::iter::repeat_n(perm.clone(), steps)
+                    .chain([spiral_spl::builder::i(n)])
+                    .collect(),
+            );
+            // Unmerged steps: one µ = 1 exchange per permutation.
+            let mut plan_steps = Vec::new();
+            push_steps(&f, &mut plan_steps).unwrap();
+            let plan = Plan {
+                n,
+                threads: 1,
+                mu: 1,
+                vec_width: 1,
+                steps: plan_steps,
+            };
+            assert_eq!(plan.steps.len(), steps);
+            let mut out = vec![Cplx::ZERO; n];
+            plan.execute_into(&x, &mut out, &mut ws);
+            assert_slices_close(&out, &f.eval(&x), 0.0);
+        }
     }
 
     #[test]

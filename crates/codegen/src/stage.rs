@@ -10,6 +10,7 @@
 use crate::codelet::{with_size, Codelet, Dft, Kernels, SizeFn};
 use crate::simd::{Lane, Lanes};
 use spiral_spl::cplx::Cplx;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One loop dimension of a kernel stage's iteration space.
@@ -21,6 +22,9 @@ pub struct LoopDim {
     pub in_stride: usize,
     /// Output-index stride per iteration.
     pub out_stride: usize,
+    /// Twiddle-iteration stride per iteration: 0 where the stage's
+    /// twiddle tables do not vary along this loop.
+    pub tw_stride: usize,
 }
 
 /// Apply a codelet of size `c` across a loop nest.
@@ -32,8 +36,13 @@ pub struct LoopDim {
 /// out_idx = out_map( out_off + Σ i_d · out_stride_d + t · out_t_stride )
 /// ```
 /// where `in_map`/`out_map` are optional fused permutation tables. If
-/// `twiddle` is present, input slot `t` of flat iteration `i` is scaled by
-/// `twiddle[i·c + t]` on load.
+/// `twiddle` is present, input slot `t` is scaled by `twiddle[w·c + t]`
+/// on load, where `w = Σ i_d · tw_stride_d` is the iteration's *twiddle
+/// iteration*. Flat tables (one row per iteration, as lowering builds
+/// them) have `tw_stride_d` = the product of the inner loop counts;
+/// [`compact_twiddles`](KernelStage::compact_twiddles) sets the stride of
+/// every outer loop the tables are invariant along to 0 and stores one
+/// row per value of the loops that remain.
 #[derive(Clone, Debug)]
 pub struct KernelStage {
     /// The straight-line kernel applied at each iteration.
@@ -52,11 +61,11 @@ pub struct KernelStage {
     pub in_map: Option<Arc<Vec<u32>>>,
     /// Fused scatter permutation (applied after the affine index).
     pub out_map: Option<Arc<Vec<u32>>>,
-    /// Scale-on-load table, indexed `[flat·c + t]`.
+    /// Scale-on-load table, indexed `[w·c + t]` (twiddle iteration `w`).
     pub twiddle: Option<Arc<Vec<Cplx>>>,
-    /// Scale-on-store: output slot `t` of flat iteration `i` is multiplied
-    /// by `twiddle_out[i·c + t]` before the scatter (fused trailing
-    /// diagonal).
+    /// Scale-on-store: output slot `t` of twiddle iteration `w` is
+    /// multiplied by `twiddle_out[w·c + t]` before the scatter (fused
+    /// trailing diagonal).
     pub twiddle_out: Option<Arc<Vec<Cplx>>>,
     /// Lane width ν of the short-vector backend (1 = scalar). Set by the
     /// `vectorize` pass only after proving the ν-alignment preconditions:
@@ -65,7 +74,9 @@ pub struct KernelStage {
     /// so a lane group is ν consecutive complex elements on both sides.
     pub vec_width: usize,
     /// Lane-grouped copy of `twiddle` for the vector path:
-    /// `twiddle_lanes[g·c·ν + t·ν + l] = twiddle[(g·ν + l)·c + t]`.
+    /// `twiddle_lanes[g·c·ν + t·ν + l] = twiddle[(g·ν + l)·c + t]`, over
+    /// the twiddle iterations (the innermost loop keeps twiddle stride 1,
+    /// so the ν lanes of a group are ν consecutive twiddle iterations).
     /// Present iff `vec_width > 1` and `twiddle` is present; the
     /// certification passes check the correspondence (a swapped lane
     /// shuffle is rejected IR).
@@ -99,6 +110,82 @@ impl KernelStage {
         self.loops.iter().map(|l| l.count).product()
     }
 
+    /// Rows of the twiddle tables the index function reaches:
+    /// `1 + Σ (count_d − 1)·tw_stride_d`. Each table holds exactly this
+    /// many rows of `c` entries.
+    pub fn twiddle_iterations(&self) -> usize {
+        1 + self
+            .loops
+            .iter()
+            .map(|l| l.count.saturating_sub(1) * l.tw_stride)
+            .sum::<usize>()
+    }
+
+    /// Give every outer loop along which all of the stage's twiddle
+    /// tables are bit-for-bit invariant a twiddle stride of 0, and keep
+    /// one table row per value of the loops that remain. The innermost
+    /// loop is always kept, so the ν-lane tables keep their layout. The
+    /// tables must be flat (as lowering and fusion build them) and not
+    /// yet lane-grouped. Along the `I_m ⊗` block loops the tables are
+    /// copies, so they shrink by the product of the block counts.
+    pub fn compact_twiddles(&mut self) {
+        if self.twiddle.is_none() && self.twiddle_out.is_none() {
+            return;
+        }
+        debug_assert!(self.twiddle_lanes.is_none() && self.twiddle_out_lanes.is_none());
+        let c = self.codelet.size();
+        let d = self.loops.len();
+        let flat: Vec<Arc<Vec<Cplx>>> = [&self.twiddle, &self.twiddle_out]
+            .into_iter()
+            .flatten()
+            .cloned()
+            .collect();
+        let mut tables: Vec<Cow<'_, [Cplx]>> =
+            flat.iter().map(|w| Cow::Borrowed(w.as_slice())).collect();
+        // Each table is blocks of `count` rows of `inner` entries, one
+        // block per value of the kept loops outside loop k.
+        let mut keep = vec![true; d];
+        for (k, kept) in keep.iter_mut().enumerate().take(d.saturating_sub(1)) {
+            let count = self.loops[k].count;
+            let inner: usize = self.loops[k + 1..]
+                .iter()
+                .map(|l| l.count)
+                .product::<usize>()
+                * c;
+            let invariant = tables.iter().all(|w| {
+                w.chunks_exact(count * inner).all(|block| {
+                    let (first, rest) = block.split_at(inner);
+                    rest.chunks_exact(inner).all(|row| same_bits(row, first))
+                })
+            });
+            if invariant {
+                *kept = false;
+                for w in &mut tables {
+                    *w = Cow::Owned(
+                        w.chunks_exact(count * inner)
+                            .flat_map(|b| &b[..inner])
+                            .copied()
+                            .collect(),
+                    );
+                }
+            }
+        }
+        if !keep.contains(&false) {
+            return;
+        }
+        let mut stride = 1;
+        for (l, &kept) in self.loops.iter_mut().zip(&keep).rev() {
+            l.tw_stride = if kept { stride } else { 0 };
+            stride *= if kept { l.count } else { 1 };
+        }
+        let mut tables = tables.into_iter().map(|w| Arc::new(w.into_owned()));
+        for w in [&mut self.twiddle, &mut self.twiddle_out] {
+            if w.is_some() {
+                *w = tables.next();
+            }
+        }
+    }
+
     /// Points this stage covers (must equal the program dimension).
     pub fn span(&self) -> usize {
         self.iterations() * self.codelet.size()
@@ -115,23 +202,24 @@ impl KernelStage {
     }
 
     /// Enumerate the iteration space in execution order:
-    /// `f(flat, in_base, out_base)` for every flat iteration, where the
+    /// `f(tw, in_base, out_base)` for every iteration, where `tw` is the
+    /// iteration's twiddle iteration (`Σ i_d · tw_stride_d`) and the
     /// bases are the affine indices *before* `in_map`/`out_map`
     /// indirection and `t`-stride offsets. This is the IR hook the
     /// certification passes (`spiral-verify::certify`) use to replay a
-    /// stage's exact access pattern — including the `flat` index that
-    /// [`trace`](Self::trace) discards but twiddle lookup
-    /// (`twiddle[flat·c + t]`) depends on.
+    /// stage's exact access pattern — including the twiddle iteration
+    /// that [`trace`](Self::trace) discards but twiddle lookup
+    /// (`twiddle[tw·c + t]`) depends on.
     pub fn for_each_iteration<F: FnMut(usize, usize, usize)>(&self, f: F) {
         self.for_each_group(1, f);
     }
 
     /// [`for_each_iteration`](Self::for_each_iteration) over lane groups:
     /// the innermost loop steps `nu` iterations at a time, and `f` gets
-    /// the group index `flat / nu` with the bases of the group's first
-    /// iteration. Vector-marked stages have a unit-stride innermost loop
-    /// whose count `nu` divides, so a group is `nu` consecutive elements
-    /// on both sides.
+    /// the twiddle iteration and bases of the group's first iteration.
+    /// Vector-marked stages have a unit-stride innermost loop whose count
+    /// `nu` divides, so a group is `nu` consecutive elements on both
+    /// sides.
     ///
     /// The odometer lives on the stack: every loop the lowering builds
     /// has a count of at least 2 (the lifts skip count-1 loops), so each
@@ -141,33 +229,35 @@ impl KernelStage {
         const MAX_DEPTH: usize = usize::BITS as usize;
         let d = self.loops.len();
         assert!(d <= MAX_DEPTH, "loop nest of depth {d} exceeds {MAX_DEPTH}");
-        let mut dims = [(0usize, 0usize, 0usize); MAX_DEPTH];
+        let mut dims = [(0usize, 0usize, 0usize, 0usize); MAX_DEPTH];
         for (dim, l) in dims.iter_mut().zip(&self.loops) {
-            *dim = (l.count, l.in_stride, l.out_stride);
+            *dim = (l.count, l.in_stride, l.out_stride, l.tw_stride);
         }
         if nu > 1 {
             let inner = &mut dims[d - 1];
             debug_assert!(inner.0.is_multiple_of(nu));
-            *inner = (inner.0 / nu, inner.1 * nu, inner.2 * nu);
+            *inner = (inner.0 / nu, inner.1 * nu, inner.2 * nu, inner.3 * nu);
         }
         let dims = &dims[..d];
         let mut idx = [0usize; MAX_DEPTH];
         let mut in_base = self.in_off;
         let mut out_base = self.out_off;
-        let total = self.iterations() / nu;
-        for flat in 0..total {
-            f(flat, in_base, out_base);
+        let mut tw = 0;
+        for _ in 0..self.iterations() / nu {
+            f(tw, in_base, out_base);
             // Odometer increment (innermost dimension last).
-            for (k, &(count, in_stride, out_stride)) in dims.iter().enumerate().rev() {
+            for (k, &(count, in_stride, out_stride, tw_stride)) in dims.iter().enumerate().rev() {
                 idx[k] += 1;
                 in_base += in_stride;
                 out_base += out_stride;
+                tw += tw_stride;
                 if idx[k] < count {
                     break;
                 }
                 idx[k] = 0;
                 in_base -= count * in_stride;
                 out_base -= count * out_stride;
+                tw -= count * tw_stride;
             }
         }
     }
@@ -193,9 +283,9 @@ impl KernelStage {
     /// each lane group's `C` slots are loaded from `load` (fused gather
     /// map and on-load twiddles applied as they come) into a stack array,
     /// transformed by the generated kernel, and stored straight to `dst`
-    /// (on-store twiddles, fused scatter map). Twiddle entry `t` of lane
-    /// group `g` sits at `(g·C + t)·ν` in the scalar (ν = 1) or
-    /// lane-grouped table.
+    /// (on-store twiddles, fused scatter map). Twiddle entry `t` of the
+    /// lane group whose first twiddle iteration is `w` (a multiple of ν)
+    /// sits at `w·C + t·ν` in the scalar (ν = 1) or lane-grouped table.
     #[inline(never)]
     fn run<const C: usize, T: Lane>(
         &self,
@@ -208,18 +298,23 @@ impl KernelStage {
     {
         let (in_map, out_map) = (self.in_map.as_deref(), self.out_map.as_deref());
         let scale = |v: T, tw: Option<&[Cplx]>, at: usize| match tw {
-            Some(w) => v.mul_lanes(T::load(w, at * T::NU)),
+            Some(w) => v.mul_lanes(T::load(w, at)),
             None => v,
         };
-        self.for_each_group(T::NU, |g, in_base, out_base| {
+        self.for_each_group(T::NU, |w, in_base, out_base| {
             let mut x = [T::ZERO; C];
             for (t, x) in x.iter_mut().enumerate() {
                 let a = in_base + t * self.in_t_stride;
-                *x = scale(load(in_map.map_or(a, |m| m[a] as usize)), tw_in, g * C + t);
+                *x = scale(
+                    load(in_map.map_or(a, |m| m[a] as usize)),
+                    tw_in,
+                    w * C + t * T::NU,
+                );
             }
             for (t, y) in Kernels::dft(x).into_iter().enumerate() {
                 let a = out_base + t * self.out_t_stride;
-                scale(y, tw_out, g * C + t).store(dst, out_map.map_or(a, |m| m[a] as usize));
+                scale(y, tw_out, w * C + t * T::NU)
+                    .store(dst, out_map.map_or(a, |m| m[a] as usize));
             }
         });
     }
@@ -231,7 +326,7 @@ impl KernelStage {
         let c = self.codelet.size();
         let in_map = self.in_map.as_deref();
         let out_map = self.out_map.as_deref();
-        self.for_each_iteration(|_flat, in_base, out_base| {
+        self.for_each_iteration(|_tw, in_base, out_base| {
             for t in 0..c {
                 let mut idx = in_base + t * self.in_t_stride;
                 if let Some(m) = in_map {
@@ -284,6 +379,13 @@ impl SizeFn for KernelLoop<'_, '_> {
 
 fn table(t: &Option<Arc<Vec<Cplx>>>) -> Option<&[Cplx]> {
     t.as_deref().map(Vec::as_slice)
+}
+
+/// Bit-for-bit equality of two twiddle rows.
+fn same_bits(a: &[Cplx], b: &[Cplx]) -> bool {
+    a.iter()
+        .zip(b)
+        .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
 }
 
 /// Kept for callers that thread a scratch value through stage calls:
@@ -496,6 +598,7 @@ mod tests {
             count: 3,
             in_stride: 2,
             out_stride: 2,
+            tw_stride: 1,
         });
         assert_eq!(stage.span(), 6);
         let x = ramp(6);
@@ -517,6 +620,7 @@ mod tests {
             count: 3,
             in_stride: 1,
             out_stride: 1,
+            tw_stride: 1,
         });
         let x = ramp(6);
         let mut y = vec![Cplx::ZERO; 6];
@@ -537,6 +641,7 @@ mod tests {
             count: 2,
             in_stride: 2,
             out_stride: 2,
+            tw_stride: 1,
         });
         stage.in_map = Some(table);
         let x = ramp(4);
@@ -559,6 +664,7 @@ mod tests {
             count: 2,
             in_stride: 2,
             out_stride: 2,
+            tw_stride: 1,
         });
         stage.twiddle = Some(Arc::new(w.clone()));
         let x = ramp(4);
@@ -570,6 +676,52 @@ mod tests {
         ])
         .eval(&x);
         assert_slices_close(&y, &want, 1e-12);
+    }
+
+    #[test]
+    fn compaction_drops_only_loops_the_tables_are_invariant_along() {
+        // I_3 ⊗ ((I_2 ⊗ F_2) · diag(w)): the flat table repeats per block.
+        let w: Vec<Cplx> = (0..4).map(|k| Cplx::cis(0.3 * k as f64)).collect();
+        let mut stage = KernelStage::unit(Codelet::for_size(2));
+        stage.loops = vec![
+            LoopDim {
+                count: 3,
+                in_stride: 4,
+                out_stride: 4,
+                tw_stride: 2,
+            },
+            LoopDim {
+                count: 2,
+                in_stride: 2,
+                out_stride: 2,
+                tw_stride: 1,
+            },
+        ];
+        stage.twiddle_out = Some(Arc::new(w.repeat(3)));
+        let x = ramp(12);
+        let (mut flat, mut compact) = (vec![Cplx::ZERO; 12], vec![Cplx::ZERO; 12]);
+        stage.apply(&x, &mut flat, &mut Scratch);
+        let mut k = stage.clone();
+        k.compact_twiddles();
+        assert_eq!(k.twiddle_out.as_deref().map(Vec::len), Some(4));
+        assert_eq!(
+            k.loops.iter().map(|l| l.tw_stride).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        assert_eq!(k.twiddle_iterations(), 2);
+        k.apply(&x, &mut compact, &mut Scratch);
+        assert_slices_close(&compact, &flat, 0.0);
+        // One differing entry in the last block keeps the block loop.
+        let mut varied = w.repeat(3);
+        varied[11] = -varied[11];
+        stage.twiddle_out = Some(Arc::new(varied));
+        let mut k = stage.clone();
+        k.compact_twiddles();
+        assert_eq!(k.twiddle_out.as_deref().map(Vec::len), Some(12));
+        assert_eq!(
+            k.loops.iter().map(|l| l.tw_stride).collect::<Vec<_>>(),
+            [2, 1]
+        );
     }
 
     #[test]
@@ -600,6 +752,7 @@ mod tests {
             count: 2,
             in_stride: 2,
             out_stride: 2,
+            tw_stride: 1,
         });
         for len in 1..=4 {
             let prog = LocalProgram {
@@ -633,6 +786,7 @@ mod tests {
             count: 4,
             in_stride: 2,
             out_stride: 2,
+            tw_stride: 1,
         });
         let mut writes = vec![0usize; 8];
         let mut reads = vec![0usize; 8];
@@ -654,6 +808,7 @@ mod tests {
             count: 4,
             in_stride: 2,
             out_stride: 2,
+            tw_stride: 1,
         });
         assert_eq!(stage.flops(), 16);
         let mut with_tw = stage.clone();

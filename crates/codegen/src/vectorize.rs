@@ -9,9 +9,9 @@
 //! IR, so a marked stage that violates them is *rejected* IR, not a
 //! fallback case.
 
-use crate::plan::{Plan, PlanShape, Step};
+use crate::plan::{kernels_mut, Plan, PlanShape, Step};
 use crate::simd::{self, lane_shuffle_twiddle};
-use crate::stage::{KernelStage, LocalProgram, LocalStage};
+use crate::stage::{KernelStage, LocalStage};
 use std::sync::Arc;
 
 /// Check the ν-alignment preconditions for marking `k` as a ν-lane
@@ -24,7 +24,10 @@ use std::sync::Arc;
 /// 3. every other address component (base offsets, slot strides for
 ///    multi-slot codelets, outer loop strides) is ν-granular, so lane
 ///    groups start ν-aligned;
-/// 4. fused gather/scatter tables map aligned ν-blocks to contiguous
+/// 4. the innermost loop has twiddle stride 1 and every outer twiddle
+///    stride is ν-granular, so a lane group's ν twiddle rows are
+///    consecutive and start at a lane-table group boundary;
+/// 5. fused gather/scatter tables map aligned ν-blocks to contiguous
 ///    runs (`m[g + l] = m[g] + l`), so an indirected group is still ν
 ///    consecutive elements.
 pub fn stage_alignment(k: &KernelStage, nu: usize) -> Result<(), String> {
@@ -62,9 +65,16 @@ pub fn stage_alignment(k: &KernelStage, nu: usize) -> Result<(), String> {
         granular("in_t_stride", k.in_t_stride)?;
         granular("out_t_stride", k.out_t_stride)?;
     }
+    if lane.tw_stride != 1 {
+        return Err(format!(
+            "innermost loop twiddle stride {} is not 1",
+            lane.tw_stride
+        ));
+    }
     for (d, l) in k.loops[..k.loops.len() - 1].iter().enumerate() {
         granular(&format!("loop[{d}].in_stride"), l.in_stride)?;
         granular(&format!("loop[{d}].out_stride"), l.out_stride)?;
+        granular(&format!("loop[{d}].tw_stride"), l.tw_stride)?;
     }
     for (name, map) in [("in_map", &k.in_map), ("out_map", &k.out_map)] {
         if let Some(m) = map.as_deref() {
@@ -107,20 +117,6 @@ pub fn vectorize_stage(k: &mut KernelStage, nu: usize) -> bool {
     true
 }
 
-/// Mark every qualifying kernel stage of a program; returns how many
-/// stages took the vector path.
-pub fn vectorize_program(prog: &mut LocalProgram, nu: usize) -> usize {
-    let mut marked = 0;
-    for s in &mut prog.stages {
-        if let LocalStage::Kernel(k) = s {
-            if vectorize_stage(k, nu) {
-                marked += 1;
-            }
-        }
-    }
-    marked
-}
-
 /// The [`PlanShape`] `plan` would report after
 /// [`vectorize_plan`]`(plan, nu)`, read without marking anything: the
 /// flops of every scalar kernel stage that passes [`stage_alignment`]
@@ -152,18 +148,10 @@ pub fn vectorized_shape(plan: &Plan, nu: usize) -> Option<PlanShape> {
 /// record the lane width on the plan. Returns the number of vector-marked
 /// stages (0 means the plan is effectively scalar and `vec_width` stays 1).
 pub fn vectorize_plan(plan: &mut Plan, nu: usize) -> usize {
-    let mut marked = 0;
-    for step in &mut plan.steps {
-        match step {
-            Step::Seq(p) => marked += vectorize_program(p, nu),
-            Step::Par { programs, .. } => {
-                for p in programs {
-                    marked += vectorize_program(p, nu);
-                }
-            }
-            Step::Exchange { .. } | Step::ScaleAll(_) => {}
-        }
-    }
+    let marked = kernels_mut(&mut plan.steps)
+        .map(|k| vectorize_stage(k, nu))
+        .filter(|&m| m)
+        .count();
     if marked > 0 {
         plan.vec_width = nu;
     }
@@ -185,6 +173,7 @@ mod tests {
             count,
             in_stride: 1,
             out_stride: 1,
+            tw_stride: 1,
         });
         k
     }

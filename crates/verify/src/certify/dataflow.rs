@@ -28,7 +28,8 @@
 //!   and strides, lane-contiguous gather blocks), and its lane-grouped
 //!   twiddle tables must correspond bit-for-bit to the scalar tables
 //!   under the lane shuffle `lanes[g·c·ν + t·ν + l] = w[(g·ν + l)·c + t]`
-//!   — a swapped or mis-derived shuffle is rejected IR, not a fallback;
+//!   over the stage's twiddle rows — a swapped or mis-derived shuffle is
+//!   rejected IR, not a fallback;
 //! * **output coverage** — after the last step, every element of the
 //!   result buffer holds a current value.
 //!
@@ -499,9 +500,11 @@ fn check_vector_marking(ks: &KernelStage, si: usize, k: usize) -> Result<(), Cer
                         ),
                     ));
                 }
-                // Alignment proved the iteration count ν-granular, so the
-                // span tiles into whole (group, slot, lane) cells.
-                let groups = ks.span() / (c * nu);
+                // Alignment proved the twiddle strides ν-granular with a
+                // unit innermost stride, and the length check proved the
+                // table holds the compact rows exactly, so the rows tile
+                // into whole (group, slot, lane) cells.
+                let groups = w.len() / (c * nu);
                 for g in 0..groups {
                     for t in 0..c {
                         for l in 0..nu {
@@ -558,24 +561,29 @@ fn analyze_kernel(
             format!("kernel stage spans {span} points but the stage vector has {dim}"),
         ));
     }
+    // Twiddle iterations are `Σ i_d·tw_stride_d`, so the last row the
+    // stage reads is `twiddle_iterations() - 1`: a table must hold
+    // exactly that many rows, no fewer (out of range) and no more (a
+    // stride too small for the table it indexes).
+    let rows = ks.twiddle_iterations();
     for (what, table) in [("twiddle", &ks.twiddle), ("twiddle_out", &ks.twiddle_out)] {
         if let Some(w) = table {
-            if w.len() < span {
+            if w.len() != rows * c {
                 return Err(fail(
                     Some(si),
                     Some(k),
                     Some(w.len()),
                     format!(
-                        "{what} table has {} entries but the stage indexes up to {}",
-                        w.len(),
-                        span - 1
+                        "{what} table has {} entries but the stage's twiddle strides index \
+                         {rows} rows of {c} (out of range or unreachable entries)",
+                        w.len()
                     ),
                 ));
             }
         }
     }
     let mut err: Option<CertFinding> = None;
-    ks.for_each_iteration(|_flat, in_base, out_base| {
+    ks.for_each_iteration(|_tw, in_base, out_base| {
         if err.is_some() {
             return;
         }

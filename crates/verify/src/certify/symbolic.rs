@@ -9,10 +9,11 @@
 //! `N`-th root), and all subsequent algebra is exact rational arithmetic
 //! on sparse root combinations. The run mirrors
 //! [`Plan::execute_into`](spiral_codegen::plan::Plan::execute_into)
-//! operation-for-operation — the same ping-pong buffer discipline, the
-//! same four-case stage targeting, the same fused gather views — so a
-//! certificate speaks about the code that actually runs, not a model of
-//! it.
+//! operation-for-operation — the same step-to-step buffer alternation
+//! (two buffers here; the executor's first step reads its input in
+//! place, which holds the same values), the same four-case stage
+//! targeting, the same fused gather views — so a certificate speaks
+//! about the code that actually runs, not a model of it.
 //!
 //! Codelets are evaluated through their DAG — the straight-line program
 //! the build script prints as the compiled kernel (bit-for-bit, a codelet
@@ -23,10 +24,11 @@
 //!
 //! Vector-marked stages (`vec_width = ν > 1`) are replayed the way the
 //! ν-lane runtime path reads them: constants come from the lane-grouped
-//! `twiddle_lanes` tables at `(flat/ν)·c·ν + t·ν + flat mod ν`, so a
-//! swapped or mis-derived lane shuffle yields the wrong matrix and is
-//! rejected entrywise (every lane runs the same generated kernel, so no
-//! separate codelet semantics is needed).
+//! `twiddle_lanes` tables at `(w/ν)·c·ν + t·ν + w mod ν` for twiddle
+//! iteration `w = Σ i_d·tw_stride_d` (the stride-indexed compact
+//! tables), so a swapped or mis-derived lane shuffle yields the wrong
+//! matrix and is rejected entrywise (every lane runs the same generated
+//! kernel, so no separate codelet semantics is needed).
 
 use super::{CertFinding, CertPass};
 use spiral_codegen::codelet::dag::{Dag, Node};
@@ -346,16 +348,16 @@ fn apply_kernel(
     let vec_exec = nu > 1 && matches!(src, SymSrc::Local(..));
     let lanes_in = vec_exec && ks.twiddle_lanes.is_some();
     let lanes_out = vec_exec && ks.twiddle_out_lanes.is_some();
-    let lane_entry = |flat: usize, t: usize, grouped: bool| {
+    let lane_entry = |tw: usize, t: usize, grouped: bool| {
         if grouped {
-            (flat / nu) * c * nu + t * nu + flat % nu
+            (tw / nu) * c * nu + t * nu + tw % nu
         } else {
-            flat * c + t
+            tw * c + t
         }
     };
     let mut input = vec![Cyclo::zero(order); c];
     let mut err: Option<CertFinding> = None;
-    ks.for_each_iteration(|flat, in_base, out_base| {
+    ks.for_each_iteration(|tw, in_base, out_base| {
         if err.is_some() {
             return;
         }
@@ -387,7 +389,7 @@ fn apply_kernel(
                     (&ks.twiddle, "twiddle")
                 };
                 if let Some(w) = w {
-                    let e = lane_entry(flat, t, lanes_in);
+                    let e = lane_entry(tw, t, lanes_in);
                     let cst = *w.get(e).ok_or_else(|| {
                         fail(
                             Some(si),
@@ -408,7 +410,7 @@ fn apply_kernel(
                     (&ks.twiddle_out, "twiddle_out")
                 };
                 if let Some(w) = w {
-                    let e = lane_entry(flat, t, lanes_out);
+                    let e = lane_entry(tw, t, lanes_out);
                     let cst = *w.get(e).ok_or_else(|| {
                         fail(
                             Some(si),

@@ -282,6 +282,146 @@ fn swapped_lane_shuffle_rejected_by_dataflow() {
     assert_eq!(rep.symbolic_certified, None);
 }
 
+/// The kernel stages of a sequential plan, in order.
+fn seq_kernels(plan: &mut Plan) -> Vec<&mut KernelStage> {
+    plan.steps
+        .iter_mut()
+        .filter_map(|s| match s {
+            Step::Seq(p) => Some(p),
+            _ => None,
+        })
+        .flat_map(|p| &mut p.stages)
+        .filter_map(|s| match s {
+            LocalStage::Kernel(k) => Some(k),
+            _ => None,
+        })
+        .collect()
+}
+
+/// `DFT_64` by the rule tree 2 × (2 × (4 × 4)). Its first two twiddled
+/// stages carry compact tables (twiddle stride 0 along the block loops
+/// the tables repeat over); at ν = 2 the second is vector-marked.
+fn compact_plan(nu: usize) -> Plan {
+    use spiral_rewrite::RuleTree::{self, Ct, Leaf};
+    let ct = |a: RuleTree, b: RuleTree| Ct(Box::new(a), Box::new(b));
+    let f = ct(Leaf(2), ct(Leaf(2), ct(Leaf(4), Leaf(4))))
+        .expand()
+        .normalized();
+    let f = if nu > 1 { vec_tag(nu, f) } else { f };
+    Plan::from_formula(&f, 1, 1).unwrap()
+}
+
+/// A wrong per-loop twiddle stride reads the wrong table rows. A stride
+/// one too large reaches past the table, and the dataflow pass rejects
+/// it as out of range; two strides swapped between loops of equal count
+/// reach the same number of rows, so only the symbolic pass, seeing the
+/// wrong matrix, can reject it (or the dataflow pass, when the swap
+/// breaks a vector stage's unit innermost stride).
+#[test]
+fn wrong_twiddle_stride_rejected() {
+    let (mut dataflow, mut symbolic) = (0, 0);
+    for base in [compact_plan(1), compact_plan(2)] {
+        certified(&base);
+        let mut probe = base.clone();
+        let stages: Vec<(usize, Vec<(usize, usize)>)> = seq_kernels(&mut probe)
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| k.twiddle.is_some() || k.twiddle_out.is_some())
+            .map(|(i, k)| (i, k.loops.iter().map(|l| (l.count, l.tw_stride)).collect()))
+            .collect();
+        assert!(
+            stages.iter().any(|(_, l)| l.iter().any(|&(_, s)| s == 0)),
+            "expected a compacted loop"
+        );
+        for (i, loops) in stages {
+            let strides: Vec<usize> = loops.iter().map(|&(_, s)| s).collect();
+            let mut wrong = Vec::new();
+            for d in 0..loops.len() {
+                let mut m = strides.clone();
+                m[d] += 1;
+                wrong.push((m, CertPass::Dataflow));
+                for e in d + 1..loops.len() {
+                    if loops[d].0 == loops[e].0 && strides[d] != strides[e] {
+                        let mut m = strides.clone();
+                        m.swap(d, e);
+                        wrong.push((m, CertPass::Symbolic));
+                    }
+                }
+            }
+            for (m, expect) in wrong {
+                let mut plan = base.clone();
+                for (l, &s) in seq_kernels(&mut plan)[i].loops.iter_mut().zip(&m) {
+                    l.tw_stride = s;
+                }
+                let rep = certify_plan(&plan, &CertOptions::default());
+                assert!(
+                    !rep.is_certified(),
+                    "stage {i}: twiddle strides {m:?} accepted"
+                );
+                let f = &rep.findings[0];
+                match f.pass {
+                    CertPass::Dataflow => {
+                        dataflow += 1;
+                        if expect == CertPass::Dataflow {
+                            assert!(
+                                f.detail.contains("out of range") || f.detail.contains("alignment"),
+                                "{f}"
+                            );
+                        }
+                    }
+                    _ => {
+                        assert_eq!(expect, CertPass::Symbolic, "{f}");
+                        symbolic += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        dataflow > 0 && symbolic > 0,
+        "dataflow {dataflow}, symbolic {symbolic}"
+    );
+}
+
+/// A compact lane table must be the lane shuffle of the compact scalar
+/// table. Lanes shuffled from the flat rows (one per iteration), or from
+/// the compact rows shifted by one lane group, no longer correspond to
+/// the scalar table, and the dataflow pass rejects them.
+#[test]
+fn compact_lane_table_must_match_its_scalar_table() {
+    let check = |why: &str, corrupt: &dyn Fn(&mut KernelStage)| {
+        let mut plan = compact_plan(2);
+        certified(&plan);
+        let mut stages = seq_kernels(&mut plan);
+        let ks = stages
+            .iter_mut()
+            .find(|k| {
+                k.vec_width > 1
+                    && k.twiddle_out_lanes.is_some()
+                    && k.twiddle_iterations() < k.iterations()
+            })
+            .expect("a compact vector-marked stage with lane twiddles");
+        corrupt(ks);
+        let rep = certify_plan(&plan, &CertOptions::default());
+        assert!(!rep.dataflow_certified, "{why}: accepted");
+        assert_eq!(rep.findings[0].pass, CertPass::Dataflow);
+        assert!(rep.findings[0].detail.contains(why), "{}", rep.findings[0]);
+    };
+    check("entries, scalar table has", &|ks| {
+        let c = ks.codelet.size();
+        let w = ks.twiddle_out.clone().unwrap();
+        let mut flat = Vec::new();
+        ks.for_each_iteration(|tw, _, _| flat.extend_from_slice(&w[tw * c..(tw + 1) * c]));
+        let lanes = spiral_codegen::simd::lane_shuffle_twiddle(&flat, c, ks.vec_width);
+        ks.twiddle_out_lanes = Some(Arc::new(lanes));
+    });
+    check("lane shuffle is wrong", &|ks| {
+        let group = ks.codelet.size() * ks.vec_width;
+        let lanes = Arc::make_mut(ks.twiddle_out_lanes.as_mut().unwrap());
+        lanes.rotate_left(group);
+    });
+}
+
 /// Knocking a vector-marked stage's base offset off ν-granularity is the
 /// "misaligned ν-block" corruption: the marking's alignment claim is
 /// false, and the dataflow pass must say which rule broke.
