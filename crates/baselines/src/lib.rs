@@ -4,7 +4,6 @@
 //! generated code against, built from scratch:
 //!
 //! * [`naive::NaiveDft`] — O(n²) definition (correctness reference);
-//! * [`recursive::RecursiveFft`] — textbook recursive Cooley–Tukey;
 //! * [`iterative::IterativeFft`] — iterative in-place radix-2 with bit
 //!   reversal (the large-stride access pattern of §2.2);
 //! * [`stockham::StockhamFft`] — autosort variant;
@@ -25,7 +24,6 @@
 pub mod fftwlike;
 pub mod iterative;
 pub mod naive;
-pub mod recursive;
 pub mod sixstep;
 pub mod stockham;
 pub mod transpose;
@@ -33,6 +31,5 @@ pub mod transpose;
 pub use fftwlike::{FftwLikeConfig, FftwLikeFft};
 pub use iterative::IterativeFft;
 pub use naive::NaiveDft;
-pub use recursive::RecursiveFft;
 pub use sixstep::SixStepFft;
 pub use stockham::StockhamFft;

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use spiral_baselines::{
-    FftwLikeConfig, FftwLikeFft, IterativeFft, NaiveDft, RecursiveFft, SixStepFft, StockhamFft,
+    FftwLikeConfig, FftwLikeFft, IterativeFft, NaiveDft, SixStepFft, StockhamFft,
 };
 use spiral_codegen::hook::CountingHook;
 use spiral_spl::cplx::Cplx;
@@ -29,23 +29,11 @@ proptest! {
             got.iter().zip(&want).all(|(a, b)| a.approx_eq(*b, tol))
         };
         prop_assert!(close(&IterativeFft::new(n).run(x)));
-        prop_assert!(close(&RecursiveFft::new(n).run(x)));
         prop_assert!(close(&StockhamFft::new(n).run(x)));
         prop_assert!(close(&FftwLikeFft::new(n, FftwLikeConfig::default()).run(x)));
         if n >= 4 {
             prop_assert!(close(&SixStepFft::for_size(n, None).run(x)));
             prop_assert!(close(&SixStepFft::for_size(n, Some(4)).run(x)));
-        }
-    }
-
-    /// Mixed-radix sizes: recursive agrees with naive.
-    #[test]
-    fn recursive_handles_any_size(n in 1usize..=48, x in cplx_vec(48)) {
-        let x = &x[..n];
-        let want = NaiveDft::new(n).run(x);
-        let got = RecursiveFft::new(n).run(x);
-        for (a, b) in got.iter().zip(&want) {
-            prop_assert!(a.approx_eq(*b, 1e-7 * n.max(4) as f64));
         }
     }
 

@@ -278,274 +278,6 @@ pub fn verification_ablation(
     rows
 }
 
-/// A tuned parallel plan on the host paired with its input vector —
-/// the setup every host-side overhead ablation repeats.
-struct HostCase {
-    log2n: u32,
-    plan: spiral_codegen::plan::Plan,
-    x: Vec<spiral_spl::cplx::Cplx>,
-}
-
-/// Tune one parallel plan per size in `min_log2..=max_log2` for
-/// `threads` workers (analytic cost model) and build the standard
-/// deterministic input. Sizes with no tunable parallel plan are
-/// skipped, matching each ablation's `continue` behaviour.
-fn tuned_host_cases(threads: usize, min_log2: u32, max_log2: u32) -> Vec<HostCase> {
-    use spiral_search::Tuner;
-    use spiral_spl::cplx::Cplx;
-    let mu = spiral_smp::topology::mu();
-    let mut cases = Vec::new();
-    for k in min_log2..=max_log2 {
-        let n = 1usize << k;
-        let Ok(Some(tuned)) = Tuner::new(threads, mu, CostModel::Analytic).tune_parallel(n) else {
-            continue;
-        };
-        let x: Vec<Cplx> = (0..n)
-            .map(|i| Cplx::new(i as f64, -0.5 * i as f64))
-            .collect();
-        cases.push(HostCase {
-            log2n: k,
-            plan: tuned.plan,
-            x,
-        });
-    }
-    cases
-}
-
-/// Minimum wall-clock µs of `f` over `reps + 1` invocations; the extra
-/// first call doubles as warm-up, and min-of-reps suppresses scheduler
-/// noise the same way the paper's timing loops do.
-fn min_time_us(reps: usize, mut f: impl FnMut()) -> f64 {
-    use std::time::Instant;
-    let mut best = f64::INFINITY;
-    for _ in 0..=reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    best
-}
-
-/// One row of the fault-tolerance overhead ablation (ABL-FAULT).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FaultOverheadRow {
-    /// Transform size as log2 n.
-    pub log2n: u32,
-    /// Wall-clock µs per transform through the fault-tolerant parallel
-    /// path (`try_execute`: panic isolation, deadline-bounded barriers,
-    /// output finiteness scan) — min over reps.
-    pub exec_us: f64,
-    /// µs of the output finiteness scan alone (min over reps).
-    pub scan_us: f64,
-    /// Scan cost as a percentage of the transform time.
-    pub scan_pct: f64,
-    /// µs of one deadline-bounded barrier round-trip at `threads`.
-    pub barrier_wait_us: f64,
-    /// Trace-attributed per-transform compute µs (sum over threads and
-    /// stages, from runs observed by a `Collector`).
-    pub compute_us: f64,
-    /// Trace-attributed per-transform barrier-wait µs (sum over threads
-    /// and stages).
-    pub barrier_us: f64,
-    /// Barrier-wait share of thread busy time, in percent
-    /// (`RunProfile::barrier_share`).
-    pub barrier_share_pct: f64,
-}
-
-/// Measure what the fault-tolerant execution layer costs on the happy
-/// path: per-transform time through `try_execute` (all guards active),
-/// the output finiteness scan in isolation, and the deadline-bounded
-/// barrier round-trip. The paper's design point — "low-latency minimal
-/// overhead synchronization" (§3.2) — must survive the watchdogs.
-pub fn fault_overhead_ablation(
-    threads: usize,
-    min_log2: u32,
-    max_log2: u32,
-    reps: usize,
-) -> Vec<FaultOverheadRow> {
-    use spiral_codegen::ParallelExecutor;
-    use spiral_smp::barrier::BarrierKind;
-    use spiral_smp::pool::Pool;
-    use spiral_spl::cplx::first_non_finite;
-    use std::time::Instant;
-
-    let reps = reps.max(1);
-    let exec = ParallelExecutor::new(threads, BarrierKind::Park);
-
-    // Deadline-bounded barrier round-trip, amortized over many waits.
-    let barrier_wait_us = {
-        let pool = Pool::new(threads);
-        let barrier = BarrierKind::Park.build(threads);
-        let barrier = &*barrier;
-        let iters = 2000u32;
-        let t0 = Instant::now();
-        pool.run(&|_tid| {
-            for _ in 0..iters {
-                let _ = barrier.wait_deadline(std::time::Duration::from_secs(10));
-            }
-        });
-        t0.elapsed().as_secs_f64() * 1e6 / f64::from(iters)
-    };
-
-    let mut rows = Vec::new();
-    for case in tuned_host_cases(threads, min_log2, max_log2) {
-        let mut out = Vec::new();
-        let exec_us = min_time_us(reps, || {
-            out = exec
-                .try_execute(&case.plan, &case.x)
-                .expect("healthy plan must execute");
-        });
-        let scan_us = min_time_us(reps, || {
-            std::hint::black_box(first_non_finite(&out));
-        });
-        // Trace-based attribution: split the run into measured compute
-        // and measured barrier wait instead of inferring barrier cost
-        // from a standalone round-trip microbenchmark.
-        let merged = (0..reps)
-            .filter_map(|_| profiled(&exec, &case).ok().map(|(_, p)| p))
-            .reduce(|m, p| m.try_merge(&p).unwrap_or(p));
-        let (compute_us, barrier_us, barrier_share_pct) = merged.map_or((0.0, 0.0, 0.0), |p| {
-            let runs = p.runs.max(1) as f64;
-            (
-                p.total_compute_ns() as f64 / 1e3 / runs,
-                p.total_barrier_wait_ns() as f64 / 1e3 / runs,
-                100.0 * p.barrier_share(),
-            )
-        });
-        rows.push(FaultOverheadRow {
-            log2n: case.log2n,
-            exec_us,
-            scan_us,
-            scan_pct: 100.0 * scan_us / exec_us,
-            barrier_wait_us,
-            compute_us,
-            barrier_us,
-            barrier_share_pct,
-        });
-    }
-    rows
-}
-
-/// One row of the tracing-overhead ablation (ABL-TRACE).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TraceOverheadRow {
-    /// Transform size as log2 n.
-    pub log2n: u32,
-    /// Wall-clock µs per transform through the plain fallible path
-    /// (`try_execute`, the no-op observer `&()`) — min over reps.
-    pub plain_us: f64,
-    /// Wall-clock µs per transform observed by a fresh `Collector` and
-    /// reduced into a `RunProfile` — min over reps.
-    pub traced_us: f64,
-    /// `100 · (traced - plain) / plain`.
-    pub overhead_pct: f64,
-}
-
-/// One run of `case` observed by a fresh `Collector`, with its profile.
-fn profiled(
-    exec: &spiral_codegen::ParallelExecutor,
-    case: &HostCase,
-) -> Result<(Vec<spiral_spl::cplx::Cplx>, spiral_trace::RunProfile), spiral_smp::SpiralError> {
-    let plan = &case.plan;
-    spiral_trace::profile_run(plan.n, exec.threads(), &plan.stage_labels(), |c| {
-        exec.try_execute_with(plan, &case.x, c)
-    })
-}
-
-/// Measure what the observability layer costs when it is ON: tuned plan,
-/// the no-op observer (`try_execute`) vs a `Collector` reduced into a
-/// `RunProfile` per run, min-of-reps. Both arms run in the same binary.
-pub fn trace_overhead_ablation(
-    threads: usize,
-    min_log2: u32,
-    max_log2: u32,
-    reps: usize,
-) -> Vec<TraceOverheadRow> {
-    use spiral_codegen::ParallelExecutor;
-    use spiral_smp::barrier::BarrierKind;
-
-    let reps = reps.max(1);
-    let exec = ParallelExecutor::new(threads, BarrierKind::Park);
-    let mut rows = Vec::new();
-    for case in tuned_host_cases(threads, min_log2, max_log2) {
-        let plain_us = min_time_us(reps, || {
-            std::hint::black_box(
-                exec.try_execute(&case.plan, &case.x)
-                    .expect("healthy plan must execute"),
-            );
-        });
-        let traced_us = min_time_us(reps, || {
-            std::hint::black_box(profiled(&exec, &case).expect("healthy plan must execute"));
-        });
-        rows.push(TraceOverheadRow {
-            log2n: case.log2n,
-            plain_us,
-            traced_us,
-            overhead_pct: 100.0 * (traced_us - plain_us) / plain_us,
-        });
-    }
-    rows
-}
-
-/// One row of the timeline-overhead ablation (ABL-TIMELINE).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TimelineOverheadRow {
-    /// Transform size as log2 n.
-    pub log2n: u32,
-    /// Wall-clock µs per transform through the plain fallible path
-    /// (`try_execute`, the no-op observer `&()`) — min over reps.
-    pub plain_us: f64,
-    /// Wall-clock µs per transform with full event-timeline recording
-    /// (`try_execute_with` into a `spiral_trace::Timeline`).
-    pub observed_us: f64,
-    /// `100 · (observed - plain) / plain`.
-    pub overhead_pct: f64,
-}
-
-/// Measure what event-timeline recording costs when it is ON: tuned
-/// plan, the no-op observer (`try_execute`) vs `try_execute_with`
-/// streaming every pool-job/compute/barrier span into a lock-free
-/// `Timeline` ring, min-of-reps. The per-event cost is a clock read and
-/// three relaxed atomic stores, so the overhead should stay within the
-/// noise floor (≲1%) from `n = 2^14` up.
-pub fn timeline_overhead_ablation(
-    threads: usize,
-    min_log2: u32,
-    max_log2: u32,
-    reps: usize,
-) -> Vec<TimelineOverheadRow> {
-    use spiral_codegen::ParallelExecutor;
-    use spiral_smp::barrier::BarrierKind;
-
-    let reps = reps.max(1);
-    let exec = ParallelExecutor::new(threads, BarrierKind::Park);
-    let mut rows = Vec::new();
-    for case in tuned_host_cases(threads, min_log2, max_log2) {
-        let plain_us = min_time_us(reps, || {
-            std::hint::black_box(
-                exec.try_execute(&case.plan, &case.x)
-                    .expect("healthy plan must execute"),
-            );
-        });
-        // One ring set for all reps: the bounded ring wraps, so
-        // steady-state cost is what a long-running service would see.
-        let timeline = spiral_trace::Timeline::new(threads);
-        let observed_us = min_time_us(reps, || {
-            std::hint::black_box(
-                exec.try_execute_with(&case.plan, &case.x, &timeline)
-                    .expect("healthy plan must execute"),
-            );
-        });
-        rows.push(TimelineOverheadRow {
-            log2n: case.log2n,
-            plain_us,
-            observed_us,
-            overhead_pct: 100.0 * (observed_us - plain_us) / plain_us,
-        });
-    }
-    rows
-}
-
 /// One row of the search comparison (SEARCH-DP).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SearchRow {
@@ -678,49 +410,6 @@ mod tests {
             assert!(r.naive_static_false_sharing, "2^{}", r.log2n);
             assert!(r.verdicts_agree, "2^{}: {r:?}", r.log2n);
         }
-    }
-
-    #[test]
-    fn fault_overhead_rows_complete() {
-        let rows = fault_overhead_ablation(2, 8, 9, 2);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.exec_us > 0.0 && r.exec_us.is_finite(), "{r:?}");
-            assert!(r.scan_us >= 0.0 && r.scan_pct >= 0.0, "{r:?}");
-            assert!(r.barrier_wait_us > 0.0, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn trace_overhead_rows_complete() {
-        let rows = trace_overhead_ablation(2, 8, 9, 2);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.plain_us > 0.0 && r.plain_us.is_finite(), "{r:?}");
-            assert!(r.traced_us > 0.0 && r.traced_us.is_finite(), "{r:?}");
-            assert!(r.overhead_pct.is_finite(), "{r:?}");
-        }
-    }
-
-    #[test]
-    fn timeline_overhead_rows_complete() {
-        let rows = timeline_overhead_ablation(2, 8, 9, 2);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.plain_us > 0.0 && r.plain_us.is_finite(), "{r:?}");
-            assert!(r.observed_us > 0.0 && r.observed_us.is_finite(), "{r:?}");
-            assert!(r.overhead_pct.is_finite(), "{r:?}");
-        }
-    }
-
-    #[test]
-    fn fault_rows_carry_trace_attribution() {
-        let rows = fault_overhead_ablation(2, 8, 8, 2);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        assert!(r.compute_us > 0.0, "{r:?}");
-        assert!(r.barrier_us >= 0.0, "{r:?}");
-        assert!((0.0..=100.0).contains(&r.barrier_share_pct), "{r:?}");
     }
 
     #[test]

@@ -9,37 +9,32 @@
 //! figures ablation-schedule [--machine core-duo] [--size 12]
 //! figures ablation-sixstep [--machine core-duo]
 //! figures ablation-merge [--machine core-duo]
-//! figures ablation-fault [--min 8] [--max 14] [--out results/]
-//! figures ablation-trace [--min 8] [--max 14] [--out results/]
-//! figures ablation-timeline [--min 8] [--max 14] [--out results/]
-//! figures ablation-simd [--min 8] [--max 12] [--threads 1] [--reps 5] [--out results/]
 //! figures trace [--size 12] [--threads 2] [--out results/]
 //! figures timeline [--size 12] [--threads 2] [--out results/]
 //! figures search
 //! figures verify [--machine core-duo] [--min 8] [--max 14] [--out results/]
-//! figures batch [--min 6] [--max 10] [--threads 2] [--batch 32] [--reps 5] [--out results/]
 //! figures certify [--min 2] [--max 6] [--threads 4] [--out results/]
 //! figures serve-load [--min 6] [--max 8] [--workers 2] [--connections 4] [--requests 32]
 //!                    [--batch 8] [--deadline-ms 0] [--wisdom PATH] [--require-warm 0|1]
 //!                    [--out results/]
 //! figures serve-dash [--size 8] [--workers 2] [--connections 4] [--requests 32] [--out results/]
-//! figures ablation-serve-metrics [--size 8] [--workers 2] [--connections 4] [--requests 64]
-//!                    [--out results/]
 //! figures all [--out results/]
 //! ```
 //!
 //! Flags are validated per command: an unknown flag, a missing value,
-//! or a stray positional argument is an error, not a silent no-op.
+//! a value that does not parse, or a stray positional argument is an
+//! error (exit 2), not a silent no-op.
 
 use spiral_bench::ablations::{
-    false_sharing_ablation, fault_overhead_ablation, merge_ablation, schedule_ablation,
-    search_comparison, sixstep_ablation, timeline_overhead_ablation, trace_overhead_ablation,
+    false_sharing_ablation, merge_ablation, schedule_ablation, search_comparison, sixstep_ablation,
     verification_ablation,
 };
 use spiral_bench::ascii;
 use spiral_bench::series::{crossover, fig3_series, tune_spiral, Series};
 use spiral_sim::{by_name, paper_machines, simulate_plan, MachineSpec};
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// One dispatchable `figures` command: its name, what it reproduces,
 /// and exactly which flags it accepts.
@@ -86,26 +81,6 @@ const COMMANDS: &[CmdSpec] = &[
         flags: &["machine", "min", "max"],
     },
     CmdSpec {
-        name: "ablation-fault",
-        desc: "ABL-FAULT — fault-tolerance overhead on the happy path (host)",
-        flags: &["min", "max", "out"],
-    },
-    CmdSpec {
-        name: "ablation-trace",
-        desc: "ABL-TRACE — per-stage profiling overhead when ON (host)",
-        flags: &["min", "max", "threads", "reps", "out"],
-    },
-    CmdSpec {
-        name: "ablation-timeline",
-        desc: "ABL-TIMELINE — event-timeline recording overhead when ON (host)",
-        flags: &["min", "max", "threads", "reps", "out"],
-    },
-    CmdSpec {
-        name: "ablation-simd",
-        desc: "ABL-SIMD — short-vector backend vs scalar kernel path, same formula (host)",
-        flags: &["min", "max", "threads", "reps", "out"],
-    },
-    CmdSpec {
         name: "trace",
         desc: "per-stage waterfall of one traced run",
         flags: &["size", "threads", "out"],
@@ -124,11 +99,6 @@ const COMMANDS: &[CmdSpec] = &[
         name: "verify",
         desc: "ABL-VERIFY — static analyzer vs dynamic simulator verdicts",
         flags: &["machine", "min", "max", "out"],
-    },
-    CmdSpec {
-        name: "batch",
-        desc: "BATCH — batched small-DFT throughput vs per-transform dispatch (host)",
-        flags: &["min", "max", "threads", "batch", "reps", "out"],
     },
     CmdSpec {
         name: "certify",
@@ -159,11 +129,6 @@ const COMMANDS: &[CmdSpec] = &[
         flags: &["size", "workers", "connections", "requests", "batch", "out"],
     },
     CmdSpec {
-        name: "ablation-serve-metrics",
-        desc: "ABL-SERVE-METRICS — warm-phase latency cost of telemetry recording on vs off",
-        flags: &["size", "workers", "connections", "requests", "batch", "out"],
-    },
-    CmdSpec {
         name: "all",
         desc: "every simulated figure and ablation in sequence",
         flags: &["machine", "min", "max", "out"],
@@ -189,13 +154,16 @@ fn main() {
         usage_and_exit();
     };
     let opts = match parse_flags(&args[1..], spec.flags) {
-        Ok(opts) => opts,
+        Ok(values) => Flags {
+            cmd: spec.name,
+            values,
+        },
         Err(e) => {
             eprintln!("figures {cmd}: {e}");
             usage_and_exit();
         }
     };
-    let out_dir = opts.get("out").cloned();
+    let out_dir = opts.get("out").map(str::to_string);
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("cannot create output dir");
     }
@@ -226,10 +194,6 @@ fn main() {
             let m = machine_arg(&opts);
             run_abl_merge(&m, &opts);
         }
-        "ablation-fault" => run_abl_fault(&opts, out_dir.as_deref()),
-        "ablation-trace" => run_abl_trace(&opts, out_dir.as_deref()),
-        "ablation-timeline" => run_abl_timeline(&opts, out_dir.as_deref()),
-        "ablation-simd" => run_abl_simd(&opts, out_dir.as_deref()),
         "trace" => run_trace(&opts, out_dir.as_deref()),
         "timeline" => run_timeline(&opts, out_dir.as_deref()),
         "search" => run_search(&opts),
@@ -237,11 +201,9 @@ fn main() {
             let m = machine_arg(&opts);
             run_verify(&m, &opts, out_dir.as_deref());
         }
-        "batch" => run_batch(&opts, out_dir.as_deref()),
         "certify" => run_certify(&opts, out_dir.as_deref()),
         "serve-load" => run_serve_load(&opts, out_dir.as_deref()),
         "serve-dash" => run_serve_dash(&opts, out_dir.as_deref()),
-        "ablation-serve-metrics" => run_abl_serve_metrics(&opts, out_dir.as_deref()),
         "all" => {
             let (min, max) = range(&opts, 6, 16);
             for m in paper_machines() {
@@ -256,9 +218,6 @@ fn main() {
             run_abl_sched(&m, &opts);
             run_abl_sixstep(&m, &opts);
             run_abl_merge(&m, &opts);
-            run_abl_fault(&opts, out_dir.as_deref());
-            run_abl_trace(&opts, out_dir.as_deref());
-            run_abl_timeline(&opts, out_dir.as_deref());
             run_search(&opts);
             run_verify(&m, &opts, out_dir.as_deref());
         }
@@ -323,20 +282,47 @@ fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String
     Ok(out)
 }
 
-fn machine_arg(opts: &HashMap<String, String>) -> MachineSpec {
-    let key = opts
-        .get("machine")
-        .map(String::as_str)
-        .unwrap_or("core-duo");
+/// The validated flags of one command invocation.
+struct Flags {
+    cmd: &'static str,
+    values: HashMap<String, String>,
+}
+
+impl Flags {
+    /// The raw value of `--flag`, if given.
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.values.get(flag).map(String::as_str)
+    }
+
+    /// The parsed value of `--flag`, or `default` when it is absent. A
+    /// value that does not parse exits 2 naming the flag.
+    fn parse<T: FromStr>(&self, flag: &str, default: T) -> T
+    where
+        T::Err: Display,
+    {
+        match self.get(flag) {
+            None => default,
+            Some(v) => v.parse().unwrap_or_else(|e| self.reject(flag, v, e)),
+        }
+    }
+
+    fn reject(&self, flag: &str, value: &str, why: impl Display) -> ! {
+        eprintln!("figures {}: --{flag} {value}: {why}", self.cmd);
+        std::process::exit(2);
+    }
+}
+
+fn machine_arg(opts: &Flags) -> MachineSpec {
+    let key = opts.get("machine").unwrap_or("core-duo");
     by_name(key).unwrap_or_else(|| {
         eprintln!("unknown machine {key}");
         usage_and_exit()
     })
 }
 
-fn range(opts: &HashMap<String, String>, dmin: u32, dmax: u32) -> (u32, u32) {
-    let min = opts.get("min").and_then(|s| s.parse().ok()).unwrap_or(dmin);
-    let max = opts.get("max").and_then(|s| s.parse().ok()).unwrap_or(dmax);
+fn range(opts: &Flags, dmin: u32, dmax: u32) -> (u32, u32) {
+    let min = opts.parse("min", dmin);
+    let max = opts.parse("max", dmax);
     (min, max.max(min))
 }
 
@@ -378,7 +364,7 @@ fn print_fig3(m: &MachineSpec, series: &[Series]) {
     println!("{}", ascii::chart(&m.name, series, 18));
 }
 
-fn run_fig3(m: &MachineSpec, opts: &HashMap<String, String>, out_dir: Option<&str>) {
+fn run_fig3(m: &MachineSpec, opts: &Flags, out_dir: Option<&str>) {
     let (min, max) = range(opts, 6, 18);
     let series = fig3_series(m, min, max);
     print_fig3(m, &series);
@@ -391,7 +377,7 @@ fn run_fig3(m: &MachineSpec, opts: &HashMap<String, String>, out_dir: Option<&st
     }
 }
 
-fn run_crossover(m: &MachineSpec, opts: &HashMap<String, String>) {
+fn run_crossover(m: &MachineSpec, opts: &Flags) {
     let (min, max) = range(opts, 6, 15);
     println!("\nCLAIM-XOVER on {} — parallelization crossover", m.name);
     let series = fig3_series(m, min, max);
@@ -421,7 +407,7 @@ fn run_crossover(m: &MachineSpec, opts: &HashMap<String, String>) {
 
 /// Host wall-clock comparison of sequential implementations (CLAIM-SEQ):
 /// the tuned generated plan vs. the baselines, all on this machine.
-fn run_sequential_host(opts: &HashMap<String, String>) {
+fn run_sequential_host(opts: &Flags) {
     use spiral_baselines::{FftwLikeConfig, FftwLikeFft, IterativeFft, StockhamFft};
     use spiral_search::{CostModel, Tuner};
     use spiral_spl::cplx::Cplx;
@@ -481,7 +467,7 @@ fn run_sequential_host(opts: &HashMap<String, String>) {
     }
 }
 
-fn run_abl_fs(m: &MachineSpec, opts: &HashMap<String, String>, out_dir: Option<&str>) {
+fn run_abl_fs(m: &MachineSpec, opts: &Flags, out_dir: Option<&str>) {
     let (min, max) = range(opts, 8, 14);
     println!(
         "\nABL-FS on {} — false sharing: µ-aware (14) vs µ-oblivious",
@@ -510,8 +496,8 @@ fn run_abl_fs(m: &MachineSpec, opts: &HashMap<String, String>, out_dir: Option<&
     }
 }
 
-fn run_abl_sched(m: &MachineSpec, opts: &HashMap<String, String>) {
-    let k = opts.get("size").and_then(|s| s.parse().ok()).unwrap_or(12);
+fn run_abl_sched(m: &MachineSpec, opts: &Flags) {
+    let k: u32 = opts.parse("size", 12);
     println!(
         "\nABL-SCHED on {} — block-cyclic grain sweep at 2^{k}",
         m.name
@@ -531,7 +517,7 @@ fn run_abl_sched(m: &MachineSpec, opts: &HashMap<String, String>) {
     }
 }
 
-fn run_abl_sixstep(m: &MachineSpec, opts: &HashMap<String, String>) {
+fn run_abl_sixstep(m: &MachineSpec, opts: &Flags) {
     let (min, max) = range(opts, 10, 16);
     println!(
         "\nABL-SIXSTEP on {} — multicore CT (14) vs explicit transposes",
@@ -549,7 +535,7 @@ fn run_abl_sixstep(m: &MachineSpec, opts: &HashMap<String, String>) {
     }
 }
 
-fn run_abl_merge(m: &MachineSpec, opts: &HashMap<String, String>) {
+fn run_abl_merge(m: &MachineSpec, opts: &Flags) {
     let (min, max) = range(opts, 8, 14);
     println!(
         "\nABL-MERGE on {} — explicit P ⊗̄ I_µ passes vs merged into compute",
@@ -572,116 +558,16 @@ fn run_abl_merge(m: &MachineSpec, opts: &HashMap<String, String>) {
     }
 }
 
-/// ABL-FAULT: what the fault-tolerant execution layer costs on the
-/// happy path — per-transform time with all guards active, the output
-/// finiteness scan alone, and the deadline-bounded barrier round-trip.
-fn run_abl_fault(opts: &HashMap<String, String>, out_dir: Option<&str>) {
-    let (min, max) = range(opts, 8, 14);
-    let threads = 2;
-    println!("\nABL-FAULT — fault-tolerance overhead on the happy path (p={threads}, host)");
-    println!(
-        "{:>7} {:>12} {:>10} {:>9} {:>16} {:>12} {:>12} {:>10}",
-        "log2n",
-        "exec µs",
-        "scan µs",
-        "scan %",
-        "barrier wait µs",
-        "compute µs",
-        "barrier µs",
-        "bar shr %"
-    );
-    let rows = fault_overhead_ablation(threads, min, max, 5);
-    for r in &rows {
-        println!(
-            "{:>7} {:>12.1} {:>10.2} {:>8.2}% {:>16.2} {:>12.1} {:>12.1} {:>9.2}%",
-            r.log2n,
-            r.exec_us,
-            r.scan_us,
-            r.scan_pct,
-            r.barrier_wait_us,
-            r.compute_us,
-            r.barrier_us,
-            r.barrier_share_pct
-        );
-    }
-    if let Some(dir) = out_dir {
-        let path = format!("{dir}/abl_fault_overhead.json");
-        write_artifact(&path, &serde_json::to_string_pretty(&rows).unwrap());
-        println!("wrote {path}");
-    }
-}
-
-/// ABL-TRACE: wall-clock cost of the observability layer when it is ON
-/// (the no-op observer vs a `Collector` reduced into a `RunProfile`).
-fn run_abl_trace(opts: &HashMap<String, String>, out_dir: Option<&str>) {
-    let (min, max) = range(opts, 8, 14);
-    let threads = opts
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    let reps = opts.get("reps").and_then(|s| s.parse().ok()).unwrap_or(5);
-    println!("\nABL-TRACE — tracing overhead, p={threads}, host (Collector vs no-op observer)");
-    println!(
-        "{:>7} {:>12} {:>12} {:>10}",
-        "log2n", "plain µs", "traced µs", "overhead"
-    );
-    let rows = trace_overhead_ablation(threads, min, max, reps);
-    for r in &rows {
-        println!(
-            "{:>7} {:>12.1} {:>12.1} {:>9.2}%",
-            r.log2n, r.plain_us, r.traced_us, r.overhead_pct
-        );
-    }
-    if let Some(dir) = out_dir {
-        let path = format!("{dir}/abl_trace_overhead.json");
-        write_artifact(&path, &serde_json::to_string_pretty(&rows).unwrap());
-        println!("wrote {path}");
-    }
-}
-
-/// ABL-TIMELINE: wall-clock cost of event-timeline recording when it is
-/// ON (the no-op observer vs a `Timeline` lock-free ring).
-fn run_abl_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
-    let (min, max) = range(opts, 8, 14);
-    let threads = opts
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    let reps = opts.get("reps").and_then(|s| s.parse().ok()).unwrap_or(5);
-    println!(
-        "\nABL-TIMELINE — event-timeline overhead, p={threads}, host (Timeline vs no-op observer)"
-    );
-    println!(
-        "{:>7} {:>12} {:>12} {:>10}",
-        "log2n", "plain µs", "observed µs", "overhead"
-    );
-    let rows = timeline_overhead_ablation(threads, min, max, reps);
-    for r in &rows {
-        println!(
-            "{:>7} {:>12.1} {:>12.1} {:>9.2}%",
-            r.log2n, r.plain_us, r.observed_us, r.overhead_pct
-        );
-    }
-    if let Some(dir) = out_dir {
-        let path = format!("{dir}/abl_timeline_overhead.json");
-        write_artifact(&path, &serde_json::to_string_pretty(&rows).unwrap());
-        println!("wrote {path}");
-    }
-}
-
 /// `figures trace`: execute the tuned plan for `--size` with per-stage
 /// instrumentation and print the waterfall table of where the run's
 /// time went.
-fn run_trace(opts: &HashMap<String, String>, out_dir: Option<&str>) {
+fn run_trace(opts: &Flags, out_dir: Option<&str>) {
     use spiral_codegen::ParallelExecutor;
     use spiral_search::{CostModel, Tuner};
     use spiral_spl::cplx::Cplx;
 
-    let k: u32 = opts.get("size").and_then(|s| s.parse().ok()).unwrap_or(12);
-    let threads = opts
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
+    let k: u32 = opts.parse("size", 12);
+    let threads: usize = opts.parse("threads", 2);
     let reps = 5usize;
     let n = 1usize << k;
     let mu = spiral_smp::topology::mu();
@@ -781,18 +667,15 @@ fn print_waterfall(p: &spiral_trace::RunProfile, choice: &str) {
 /// timeline, cross-check the timeline against the run's aggregated
 /// `RunProfile` and the static timeline checker, and export Chrome
 /// trace-event JSON loadable in Perfetto / `chrome://tracing`.
-fn run_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
+fn run_timeline(opts: &Flags, out_dir: Option<&str>) {
     use spiral_codegen::ParallelExecutor;
     use spiral_search::{CostModel, Tuner};
     use spiral_spl::cplx::Cplx;
     use spiral_trace::{Timeline, TimelineEventKind};
     use spiral_verify::timeline::{verify_timeline, TlEvent, TlKind};
 
-    let k: u32 = opts.get("size").and_then(|s| s.parse().ok()).unwrap_or(12);
-    let threads = opts
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
+    let k: u32 = opts.parse("size", 12);
+    let threads: usize = opts.parse("threads", 2);
     let n = 1usize << k;
     let mu = spiral_smp::topology::mu();
     let timeline = Timeline::new(threads);
@@ -895,7 +778,7 @@ fn run_timeline(opts: &HashMap<String, String>, out_dir: Option<&str>) {
 /// ABL-VERIFY: run the static analyzer on the tuned µ-aware plan and on
 /// the µ-oblivious baseline schedule, and cross-check both verdicts
 /// against the simulator's dynamic false-sharing counter.
-fn run_verify(m: &MachineSpec, opts: &HashMap<String, String>, out_dir: Option<&str>) {
+fn run_verify(m: &MachineSpec, opts: &Flags, out_dir: Option<&str>) {
     let (min, max) = range(opts, 8, 14);
     println!(
         "\nABL-VERIFY on {} — static analyzer vs dynamic simulator",
@@ -950,99 +833,9 @@ fn run_verify(m: &MachineSpec, opts: &HashMap<String, String>, out_dir: Option<&
     }
 }
 
-fn run_batch(opts: &HashMap<String, String>, out_dir: Option<&str>) {
-    let (min, max) = range(opts, 6, 10);
-    let threads: usize = opts
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    let batch: usize = opts.get("batch").and_then(|s| s.parse().ok()).unwrap_or(32);
-    let reps: usize = opts.get("reps").and_then(|s| s.parse().ok()).unwrap_or(5);
-    let sizes: Vec<u32> = (min..=max).collect();
-    println!(
-        "\nBATCH — {batch} independent transforms per dispatch vs one-at-a-time, p={threads}, host"
-    );
-    println!(
-        "{:>7} {:>5} {:>14} {:>14} {:>9}",
-        "log2n", "batch", "single µs/tf", "batched µs/tf", "speedup"
-    );
-    let rows = spiral_bench::batch::measure_batch_rows(&sizes, &[1, threads], batch, reps);
-    for r in &rows {
-        println!(
-            "{:>7} {:>5} {:>14.1} {:>14.1} {:>8.2}x   p={} [{}]",
-            r.log2n, r.batch, r.single_us, r.batch_us, r.speedup, r.threads, r.batch_choice
-        );
-    }
-    if let Some(dir) = out_dir {
-        let path = format!("{dir}/batch_throughput.json");
-        write_artifact(&path, &serde_json::to_string_pretty(&rows).unwrap());
-        println!("wrote {path}");
-    }
-}
-
-/// ABL-SIMD: the tuner winner compiled under both backends — the
-/// `vec(ν)` tag stripped or added at the detected width — and timed on
-/// the host.
-fn run_abl_simd(opts: &HashMap<String, String>, out_dir: Option<&str>) {
-    use spiral_bench::simd_ablation::{simd_ablation, validate_file};
-
-    let (min, max) = range(opts, 8, 12);
-    let threads: usize = opts
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let reps: usize = opts.get("reps").and_then(|s| s.parse().ok()).unwrap_or(5);
-    println!("\nABL-SIMD — scalar vs vec(ν) backend, n = 2^{min}..2^{max}, p={threads}, host");
-    let file = simd_ablation(min, max, threads, reps);
-    validate_file(&file).expect("sweep artifact must be internally consistent");
-    if file.detected_nu <= 1 {
-        println!(
-            "host is scalar-only (detected ν = {}); no backend pair to ablate \
-             (force-scalar build?)",
-            file.detected_nu
-        );
-    } else {
-        println!(
-            "{:>7} {:>3} {:>3} {:>12} {:>12} {:>9}   plan",
-            "log2n", "p", "ν", "scalar µs", "vector µs", "speedup"
-        );
-        for r in &file.rows {
-            println!(
-                "{:>7} {:>3} {:>3} {:>12.1} {:>12.1} {:>8.2}x   [{}]",
-                r.log2n, r.threads, r.nu, r.scalar_us, r.vector_us, r.speedup, r.plan_kind
-            );
-        }
-        let losses: Vec<u64> = file
-            .rows
-            .iter()
-            .filter(|r| r.log2n >= 8 && r.speedup < 1.0)
-            .map(|r| r.log2n)
-            .collect();
-        if losses.is_empty() {
-            println!(
-                "vector backend ≥ scalar at every measured n ≥ 2^8 (ν = {})",
-                file.detected_nu
-            );
-        } else {
-            println!(
-                "WARNING: vector backend slower than scalar at log2n = {losses:?} \
-                 — the tuner will keep picking scalar there"
-            );
-        }
-    }
-    if let Some(dir) = out_dir {
-        let path = format!("{dir}/simd_ablation.json");
-        write_artifact(&path, &serde_json::to_string_pretty(&file).unwrap());
-        println!("wrote {path}");
-    }
-}
-
-fn run_certify(opts: &HashMap<String, String>, out_dir: Option<&str>) {
+fn run_certify(opts: &Flags, out_dir: Option<&str>) {
     let (min, max) = range(opts, 2, 6);
-    let threads: usize = opts
-        .get("threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+    let threads: usize = opts.parse("threads", 4);
     println!(
         "\nCERT — exact symbolic + dataflow certification, n = 2^{min}..2^{max}, p ≤ {threads}"
     );
@@ -1090,7 +883,7 @@ fn run_certify(opts: &HashMap<String, String>, out_dir: Option<&str>) {
 /// deadline, overload actually shed (`Overloaded` seen), and — under
 /// `--require-warm 1` — zero tuner invocations (the warm-path
 /// invariant).
-fn run_serve_load(opts: &HashMap<String, String>, out_dir: Option<&str>) {
+fn run_serve_load(opts: &Flags, out_dir: Option<&str>) {
     use spiral_bench::serve_load::{measure_serve_load, ServeLoadOpts};
 
     let (min, max) = range(opts, 6, 8);
@@ -1099,23 +892,17 @@ fn run_serve_load(opts: &HashMap<String, String>, out_dir: Option<&str>) {
         max_log2n: max,
         ..ServeLoadOpts::default()
     };
-    if let Some(v) = opts.get("workers").and_then(|s| s.parse().ok()) {
-        slo.workers = v;
-    }
-    if let Some(v) = opts.get("connections").and_then(|s| s.parse().ok()) {
-        slo.connections = v;
-    }
-    if let Some(v) = opts.get("requests").and_then(|s| s.parse().ok()) {
-        slo.requests_per_conn = v;
-    }
-    if let Some(v) = opts.get("batch").and_then(|s| s.parse().ok()) {
-        slo.batch = v;
-    }
-    if let Some(v) = opts.get("deadline-ms").and_then(|s| s.parse().ok()) {
-        slo.deadline_ms = v;
-    }
+    slo.workers = opts.parse("workers", slo.workers);
+    slo.connections = opts.parse("connections", slo.connections);
+    slo.requests_per_conn = opts.parse("requests", slo.requests_per_conn);
+    slo.batch = opts.parse("batch", slo.batch);
+    slo.deadline_ms = opts.parse("deadline-ms", slo.deadline_ms);
     slo.wisdom = opts.get("wisdom").map(std::path::PathBuf::from);
-    let require_warm = matches!(opts.get("require-warm").map(String::as_str), Some("1"));
+    let require_warm = match opts.get("require-warm") {
+        None | Some("0") => false,
+        Some("1") => true,
+        Some(v) => opts.reject("require-warm", v, "expected 0 or 1"),
+    };
 
     println!(
         "\nSERVE-LOAD — wire round-trips, n = 2^{min}..2^{max}, batch {}, \
@@ -1273,31 +1060,21 @@ struct ServeDashFile {
     shed_expired: u64,
     /// SLO breaches the server recorded (shed or over-budget).
     slo_breaches: u64,
-    /// The server's own latency percentiles (zeros without `trace`).
+    /// The server's own latency percentiles.
     server: spiral_bench::serve_load::ServerLatencySummary,
     /// Full drain-time metrics snapshot (counters, gauges, histograms).
     metrics: spiral_serve::MetricsSnapshot,
 }
 
-fn run_serve_dash(opts: &HashMap<String, String>, out_dir: Option<&str>) {
+fn run_serve_dash(opts: &Flags, out_dir: Option<&str>) {
     use spiral_serve::{drive, Client, LoadSpec, PlanService, Server, ServerConfig, StatsKind};
     use std::sync::Arc;
 
-    let log2n: u32 = opts.get("size").and_then(|s| s.parse().ok()).unwrap_or(8);
-    let workers: usize = opts
-        .get("workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    let conns: usize = opts
-        .get("connections")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-        .max(1);
-    let requests: usize = opts
-        .get("requests")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32);
-    let batch: usize = opts.get("batch").and_then(|s| s.parse().ok()).unwrap_or(8);
+    let log2n: u32 = opts.parse("size", 8);
+    let workers: usize = opts.parse("workers", 2);
+    let conns: usize = opts.parse::<usize>("connections", 4).max(1);
+    let requests: usize = opts.parse("requests", 32);
+    let batch: usize = opts.parse("batch", 8);
     let n = 1usize << log2n;
 
     let service = Arc::new(PlanService::new(workers, spiral_smp::topology::mu()));
@@ -1421,77 +1198,7 @@ fn run_serve_dash(opts: &HashMap<String, String>, out_dir: Option<&str>) {
     }
 }
 
-fn run_abl_serve_metrics(opts: &HashMap<String, String>, out_dir: Option<&str>) {
-    use spiral_bench::serve_load::{measure_metrics_overhead, ServeLoadOpts};
-
-    let log2n: u32 = opts.get("size").and_then(|s| s.parse().ok()).unwrap_or(8);
-    let mut slo = ServeLoadOpts {
-        min_log2n: log2n,
-        max_log2n: log2n,
-        requests_per_conn: 64,
-        ..ServeLoadOpts::default()
-    };
-    if let Some(v) = opts.get("workers").and_then(|s| s.parse().ok()) {
-        slo.workers = v;
-    }
-    if let Some(v) = opts.get("connections").and_then(|s| s.parse().ok()) {
-        slo.connections = v;
-    }
-    if let Some(v) = opts.get("requests").and_then(|s| s.parse().ok()) {
-        slo.requests_per_conn = v;
-    }
-    if let Some(v) = opts.get("batch").and_then(|s| s.parse().ok()) {
-        slo.batch = v;
-    }
-
-    println!(
-        "\nABL-SERVE-METRICS — warm phase n = 2^{log2n}, batch {}, {} conn(s), \
-         telemetry recording off vs on",
-        slo.batch, slo.connections
-    );
-    let file = match measure_metrics_overhead(&slo) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("ablation-serve-metrics: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "{:>8} {:>7} {:>6} {:>9} {:>9} {:>9}",
-        "metrics", "reqs", "ok", "p50 µs", "p99 µs", "resp/s"
-    );
-    for r in &file.rows {
-        println!(
-            "{:>8} {:>7} {:>6} {:>9} {:>9} {:>9.0}",
-            if r.metrics_enabled { "on" } else { "off" },
-            r.requests,
-            r.ok,
-            r.p50_us,
-            r.p99_us,
-            r.rps
-        );
-    }
-    println!(
-        "overhead: p50 {:+.2}%, p99 {:+.2}% (target: ~1%)",
-        file.overhead_pct_p50, file.overhead_pct_p99
-    );
-    if let Some(dir) = out_dir {
-        let path = format!("{dir}/abl_serve_metrics.json");
-        write_artifact(&path, &serde_json::to_string_pretty(&file).unwrap());
-        println!("wrote {path}");
-    }
-    // Gate only on gross regressions: single-digit-percent numbers on a
-    // busy CI host are noise, an order of magnitude is a bug.
-    if file.overhead_pct_p50 > 25.0 {
-        eprintln!(
-            "ablation-serve-metrics FAIL: p50 overhead {:.2}% is far past the ~1% budget",
-            file.overhead_pct_p50
-        );
-        std::process::exit(1);
-    }
-}
-
-fn run_search(opts: &HashMap<String, String>) {
+fn run_search(opts: &Flags) {
     let m = machine_arg(opts);
     println!(
         "\nSEARCH-DP on {} — simulated cycles (lower=better)",

@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// * v3 — rows add the tail percentile `p999_us`; the file adds a
 ///   [`ServerLatencySummary`] derived from the server's own
 ///   `serve_request_seconds` histogram at drain (all zeros when the
-///   server ran with `metrics_enabled` off and recorded nothing).
+///   server recorded nothing).
 pub const SERVE_LOAD_SCHEMA_VERSION: u64 = 3;
 
 /// One measured load phase at one transform size.
@@ -81,7 +81,7 @@ pub struct ServeLoadRow {
 /// Latency percentiles the *server* measured about itself, from its
 /// `serve_request_seconds` histogram at drain — the cross-check against
 /// the socket-side percentiles the clients measured. All zeros when the
-/// server recorded nothing (`metrics_enabled` off).
+/// server recorded nothing.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerLatencySummary {
     /// Requests the histogram saw (every terminal response).
@@ -296,120 +296,6 @@ fn run_phase(log2n: u32, phase: &str, plan_kind: &str, spec: &LoadSpec) -> Serve
     }
 }
 
-/// One arm of the ABL-SERVE-METRICS overhead measurement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MetricsOverheadRow {
-    /// Whether per-phase histogram recording was enabled.
-    pub metrics_enabled: bool,
-    /// Requests driven.
-    pub requests: u64,
-    /// `Ok` responses.
-    pub ok: u64,
-    /// Median round-trip latency, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile round-trip latency, microseconds.
-    pub p99_us: u64,
-    /// Responses per wall-clock second.
-    pub rps: f64,
-}
-
-/// The ABL-SERVE-METRICS artifact: warm-phase latency with telemetry
-/// recording on vs off, same server shape, same warm plan cache.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MetricsOverheadFile {
-    /// Host the measurement ran on.
-    pub host: BenchHost,
-    /// Execution-pool threads behind the served plans.
-    pub workers: u64,
-    /// Concurrent warm connections.
-    pub connections: u64,
-    /// Transform size as log2 n.
-    pub log2n: u64,
-    /// Transforms per request.
-    pub batch: u64,
-    /// The two arms: metrics off first, then on.
-    pub rows: Vec<MetricsOverheadRow>,
-    /// Relative p50 cost of recording, percent (negative = noise).
-    pub overhead_pct_p50: f64,
-    /// Relative p99 cost of recording, percent.
-    pub overhead_pct_p99: f64,
-}
-
-/// ABL-SERVE-METRICS: drive the warm phase against two servers sharing
-/// one warm plan cache — telemetry recording disabled vs enabled — and
-/// report the relative latency cost of histogram and flight-recorder
-/// recording on the request path.
-pub fn measure_metrics_overhead(opts: &ServeLoadOpts) -> Result<MetricsOverheadFile, String> {
-    let mu = spiral_smp::topology::mu();
-    let service = Arc::new(PlanService::new(opts.workers, mu));
-    let n = 1usize << opts.max_log2n;
-    service
-        .sequential_plan(n)
-        .map_err(|e| format!("planning DFT_{n} failed: {e}"))?;
-
-    let conns = opts.connections.max(1);
-    let mut rows = Vec::new();
-    for enabled in [false, true] {
-        let cfg = ServerConfig {
-            workers: conns,
-            conn_backlog: conns,
-            queue_bound: conns * 2,
-            metrics_enabled: enabled,
-            ..ServerConfig::default()
-        };
-        let server = Server::start(Arc::clone(&service), cfg)?;
-        let spec = LoadSpec {
-            addr: server.local_addr(),
-            connections: conns,
-            requests_per_conn: opts.requests_per_conn,
-            n,
-            batch: opts.batch.max(1),
-            deadline_ms: opts.deadline_ms,
-            reconnect_per_request: false,
-            seed: 7,
-        };
-        // One throwaway pass warms connections, caches, and the pool.
-        drive(&LoadSpec {
-            requests_per_conn: (opts.requests_per_conn / 4).max(1),
-            ..spec.clone()
-        });
-        let mut outcome = drive(&spec);
-        let report = server.shutdown();
-        if report.thread_panics > 0 {
-            return Err("server thread panicked during the overhead ablation".to_string());
-        }
-        let responses = outcome.responses();
-        rows.push(MetricsOverheadRow {
-            metrics_enabled: enabled,
-            requests: (spec.connections * spec.requests_per_conn) as u64,
-            ok: outcome.ok,
-            p50_us: percentile_us(&mut outcome.latencies_us, 50.0),
-            p99_us: percentile_us(&mut outcome.latencies_us, 99.0),
-            rps: responses as f64 / outcome.elapsed_s.max(1e-12),
-        });
-    }
-
-    let pct = |on: u64, off: u64| {
-        if off == 0 {
-            0.0
-        } else {
-            (on as f64 - off as f64) / off as f64 * 100.0
-        }
-    };
-    let (off, on) = (&rows[0], &rows[1]);
-    let file = MetricsOverheadFile {
-        host: BenchHost::current(),
-        workers: opts.workers as u64,
-        connections: conns as u64,
-        log2n: u64::from(opts.max_log2n),
-        batch: opts.batch.max(1) as u64,
-        overhead_pct_p50: pct(on.p50_us, off.p50_us),
-        overhead_pct_p99: pct(on.p99_us, off.p99_us),
-        rows,
-    };
-    Ok(file)
-}
-
 /// Aggregate sanity check used by tests and the smoke gate: every
 /// phase's client-side tallies are internally consistent.
 pub fn validate_file(file: &ServeLoadFile) -> Result<(), String> {
@@ -534,22 +420,6 @@ mod tests {
         file.rows[0].p50_us = 1;
         file.server.p999_us = 7; // percentiles without samples
         assert!(validate_file(&file).is_err());
-    }
-
-    #[test]
-    fn metrics_overhead_ablation_produces_two_arms() {
-        let file = measure_metrics_overhead(&quick_opts()).expect("ablation runs");
-        assert_eq!(file.rows.len(), 2);
-        assert!(!file.rows[0].metrics_enabled);
-        assert!(file.rows[1].metrics_enabled);
-        for r in &file.rows {
-            assert_eq!(r.ok, r.requests, "warm arm must admit everything: {r:?}");
-            assert!(r.p50_us > 0 && r.p50_us <= r.p99_us, "{r:?}");
-        }
-        assert!(file.overhead_pct_p50.is_finite());
-        let json = serde_json::to_string_pretty(&file).expect("serializes");
-        let back: MetricsOverheadFile = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, file);
     }
 
     /// The server's own latency view must agree with what the clients

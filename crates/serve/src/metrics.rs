@@ -17,13 +17,13 @@
 //!   conn-queue wait, exec-queue wait, pool execute, end-to-end) and the
 //!   coalesce-size distribution only exist if the hot path records them,
 //!   so they live in a [`MetricsRegistry`] of cache-line-padded,
-//!   single-writer-sharded log-linear histograms. The server records
-//!   into them only while `ServerConfig::metrics_enabled` is set.
+//!   single-writer-sharded log-linear histograms. The server always
+//!   records into them.
 //!
 //! Next to the histograms sits the [`FlightRecorder`]: bounded timeline
-//! rings that every served request and pool dispatch writes through
-//! (under the same switch), exported as Perfetto JSON on the first SLO
-//! breach or on an `SS01 dump` request.
+//! rings that every served request and pool dispatch writes through,
+//! exported as Perfetto JSON on the first SLO breach or on an `SS01
+//! dump` request.
 
 use crate::overload::CounterSnapshot;
 use spiral_trace::metrics::{

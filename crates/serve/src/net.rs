@@ -80,11 +80,6 @@ pub struct ServerConfig {
     pub default_deadline: Duration,
     /// Maximum requests coalesced into one execution dispatch.
     pub max_coalesce: usize,
-    /// Hot-path telemetry toggle (the overhead-ablation knob): when
-    /// false, per-phase histogram recording and flight-recorder writes
-    /// are skipped. Snapshot-time counter/gauge views stay live either
-    /// way.
-    pub metrics_enabled: bool,
     /// SLO breach threshold as a fraction of a request's deadline
     /// budget: a request whose end-to-end latency exceeds
     /// `slo_fraction × budget` (or that is shed) marks a breach in the
@@ -107,7 +102,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(5),
             default_deadline: Duration::from_secs(1),
             max_coalesce: 8,
-            metrics_enabled: true,
             slo_fraction: 1.0,
             flight_record_path: None,
         }
@@ -455,13 +449,11 @@ fn conn_worker(wid: usize, shared: &Shared) {
             .counters
             .conns_accepted
             .fetch_add(1, Ordering::Relaxed);
-        if shared.cfg.metrics_enabled {
-            shared.metrics.record(
-                metrics::CONN_QUEUE_WAIT_SECONDS,
-                wid,
-                item.enqueued.elapsed(),
-            );
-        }
+        shared.metrics.record(
+            metrics::CONN_QUEUE_WAIT_SECONDS,
+            wid,
+            item.enqueued.elapsed(),
+        );
         serve_connection(wid, shared, item.stream, &mut request_seq);
     }
 }
@@ -519,11 +511,9 @@ fn serve_connection(wid: usize, shared: &Shared, mut stream: TcpStream, request_
                 .fetch_add(1, Ordering::Relaxed);
             return;
         }
-        if shared.cfg.metrics_enabled {
-            shared
-                .metrics
-                .record(metrics::PARSE_SECONDS, wid, arrival - read_start);
-        }
+        shared
+            .metrics
+            .record(metrics::PARSE_SECONDS, wid, arrival - read_start);
         let budget = if request.deadline_ms == 0 {
             shared.cfg.default_deadline
         } else {
@@ -533,12 +523,10 @@ fn serve_connection(wid: usize, shared: &Shared, mut stream: TcpStream, request_
         *request_seq = request_seq.wrapping_add(1);
         let response = handle_request(shared, request, arrival, seq);
         let finished = Instant::now();
-        if shared.cfg.metrics_enabled {
-            shared
-                .metrics
-                .record(metrics::REQUEST_SECONDS, wid, finished - arrival);
-            observe_outcome(shared, wid, seq, arrival, finished, budget, &response);
-        }
+        shared
+            .metrics
+            .record(metrics::REQUEST_SECONDS, wid, finished - arrival);
+        observe_outcome(shared, wid, seq, arrival, finished, budget, &response);
         let frame = wire::encode_response(&response);
         if wire::write_all(&mut stream, &frame).is_err() {
             shared
@@ -671,18 +659,16 @@ fn dispatch_loop(shared: &Shared) {
         let mut group = Vec::with_capacity(1 + extra.len());
         group.push(job);
         group.extend(extra);
-        if shared.cfg.metrics_enabled {
-            shared
-                .metrics
-                .record_size(metrics::COALESCE_SIZE, lane, group.len() as u64);
-            let popped = Instant::now();
-            for j in &group {
-                shared.metrics.record(
-                    metrics::EXEC_QUEUE_WAIT_SECONDS,
-                    lane,
-                    popped.saturating_duration_since(j.enqueued),
-                );
-            }
+        shared
+            .metrics
+            .record_size(metrics::COALESCE_SIZE, lane, group.len() as u64);
+        let popped = Instant::now();
+        for j in &group {
+            shared.metrics.record(
+                metrics::EXEC_QUEUE_WAIT_SECONDS,
+                lane,
+                popped.saturating_duration_since(j.enqueued),
+            );
         }
 
         // Shed what expired while queued.
@@ -729,18 +715,16 @@ fn dispatch_loop(shared: &Shared) {
             run_degraded(shared, n, live);
         }
         let exec_end = Instant::now();
-        if shared.cfg.metrics_enabled {
-            shared
-                .metrics
-                .record(metrics::POOL_EXECUTE_SECONDS, lane, exec_end - exec_start);
-            shared.metrics.recorder().span(
-                lane,
-                SpanKind::PoolExecute,
-                dispatch_stage,
-                exec_start,
-                exec_end,
-            );
-        }
+        shared
+            .metrics
+            .record(metrics::POOL_EXECUTE_SECONDS, lane, exec_end - exec_start);
+        shared.metrics.recorder().span(
+            lane,
+            SpanKind::PoolExecute,
+            dispatch_stage,
+            exec_start,
+            exec_end,
+        );
         dispatch_stage = dispatch_stage.wrapping_add(1);
     }
 }

@@ -174,30 +174,6 @@ fn warm_histograms_populate_and_forced_breach_persists_a_flight_record() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn metrics_disabled_records_nothing_but_keeps_counter_views() {
-    let service = Arc::new(PlanService::new(2, 4));
-    let cfg = ServerConfig {
-        metrics_enabled: false,
-        ..test_config()
-    };
-    let server = Server::start(service, cfg).expect("server starts");
-    let mut client = Client::connect(server.local_addr()).expect("connects");
-    let req = request_from_inputs(9, 0, &[ramp(32, 0)]);
-    assert!(matches!(
-        client.request(&req).expect("response arrives"),
-        Response::Ok { .. }
-    ));
-    let report = server.shutdown();
-    let m = &report.metrics;
-    assert_eq!(m.counter("serve_ok_total"), Some(1));
-    assert_eq!(
-        m.histogram("serve_request_seconds").map_or(0, |h| h.count),
-        0,
-        "disabled telemetry must not record"
-    );
-}
-
 // --- golden schema ----------------------------------------------------
 
 fn golden_path() -> std::path::PathBuf {

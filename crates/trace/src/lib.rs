@@ -32,8 +32,8 @@
 //! the hooks; an executor run with the no-op observer `&()` reads no
 //! clock, and a run observed by a [`Collector`] costs three monotonic
 //! clock reads and four relaxed adds into the thread's own padded slot
-//! per `(stage, thread)` — bounded, and measured by the `ablation-trace`
-//! bench.
+//! per `(stage, thread)` — bounded, and measured by perfbench's
+//! `trace.overhead_pct.*` metrics.
 
 #![warn(missing_docs)]
 
