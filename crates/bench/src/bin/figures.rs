@@ -282,6 +282,10 @@ fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String
     Ok(out)
 }
 
+/// The log2 sizes `--size`, `--min` and `--max` accept: 2^24 complex
+/// doubles are 256 MiB per buffer, past any size the figures sweep.
+const LOG2_SIZES: std::ops::RangeInclusive<u32> = 1..=24;
+
 /// The validated flags of one command invocation.
 struct Flags {
     cmd: &'static str,
@@ -306,6 +310,25 @@ impl Flags {
         }
     }
 
+    /// The log2 transform size `--flag` gives, or `default` when it is
+    /// absent. A value outside [`LOG2_SIZES`] exits 2 naming the flag,
+    /// instead of shifting into another size.
+    fn log2(&self, flag: &str, default: u32) -> u32 {
+        let k = self.parse(flag, default);
+        if !LOG2_SIZES.contains(&k) {
+            self.reject(
+                flag,
+                &k.to_string(),
+                format!(
+                    "log2 size out of range {}..={}",
+                    LOG2_SIZES.start(),
+                    LOG2_SIZES.end()
+                ),
+            );
+        }
+        k
+    }
+
     fn reject(&self, flag: &str, value: &str, why: impl Display) -> ! {
         eprintln!("figures {}: --{flag} {value}: {why}", self.cmd);
         std::process::exit(2);
@@ -321,8 +344,8 @@ fn machine_arg(opts: &Flags) -> MachineSpec {
 }
 
 fn range(opts: &Flags, dmin: u32, dmax: u32) -> (u32, u32) {
-    let min = opts.parse("min", dmin);
-    let max = opts.parse("max", dmax);
+    let min = opts.log2("min", dmin);
+    let max = opts.log2("max", dmax);
     (min, max.max(min))
 }
 
@@ -497,7 +520,12 @@ fn run_abl_fs(m: &MachineSpec, opts: &Flags, out_dir: Option<&str>) {
 }
 
 fn run_abl_sched(m: &MachineSpec, opts: &Flags) {
-    let k: u32 = opts.parse("size", 12);
+    let k = opts.log2("size", 12);
+    let n = 1usize << k;
+    if n < 2 * m.p {
+        let why = format!("the last grain, n/(2p), needs n >= {}", 2 * m.p);
+        opts.reject("size", &k.to_string(), why);
+    }
     println!(
         "\nABL-SCHED on {} — block-cyclic grain sweep at 2^{k}",
         m.name
@@ -507,7 +535,6 @@ fn run_abl_sched(m: &MachineSpec, opts: &Flags) {
         "grain", "false sharing", "cycles", "pMflop/s"
     );
     let mu = m.mu();
-    let n = 1usize << k;
     let grains = [1, 2, mu, 4 * mu, n / (2 * m.p)];
     for r in schedule_ablation(m, k, &grains) {
         println!(
@@ -566,7 +593,7 @@ fn run_trace(opts: &Flags, out_dir: Option<&str>) {
     use spiral_search::{CostModel, Tuner};
     use spiral_spl::cplx::Cplx;
 
-    let k: u32 = opts.parse("size", 12);
+    let k = opts.log2("size", 12);
     let threads: usize = opts.parse("threads", 2);
     let reps = 5usize;
     let n = 1usize << k;
@@ -674,7 +701,7 @@ fn run_timeline(opts: &Flags, out_dir: Option<&str>) {
     use spiral_trace::{Timeline, TimelineEventKind};
     use spiral_verify::timeline::{verify_timeline, TlEvent, TlKind};
 
-    let k: u32 = opts.parse("size", 12);
+    let k = opts.log2("size", 12);
     let threads: usize = opts.parse("threads", 2);
     let n = 1usize << k;
     let mu = spiral_smp::topology::mu();
@@ -1070,7 +1097,7 @@ fn run_serve_dash(opts: &Flags, out_dir: Option<&str>) {
     use spiral_serve::{drive, Client, LoadSpec, PlanService, Server, ServerConfig, StatsKind};
     use std::sync::Arc;
 
-    let log2n: u32 = opts.parse("size", 8);
+    let log2n = opts.log2("size", 8);
     let workers: usize = opts.parse("workers", 2);
     let conns: usize = opts.parse::<usize>("connections", 4).max(1);
     let requests: usize = opts.parse("requests", 32);

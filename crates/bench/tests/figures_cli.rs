@@ -33,6 +33,15 @@ fn unparsable_flag_values_exit_2_and_name_the_flag() {
         &["serve-load", "--batch", "x"],
         &["serve-load", "--require-warm", "2"],
         &["serve-dash", "--connections", "many"],
+        // Log2 sizes that parse but lie outside 1..=24, or leave the
+        // grain sweep a grain of 0: an error, not a shift into another
+        // size.
+        &["ablation-schedule", "--size", "70"],
+        &["ablation-schedule", "--size", "1"],
+        &["fig3", "--min", "0"],
+        &["crossover", "--max", "64"],
+        &["trace", "--size", "25"],
+        &["serve-dash", "--size", "0"],
     ];
     for args in cases {
         let out = figures(args);

@@ -161,15 +161,40 @@ impl Plan {
     /// schedule assumes; pass 1 for sequential formulas.
     pub fn from_formula(f: &Spl, threads: usize, mu: usize) -> Result<Plan, LowerError> {
         let f = f.normalized();
-        let n = f.dim();
+        let mut plan = Plan::lower_normalized(&f, threads, mu)?;
+        // Put the loops of each strided scalar stage in stride order; the
+        // tables follow through the per-loop twiddle strides.
+        for k in kernels_mut(&mut plan.steps) {
+            k.order_loops();
+        }
+        // Honor the widest vec(ν) tag after fusion settled the final loop
+        // nests: qualifying stages switch to the ν-lane path, the rest
+        // stay scalar (partial vectorization is the normal case).
+        let nu = f.vec_width();
+        if nu > 1 {
+            let _ = crate::vectorize::vectorize_plan(&mut plan, nu);
+        }
+        Ok(plan)
+    }
+
+    /// The plan [`from_formula`](Self::from_formula) builds before its
+    /// loop-order and vectorize passes: lowered, fused, with compact
+    /// twiddle tables, every loop nest in lowering order and no stage
+    /// vector-marked. Tests and the simulator compare the chosen loop
+    /// order against this one.
+    pub fn lowered(f: &Spl, threads: usize, mu: usize) -> Result<Plan, LowerError> {
+        Plan::lower_normalized(&f.normalized(), threads, mu)
+    }
+
+    fn lower_normalized(f: &Spl, threads: usize, mu: usize) -> Result<Plan, LowerError> {
         let mut steps = Vec::new();
-        if has_parallel_construct(&f) {
-            push_steps(&f, &mut steps)?;
+        if has_parallel_construct(f) {
+            push_steps(f, &mut steps)?;
         } else {
             // Purely sequential formula: lower the whole thing into one
             // fused program so every permutation and diagonal merges into
             // a compute loop (no standalone data passes).
-            let prog = fuse(lower_seq(&f)?);
+            let prog = fuse(lower_seq(f)?);
             if !prog.stages.is_empty() {
                 steps.push(Step::Seq(prog));
             }
@@ -181,21 +206,13 @@ impl Plan {
         for k in kernels_mut(&mut steps) {
             k.compact_twiddles();
         }
-        let mut plan = Plan {
-            n,
+        Ok(Plan {
+            n: f.dim(),
             threads: threads.max(1),
             mu: mu.max(1),
             vec_width: 1,
             steps,
-        };
-        // Honor the widest vec(ν) tag after fusion settled the final loop
-        // nests: qualifying stages switch to the ν-lane path, the rest
-        // stay scalar (partial vectorization is the normal case).
-        let nu = f.vec_width();
-        if nu > 1 {
-            let _ = crate::vectorize::vectorize_plan(&mut plan, nu);
-        }
-        Ok(plan)
+        })
     }
 
     /// Total real flops of one execution.

@@ -186,6 +186,30 @@ impl KernelStage {
         }
     }
 
+    /// Order the loops of a stage in which no loop reads and writes at
+    /// unit stride: a stable sort by `min(in_stride, out_stride)`,
+    /// largest outermost. In the tuned plans this is the scalar first stage,
+    /// whose fused digit-reversed read comes out of lowering with a
+    /// strided innermost loop; in stride order its inner loops walk
+    /// whole cache lines on at least one side. Each loop carries its own
+    /// twiddle stride, so the tables need no change. A stage with a
+    /// unit-stride loop keeps its order: either that loop is already
+    /// innermost (a vector candidate, left as the `vectorize` pass
+    /// expects it), or sorting would bring it innermost and make a new
+    /// vector candidate, changing the plan's shape behind the cost
+    /// model's back.
+    pub fn order_loops(&mut self) {
+        if self
+            .loops
+            .iter()
+            .any(|l| l.in_stride == 1 && l.out_stride == 1)
+        {
+            return;
+        }
+        self.loops
+            .sort_by_key(|l| std::cmp::Reverse(l.in_stride.min(l.out_stride)));
+    }
+
     /// Points this stage covers (must equal the program dimension).
     pub fn span(&self) -> usize {
         self.iterations() * self.codelet.size()
@@ -577,6 +601,33 @@ mod tests {
         (0..n)
             .map(|k| Cplx::new(k as f64 + 1.0, -(k as f64)))
             .collect()
+    }
+
+    /// Stride order sorts a stage with no unit-stride loop, stably, and
+    /// leaves a stage with one where lowering put it.
+    #[test]
+    fn order_loops_sorts_only_stages_without_a_unit_stride_loop() {
+        let dim = |count, in_stride, out_stride, tw_stride| LoopDim {
+            count,
+            in_stride,
+            out_stride,
+            tw_stride,
+        };
+        let mut k = KernelStage::unit(Codelet::for_size(2));
+        k.loops = vec![dim(2, 1, 16, 0), dim(2, 2, 8, 0), dim(2, 8, 2, 1)];
+        k.order_loops();
+        assert_eq!(
+            k.loops,
+            [dim(2, 2, 8, 0), dim(2, 8, 2, 1), dim(2, 1, 16, 0)]
+        );
+        for lowering in [
+            vec![dim(2, 4, 2, 0), dim(2, 1, 1, 1)],
+            vec![dim(2, 1, 1, 0), dim(2, 2, 4, 1)],
+        ] {
+            k.loops = lowering.clone();
+            k.order_loops();
+            assert_eq!(k.loops, lowering);
+        }
     }
 
     #[test]
