@@ -2,8 +2,13 @@
 //! writes today. A schema bump therefore fails here until the artifact
 //! is regenerated with its own command (`figures serve-load`, `figures
 //! trace`, `bench history record`), so committed files never go stale.
+//! The simulated Figure 3 rows are checked by value: a change to the
+//! plans or to the traced schedule fails here until `figures fig3` has
+//! regenerated them.
 
+use spiral_bench::ascii;
 use spiral_bench::history::{BenchHistory, BENCH_SCHEMA_VERSION};
+use spiral_bench::series::fig3_series;
 use spiral_bench::serve_load::{validate_file, ServeLoadFile};
 use std::path::{Path, PathBuf};
 
@@ -47,4 +52,21 @@ fn bench_history_is_at_the_current_schema() {
         BenchHistory::from_json(&read(&path)).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     assert_eq!(history.schema, BENCH_SCHEMA_VERSION);
     assert!(!history.runs.is_empty());
+}
+
+/// The committed Core Duo CSV is what `figures fig3` computes today, on
+/// its first rows (2^6..2^10; the whole file takes minutes in debug).
+#[test]
+fn fig3_core_duo_rows_match_the_simulator() {
+    let path = repo().join("results/fig3_core-duo-2-0-ghz.csv");
+    let committed = read(&path);
+    let fresh = ascii::csv(&fig3_series(&spiral_sim::core_duo(), 6, 10));
+    let rows = fresh.lines().count();
+    let want: Vec<&str> = committed.lines().take(rows).collect();
+    assert_eq!(
+        fresh.lines().collect::<Vec<_>>(),
+        want,
+        "{} is stale: regenerate it with `figures fig3 --machine core-duo --min 6 --max 16 --out results`",
+        path.display()
+    );
 }

@@ -11,8 +11,8 @@
 //! step.
 
 use crate::codelet::dag::{Dag, Node};
-use crate::plan::{Plan, Step};
-use crate::stage::{KernelStage, LocalProgram, LocalStage};
+use crate::plan::{ElementOp, Plan, Portion, Step};
+use crate::stage::{Buf, KernelStage, LocalProgram, LocalStage};
 use spiral_spl::cplx::Cplx;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -58,7 +58,7 @@ impl<'a> Emitter<'a> {
         let p = self.plan.threads;
         let mut body = String::new();
         for (si, step) in self.plan.steps.iter().enumerate() {
-            let _ = write!(body, "\n    /* step {si}: {} */\n", step_desc(step));
+            let _ = write!(body, "\n    /* step {si}: {} */\n", step.label());
             body.push_str(&self.emit_step(si, step));
         }
 
@@ -151,53 +151,45 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// Emit the code of one step (into the step body string).
+    /// Emit the code of one step (into the step body string). Each
+    /// thread runs its portion of the static schedule ([`Step::portion`]):
+    /// chunk `c` on thread `c mod NTHREADS`, or a range of output
+    /// elements read from a per-step table of `(lo, hi)` pairs.
     fn emit_step(&mut self, si: usize, step: &Step) -> String {
         let (src, dst) = if si.is_multiple_of(2) {
             ("bufA", "bufB")
         } else {
             ("bufB", "bufA")
         };
+        let (n, mu, p) = (self.plan.n, self.plan.mu, self.plan.threads);
         let mut s = String::new();
-        match step {
-            Step::Seq(prog) => {
-                let inner = self.emit_local(si, 0, prog, src, dst, "0", None);
-                match self.flavor {
-                    CFlavor::OpenMp => s.push_str(&inner),
-                    CFlavor::Pthreads => {
-                        let _ = write!(s, "    if (tid == 0) {{\n{inner}    }}\n");
-                    }
-                }
-            }
-            Step::Par {
+        match step.portion(n, mu, 0, p) {
+            Portion::Chunks {
                 chunk,
                 programs,
                 gather,
+                ..
             } => {
                 // Chunks are identical in the homogeneous case; emit one
                 // body indexed by the chunk variable. Heterogeneous
                 // (⊕∥ D_i) chunks differ only in tables, which we emit
                 // as one concatenated table indexed globally.
-                let gname = gather.as_ref().map(|g| {
+                let gname = gather.map(|g| {
                     let name = format!("pgather{si}");
                     self.emit_u32_table(&name, g);
                     name
                 });
+                let np = programs.len();
                 match self.flavor {
                     CFlavor::OpenMp => {
                         let _ = write!(
                             s,
                             "    #pragma omp parallel for num_threads(NTHREADS) schedule(static)\n\
-                             \x20   for (int c = 0; c < {np}; c++) {{\n",
-                            np = programs.len()
+                             \x20   for (int c = 0; c < {np}; c++) {{\n"
                         );
                     }
                     CFlavor::Pthreads => {
-                        let _ = writeln!(
-                            s,
-                            "    for (int c = tid; c < {np}; c += NTHREADS) {{",
-                            np = programs.len()
-                        );
+                        let _ = writeln!(s, "    for (int c = tid; c < {np}; c += NTHREADS) {{");
                     }
                 }
                 let _ = writeln!(s, "        const int off = c * {chunk};");
@@ -217,53 +209,55 @@ impl<'a> Emitter<'a> {
                 }
                 s.push_str("    }\n");
             }
-            Step::Exchange { table, mu } => {
-                let tname = format!("exch{si}_tbl");
-                self.emit_u32_table(&tname, table);
-                let blocks = self.plan.n / mu;
-                match self.flavor {
+            Portion::Elements { op, .. } => {
+                let bounds: Vec<u32> = (0..p)
+                    .flat_map(|t| {
+                        let r = step
+                            .portion(n, mu, t, p)
+                            .writes()
+                            .next()
+                            .unwrap_or_default();
+                        [crate::u32_idx(r.start), crate::u32_idx(r.end)]
+                    })
+                    .collect();
+                let range = format!("range{si}");
+                self.emit_u32_table(&range, &bounds);
+                let t = match self.flavor {
                     CFlavor::OpenMp => {
+                        s.push_str(
+                            "    #pragma omp parallel for num_threads(NTHREADS) schedule(static)\n\
+                             \x20   for (int t = 0; t < NTHREADS; t++)\n",
+                        );
+                        "t"
+                    }
+                    CFlavor::Pthreads => "tid",
+                };
+                let _ = writeln!(
+                    s,
+                    "    for (int i = {range}[2*{t}]; i < {range}[2*{t}+1]; i++) {{"
+                );
+                match op {
+                    ElementOp::Gather(table) => {
+                        let tname = format!("exch{si}_tbl");
+                        self.emit_u32_table(&tname, table);
                         let _ = write!(
                             s,
-                            "    #pragma omp parallel for num_threads(NTHREADS) schedule(static)\n\
-                             \x20   for (int b = 0; b < {blocks}; b++)\n"
+                            "        {dst}[2*i]   = {src}[2*{tname}[i]];\n\
+                             \x20       {dst}[2*i+1] = {src}[2*{tname}[i]+1];\n"
                         );
                     }
-                    CFlavor::Pthreads => {
-                        let _ = writeln!(s, "    for (int b = tid; b < {blocks}; b += NTHREADS)");
-                    }
-                }
-                let _ = write!(
-                    s,
-                    "        for (int e = 0; e < {mu}; e++) {{\n\
-                     \x20           int i = b * {mu} + e;\n\
-                     \x20           {dst}[2*i]   = {src}[2*{tname}[i]];\n\
-                     \x20           {dst}[2*i+1] = {src}[2*{tname}[i]+1];\n\
-                     \x20       }}\n"
-                );
-            }
-            Step::ScaleAll(w) => {
-                let tname = format!("scale{si}_tbl");
-                self.emit_cplx_table(&tname, w);
-                match self.flavor {
-                    CFlavor::OpenMp => {
+                    ElementOp::Scale(w) => {
+                        let tname = format!("scale{si}_tbl");
+                        self.emit_cplx_table(&tname, w);
                         let _ = write!(
                             s,
-                            "    #pragma omp parallel for num_threads(NTHREADS) schedule(static)\n\
-                             \x20   for (int i = 0; i < N; i++) {{\n"
+                            "        double re = {src}[2*i], im = {src}[2*i+1];\n\
+                             \x20       {dst}[2*i]   = re * {tname}[2*i]   - im * {tname}[2*i+1];\n\
+                             \x20       {dst}[2*i+1] = re * {tname}[2*i+1] + im * {tname}[2*i];\n"
                         );
                     }
-                    CFlavor::Pthreads => {
-                        s.push_str("    for (int i = tid; i < N; i += NTHREADS) {\n");
-                    }
                 }
-                let _ = write!(
-                    s,
-                    "        double re = {src}[2*i], im = {src}[2*i+1];\n\
-                     \x20       {dst}[2*i]   = re * {tname}[2*i]   - im * {tname}[2*i+1];\n\
-                     \x20       {dst}[2*i+1] = re * {tname}[2*i+1] + im * {tname}[2*i];\n\
-                     \x20   }}\n"
-                );
+                s.push_str("    }\n");
             }
         }
         if self.flavor == CFlavor::Pthreads {
@@ -286,12 +280,11 @@ impl<'a> Emitter<'a> {
         gather: Option<&str>,
     ) -> String {
         let mut s = String::new();
-        let l = prog.stages.len();
         let tmp = match self.flavor {
             CFlavor::OpenMp => "tmp_buf[omp_get_thread_num()]",
             CFlavor::Pthreads => "tmp_buf[tid]",
         };
-        if l == 0 {
+        if prog.stages.is_empty() {
             match gather {
                 None => {
                     let _ = writeln!(
@@ -313,17 +306,14 @@ impl<'a> Emitter<'a> {
             }
             return s;
         }
-        for (k, stage) in prog.stages.iter().enumerate() {
-            let to_dst = (l - 1 - k).is_multiple_of(2);
-            let (in_buf, in_off) = if k == 0 {
-                (src, off_expr)
-            } else if to_dst {
-                (tmp, "0")
-            } else {
-                (dst, off_expr)
-            };
-            let (out_buf, out_off) = if to_dst { (dst, off_expr) } else { (tmp, "0") };
-            let g = if k == 0 { gather } else { None };
+        let at = |buf: Buf| match buf {
+            Buf::Src => (src, off_expr),
+            Buf::Tmp => (tmp, "0"),
+            Buf::Dst => (dst, off_expr),
+        };
+        for (k, (stage, input, output)) in prog.passes().enumerate() {
+            let ((in_buf, in_off), (out_buf, out_off)) = (at(input), at(output));
+            let g = if input == Buf::Src { gather } else { None };
             s.push_str(&self.emit_stage(
                 si, ci, k, prog.dim, stage, in_buf, in_off, out_buf, out_off, g,
             ));
@@ -643,11 +633,7 @@ impl<'a> Emitter<'a> {
 }
 
 fn homogeneous(programs: &[LocalProgram]) -> bool {
-    programs.len() <= 1
-        || programs.windows(2).all(|w| {
-            format!("{:?}", w[0].stages.len()) == format!("{:?}", w[1].stages.len())
-                && same_structure(&w[0], &w[1])
-        })
+    programs.windows(2).all(|w| same_structure(&w[0], &w[1]))
 }
 
 fn same_structure(a: &LocalProgram, b: &LocalProgram) -> bool {
@@ -656,62 +642,15 @@ fn same_structure(a: &LocalProgram, b: &LocalProgram) -> bool {
             (LocalStage::Kernel(k1), LocalStage::Kernel(k2)) => {
                 k1.loops == k2.loops
                     && k1.codelet.size() == k2.codelet.size()
-                    && arc_eq(&k1.in_map, &k2.in_map)
-                    && arc_eq(&k1.out_map, &k2.out_map)
-                    && twiddle_eq(&k1.twiddle, &k2.twiddle)
-                    && twiddle_eq(&k1.twiddle_out, &k2.twiddle_out)
+                    && k1.in_map == k2.in_map
+                    && k1.out_map == k2.out_map
+                    && k1.twiddle == k2.twiddle
+                    && k1.twiddle_out == k2.twiddle_out
             }
             (LocalStage::Permute(t1), LocalStage::Permute(t2)) => t1 == t2,
-            (LocalStage::Scale(w1), LocalStage::Scale(w2)) => {
-                w1.len() == w2.len() && w1.iter().zip(w2.iter()).all(|(a, b)| a.approx_eq(*b, 0.0))
-            }
+            (LocalStage::Scale(w1), LocalStage::Scale(w2)) => w1 == w2,
             _ => false,
         })
-}
-
-fn arc_eq(a: &Option<std::sync::Arc<Vec<u32>>>, b: &Option<std::sync::Arc<Vec<u32>>>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => x == y,
-        _ => false,
-    }
-}
-
-fn twiddle_eq(
-    a: &Option<std::sync::Arc<Vec<Cplx>>>,
-    b: &Option<std::sync::Arc<Vec<Cplx>>>,
-) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => {
-            x.len() == y.len() && x.iter().zip(y.iter()).all(|(p, q)| p.approx_eq(*q, 0.0))
-        }
-        _ => false,
-    }
-}
-
-fn step_desc(step: &Step) -> String {
-    match step {
-        Step::Seq(p) => format!("sequential program, {} stages", p.stages.len()),
-        Step::Par {
-            chunk,
-            programs,
-            gather,
-        } => {
-            format!(
-                "parallel: {} chunks of {}{}",
-                programs.len(),
-                chunk,
-                if gather.is_some() {
-                    ", fused exchange gather"
-                } else {
-                    ""
-                }
-            )
-        }
-        Step::Exchange { mu, .. } => format!("cache-line exchange (mu = {mu})"),
-        Step::ScaleAll(_) => "pointwise scaling".to_string(),
-    }
 }
 
 fn indent(s: &str, levels: usize) -> String {

@@ -66,8 +66,10 @@ pub use cemit::{emit_c, CFlavor};
 pub use codelet::Codelet;
 pub use hook::{MemHook, NullHook, Region};
 pub use lower::{lower_seq, LowerError};
-pub use parallel::{ExecOutcome, ParallelExecutor};
-pub use plan::{install_validator, Plan, PlanShape, PlanValidator, PlanWorkspace, Step};
+pub use parallel::ParallelExecutor;
+pub use plan::{
+    install_validator, ElementOp, Plan, PlanShape, PlanValidator, PlanWorkspace, Portion, Step,
+};
 pub use simd::detected_simd_width;
 pub use spiral_smp::SpiralError;
 pub use vectorize::{stage_alignment, vectorize_plan, vectorized_shape};

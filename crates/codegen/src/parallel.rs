@@ -20,10 +20,7 @@
 //!   output yields [`SpiralError::NonFinite`], never a silently
 //!   corrupted `Ok`;
 //! * after any failed run the stage barrier is reset, so the same
-//!   executor (and pool) runs subsequent healthy plans;
-//! * [`ParallelExecutor::execute_resilient`] additionally degrades to
-//!   the verified sequential interpreter (`Plan::execute`) when the pool
-//!   is unhealthy or the parallel run hits a runtime fault.
+//!   executor (and pool) runs subsequent healthy plans.
 //!
 //! With the `faults` feature, deterministic faults (panics, delays, NaN
 //! corruption) can be injected at any `(stage, thread)` point via
@@ -37,14 +34,13 @@
 //! plain entry points pass the no-op `&()`, which monomorphises to the
 //! uninstrumented loop.
 
-use crate::plan::{share, Plan, Step};
+use crate::plan::{ElementOp, Plan, Portion};
 use spiral_smp::align::AlignedVec;
 use spiral_smp::barrier::{Barrier, BarrierKind};
 use spiral_smp::error::{lock_recover, SpiralError};
 use spiral_smp::pool::Pool;
 use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use spiral_spl::cplx::{first_non_finite, Cplx};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -52,16 +48,6 @@ use std::time::{Duration, Instant};
 /// Default stage-barrier watchdog. Generous: a healthy stage never takes
 /// seconds, so tripping it means a peer is dead or wedged.
 pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
-
-/// Result of [`ParallelExecutor::execute_resilient`].
-pub struct ExecOutcome {
-    /// The transform output.
-    pub output: Vec<Cplx>,
-    /// `None` when the parallel path succeeded; `Some(cause)` when the
-    /// executor degraded to the sequential interpreter because of this
-    /// runtime fault.
-    pub degraded: Option<SpiralError>,
-}
 
 /// Reusable parallel executor: owns the pool, barrier, and buffers.
 pub struct ParallelExecutor {
@@ -313,15 +299,14 @@ impl ParallelExecutor {
                     Some(spiral_smp::faults::Fault::CorruptNan) => true,
                     None => false,
                 };
+                let portion = step.portion(n, plan.mu, tid, threads);
                 let t0 = obs.active().then(Instant::now);
                 // SAFETY: see SharedBufs — each thread writes only its own
                 // portion of `dst`, and `src` is the other buffer.
-                unsafe {
-                    run_step_portion(step, n, plan.mu.max(1), tid, threads, src, dst, tmp);
-                }
+                unsafe { run_portion(&portion, src, dst, tmp) };
                 #[cfg(feature = "faults")]
                 if corrupt {
-                    inject_nan(step, n, plan.mu.max(1), tid, threads, dst);
+                    inject_nan(&portion, dst);
                 }
                 let t1 = t0.map(|_| Instant::now());
                 let waited = barrier.wait_deadline(watchdog);
@@ -329,7 +314,7 @@ impl ParallelExecutor {
                     // Arrival → release: on a clean stage this is the
                     // time spent blocked waiting for slower peers.
                     let b1 = Instant::now();
-                    let (jobs, elements) = portion_stats(step, n, plan.mu.max(1), tid, threads);
+                    let (jobs, elements) = portion.stats();
                     let si = crate::u32_idx(si);
                     obs.span(tid, SpanKind::StageCompute { jobs, elements }, si, t0, t1);
                     obs.span(tid, SpanKind::BarrierWait, si, t1, b1);
@@ -372,129 +357,39 @@ impl ParallelExecutor {
         }
         Ok(out)
     }
-
-    /// Execute `plan` with graceful degradation: when the pool is
-    /// unhealthy, or the parallel run fails with a runtime fault (panic,
-    /// watchdog expiry, corrupted output), fall back to the verified
-    /// sequential interpreter and report the cause in
-    /// [`ExecOutcome::degraded`]. Deterministic misuse (size mismatch,
-    /// failed static verification) is returned as `Err` — retrying
-    /// cannot fix it.
-    pub fn execute_resilient(&self, plan: &Plan, x: &[Cplx]) -> Result<ExecOutcome, SpiralError> {
-        if self.pool.healthy() {
-            match self.try_execute(plan, x) {
-                Ok(output) => {
-                    return Ok(ExecOutcome {
-                        output,
-                        degraded: None,
-                    })
-                }
-                Err(e) if e.is_runtime_fault() => return self.sequential_rescue(plan, x, e),
-                Err(e) => return Err(e),
-            }
-        }
-        self.sequential_rescue(plan, x, SpiralError::PoolUnhealthy)
-    }
-
-    fn sequential_rescue(
-        &self,
-        plan: &Plan,
-        x: &[Cplx],
-        cause: SpiralError,
-    ) -> Result<ExecOutcome, SpiralError> {
-        let output = catch_unwind(AssertUnwindSafe(|| plan.execute(x))).map_err(|p| {
-            SpiralError::WorkerPanic {
-                thread: 0,
-                payload: spiral_smp::panic_payload(p),
-            }
-        })?;
-        if let Some(index) = first_non_finite(&output) {
-            return Err(SpiralError::NonFinite {
-                index,
-                context: format!("sequential fallback of a {}-point plan", plan.n),
-            });
-        }
-        Ok(ExecOutcome {
-            output,
-            degraded: Some(cause),
-        })
-    }
 }
 
-/// Write one NaN into an element of `dst` that thread `tid` owns in this
-/// step (fault injection: models silent corruption of the thread's
-/// output portion). No-op when the thread writes nothing this step.
+/// Write one NaN into the first element of `dst` that the portion writes
+/// (fault injection: models silent corruption of the thread's output
+/// portion). No-op when the thread writes nothing this step.
 #[cfg(feature = "faults")]
-fn inject_nan(step: &Step, n: usize, plan_mu: usize, tid: usize, threads: usize, dst: *mut Cplx) {
-    let idx = match step {
-        Step::Seq(_) => (tid == 0 && n > 0).then_some(0),
-        Step::Par {
-            chunk, programs, ..
-        } => {
-            // Chunk `c` runs on thread `c % threads`, so the first chunk
-            // owned by `tid` is chunk `tid` itself.
-            (tid < programs.len() && *chunk > 0).then(|| tid * *chunk)
-        }
-        Step::Exchange { mu, .. } => {
-            let (lo, hi) = share(n / mu, threads, tid);
-            (hi > lo).then(|| lo * mu)
-        }
-        Step::ScaleAll(_) => {
-            let blocks = n / plan_mu;
-            let (b_lo, b_hi) = share(blocks, threads, tid);
-            let lo = b_lo * plan_mu;
-            let hi = if tid == threads - 1 {
-                n
-            } else {
-                b_hi * plan_mu
-            };
-            (hi > lo).then_some(lo)
-        }
-    };
-    if let Some(i) = idx {
-        // Safety: `i` is within thread `tid`'s disjoint write portion of
-        // this step (same ownership argument as `run_step_portion`).
-        unsafe { *dst.add(i) = Cplx::new(f64::NAN, f64::NAN) };
+fn inject_nan(portion: &Portion, dst: *mut Cplx) {
+    if let Some(r) = portion.writes().find(|r| !r.is_empty()) {
+        // Safety: `r.start` is within the thread's disjoint write portion
+        // of this step (same ownership argument as `run_portion`).
+        unsafe { *dst.add(r.start) = Cplx::new(f64::NAN, f64::NAN) };
     }
 }
 
-/// Execute thread `tid`'s statically scheduled portion of one step. The
-/// sequential executor ([`Plan::execute_into`]) runs every step as the
-/// portion of thread 0 of 1, so both executors share this code.
+/// Execute one thread's statically scheduled portion of a step
+/// ([`crate::plan::Step::portion`]). The sequential executor
+/// ([`Plan::execute_into`]) runs every step as the portion of thread 0 of
+/// 1, so both executors share this code.
 ///
 /// # Safety
 ///
-/// `dst` must point to `n` writable elements that do not overlap `src`,
-/// and while this call runs no other thread may access the part of
-/// them that thread `tid` of `threads` writes for `step`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn run_step_portion(
-    step: &Step,
-    n: usize,
-    plan_mu: usize,
-    tid: usize,
-    threads: usize,
+/// `dst` must point to a buffer that holds every element the portion
+/// writes and does not overlap `src`, and while this call runs no other
+/// thread may access those elements.
+pub(crate) unsafe fn run_portion(
+    portion: &Portion,
     src: &[Cplx],
     dst: *mut Cplx,
     tmp: &mut [Cplx],
 ) {
-    match step {
-        Step::Seq(prog) => {
-            if tid == 0 {
-                // Safety: only thread 0 writes during a Seq step.
-                let dst = unsafe { std::slice::from_raw_parts_mut(dst, n) };
-                prog.run(src, dst, tmp);
-            }
-        }
-        Step::Par {
-            chunk,
-            programs,
-            gather,
-        } => {
-            for (c, prog) in programs.iter().enumerate() {
-                if c % threads != tid {
-                    continue;
-                }
+    match portion {
+        Portion::Chunks { chunk, gather, .. } => {
+            for (c, prog) in portion.chunks() {
                 let s = c * chunk;
                 // Safety: chunk ranges are disjoint across c, and each c
                 // is handled by exactly one thread. Gathered reads touch
@@ -511,74 +406,26 @@ pub(crate) unsafe fn run_step_portion(
                 prog.run_view(view, dst_chunk, &mut tmp[..*chunk]);
             }
         }
-        Step::Exchange { table, mu } => {
-            let blocks = n / mu;
-            let (lo, hi) = share(blocks, threads, tid);
-            // Safety: [lo·µ, hi·µ) ranges are disjoint across threads.
-            let out = unsafe { std::slice::from_raw_parts_mut(dst.add(lo * mu), (hi - lo) * mu) };
-            for (k, o) in out.iter_mut().enumerate() {
-                *o = src[table[lo * mu + k] as usize];
-            }
-        }
-        Step::ScaleAll(w) => {
-            // Split by whole cache lines, matching `Plan::run_traced` —
-            // an element-granular split would let two threads write-share
-            // a line. The last thread also takes the sub-line tail, if
-            // n is not a multiple of µ.
-            let blocks = n / plan_mu;
-            let (b_lo, b_hi) = share(blocks, threads, tid);
-            let lo = b_lo * plan_mu;
-            let hi = if tid == threads - 1 {
-                n
-            } else {
-                b_hi * plan_mu
-            };
-            if hi > lo {
-                // Safety: [lo, hi) ranges are disjoint across threads.
-                let out = unsafe { std::slice::from_raw_parts_mut(dst.add(lo), hi - lo) };
-                for (k, o) in out.iter_mut().enumerate() {
-                    *o = src[lo + k] * w[lo + k];
+        Portion::Elements { range, op, .. } => {
+            // Safety: the element ranges of a step are disjoint across
+            // threads.
+            let out = unsafe { std::slice::from_raw_parts_mut(dst.add(range.start), range.len()) };
+            match op {
+                ElementOp::Gather(table) => {
+                    for (o, &t) in out.iter_mut().zip(&table[range.clone()]) {
+                        *o = src[t as usize];
+                    }
+                }
+                ElementOp::Scale(w) => {
+                    for ((o, s), w) in out
+                        .iter_mut()
+                        .zip(&src[range.clone()])
+                        .zip(&w[range.clone()])
+                    {
+                        *o = *s * *w;
+                    }
                 }
             }
-        }
-    }
-}
-
-/// `(jobs, elements)` of thread `tid`'s statically scheduled portion of
-/// one step — the same schedule `run_step_portion` executes. Jobs are
-/// schedulable units (chunks, block ranges); elements are output
-/// elements written. Deterministic, so trace profiles can cross-check
-/// `spiral-verify`'s static load-balance verdicts without relying on
-/// timing.
-fn portion_stats(step: &Step, n: usize, plan_mu: usize, tid: usize, threads: usize) -> (u64, u64) {
-    match step {
-        Step::Seq(_) => {
-            if tid == 0 {
-                (1, n as u64)
-            } else {
-                (0, 0)
-            }
-        }
-        Step::Par {
-            chunk, programs, ..
-        } => {
-            let count = (0..programs.len()).filter(|c| c % threads == tid).count() as u64;
-            (count, count * *chunk as u64)
-        }
-        Step::Exchange { mu, .. } => {
-            let (lo, hi) = share(n / mu, threads, tid);
-            ((hi - lo) as u64, ((hi - lo) * mu) as u64)
-        }
-        Step::ScaleAll(_) => {
-            let blocks = n / plan_mu;
-            let (b_lo, b_hi) = share(blocks, threads, tid);
-            let lo = b_lo * plan_mu;
-            let hi = if tid == threads - 1 {
-                n
-            } else {
-                b_hi * plan_mu
-            };
-            (u64::from(hi > lo), (hi.saturating_sub(lo)) as u64)
         }
     }
 }
@@ -679,7 +526,7 @@ pub(crate) mod tests {
             Plan::from_formula(&multicore_dft_expanded(64, 4, 2, None, 8).unwrap(), 4, 2).unwrap();
         let err = exec.try_execute(&big, &ramp(64)).unwrap_err();
         assert!(matches!(err, SpiralError::Plan(_)));
-        // Neither is a runtime fault: the resilient path must not retry.
+        // Neither is a runtime fault: retrying cannot fix it.
         assert!(!err.is_runtime_fault());
     }
 
@@ -760,16 +607,5 @@ pub(crate) mod tests {
                 .expect("concurrent callers did not finish in 120 s");
             assert!(ok, "caller {caller} saw a wrong or failed output");
         }
-    }
-
-    #[test]
-    fn resilient_path_matches_plain_execution_when_healthy() {
-        let f = multicore_dft_expanded(256, 2, 4, None, 8).unwrap();
-        let plan = Plan::from_formula(&f, 2, 4).unwrap();
-        let exec = ParallelExecutor::new(2, BarrierKind::Park);
-        let x = ramp(256);
-        let outcome = exec.execute_resilient(&plan, &x).unwrap();
-        assert!(outcome.degraded.is_none());
-        assert_slices_close(&outcome.output, &plan.execute(&x), 1e-12);
     }
 }

@@ -15,12 +15,13 @@
 use crate::fuse::fuse;
 use crate::hook::{MemHook, Region};
 use crate::lower::{lower_seq, LowerError};
-use crate::parallel::run_step_portion;
-use crate::stage::{KernelStage, LocalProgram, LocalStage};
+use crate::parallel::run_portion;
+use crate::stage::{pass_buffers, ping_pong, Buf, KernelStage, LocalProgram, LocalStage};
 use spiral_spl::ast::Spl;
 use spiral_spl::cplx::Cplx;
 use spiral_spl::perm::Perm;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// One synchronization-delimited step of a plan.
@@ -53,6 +54,104 @@ pub enum Step {
     },
     /// Global pointwise scaling (unfused diagonal).
     ScaleAll(Arc<Vec<Cplx>>),
+}
+
+/// Thread `tid`'s part of one step under the static schedule
+/// ([`Step::portion`]).
+#[derive(Clone, Debug)]
+pub enum Portion<'a> {
+    /// Chunk programs: chunk `c` runs `programs[c]` from the source
+    /// (read through the global `gather` table when set) into output
+    /// elements `c·chunk ..`; the thread runs the chunks
+    /// `c ≡ tid (mod threads)` ([`chunks`](Self::chunks)).
+    Chunks {
+        /// Size of each chunk.
+        chunk: usize,
+        /// Every chunk program of the step.
+        programs: &'a [LocalProgram],
+        /// Fused global-gather table of the step, if any.
+        gather: Option<&'a [u32]>,
+        /// The thread.
+        tid: usize,
+        /// Threads the step is split over.
+        threads: usize,
+    },
+    /// A contiguous range of output elements, each computed by `op`.
+    Elements {
+        /// Output elements the thread writes.
+        range: Range<usize>,
+        /// Line length the range is cut in.
+        line: usize,
+        /// What each element is.
+        op: ElementOp<'a>,
+    },
+}
+
+/// The per-element operation of a [`Portion::Elements`].
+#[derive(Copy, Clone, Debug)]
+pub enum ElementOp<'a> {
+    /// `dst[i] = src[table[i]]` (an exchange).
+    Gather(&'a [u32]),
+    /// `dst[i] = src[i] · w[i]` (a scaling).
+    Scale(&'a [Cplx]),
+}
+
+impl ElementOp<'_> {
+    /// Real flops of `count` elements.
+    pub fn flops(&self, count: usize) -> u64 {
+        match self {
+            ElementOp::Gather(_) => 0,
+            ElementOp::Scale(_) => 6 * count as u64,
+        }
+    }
+}
+
+impl<'a> Portion<'a> {
+    /// The chunk programs the thread runs, as `(chunk index, program)`
+    /// in chunk order; none for an element range.
+    pub fn chunks(&self) -> impl Iterator<Item = (usize, &'a LocalProgram)> {
+        let (programs, tid, threads) = match *self {
+            Portion::Chunks {
+                programs,
+                tid,
+                threads,
+                ..
+            } => (programs, tid, threads),
+            Portion::Elements { .. } => (&[][..], 0, 1),
+        };
+        programs.iter().enumerate().skip(tid).step_by(threads)
+    }
+
+    /// The output ranges the thread writes, in order.
+    pub fn writes(&self) -> impl Iterator<Item = Range<usize>> + 'a {
+        let (chunk, range) = match self {
+            Portion::Chunks { chunk, .. } => (*chunk, None),
+            Portion::Elements { range, .. } => (0, Some(range.clone())),
+        };
+        self.chunks()
+            .map(move |(c, _)| c * chunk..(c + 1) * chunk)
+            .chain(range)
+    }
+
+    /// `(jobs, elements)`: the schedulable units the thread runs (chunks,
+    /// or lines begun) and the output elements it writes.
+    pub fn stats(&self) -> (u64, u64) {
+        let jobs = match self {
+            Portion::Chunks { .. } => self.chunks().count(),
+            Portion::Elements { range, line, .. } => range.len().div_ceil(*line),
+        };
+        let elements: usize = self.writes().map(|r| r.len()).sum();
+        (jobs as u64, elements as u64)
+    }
+}
+
+/// Output elements of thread `tid` of `threads` in an element step of
+/// size `n`: a contiguous share of the whole lines, and the sub-line tail
+/// on the last thread, so no two threads write to one line.
+fn line_range(n: usize, line: usize, tid: usize, threads: usize) -> Range<usize> {
+    let (lo, hi) = share(n / line, threads, tid);
+    let hi = if tid + 1 == threads { n } else { hi * line };
+    lo * line..hi
 }
 
 impl Step {
@@ -98,6 +197,52 @@ impl Step {
             }
             Step::Exchange { mu, .. } => format!("exchange(mu={mu})"),
             Step::ScaleAll(_) => "scale".to_string(),
+        }
+    }
+
+    /// Thread `tid`'s part of this step when a size-`n` plan with line
+    /// length `plan_mu` runs on `threads` threads: the one definition of
+    /// the static schedule, read by both executors, the tracer
+    /// ([`Plan::run_traced`]), `spiral-verify`'s footprints and the C
+    /// emitter. A `Seq` step is one chunk of size `n`, so thread 0 runs
+    /// it. A `Par` step's chunk `c` runs on thread `c mod threads`. An
+    /// `Exchange` is split by its own block size and a `ScaleAll` by
+    /// `plan_mu`, in whole lines ([`line_range`]).
+    pub fn portion(&self, n: usize, plan_mu: usize, tid: usize, threads: usize) -> Portion<'_> {
+        let (chunk, programs, gather) = match self {
+            Step::Seq(p) => (n, std::slice::from_ref(p), None),
+            Step::Par {
+                chunk,
+                programs,
+                gather,
+            } => (
+                *chunk,
+                programs.as_slice(),
+                gather.as_deref().map(Vec::as_slice),
+            ),
+            Step::Exchange { table, mu } => {
+                let line = (*mu).max(1);
+                return Portion::Elements {
+                    range: line_range(n, line, tid, threads),
+                    line,
+                    op: ElementOp::Gather(table),
+                };
+            }
+            Step::ScaleAll(w) => {
+                let line = plan_mu.max(1);
+                return Portion::Elements {
+                    range: line_range(n, line, tid, threads),
+                    line,
+                    op: ElementOp::Scale(w),
+                };
+            }
+        };
+        Portion::Chunks {
+            chunk,
+            programs,
+            gather,
+            tid,
+            threads,
         }
     }
 }
@@ -356,76 +501,52 @@ impl Plan {
         // plan, but programs assert on their buffer dimensions.
         let a = &mut ws.a[..self.n];
         let tmp = &mut ws.tmp;
-        let mu = self.mu.max(1);
         // Step 0 reads `x` in place; targets alternate between `out` and
-        // `a` so that step L-1 writes `out` (the parity rule of
-        // `LocalProgram::run_view`).
-        for (k, step) in self.steps.iter().enumerate() {
-            let to_out = (l - 1 - k).is_multiple_of(2);
-            let (src, dst): (&[Cplx], &mut [Cplx]) = match (k == 0, to_out) {
-                (true, true) => (x, &mut *out),
-                (true, false) => (x, &mut *a),
-                (false, true) => (&*a, &mut *out),
-                (false, false) => (&*out, &mut *a),
-            };
+        // `a` so that step L-1 writes `out`.
+        for (step, pass) in self.steps.iter().zip(ping_pong(l)) {
+            let (src, dst) = pass_buffers(pass, x, &mut *a, &mut *out);
             // SAFETY: the whole step is thread 0's portion of a 1-thread
             // schedule, and `dst` is an exclusive `n`-element buffer that
             // does not overlap `src`.
-            unsafe { run_step_portion(step, self.n, mu, 0, 1, src, dst.as_mut_ptr(), tmp) };
+            let portion = step.portion(self.n, self.mu, 0, 1);
+            unsafe { run_portion(&portion, src, dst.as_mut_ptr(), tmp) };
         }
     }
 
     /// Replay the parallel execution schedule into a [`MemHook`]: which
     /// thread touches which element of which buffer, in step order, with
     /// a barrier after every step. No values are computed — all access
-    /// patterns are static.
+    /// patterns are static. Each step replays the threads' portions
+    /// ([`Step::portion`]): chunk programs in chunk order, the way the
+    /// threads interleave them, and element ranges thread by thread.
     pub fn run_traced(&self, hook: &mut dyn MemHook) {
         let (mut src, mut dst) = (Region::BufA, Region::BufB);
         for step in &self.steps {
-            match step {
-                Step::Seq(p) => trace_local(p, 0, src, 0, dst, 0, hook),
-                Step::Par {
-                    chunk,
-                    programs,
-                    gather,
-                } => {
-                    for (c, prog) in programs.iter().enumerate() {
-                        let tid = c % self.threads;
-                        trace_local_gathered(
-                            prog,
-                            tid,
-                            src,
-                            c * chunk,
-                            dst,
-                            c * chunk,
-                            gather.as_ref().map(|g| g.as_slice()),
-                            hook,
-                        );
-                    }
-                }
-                Step::Exchange { table, mu } => {
-                    let blocks = self.n / mu;
-                    for tid in 0..self.threads {
-                        let (lo, hi) = share(blocks, self.threads, tid);
-                        for blk in lo..hi {
-                            for e in blk * mu..(blk + 1) * mu {
-                                hook.read(tid, src, table[e] as usize);
-                                hook.write(tid, dst, e);
-                            }
-                        }
-                    }
-                }
-                Step::ScaleAll(_) => {
-                    let blocks = self.n / self.mu;
-                    for tid in 0..self.threads {
-                        let (lo, hi) = share(blocks, self.threads, tid);
-                        for e in lo * self.mu..hi * self.mu {
-                            hook.read(tid, src, e);
+            let mut chunks = Vec::new();
+            for tid in 0..self.threads {
+                let portion = step.portion(self.n, self.mu, tid, self.threads);
+                match &portion {
+                    Portion::Chunks { chunk, gather, .. } => chunks.extend(
+                        portion
+                            .chunks()
+                            .map(|(c, prog)| (c, tid, prog, c * chunk, *gather)),
+                    ),
+                    Portion::Elements { range, op, .. } => {
+                        for e in range.clone() {
+                            let from = match op {
+                                ElementOp::Gather(table) => table[e] as usize,
+                                ElementOp::Scale(_) => e,
+                            };
+                            hook.read(tid, src, from);
                             hook.write(tid, dst, e);
                         }
-                        hook.flops(tid, 6 * ((hi - lo) * self.mu) as u64);
+                        hook.flops(tid, op.flops(range.len()));
                     }
                 }
+            }
+            chunks.sort_by_key(|&(c, ..)| c);
+            for (_, tid, prog, off, gather) in chunks {
+                trace_chunk(prog, tid, src, dst, off, gather, hook);
             }
             hook.barrier();
             std::mem::swap(&mut src, &mut dst);
@@ -501,65 +622,40 @@ pub(crate) fn share(total: usize, p: usize, tid: usize) -> (usize, usize) {
     (lo, hi)
 }
 
-fn trace_local(
+/// Replay one chunk program of thread `tid`: it reads `src` at `off + i`,
+/// or at `gather[off + i]` when the step has a fused gather, and writes
+/// `dst` at `off + i`, ping-ponging through the thread's `Tmp` region.
+fn trace_chunk(
     prog: &LocalProgram,
     tid: usize,
     src: Region,
-    src_off: usize,
     dst: Region,
-    dst_off: usize,
-    hook: &mut dyn MemHook,
-) {
-    trace_local_gathered(prog, tid, src, src_off, dst, dst_off, None, hook);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn trace_local_gathered(
-    prog: &LocalProgram,
-    tid: usize,
-    src: Region,
-    src_off: usize,
-    dst: Region,
-    dst_off: usize,
+    off: usize,
     gather: Option<&[u32]>,
     hook: &mut dyn MemHook,
 ) {
-    // With a fused gather, the first stage reads the *global* source
-    // buffer at gather[src_off + local_idx]; without, it reads its own
-    // chunk at src_off + local_idx.
-    let src_read = |idx: usize| -> usize {
-        match gather {
-            Some(g) => g[src_off + idx] as usize,
-            None => src_off + idx,
-        }
+    let at = |buf: Buf, idx: usize| match buf {
+        Buf::Src => (src, gather.map_or(off + idx, |g| g[off + idx] as usize)),
+        Buf::Tmp => (Region::Tmp(tid), idx),
+        Buf::Dst => (dst, off + idx),
     };
-    let l = prog.stages.len();
-    if l == 0 {
+    if prog.stages.is_empty() {
         for i in 0..prog.dim {
-            hook.read(tid, src, src_read(i));
-            hook.write(tid, dst, dst_off + i);
+            let (r, e) = at(Buf::Src, i);
+            hook.read(tid, r, e);
+            let (r, e) = at(Buf::Dst, i);
+            hook.write(tid, r, e);
         }
         return;
     }
-    let tmp = Region::Tmp(tid);
-    for (k, stage) in prog.stages.iter().enumerate() {
-        let to_dst = (l - 1 - k).is_multiple_of(2);
-        let first = k == 0;
-        let (in_r, in_off) = if first {
-            (src, 0) // offset applied via src_read
-        } else if to_dst {
-            (tmp, 0)
-        } else {
-            (dst, dst_off)
-        };
-        let (out_r, out_off) = if to_dst { (dst, dst_off) } else { (tmp, 0) };
+    for (stage, input, output) in prog.passes() {
         stage.trace(prog.dim, |is_write, idx| {
             if is_write {
-                hook.write(tid, out_r, out_off + idx);
-            } else if first {
-                hook.read(tid, in_r, src_read(idx));
+                let (r, e) = at(output, idx);
+                hook.write(tid, r, e);
             } else {
-                hook.read(tid, in_r, in_off + idx);
+                let (r, e) = at(input, idx);
+                hook.read(tid, r, e);
             }
         });
         hook.flops(tid, stage.flops(prog.dim));
@@ -925,6 +1021,73 @@ mod tests {
                 assert_eq!(prev_hi, total);
             }
         }
+    }
+
+    /// Every step kind over n ∈ 1..=40, µ ∈ {1, 2, 4, 8} and 1..=4
+    /// threads: the threads' output ranges partition `0..n`, and each
+    /// element range starts on a line boundary.
+    #[test]
+    fn portions_partition_every_step() {
+        for n in 1..=40usize {
+            for mu in [1usize, 2, 4, 8] {
+                let mut steps = vec![
+                    Step::Seq(LocalProgram::identity(n)),
+                    Step::Exchange {
+                        table: Arc::new((0..crate::u32_idx(n)).collect()),
+                        mu,
+                    },
+                    Step::ScaleAll(Arc::new(vec![Cplx::ONE; n])),
+                ];
+                steps.extend((1..=n).filter(|d| n % d == 0).map(|d| Step::Par {
+                    chunk: d,
+                    programs: vec![LocalProgram::identity(d); n / d],
+                    gather: None,
+                }));
+                for step in &steps {
+                    for threads in 1..=4usize {
+                        let mut ranges = Vec::new();
+                        for tid in 0..threads {
+                            let portion = step.portion(n, mu, tid, threads);
+                            if let Portion::Elements { range, line, .. } = &portion {
+                                assert_eq!(range.start % line, 0, "n={n} mu={mu} tid={tid}");
+                            }
+                            let (_, elements) = portion.stats();
+                            let writes: Vec<_> = portion.writes().collect();
+                            let len: usize = writes.iter().map(|r| r.len()).sum();
+                            assert_eq!(elements, len as u64);
+                            ranges.extend(writes);
+                        }
+                        ranges.sort_by_key(|r| r.start);
+                        let mut next = 0;
+                        for r in ranges.iter().filter(|r| !r.is_empty()) {
+                            assert_eq!(r.start, next, "{} n={n} mu={mu} p={threads}", step.label());
+                            next = r.end;
+                        }
+                        assert_eq!(next, n, "{} n={n} mu={mu} p={threads}", step.label());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn last_thread_runs_the_scale_tail() {
+        // diag(6 entries) ∘ (I_2 ⊗∥ DFT_3) with µ = 4: thread 1 scales
+        // the sub-line tail 4..6, and both executors compute the formula.
+        let w: Vec<Cplx> = (0..6).map(|k| Cplx::new(1.0 + k as f64, -0.5)).collect();
+        let f = spiral_spl::builder::compose(vec![
+            spiral_spl::builder::diag(w),
+            spiral_spl::builder::tensor_par(2, dft(3)),
+        ]);
+        let plan = Plan::from_formula(&f, 2, 4).unwrap();
+        assert_eq!(plan.steps[1].label(), "scale");
+        let tail: Vec<_> = plan.steps[1].portion(6, 4, 1, 2).writes().collect();
+        assert_eq!(tail, vec![4..6]);
+        let x = ramp(6);
+        let want = f.eval(&x);
+        assert_slices_close(&plan.execute(&x), &want, 1e-12);
+        let exec = crate::ParallelExecutor::new(2, spiral_smp::barrier::BarrierKind::Park);
+        assert_slices_close(&exec.try_execute(&plan, &x).unwrap(), &want, 1e-12);
     }
 
     #[test]

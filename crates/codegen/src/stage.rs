@@ -438,6 +438,12 @@ pub enum SrcView<'a> {
     },
 }
 
+impl<'a> From<&'a [Cplx]> for SrcView<'a> {
+    fn from(s: &'a [Cplx]) -> Self {
+        SrcView::Local(s)
+    }
+}
+
 impl<'a> SrcView<'a> {
     /// Value at logical index `i`.
     #[inline(always)]
@@ -527,6 +533,56 @@ impl LocalStage {
     }
 }
 
+/// A buffer of the out-of-place ping-pong that runs a sequence of passes
+/// from an input to an output ([`ping_pong`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Buf {
+    /// The input, read only by the first pass and never written.
+    Src,
+    /// The scratch buffer the passes alternate with.
+    Tmp,
+    /// The output, written by the last pass.
+    Dst,
+}
+
+/// The ping-pong rule for `l` out-of-place passes: `(input, output)` of
+/// each pass in order. Pass 0 reads `Src`; targets alternate between
+/// `Tmp` and `Dst` so that pass `l - 1` writes `Dst`, and no pass reads
+/// the buffer it writes. A [`LocalProgram`]'s stages
+/// ([`LocalProgram::passes`]) and a sequential plan's steps
+/// ([`crate::Plan::execute_into`]) both run by this rule.
+pub fn ping_pong(l: usize) -> impl Iterator<Item = (Buf, Buf)> {
+    (0..l).map(move |k| {
+        let output = if (l - 1 - k).is_multiple_of(2) {
+            Buf::Dst
+        } else {
+            Buf::Tmp
+        };
+        let input = match (k, output) {
+            (0, _) => Buf::Src,
+            (_, Buf::Dst) => Buf::Tmp,
+            _ => Buf::Dst,
+        };
+        (input, output)
+    })
+}
+
+/// Borrow one pass's `(input, output)` out of the three ping-pong buffers.
+pub(crate) fn pass_buffers<'b, S: From<&'b [Cplx]>>(
+    (input, output): (Buf, Buf),
+    src: S,
+    tmp: &'b mut [Cplx],
+    dst: &'b mut [Cplx],
+) -> (S, &'b mut [Cplx]) {
+    match (input, output) {
+        (Buf::Src, Buf::Dst) => (src, dst),
+        (Buf::Src, Buf::Tmp) => (src, tmp),
+        (Buf::Tmp, Buf::Dst) => (S::from(tmp), dst),
+        (Buf::Dst, Buf::Tmp) => (S::from(dst), tmp),
+        _ => unreachable!("a pass never reads the buffer it writes"),
+    }
+}
+
 /// A sequence of out-of-place stages on vectors of dimension `dim`.
 /// An empty program denotes the identity.
 #[derive(Clone, Debug, Default)]
@@ -551,6 +607,16 @@ impl LocalProgram {
         self.stages.iter().map(|s| s.flops(self.dim)).sum()
     }
 
+    /// Each stage with the buffers it reads and writes, by the
+    /// [`ping_pong`] rule. An empty program has no passes; it copies
+    /// `Src` to `Dst`.
+    pub fn passes(&self) -> impl Iterator<Item = (&LocalStage, Buf, Buf)> {
+        self.stages
+            .iter()
+            .zip(ping_pong(self.stages.len()))
+            .map(|(stage, (input, output))| (stage, input, output))
+    }
+
     /// Execute `dst = program(src)`. `tmp` must have length ≥ `dim`; it is
     /// used for intermediate ping-ponging so `src` is never written.
     pub fn run(&self, src: &[Cplx], dst: &mut [Cplx], tmp: &mut [Cplx]) {
@@ -560,25 +626,18 @@ impl LocalProgram {
     /// Execute with an arbitrary input view feeding the first stage
     /// (used by fused-exchange parallel steps).
     pub fn run_view(&self, src: SrcView<'_>, dst: &mut [Cplx], tmp: &mut [Cplx]) {
-        let l = self.stages.len();
         assert!(dst.len() == self.dim);
         assert!(tmp.len() >= self.dim);
-        if l == 0 {
+        if self.stages.is_empty() {
             for (i, d) in dst.iter_mut().enumerate() {
                 *d = src.get(i);
             }
             return;
         }
         let tmp = &mut tmp[..self.dim];
-        // Targets alternate so that stage L-1 writes `dst`.
-        for (k, stage) in self.stages.iter().enumerate() {
-            let to_dst = (l - 1 - k).is_multiple_of(2);
-            match (k == 0, to_dst) {
-                (true, true) => stage.apply_view(src, dst),
-                (true, false) => stage.apply_view(src, tmp),
-                (false, true) => stage.apply_view(SrcView::Local(tmp), dst),
-                (false, false) => stage.apply_view(SrcView::Local(dst), tmp),
-            }
+        for (stage, input, output) in self.passes() {
+            let (from, to) = pass_buffers((input, output), src, tmp, dst);
+            stage.apply_view(from, to);
         }
     }
 

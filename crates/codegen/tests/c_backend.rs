@@ -161,3 +161,25 @@ fn fused_exchange_c_matches_rust_both_flavors() {
     check(&plan, CFlavor::OpenMp, "fused_omp");
     check(&plan, CFlavor::Pthreads, "fused_pthr");
 }
+
+#[test]
+fn scale_tail_c_matches_rust_in_both_flavors() {
+    if !have_cc() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    // diag(6 entries) ∘ (I_2 ⊗∥ DFT_3) on 2 threads with µ = 4: the
+    // scaling is one whole line and a 2-element tail, which the emitted
+    // per-thread ranges give to the last thread.
+    use spiral_spl::builder::{compose, dft, diag, tensor_par};
+    let w = (0..6).map(|k| Cplx::new(1.0 + k as f64, -0.5)).collect();
+    let plan = Plan::from_formula(&compose(vec![diag(w), tensor_par(2, dft(3))]), 2, 4).unwrap();
+    let c = emit_c(&plan, CFlavor::Pthreads);
+    assert!(
+        c.contains("range1[2*tid]"),
+        "per-thread ranges missing:\n{c}"
+    );
+    assert!(!c.contains("i += NTHREADS"), "element-wise split:\n{c}");
+    check(&plan, CFlavor::OpenMp, "tail_omp");
+    check(&plan, CFlavor::Pthreads, "tail_pthr");
+}

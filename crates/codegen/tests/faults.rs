@@ -30,6 +30,15 @@ fn build_plan(n: usize, p: usize, mu: usize) -> Plan {
     Plan::from_formula(&f, p, mu).unwrap()
 }
 
+/// `diag(6 entries) ∘ (I_2 ⊗∥ DFT_3)` for 2 threads at µ = 4: a `Par`
+/// step, then a `ScaleAll` step whose last thread also scales the
+/// sub-line tail.
+fn scale_tail_plan() -> Plan {
+    use spiral_spl::builder::{compose, diag, tensor_par};
+    let w = (0..6).map(|k| Cplx::new(1.0 + k as f64, -0.5)).collect();
+    Plan::from_formula(&compose(vec![diag(w), tensor_par(2, dft(3))]), 2, 4).unwrap()
+}
+
 /// An injected panic at every (stage, thread) point of the grid
 /// surfaces as `Err(WorkerPanic)` within the watchdog deadline, and the
 /// same executor immediately runs the healthy plan correctly afterward.
@@ -165,6 +174,28 @@ fn corrupted_output_is_caught_as_non_finite() {
         "expected NonFinite, got {err}"
     );
     assert!(err.is_runtime_fault());
+}
+
+/// Every thread writes in both steps of the scale-tail plan (thread 1
+/// writes the tail of the scaling), so NaN injected at any (stage,
+/// thread) site reaches the output and is rejected.
+#[test]
+fn injected_nan_on_par_and_scale_steps_is_caught() {
+    let plan = scale_tail_plan();
+    let exec = ParallelExecutor::new(2, BarrierKind::Park);
+    for stage in 0..plan.steps.len() {
+        for thread in 0..2 {
+            let _g = install(FaultPlan {
+                seed: 11,
+                specs: vec![FaultSpec::always(stage, thread, Fault::CorruptNan)],
+            });
+            let err = exec.try_execute(&plan, &ramp(6)).unwrap_err();
+            assert!(
+                matches!(err, SpiralError::NonFinite { .. }),
+                "stage {stage}, thread {thread}: got {err}"
+            );
+        }
+    }
 }
 
 proptest! {

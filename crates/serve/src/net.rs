@@ -20,7 +20,7 @@
 //!   offending connection and count in `protocol_errors`; they never
 //!   take a worker down.
 //! * Execution failures become typed `Error` responses. A *runtime*
-//!   fault (watchdog trip, worker panic, pool marked unhealthy — see
+//!   fault (watchdog trip, worker panic, non-finite output — see
 //!   [`spiral_smp::error::SpiralError::is_runtime_fault`]) additionally flips the server
 //!   into **degraded mode**: all subsequent dispatches run the
 //!   sequential per-transform plan on the dispatcher thread, trading

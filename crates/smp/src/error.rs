@@ -45,9 +45,6 @@ pub enum SpiralError {
         /// Total time spent waiting for the job to drain.
         waited: Duration,
     },
-    /// The worker pool is not in a runnable state (a worker thread
-    /// died). Callers should degrade to sequential execution.
-    PoolUnhealthy,
     /// An aligned allocation could not be performed.
     Alloc {
         /// Requested element count.
@@ -77,8 +74,8 @@ pub enum SpiralError {
 
 impl SpiralError {
     /// True for errors caused by the runtime failing underneath a valid
-    /// request (panic, timeout, corruption) — the class the resilient
-    /// executor may retry on the verified sequential path. Deterministic
+    /// request (panic, timeout, corruption) — the class the serving tier
+    /// retries on the verified sequential path. Deterministic
     /// misuse (bad plan, bad lowering) is excluded: retrying cannot fix
     /// it.
     pub fn is_runtime_fault(&self) -> bool {
@@ -87,7 +84,6 @@ impl SpiralError {
             SpiralError::WorkerPanic { .. }
                 | SpiralError::BarrierTimeout { .. }
                 | SpiralError::WatchdogTimeout { .. }
-                | SpiralError::PoolUnhealthy
                 | SpiralError::NonFinite { .. }
         )
     }
@@ -109,7 +105,6 @@ impl std::fmt::Display for SpiralError {
                     "pool watchdog expired after {waited:?} waiting for workers"
                 )
             }
-            SpiralError::PoolUnhealthy => write!(f, "worker pool unhealthy (worker thread died)"),
             SpiralError::Alloc {
                 elems,
                 align,

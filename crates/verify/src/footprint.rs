@@ -1,18 +1,18 @@
 //! Symbolic per-step, per-thread memory footprints of a compiled plan.
 //!
-//! Mirrors [`Plan::run_traced`] exactly — same buffer ping-pong, same
-//! chunk-to-thread assignment (`c mod threads`), same contiguous `share`
-//! splits for exchanges and scaling, same stage-level tmp/dst alternation
-//! and gather indirection — but computes each thread's read and write
-//! *index sets* from the affine loop nests instead of enumerating the
-//! access stream. Kernel stages stay symbolic (their loop dims fold into
+//! Reads the schedule the executors run: each thread's part of a step
+//! comes from [`Step::portion`] and each chunk program's buffers from
+//! [`LocalProgram::passes`], with the same step-level buffer ping-pong as
+//! [`Plan::run_traced`]. Instead of enumerating the access stream it
+//! computes each thread's read and write *index sets* from the affine
+//! loop nests. Kernel stages stay symbolic (their loop dims fold into
 //! stride runs); permutation tables and gathers are mapped exactly and
 //! recompressed.
 
 use crate::iset::IndexSet;
 use spiral_codegen::hook::Region;
-use spiral_codegen::plan::{Plan, Step};
-use spiral_codegen::stage::{KernelStage, LocalProgram, LocalStage};
+use spiral_codegen::plan::{ElementOp, Plan, Portion, Step};
+use spiral_codegen::stage::{Buf, KernelStage, LocalProgram, LocalStage};
 
 /// Index sets grouped by buffer region.
 #[derive(Clone, Debug, Default)]
@@ -73,15 +73,6 @@ pub struct StepFootprint {
     pub threads: Vec<ThreadFootprint>,
 }
 
-/// Contiguous share `[lo, hi)` of `total` items for thread `tid` of `p` —
-/// must match the executor's static schedule exactly.
-pub(crate) fn share(total: usize, p: usize, tid: usize) -> (usize, usize) {
-    let base = total / p;
-    let rem = total % p;
-    let lo = tid * base + tid.min(rem);
-    (lo, lo + base + usize::from(tid < rem))
-}
-
 /// Input/output index sets of one kernel stage, in stage-local terms
 /// (before any region offset), mirroring [`KernelStage::trace`].
 fn kernel_sets(k: &KernelStage) -> (IndexSet, IndexSet) {
@@ -117,50 +108,42 @@ fn stage_sets(stage: &LocalStage, dim: usize) -> (IndexSet, IndexSet) {
 }
 
 /// Accumulate the footprint of one chunk program into `tf` — the symbolic
-/// twin of the tracer's `trace_local_gathered`.
-#[allow(clippy::too_many_arguments)]
+/// twin of the tracer's chunk replay: it reads `src` at `off + i` (or at
+/// `gather[off + i]`) and writes `dst` at `off + i`.
 fn local_footprint(
     prog: &LocalProgram,
     tf: &mut ThreadFootprint,
     tid: usize,
     src: Region,
-    src_off: usize,
     dst: Region,
-    dst_off: usize,
+    off: usize,
     gather: Option<&[u32]>,
 ) {
-    let map_src = |set: IndexSet| -> IndexSet {
-        match gather {
-            Some(g) => {
-                set.map_indices(|i| g.get(src_off + i).map_or(usize::MAX / 2, |&v| v as usize))
-            }
-            None => set.shift(src_off),
-        }
+    let at = |buf: Buf, set: IndexSet| match buf {
+        Buf::Src => match gather {
+            Some(g) => (
+                src,
+                set.map_indices(|i| g.get(off + i).map_or(usize::MAX / 2, |&v| v as usize)),
+            ),
+            None => (src, set.shift(off)),
+        },
+        Buf::Tmp => (Region::Tmp(tid), set),
+        Buf::Dst => (dst, set.shift(off)),
     };
-    let l = prog.stages.len();
-    if l == 0 {
+    if prog.stages.is_empty() {
         // Identity chunk: straight copy.
-        tf.reads.add(src, map_src(IndexSet::interval(0, prog.dim)));
-        tf.writes.add(dst, IndexSet::interval(dst_off, prog.dim));
+        let (r, set) = at(Buf::Src, IndexSet::interval(0, prog.dim));
+        tf.reads.add(r, set);
+        let (r, set) = at(Buf::Dst, IndexSet::interval(0, prog.dim));
+        tf.writes.add(r, set);
         return;
     }
-    let tmp = Region::Tmp(tid);
-    for (k, stage) in prog.stages.iter().enumerate() {
-        let to_dst = (l - 1 - k).is_multiple_of(2);
-        let first = k == 0;
+    for (stage, input, output) in prog.passes() {
         let (rset, wset) = stage_sets(stage, prog.dim);
-        if first {
-            tf.reads.add(src, map_src(rset));
-        } else if to_dst {
-            tf.reads.add(tmp, rset);
-        } else {
-            tf.reads.add(dst, rset.shift(dst_off));
-        }
-        if to_dst {
-            tf.writes.add(dst, wset.shift(dst_off));
-        } else {
-            tf.writes.add(tmp, wset);
-        }
+        let (r, set) = at(input, rset);
+        tf.reads.add(r, set);
+        let (r, set) = at(output, wset);
+        tf.writes.add(r, set);
         tf.flops += stage.flops(prog.dim);
     }
 }
@@ -172,61 +155,33 @@ pub fn plan_footprints(plan: &Plan) -> Vec<StepFootprint> {
     let mut out = Vec::with_capacity(plan.steps.len());
     for (index, step) in plan.steps.iter().enumerate() {
         let mut tfs = vec![ThreadFootprint::default(); threads];
+        for (tid, tf) in tfs.iter_mut().enumerate() {
+            let portion = step.portion(plan.n, plan.mu, tid, threads);
+            match &portion {
+                Portion::Chunks { chunk, gather, .. } => {
+                    for (c, prog) in portion.chunks() {
+                        local_footprint(prog, tf, tid, src, dst, c * chunk, *gather);
+                    }
+                }
+                Portion::Elements { range, op, .. } if !range.is_empty() => {
+                    let span = IndexSet::interval(range.start, range.len());
+                    let reads = match op {
+                        ElementOp::Gather(table) => span
+                            .map_indices(|e| table.get(e).map_or(usize::MAX / 2, |&v| v as usize)),
+                        ElementOp::Scale(_) => span.clone(),
+                    };
+                    tf.reads.add(src, reads);
+                    tf.writes.add(dst, span);
+                    tf.flops += op.flops(range.len());
+                }
+                Portion::Elements { .. } => {}
+            }
+        }
         let kind = match step {
-            Step::Seq(prog) => {
-                local_footprint(prog, &mut tfs[0], 0, src, 0, dst, 0, None);
-                "seq"
-            }
-            Step::Par {
-                chunk,
-                programs,
-                gather,
-            } => {
-                for (c, prog) in programs.iter().enumerate() {
-                    let tid = c % threads;
-                    local_footprint(
-                        prog,
-                        &mut tfs[tid],
-                        tid,
-                        src,
-                        c * chunk,
-                        dst,
-                        c * chunk,
-                        gather.as_ref().map(|g| g.as_slice()),
-                    );
-                }
-                "par"
-            }
-            Step::Exchange { table, mu } => {
-                let blocks = plan.n / mu;
-                for (tid, tf) in tfs.iter_mut().enumerate() {
-                    let (lo, hi) = share(blocks, threads, tid);
-                    if hi > lo {
-                        let span = IndexSet::interval(lo * mu, (hi - lo) * mu);
-                        tf.reads.add(
-                            src,
-                            span.map_indices(|e| {
-                                table.get(e).map_or(usize::MAX / 2, |&v| v as usize)
-                            }),
-                        );
-                        tf.writes.add(dst, span);
-                    }
-                }
-                "exchange"
-            }
-            Step::ScaleAll(_) => {
-                let blocks = plan.n / plan.mu;
-                for (tid, tf) in tfs.iter_mut().enumerate() {
-                    let (lo, hi) = share(blocks, threads, tid);
-                    if hi > lo {
-                        let span = IndexSet::interval(lo * plan.mu, (hi - lo) * plan.mu);
-                        tf.reads.add(src, span.clone());
-                        tf.writes.add(dst, span);
-                        tf.flops += 6 * ((hi - lo) * plan.mu) as u64;
-                    }
-                }
-                "scale"
-            }
+            Step::Seq(_) => "seq",
+            Step::Par { .. } => "par",
+            Step::Exchange { .. } => "exchange",
+            Step::ScaleAll(_) => "scale",
         };
         out.push(StepFootprint {
             index,
@@ -310,6 +265,7 @@ mod tests {
             Plan::from_formula(&multicore_dft_expanded(1024, 4, 8, None, 8).unwrap(), 4, 8)
                 .unwrap()
                 .fuse_exchanges(),
+            scale_tail_plan(),
         ];
         for plan in &cases {
             let mut hook = SetHook::default();
@@ -337,20 +293,35 @@ mod tests {
         }
     }
 
+    /// `diag(6 entries) ∘ (I_2 ⊗∥ DFT_3)` on 2 threads with µ = 4: a `Par`
+    /// step, then a `ScaleAll` step of one whole line and a 2-element
+    /// tail.
+    fn scale_tail_plan() -> Plan {
+        use spiral_spl::builder::{compose, dft, diag, tensor_par};
+        let w = (0..6)
+            .map(|k| spiral_spl::cplx::Cplx::new(1.0 + k as f64, -0.5))
+            .collect();
+        Plan::from_formula(&compose(vec![diag(w), tensor_par(2, dft(3))]), 2, 4).unwrap()
+    }
+
     #[test]
-    fn share_matches_plan_splitting() {
-        for total in [0usize, 1, 7, 64, 100] {
-            for p in [1usize, 2, 3, 4] {
-                let mut covered = 0;
-                let mut prev = 0;
-                for tid in 0..p {
-                    let (lo, hi) = share(total, p, tid);
-                    assert_eq!(lo, prev);
-                    prev = hi;
-                    covered += hi - lo;
-                }
-                assert_eq!(covered, total);
-            }
+    fn last_thread_writes_the_scale_tail() {
+        let plan = scale_tail_plan();
+        assert!(matches!(
+            plan.steps[..],
+            [Step::Par { .. }, Step::ScaleAll(_)]
+        ));
+        let fps = plan_footprints(&plan);
+        let mut written = Vec::new();
+        if let Some(set) = fps[1].threads[1].writes.get(Region::BufA) {
+            set.for_each(|e| written.push(e));
         }
+        assert_eq!(written, [4, 5]);
+        let report = crate::verify_plan(&plan, &crate::VerifyOptions::default());
+        assert!(
+            !report.has_kind(crate::DiagKind::IncompleteWrite),
+            "{:?}",
+            report.diagnostics
+        );
     }
 }

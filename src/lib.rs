@@ -260,8 +260,7 @@ impl SpiralFft {
 
     /// Compute the forward DFT of `x` (length must equal [`len`](Self::len)).
     /// Panics on execution failure; see [`try_forward`](Self::try_forward)
-    /// and [`forward_resilient`](Self::forward_resilient) for fallible
-    /// and self-healing variants.
+    /// for the fallible variant.
     pub fn forward(&self, x: &[Cplx]) -> Vec<Cplx> {
         match &self.backend {
             Backend::Plan {
@@ -304,31 +303,6 @@ impl SpiralFft {
                 executor: None,
             } => Ok(plan.execute(x)),
             Backend::Bluestein(b) => Ok(b.run(x)),
-        }
-    }
-
-    /// Compute the forward DFT of `x` with graceful degradation: when
-    /// the parallel executor is unhealthy or hits a runtime fault, fall
-    /// back to the verified sequential interpreter. Returns the output
-    /// plus the fault that forced the fallback, if any.
-    pub fn forward_resilient(
-        &self,
-        x: &[Cplx],
-    ) -> Result<(Vec<Cplx>, Option<spiral_smp::SpiralError>), Error> {
-        self.check_len(x)?;
-        match &self.backend {
-            Backend::Plan {
-                plan,
-                executor: Some(e),
-            } => {
-                let outcome = e.execute_resilient(plan, x)?;
-                Ok((outcome.output, outcome.degraded))
-            }
-            Backend::Plan {
-                plan,
-                executor: None,
-            } => Ok((plan.execute(x), None)),
-            Backend::Bluestein(b) => Ok((b.run(x), None)),
         }
     }
 
@@ -446,14 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn fallible_and_resilient_forward() {
+    fn fallible_forward() {
         let fft = SpiralFft::parallel(256, 2, 4).unwrap();
         let x = ramp(256);
         let want = dft(256).eval(&x);
         assert_slices_close(&fft.try_forward(&x).unwrap(), &want, 1e-6);
-        let (y, degraded) = fft.forward_resilient(&x).unwrap();
-        assert!(degraded.is_none());
-        assert_slices_close(&y, &want, 1e-6);
         // Misuse surfaces as a structured error, not a panic.
         assert!(matches!(fft.try_forward(&x[..100]), Err(Error::Fault(_))));
     }
