@@ -699,7 +699,7 @@ fn run_timeline(opts: &Flags, out_dir: Option<&str>) {
     use spiral_search::{CostModel, Tuner};
     use spiral_spl::cplx::Cplx;
     use spiral_trace::{Timeline, TimelineEventKind};
-    use spiral_verify::timeline::{verify_timeline, TlEvent, TlKind};
+    use spiral_verify::timeline::verify_timeline;
 
     let k = opts.log2("size", 12);
     let threads: usize = opts.parse("threads", 2);
@@ -763,29 +763,7 @@ fn run_timeline(opts: &Flags, out_dir: Option<&str>) {
 
     // Static sanity: non-overlapping per-thread spans, nesting, and one
     // barrier release per thread per synchronized stage.
-    let tl_events: Vec<TlEvent> = events
-        .iter()
-        .map(|e| TlEvent {
-            tid: e.tid,
-            kind: match e.kind {
-                TimelineEventKind::PoolJob => TlKind::PoolJob,
-                TimelineEventKind::StageCompute => TlKind::StageCompute,
-                TimelineEventKind::BarrierWait => TlKind::BarrierWait,
-                TimelineEventKind::TunerCandidate => TlKind::TunerCandidate,
-                TimelineEventKind::BatchTransform => TlKind::BatchTransform,
-                TimelineEventKind::BarrierRelease => TlKind::BarrierRelease,
-                TimelineEventKind::WatchdogFire => TlKind::WatchdogFire,
-                TimelineEventKind::TunerReject => TlKind::TunerReject,
-                TimelineEventKind::RequestServe => TlKind::RequestServe,
-                TimelineEventKind::PoolExecute => TlKind::PoolExecute,
-                TimelineEventKind::SloBreach => TlKind::SloBreach,
-            },
-            stage: e.stage,
-            start_ns: e.start_ns,
-            end_ns: e.end_ns,
-        })
-        .collect();
-    let diags = verify_timeline(&tl_events, threads, tuned.plan.steps.len());
+    let diags = verify_timeline(&events, threads, tuned.plan.steps.len());
     if diags.is_empty() {
         println!("  checker: timeline is well-formed");
     } else {

@@ -1,5 +1,6 @@
-//! Prints every DFT codelet DAG of size `1..=MAX_CODELET` as a
-//! straight-line Rust function into `$OUT_DIR/kernels.rs`.
+//! Prints the DFT codelet DAG of every size in the kernel set
+//! (`dag::has_kernel`) as a straight-line Rust function into
+//! `$OUT_DIR/kernels.rs`.
 //!
 //! The DAGs come from the partial-evaluation generator in
 //! `src/codelet/dag.rs`, which this script compiles as a module of its
@@ -16,14 +17,14 @@
 #[path = "src/codelet/dag.rs"]
 mod dag;
 
-use dag::{generate_dft_dag, Dag, Node, MAX_CODELET, STRAIGHT_LINE_NODES};
+use dag::{generate_dft_dag, kernel_sizes, Dag, Node, STRAIGHT_LINE_NODES};
 use std::fmt::Write;
 
 fn main() {
     println!("cargo:rerun-if-changed=build.rs");
     println!("cargo:rerun-if-changed=src/codelet/dag.rs");
     let mut out = String::new();
-    for n in 1..=MAX_CODELET {
+    for n in kernel_sizes() {
         print_kernel(&mut out, &generate_dft_dag(n));
     }
     print_dispatch(&mut out);
@@ -125,11 +126,8 @@ fn print_dispatch(s: &mut String) {
          #[inline(always)]\n\
          pub(crate) fn with_size<F: SizeFn>(n: usize, f: F) -> F::Out {\n    match n {\n",
     );
-    for n in 1..=MAX_CODELET {
+    for n in kernel_sizes() {
         let _ = writeln!(s, "        {n} => f.call::<{n}>(),");
     }
-    let _ = writeln!(
-        s,
-        "        _ => panic!(\"no generated kernel for DFT_{{n}} (MAX_CODELET = {MAX_CODELET})\"),\n    }}\n}}"
-    );
+    s.push_str("        _ => panic!(\"no generated kernel for DFT_{n}\"),\n    }\n}\n");
 }

@@ -7,26 +7,46 @@
 //! multiplications by constants.
 //!
 //! This module is shared with the crate's build script, which prints
-//! every DAG up to [`MAX_CODELET`] as a monomorphic Rust function (the
-//! kernels the executor runs); the C emitter prints the same DAGs, and
-//! [`Dag::eval`] is the reference semantics both are tested against. It
-//! therefore depends on nothing in this crate, only on `spiral-spl`.
+//! the DAG of every size in the kernel set ([`has_kernel`]) as a
+//! monomorphic Rust function (the kernels the executor runs); the C
+//! emitter prints the same DAGs, and [`Dag::eval`] is the reference
+//! semantics both are tested against. It therefore depends on nothing in
+//! this crate, only on `spiral-spl`.
 
 use spiral_spl::cplx::Cplx;
 use spiral_spl::num::{factorize, omega_pow, omega_pow2};
 use spiral_spl::perm::Perm;
 use std::collections::HashMap;
 
-/// Largest `DFT_n` leaf that becomes a codelet; bigger unexpanded DFTs
-/// are rejected so that an un-expanded non-terminal cannot silently turn
-/// into an O(n²) kernel. The build script generates one kernel per size
-/// `1..=MAX_CODELET`.
+/// Largest `DFT_n` leaf that lowers; bigger unexpanded DFTs are rejected
+/// so that an un-expanded non-terminal cannot silently turn into an
+/// O(n²) kernel.
 pub const MAX_CODELET: usize = 64;
 
+/// Largest leaf the search may pick for a composite size: the DP and
+/// the tuner split every `DFT_n` with `n > MAX_LEAF` unless `n` is prime.
+pub const MAX_LEAF: usize = 8;
+
+/// The kernel set: the sizes the build script prints a kernel for, which
+/// are exactly the leaves a search can pick. `n ≤ MAX_LEAF`, the powers
+/// of two up to [`MAX_CODELET`] (16, 32 and 64 serve hand-written and
+/// timed plans), and the primes up to `MAX_CODELET` (a prime has no
+/// split). 25 sizes; any other `DFT_n` leaf with `n ≤ MAX_CODELET` is
+/// lowered through a rule tree whose leaves are all in the set.
+pub fn has_kernel(n: usize) -> bool {
+    (1..=MAX_CODELET).contains(&n)
+        && (n <= MAX_LEAF || n.is_power_of_two() || factorize(n) == [(n, 1)])
+}
+
+/// The kernel set in ascending order.
+pub fn kernel_sizes() -> impl Iterator<Item = usize> {
+    (1..=MAX_CODELET).filter(|&n| has_kernel(n))
+}
+
 /// Largest DAG (in nodes) whose kernel the build script prints as one
-/// lane-generic straight-line function. Larger kernels (DFT_13, 17, 19,
-/// 21, 22, 23 and every size from 25 up except 32) are scalar functions
-/// that `Lanes<ν>` runs one lane at a time.
+/// lane-generic straight-line function. Larger kernels (DFT_13, DFT_17
+/// and every kernel above 17 except DFT_32) are scalar functions that
+/// `Lanes<ν>` runs one lane at a time.
 pub const STRAIGHT_LINE_NODES: usize = 256;
 
 /// Node index within a [`Dag`].

@@ -1,24 +1,25 @@
 //! DFT codelets: the straight-line base-case kernels of the generator.
 //!
-//! Every size `1..=MAX_CODELET` has one kernel, printed by the build
-//! script from the partial-evaluation DAG of [`dag`] (Cooley–Tukey
-//! recursion, naive DFT for primes) and compiled as monomorphic,
-//! fully unrolled code. The kernel is generic over the [`Lane`] type, so
-//! the same source serves the scalar path and every ν-lane path (a DAG
-//! over [`dag::STRAIGHT_LINE_NODES`] is one scalar function that lane
-//! types run one lane at a time); its output is bit-for-bit
-//! [`Dag::eval`] of the DAG it was printed from.
+//! Every size in the kernel set ([`dag::has_kernel`]: the leaves a search
+//! can pick) has one kernel, printed by the build script from the
+//! partial-evaluation DAG of [`dag`] (Cooley–Tukey recursion, naive DFT
+//! for primes) and compiled as monomorphic, fully unrolled code. The
+//! kernel is generic over the [`Lane`] type, so the same source serves
+//! the scalar path and every ν-lane path (a DAG over
+//! [`dag::STRAIGHT_LINE_NODES`] is one scalar function that lane types
+//! run one lane at a time); its output is bit-for-bit [`Dag::eval`] of
+//! the DAG it was printed from.
 
 pub mod dag;
 
 use crate::simd::{Lane, Lanes};
-use dag::{generate_dft_dag, Dag, MAX_CODELET};
+use dag::{generate_dft_dag, has_kernel, Dag, MAX_CODELET};
 use spiral_spl::cplx::Cplx;
 use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
-/// The generated kernels: `Kernels: Dft<n>` for every `n` in
-/// `1..=MAX_CODELET`.
+/// The generated kernels: `Kernels: Dft<n>` for every `n` with
+/// [`has_kernel`]`(n)`.
 pub struct Kernels;
 
 /// A straight-line `DFT_C` over `C` values of any lane type.
@@ -55,7 +56,7 @@ pub struct Codelet {
 }
 
 impl Codelet {
-    /// The codelet for `DFT_n`, `1 ≤ n ≤ MAX_CODELET`.
+    /// The codelet for `DFT_n`. Panics unless [`has_kernel`]`(n)`.
     pub fn for_size(n: usize) -> Codelet {
         Codelet { dag: cached_dag(n) }
     }
@@ -120,10 +121,7 @@ impl<T: Lane> SizeFn for Apply<'_, T> {
 /// Global cache of generated DAGs (generation is pure, so sharing is safe).
 fn cached_dag(n: usize) -> Arc<Dag> {
     static CACHE: [OnceLock<Arc<Dag>>; MAX_CODELET] = [const { OnceLock::new() }; MAX_CODELET];
-    assert!(
-        (1..=MAX_CODELET).contains(&n),
-        "codelet size {n} outside 1..={MAX_CODELET}"
-    );
+    assert!(has_kernel(n), "no generated kernel for DFT_{n}");
     Arc::clone(CACHE[n - 1].get_or_init(|| Arc::new(generate_dft_dag(n))))
 }
 
@@ -154,10 +152,11 @@ mod tests {
         v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
     }
 
-    /// The compiled kernel of every size, on every lane of every lane
-    /// width, is bit-for-bit `Dag::eval` of the DAG it was printed from.
-    /// The sizes cover both printed forms: lane-generic (DFT_32) and
-    /// scalar run lane by lane (DFT_13, DFT_64 and every prime ≥ 17).
+    /// The compiled kernel of every size in the kernel set, on every lane
+    /// of every lane width, is bit-for-bit `Dag::eval` of the DAG it was
+    /// printed from. The sizes cover both printed forms: lane-generic
+    /// (DFT_32) and scalar run lane by lane (DFT_13, DFT_64 and every
+    /// prime ≥ 17).
     #[test]
     fn compiled_kernels_are_bit_exact_dag_eval() {
         fn check<const NU: usize>(c: &Codelet, n: usize) {
@@ -176,7 +175,7 @@ mod tests {
                 assert_eq!(bits(&got_lane), bits(&want), "DFT_{n}, ν={NU}, lane {l}");
             }
         }
-        for n in 1..=MAX_CODELET {
+        for n in dag::kernel_sizes() {
             let c = Codelet::for_size(n);
             assert_eq!(c.size(), n);
             check::<1>(&c, n);
@@ -188,6 +187,32 @@ mod tests {
         assert!([13, 17, 61, 64]
             .iter()
             .all(|&n| nodes(n) > dag::STRAIGHT_LINE_NODES));
+    }
+
+    /// The build script printed a kernel and a `with_size` arm for
+    /// exactly the 25 sizes of the kernel set.
+    #[test]
+    fn printed_kernels_are_the_kernel_set() {
+        let src = include_str!(concat!(env!("OUT_DIR"), "/kernels.rs"));
+        let sizes = |prefix: &str, suffix: &str| -> Vec<usize> {
+            src.lines()
+                .filter_map(|l| l.trim().strip_prefix(prefix)?.split_once(suffix))
+                .map(|(n, _)| n.parse().unwrap())
+                .collect()
+        };
+        let want = vec![
+            1, 2, 3, 4, 5, 6, 7, 8, 11, 13, 16, 17, 19, 23, 29, 31, 32, 37, 41, 43, 47, 53, 59, 61,
+            64,
+        ];
+        assert_eq!(dag::kernel_sizes().collect::<Vec<_>>(), want);
+        assert_eq!(sizes("impl Dft<", "> for Kernels"), want);
+        assert_eq!(sizes("", " => f.call::<"), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "no generated kernel for DFT_12")]
+    fn codelet_outside_the_kernel_set_panics() {
+        let _ = Codelet::for_size(12);
     }
 
     #[test]
@@ -220,8 +245,8 @@ mod tests {
 
     #[test]
     fn dag_cache_shares() {
-        let a = cached_dag(12);
-        let b = cached_dag(12);
+        let a = cached_dag(13);
+        let b = cached_dag(13);
         assert!(Arc::ptr_eq(&a, &b));
     }
 

@@ -9,6 +9,7 @@
 
 use crate::codelet::Codelet;
 use crate::stage::{KernelStage, LocalProgram, LocalStage, LoopDim};
+use spiral_rewrite::RuleTree;
 use spiral_spl::ast::Spl;
 use spiral_spl::cplx::Cplx;
 use spiral_spl::perm::Perm;
@@ -27,21 +28,23 @@ impl std::fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-pub use crate::codelet::dag::MAX_CODELET;
+pub use crate::codelet::dag::{has_kernel, MAX_CODELET, MAX_LEAF};
 
 /// Compile a formula to a sequential stage program.
 pub fn lower_seq(f: &Spl) -> Result<LocalProgram, LowerError> {
     match f {
         Spl::I(n) => Ok(LocalProgram::identity(*n)),
         Spl::F2 => Ok(kernel_program(Codelet::for_size(2))),
-        Spl::Dft(k) => {
-            if *k > MAX_CODELET {
-                return Err(LowerError(format!(
-                    "DFT_{k} leaf exceeds MAX_CODELET={MAX_CODELET}; expand it first"
-                )));
-            }
-            Ok(kernel_program(Codelet::for_size(*k)))
+        Spl::Dft(k) if has_kernel(*k) => Ok(kernel_program(Codelet::for_size(*k))),
+        Spl::Dft(0) => Err(LowerError("DFT_0 has no points".to_string())),
+        // A leaf outside the kernel set (from SPL text or wisdom): the
+        // balanced rule tree's leaves are all kernels.
+        Spl::Dft(k) if *k <= MAX_CODELET => {
+            lower_seq(&RuleTree::balanced(*k, MAX_LEAF).expand().normalized())
         }
+        Spl::Dft(k) => Err(LowerError(format!(
+            "DFT_{k} leaf exceeds MAX_CODELET={MAX_CODELET}; expand it first"
+        ))),
         Spl::Diag(d) => Ok(LocalProgram {
             dim: d.len(),
             stages: vec![LocalStage::Scale(Arc::new(d.entries()))],
@@ -340,7 +343,6 @@ mod tests {
 
     #[test]
     fn recursive_expansion_lowers() {
-        use spiral_rewrite::RuleTree;
         for n in [8usize, 16, 32, 24] {
             let f = RuleTree::balanced(n, 4).expand().normalized();
             check_lower(&f);
@@ -370,6 +372,23 @@ mod tests {
     fn direct_sum_of_general_blocks_rejected() {
         let f = dsum(vec![dft(2), dft(2)]);
         assert!(lower_seq(&f).is_err());
+    }
+
+    /// A `DFT_k` leaf with no kernel (composite, not a power of two,
+    /// `k > MAX_LEAF`) lowers through a rule tree to kernels of the set.
+    #[test]
+    fn dft_leaf_outside_the_kernel_set_lowers_to_kernels() {
+        for k in (9..MAX_CODELET).filter(|&k| !has_kernel(k)) {
+            check_lower(&dft(k));
+            let prog = lower_seq(&dft(k)).unwrap();
+            assert!(prog.stages.len() > 1, "DFT_{k}");
+            for st in &prog.stages {
+                if let LocalStage::Kernel(kst) = st {
+                    assert!(has_kernel(kst.codelet.size()), "DFT_{k}");
+                }
+            }
+        }
+        assert!(lower_seq(&dft(0)).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cost models for the search engine (the paper's evaluation level:
 //! "the actual runtime is measured", plus cheaper surrogates).
 
-use spiral_codegen::lower::MAX_CODELET;
+use spiral_codegen::lower::has_kernel;
 use spiral_codegen::plan::{Plan, PlanShape};
 use spiral_codegen::{Codelet, ParallelExecutor, SpiralError};
 use spiral_rewrite::RuleTree;
@@ -115,12 +115,13 @@ pub fn analytic_cost(shape: &PlanShape) -> f64 {
 
 /// The [`PlanShape`] of the tree's lowered expansion, without lowering:
 /// one scalar step; leaf flops are its codelet's, `Ct(A, B)` (n = m·k)
-/// has `k·F(A) + m·F(B) + 6n` (twiddles). `None` iff lowering fails.
+/// has `k·F(A) + m·F(B) + 6n` (twiddles). `None` for a leaf outside the
+/// kernel set ([`has_kernel`]).
 pub fn tree_shape(tree: &RuleTree) -> Option<PlanShape> {
     fn flops(t: &RuleTree) -> Option<u64> {
         match t {
-            RuleTree::Leaf(n) if *n > MAX_CODELET => None,
-            RuleTree::Leaf(n) => Some(Codelet::for_size(*n).flops()),
+            RuleTree::Leaf(n) if has_kernel(*n) => Some(Codelet::for_size(*n).flops()),
+            RuleTree::Leaf(_) => None,
             RuleTree::Ct(a, b) => {
                 let (m, k) = (a.size() as u64, b.size() as u64);
                 Some(k * flops(a)? + m * flops(b)? + 6 * m * k)

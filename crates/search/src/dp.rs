@@ -114,6 +114,28 @@ mod tests {
         assert_eq!(r.tree.size(), 64);
     }
 
+    /// Every leaf the DP picks has a compiled kernel, at every size up
+    /// to 2^12 whose prime factors have kernels.
+    #[test]
+    fn every_dp_leaf_has_a_kernel() {
+        use spiral_codegen::lower::{has_kernel, MAX_CODELET, MAX_LEAF};
+        fn kernel_leaves(t: &RuleTree) -> bool {
+            match t {
+                RuleTree::Leaf(n) => has_kernel(*n),
+                RuleTree::Ct(a, b) => kernel_leaves(a) && kernel_leaves(b),
+            }
+        }
+        let smooth = |n: usize| {
+            spiral_spl::num::factorize(n)
+                .iter()
+                .all(|&(p, _)| p <= MAX_CODELET)
+        };
+        for n in (2..=1 << 12).filter(|&n| smooth(n)) {
+            let t = dp_search(n, MAX_LEAF, 4, &CostModel::Analytic).tree;
+            assert!(kernel_leaves(&t), "DFT_{n}: {t}");
+        }
+    }
+
     #[test]
     fn prime_sizes_fall_back_to_leaf() {
         let r = dp_search(13, 8, 1, &CostModel::Analytic);

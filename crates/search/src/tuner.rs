@@ -5,6 +5,7 @@
 
 use crate::cost::{analytic_cost, CostModel};
 use crate::dp::dp_search;
+use spiral_codegen::lower::MAX_LEAF;
 use spiral_codegen::plan::Plan;
 use spiral_codegen::{vectorize_plan, vectorized_shape, SpiralError};
 use spiral_rewrite::{expand_dfts, multicore_dft, RuleTree};
@@ -136,8 +137,6 @@ pub struct Tuner {
     pub p: usize,
     /// Cache-line length in complex elements.
     pub mu: usize,
-    /// Largest codelet leaf.
-    pub max_leaf: usize,
     /// How candidates are costed.
     pub model: CostModel,
 }
@@ -148,12 +147,7 @@ impl Tuner {
         // Every plan the tuner measures or returns may be run on the
         // parallel executor; arm its debug-build static verification.
         spiral_verify::install_executor_guard();
-        Tuner {
-            p,
-            mu,
-            max_leaf: 8,
-            model,
-        }
+        Tuner { p, mu, model }
     }
 
     /// Best sequential implementation of `DFT_n` (DP over rule trees,
@@ -192,7 +186,7 @@ impl Tuner {
 
     /// The DP winner's expansion, for one thread.
     fn sequential_candidates(&self, n: usize) -> Vec<Candidate> {
-        let tree = dp_search(n, self.max_leaf, self.mu, &self.model).tree;
+        let tree = dp_search(n, MAX_LEAF, self.mu, &self.model).tree;
         vec![Candidate {
             choice: format!("sequential tree {tree}"),
             threads: 1,
@@ -259,9 +253,7 @@ impl Tuner {
                         trees
                             .borrow_mut()
                             .entry(k)
-                            .or_insert_with(|| {
-                                dp_search(k, self.max_leaf, self.mu, &self.model).tree
-                            })
+                            .or_insert_with(|| dp_search(k, MAX_LEAF, self.mu, &self.model).tree)
                             .clone()
                     })
                     .normalized();
@@ -451,6 +443,30 @@ mod tests {
             1e-6,
         );
         spiral_rewrite::check_fully_optimized(&tuned.formula, 2, 4).unwrap();
+    }
+
+    /// Every DFT leaf of the tuned formulas at the benchmark sizes has a
+    /// compiled kernel, so no leaf goes through lowering's rule-tree
+    /// expansion: sequential 2^6..2^10 and 2^14..2^18, two threads
+    /// 2^8..2^16.
+    #[test]
+    fn tuned_formulas_at_the_benchmark_sizes_have_kernel_leaves() {
+        fn kernel_leaves(f: &Spl) -> bool {
+            match f {
+                Spl::Dft(k) => spiral_codegen::lower::has_kernel(*k),
+                _ => f.children().into_iter().all(kernel_leaves),
+            }
+        }
+        let seq = Tuner::new(1, 4, CostModel::Analytic);
+        for k in (6..=10).chain(14..=18) {
+            let tuned = seq.tune_sequential(1 << k).unwrap();
+            assert!(kernel_leaves(&tuned.formula), "2^{k}: {}", tuned.choice);
+        }
+        let par = Tuner::new(2, 4, CostModel::Analytic);
+        for k in 8..=16 {
+            let tuned = par.tune(1 << k).unwrap().unwrap();
+            assert!(kernel_leaves(&tuned.formula), "2^{k}: {}", tuned.choice);
+        }
     }
 
     #[test]

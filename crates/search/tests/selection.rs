@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use proptest::sample::select;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spiral_codegen::lower::MAX_LEAF;
 use spiral_codegen::plan::Plan;
 use spiral_codegen::{vectorize_plan, vectorized_shape};
 use spiral_rewrite::{expand_dfts, multicore_dft, RuleTree};
@@ -29,8 +30,6 @@ use spiral_spl::builder::vec_tag;
 use spiral_spl::num::{divisors, splittings};
 use spiral_spl::Spl;
 use std::collections::HashMap;
-
-const MAX_LEAF: usize = 8;
 
 fn lowered(tree: &RuleTree, mu: usize) -> Plan {
     Plan::from_formula(&tree.expand().normalized(), 1, mu).unwrap()

@@ -14,15 +14,15 @@
 //! incremented only on the tuner path, so "warm wisdom serves with zero
 //! tuner invocations" is an *observable* invariant, not a hope.
 //!
-//! Execution: the pool behind [`BatchExecutor`] (and the stage
-//! executor) runs one job at a time and serializes concurrent
-//! dispatches itself, while planning stays concurrent. Serving
-//! throughput comes from batching — one pool dispatch per batch — not
-//! from dispatching many transforms' pools at once.
+//! Execution: the one pool of the service, behind [`BatchExecutor`],
+//! runs one job at a time and serializes concurrent dispatches itself,
+//! while planning stays concurrent. Every transform runs its sequential
+//! plan; serving throughput comes from batching — one pool dispatch per
+//! batch, partitioned by batch index — not from splitting a transform.
 
 use crate::wisdom::{LoadReport, WisdomEntry, WisdomStore};
 use spiral_codegen::plan::Plan;
-use spiral_codegen::{BatchExecutor, ParallelExecutor};
+use spiral_codegen::BatchExecutor;
 use spiral_search::{CostModel, Tuner};
 use spiral_smp::error::SpiralError;
 use spiral_spl::cplx::Cplx;
@@ -64,18 +64,16 @@ struct Flight {
     cv: Condvar,
 }
 
-type Key = (usize, usize); // (n, requested threads)
-type Shard = RwLock<HashMap<Key, Arc<ServedPlan>>>;
+type Shard = RwLock<HashMap<usize, Arc<ServedPlan>>>;
 
 /// Wisdom-backed plan service; see the module docs for the design.
 pub struct PlanService {
     threads: usize,
     mu: usize,
     shards: Vec<Shard>,
-    inflight: Mutex<HashMap<Key, Arc<Flight>>>,
+    inflight: Mutex<HashMap<usize, Arc<Flight>>>,
     wisdom: Option<Mutex<WisdomStore>>,
     batch: BatchExecutor,
-    stage_exec: ParallelExecutor,
     tuner_invocations: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -112,7 +110,6 @@ impl PlanService {
             inflight: Mutex::new(HashMap::new()),
             wisdom: wisdom.map(Mutex::new),
             batch: BatchExecutor::new(threads),
-            stage_exec: ParallelExecutor::with_auto_barrier(threads),
             tuner_invocations: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
@@ -164,31 +161,49 @@ impl PlanService {
         }
     }
 
-    /// The plan the service would run for one size-`n` transform at the
-    /// service's thread count (parallel when the multicore rewrite
-    /// admits `n`, sequential otherwise). Cached; cold keys tune once.
-    pub fn plan(&self, n: usize) -> Result<Arc<ServedPlan>, SpiralError> {
-        self.plan_for(n, self.threads)
-    }
-
     /// The sequential plan used as the per-transform kernel of batched
-    /// execution. Cached under its own key; cold keys tune once.
+    /// execution, cached under `n`; cold keys tune once.
     pub fn sequential_plan(&self, n: usize) -> Result<Arc<ServedPlan>, SpiralError> {
-        self.plan_for(n, 1)
-    }
-
-    /// Execute one size-`n` transform with the service-threads plan.
-    pub fn serve_one(&self, n: usize, x: &[Cplx]) -> Result<Vec<Cplx>, SpiralError> {
-        let served = self.plan(n)?;
-        if served.plan.threads > 1 {
-            self.stage_exec.try_execute(&served.plan, x)
-        } else {
-            let mut out = vec![Cplx::ZERO; n];
-            served
-                .plan
-                .execute_into(x, &mut out, &mut Default::default());
-            Ok(out)
+        let shard = &self.shards[shard_index(n, self.shards.len())];
+        if let Some(p) = shard.read().unwrap().get(&n) {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(p.clone());
         }
+        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let flight = {
+            let mut inflight = self.inflight.lock().unwrap();
+            // Double-check under the inflight lock: a leader may have
+            // published between our read miss and here.
+            if let Some(p) = shard.read().unwrap().get(&n) {
+                return Ok(p.clone());
+            }
+            match inflight.get(&n) {
+                Some(f) => {
+                    // Follower: wait for the leader's published result.
+                    let f = f.clone();
+                    drop(inflight);
+                    let mut done = f.done.lock().unwrap();
+                    while done.is_none() {
+                        done = f.cv.wait(done).unwrap();
+                    }
+                    return done.clone().unwrap();
+                }
+                None => {
+                    let f = Arc::new(Flight::default());
+                    inflight.insert(n, f.clone());
+                    f
+                }
+            }
+        };
+        // Leader: produce outside any lock, publish, then clear the slot.
+        let result = self.produce(n);
+        if let Ok(p) = &result {
+            shard.write().unwrap().insert(n, p.clone());
+        }
+        *flight.done.lock().unwrap() = Some(result.clone());
+        flight.cv.notify_all();
+        self.inflight.lock().unwrap().remove(&n);
+        result
     }
 
     /// Execute a batch of independent size-`n` transforms: sequential
@@ -203,55 +218,11 @@ impl PlanService {
         self.batch.try_execute_batch(&served.plan, inputs)
     }
 
-    fn plan_for(&self, n: usize, threads: usize) -> Result<Arc<ServedPlan>, SpiralError> {
-        let key: Key = (n, threads);
-        let shard = &self.shards[shard_index(key, self.shards.len())];
-        if let Some(p) = shard.read().unwrap().get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(p.clone());
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let flight = {
-            let mut inflight = self.inflight.lock().unwrap();
-            // Double-check under the inflight lock: a leader may have
-            // published between our read miss and here.
-            if let Some(p) = shard.read().unwrap().get(&key) {
-                return Ok(p.clone());
-            }
-            match inflight.get(&key) {
-                Some(f) => {
-                    // Follower: wait for the leader's published result.
-                    let f = f.clone();
-                    drop(inflight);
-                    let mut done = f.done.lock().unwrap();
-                    while done.is_none() {
-                        done = f.cv.wait(done).unwrap();
-                    }
-                    return done.clone().unwrap();
-                }
-                None => {
-                    let f = Arc::new(Flight::default());
-                    inflight.insert(key, f.clone());
-                    f
-                }
-            }
-        };
-        // Leader: produce outside any lock, publish, then clear the slot.
-        let result = self.produce(n, threads);
-        if let Ok(p) = &result {
-            shard.write().unwrap().insert(key, p.clone());
-        }
-        *flight.done.lock().unwrap() = Some(result.clone());
-        flight.cv.notify_all();
-        self.inflight.lock().unwrap().remove(&key);
-        result
-    }
-
     /// Wisdom lookup, else tune (counted), recording fresh results back
     /// into wisdom and saving eagerly.
-    fn produce(&self, n: usize, threads: usize) -> Result<Arc<ServedPlan>, SpiralError> {
+    fn produce(&self, n: usize) -> Result<Arc<ServedPlan>, SpiralError> {
         if let Some(w) = &self.wisdom {
-            if let Some(hit) = w.lock().unwrap().get(n, threads, self.mu) {
+            if let Some(hit) = w.lock().unwrap().get(n, 1, self.mu) {
                 return Ok(Arc::new(ServedPlan {
                     plan: hit.plan.clone(),
                     formula: hit.formula.clone(),
@@ -268,24 +239,14 @@ impl PlanService {
                 "injected tuner failure for n={n}"
             )));
         }
-        let tuner = Tuner::new(threads, self.mu, CostModel::Analytic);
-        let tuned = if threads == 1 {
-            tuner.tune_sequential(n)?
-        } else {
-            match tuner.tune_parallel(n)? {
-                Some(t) => t,
-                // (pµ)² ∤ n or every candidate quarantined: serve the
-                // best sequential plan under the parallel key.
-                None => tuner.tune_sequential(n)?,
-            }
-        };
+        let tuned = Tuner::new(1, self.mu, CostModel::Analytic).tune_sequential(n)?;
         let plan = Arc::new(tuned.plan);
         if let Some(w) = &self.wisdom {
             let mut store = w.lock().unwrap();
             store.record(
                 WisdomEntry {
                     n: n as u64,
-                    threads: threads as u64,
+                    threads: 1,
                     mu: self.mu as u64,
                     plan_threads: plan.threads.max(1) as u64,
                     formula: tuned.formula.to_string(),
@@ -309,7 +270,7 @@ impl PlanService {
     }
 }
 
-fn shard_index(key: Key, shards: usize) -> usize {
+fn shard_index(key: usize, shards: usize) -> usize {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     usize::try_from(h.finish() % shards as u64).expect("shard index fits usize")
@@ -328,13 +289,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_one_computes_the_dft_sequential_and_parallel() {
+    fn serve_batch_computes_the_dft_on_one_and_two_workers() {
         for threads in [1usize, 2] {
             let svc = PlanService::new(threads, 4);
             for n in [32usize, 64, 256] {
                 let x = ramp(n);
-                let y = svc.serve_one(n, &x).unwrap();
-                assert_slices_close(&y, &dft(n).eval(&x), 1e-8 * n as f64);
+                let y = svc.serve_batch(n, std::slice::from_ref(&x)).unwrap();
+                assert_slices_close(&y[0], &dft(n).eval(&x), 1e-8 * n as f64);
+                assert_eq!(svc.sequential_plan(n).unwrap().plan.threads, 1);
             }
         }
     }
@@ -361,22 +323,12 @@ mod tests {
     fn repeat_requests_hit_the_cache_and_tune_once() {
         let svc = PlanService::new(2, 4);
         for _ in 0..5 {
-            svc.plan(64).unwrap();
+            svc.sequential_plan(64).unwrap();
         }
+        svc.serve_batch(64, &[ramp(64)]).unwrap();
         assert_eq!(svc.tuner_invocations(), 1);
         assert_eq!(svc.cached_plans(), 1);
-        assert!(svc.cache_hits() >= 4);
-    }
-
-    #[test]
-    fn parallel_and_sequential_keys_are_distinct() {
-        let svc = PlanService::new(2, 4);
-        let par = svc.plan(256).unwrap();
-        let seq = svc.sequential_plan(256).unwrap();
-        assert!(par.plan.threads > 1, "2^8 admits the multicore split");
-        assert_eq!(seq.plan.threads, 1);
-        assert_eq!(svc.cached_plans(), 2);
-        assert_eq!(svc.tuner_invocations(), 2);
+        assert!(svc.cache_hits() >= 5);
     }
 
     #[test]
@@ -384,7 +336,7 @@ mod tests {
         let svc = PlanService::new(2, 4);
         std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|| svc.plan(128).unwrap());
+                s.spawn(|| svc.sequential_plan(128).unwrap());
             }
         });
         assert_eq!(
@@ -393,17 +345,5 @@ mod tests {
             "single-flight must collapse concurrent cold misses"
         );
         assert_eq!(svc.cached_plans(), 1);
-    }
-
-    #[test]
-    fn inadmissible_parallel_size_falls_back_to_sequential() {
-        // n = 32, p = 2, µ = 4: (pµ)² = 64 ∤ 32 — no multicore split.
-        let svc = PlanService::new(2, 4);
-        let served = svc.plan(32).unwrap();
-        assert_eq!(served.plan.threads, 1);
-        assert_eq!(served.source, PlanSource::Tuned);
-        let x = ramp(32);
-        let y = svc.serve_one(32, &x).unwrap();
-        assert_slices_close(&y, &dft(32).eval(&x), 1e-7);
     }
 }

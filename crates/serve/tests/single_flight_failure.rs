@@ -25,7 +25,13 @@ fn tuner_error_reaches_all_waiters_without_deadlock_or_caching() {
         // via deadlock or timeout.
         let results: Vec<Result<(), String>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| svc.plan(128).map(|_| ()).map_err(|e| e.to_string())))
+                .map(|_| {
+                    s.spawn(|| {
+                        svc.sequential_plan(128)
+                            .map(|_| ())
+                            .map_err(|e| e.to_string())
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
@@ -51,12 +57,12 @@ fn tuner_error_reaches_all_waiters_without_deadlock_or_caching() {
 
     // The injection is gone and the slot cleared: a later request
     // retries the tuner and succeeds.
-    svc.plan(128).expect("retry tunes cleanly");
+    svc.sequential_plan(128).expect("retry tunes cleanly");
     assert_eq!(svc.tuner_invocations(), failed_invocations + 1);
     assert_eq!(svc.cached_plans(), 1);
 
     // And the now-warm key serves from cache.
-    svc.plan(128).expect("cache hit");
+    svc.sequential_plan(128).expect("cache hit");
     assert_eq!(svc.tuner_invocations(), failed_invocations + 1);
     assert!(svc.cache_hits() >= 1);
 }
@@ -70,13 +76,13 @@ fn failure_on_one_key_does_not_poison_other_keys() {
     let svc = PlanService::new(2, 4);
 
     assert!(
-        svc.plan(64).is_err(),
+        svc.sequential_plan(64).is_err(),
         "first cold key must eat the injected failure"
     );
     // A *different* key is unaffected (the spec is spent).
-    svc.plan(256).expect("other keys tune normally");
+    svc.sequential_plan(256).expect("other keys tune normally");
     // The failed key itself recovers.
-    svc.plan(64).expect("failed key retries cleanly");
+    svc.sequential_plan(64).expect("failed key retries cleanly");
     assert_eq!(svc.cached_plans(), 2);
     assert_eq!(svc.tuner_invocations(), 3);
 }

@@ -3,6 +3,7 @@
 //! must be rejected individually with reasons, and a stale host
 //! fingerprint must discard the whole file.
 
+use spiral_codegen::ParallelExecutor;
 use spiral_search::{CostModel, Tuner};
 use spiral_serve::{
     compile_entry, PlanService, PlanSource, WisdomEntry, WisdomFile, WisdomStore,
@@ -10,6 +11,7 @@ use spiral_serve::{
 };
 use spiral_smp::topology::HostFingerprint;
 use spiral_spl::cplx::Cplx;
+use std::sync::Arc;
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("spiral-serve-test-{}", std::process::id()));
@@ -23,8 +25,18 @@ fn ramp(n: usize) -> Vec<Cplx> {
         .collect()
 }
 
-/// The acceptance bound from the issue: wisdom-loaded and freshly tuned
-/// plans must agree elementwise to 1e-10.
+fn assert_close(n: usize, got: &[Cplx], want: &[Cplx]) {
+    for (a, b) in got.iter().zip(want) {
+        assert!(
+            (a.re - b.re).abs() <= 1e-10 && (a.im - b.im).abs() <= 1e-10,
+            "n={n}: wisdom-loaded {a:?} vs freshly tuned {b:?}"
+        );
+    }
+}
+
+/// Wisdom-loaded and freshly tuned plans agree elementwise to 1e-10:
+/// the service's sequential plans, and a 2-thread entry recorded and
+/// reloaded through the store.
 #[test]
 fn wisdom_loaded_plan_matches_freshly_tuned_output() {
     let path = tmp_path("roundtrip.json");
@@ -36,43 +48,65 @@ fn wisdom_loaded_plan_matches_freshly_tuned_output() {
     let (cold, report) = PlanService::with_wisdom(threads, mu, &path);
     assert!(report.discarded.is_none() && report.loaded == 0);
     for n in [64usize, 256, 1024] {
-        cold.plan(n).unwrap();
         cold.sequential_plan(n).unwrap();
     }
-    let cold_tunes = cold.tuner_invocations();
-    assert!(cold_tunes >= 6, "every cold key must tune");
+    assert_eq!(cold.tuner_invocations(), 3, "every cold key must tune");
+
+    // A 2-thread entry goes through the store directly.
+    let n_par = 256;
+    let par = Tuner::new(2, mu, CostModel::Analytic)
+        .tune_parallel(n_par)
+        .unwrap()
+        .expect("2^8 admits the multicore split");
+    assert_eq!(par.plan.threads, 2);
+    {
+        let (mut store, report) = WisdomStore::open(&path);
+        assert_eq!(report.loaded, 3, "rejected: {:?}", report.rejected);
+        store.record(
+            WisdomEntry {
+                n: n_par as u64,
+                threads: 2,
+                mu: mu as u64,
+                plan_threads: 2,
+                formula: par.formula.to_string(),
+                choice: par.choice.clone(),
+                cost: par.cost,
+                vec_width: par.plan.vec_width.max(1) as u64,
+            },
+            Arc::new(par.plan.clone()),
+        );
+        store.save().unwrap();
+    }
 
     // Warm service: every plan comes back from wisdom.
     let (warm, report) = PlanService::with_wisdom(threads, mu, &path);
     assert!(report.discarded.is_none(), "{:?}", report.discarded);
-    assert_eq!(report.loaded, 6, "rejected: {:?}", report.rejected);
-
+    assert_eq!(report.loaded, 4, "rejected: {:?}", report.rejected);
     for n in [64usize, 256, 1024] {
-        let loaded = warm.plan(n).unwrap();
+        let loaded = warm.sequential_plan(n).unwrap();
         assert_eq!(loaded.source, PlanSource::Wisdom);
-
         // Freshly tuned reference, bypassing wisdom entirely.
-        let tuner = Tuner::new(threads, mu, CostModel::Analytic);
-        let fresh = match tuner.tune_parallel(n).unwrap() {
-            Some(t) => t,
-            None => tuner.tune_sequential(n).unwrap(),
-        };
-
+        let fresh = Tuner::new(1, mu, CostModel::Analytic)
+            .tune_sequential(n)
+            .unwrap();
         let x = ramp(n);
-        let got = warm.serve_one(n, &x).unwrap();
-        let want = fresh.plan.execute(&x);
-        for (a, b) in got.iter().zip(&want) {
-            assert!(
-                (a.re - b.re).abs() <= 1e-10 && (a.im - b.im).abs() <= 1e-10,
-                "n={n}: wisdom-loaded {a:?} vs freshly tuned {b:?}"
-            );
-        }
+        let got = warm.serve_batch(n, std::slice::from_ref(&x)).unwrap();
+        assert_close(n, &got[0], &fresh.plan.execute(&x));
     }
     assert_eq!(
         warm.tuner_invocations(),
         0,
         "a warm wisdom file must serve without tuning"
     );
+
+    let (store, _) = WisdomStore::open(&path);
+    let hit = store.get(n_par, 2, mu).expect("the 2-thread entry loads");
+    assert_eq!((hit.plan.threads, &hit.choice), (2, &par.choice));
+    let x = ramp(n_par);
+    let got = ParallelExecutor::with_auto_barrier(2)
+        .try_execute(&hit.plan, &x)
+        .unwrap();
+    assert_close(n_par, &got, &par.plan.execute(&x));
 }
 
 #[test]
@@ -340,4 +374,38 @@ fn tuner_winners_round_trip_through_ascii() {
             );
         }
     }
+}
+
+/// A formula with a `DFT_12` leaf, a size with no compiled kernel,
+/// loads (lowering expands the leaf to kernels of the set), passes the
+/// load-time certification, and serves without tuning.
+#[test]
+fn entry_with_a_leaf_outside_the_kernel_set_loads_certifies_and_serves() {
+    let host = HostFingerprint::current();
+    let file = WisdomFile {
+        schema: WISDOM_SCHEMA_VERSION,
+        host: host.clone(),
+        entries: vec![WisdomEntry {
+            n: 24,
+            threads: 1,
+            mu: 4,
+            plan_threads: 1,
+            formula: "(DFT_2 @ I_12) * T^24_12 * (I_2 @ DFT_12) * L^24_2".to_string(),
+            choice: "test".to_string(),
+            cost: 100.0,
+            vec_width: 1,
+        }],
+    };
+    let path = tmp_path("dft12_leaf.json");
+    std::fs::write(&path, serde_json::to_string_pretty(&file).unwrap()).unwrap();
+
+    let (svc, report) = PlanService::with_wisdom(2, 4, &path);
+    assert!(report.discarded.is_none(), "{:?}", report.discarded);
+    assert_eq!(report.loaded, 1, "rejected: {:?}", report.rejected);
+    assert_eq!(svc.sequential_plan(24).unwrap().source, PlanSource::Wisdom);
+    let x = ramp(24);
+    let got = svc.serve_batch(24, std::slice::from_ref(&x)).unwrap();
+    let want = spiral_spl::builder::dft(24).eval(&x);
+    spiral_spl::cplx::assert_slices_close(&got[0], &want, 1e-10);
+    assert_eq!(svc.tuner_invocations(), 0);
 }

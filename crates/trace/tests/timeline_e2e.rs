@@ -13,8 +13,8 @@ use spiral_codegen::plan::Plan;
 use spiral_codegen::ParallelExecutor;
 use spiral_rewrite::multicore_dft_expanded;
 use spiral_spl::cplx::Cplx;
-use spiral_trace::{profile_run, RunProfile, Timeline, TimelineEvent, TimelineEventKind};
-use spiral_verify::timeline::{verify_timeline, TlEvent, TlKind};
+use spiral_trace::{profile_run, RunProfile, Timeline, TimelineEventKind};
+use spiral_verify::timeline::verify_timeline;
 
 fn ramp(n: usize) -> Vec<Cplx> {
     (0..n)
@@ -42,31 +42,6 @@ fn observed_run(n: usize, p: usize) -> (Timeline, RunProfile, Plan) {
     let (out, profile) = profile_into(&plan, p, &timeline);
     assert_eq!(out.len(), n);
     (timeline, profile, plan)
-}
-
-fn to_tl(events: &[TimelineEvent]) -> Vec<TlEvent> {
-    events
-        .iter()
-        .map(|e| TlEvent {
-            tid: e.tid,
-            kind: match e.kind {
-                TimelineEventKind::PoolJob => TlKind::PoolJob,
-                TimelineEventKind::StageCompute => TlKind::StageCompute,
-                TimelineEventKind::BarrierWait => TlKind::BarrierWait,
-                TimelineEventKind::TunerCandidate => TlKind::TunerCandidate,
-                TimelineEventKind::BatchTransform => TlKind::BatchTransform,
-                TimelineEventKind::BarrierRelease => TlKind::BarrierRelease,
-                TimelineEventKind::WatchdogFire => TlKind::WatchdogFire,
-                TimelineEventKind::TunerReject => TlKind::TunerReject,
-                TimelineEventKind::RequestServe => TlKind::RequestServe,
-                TimelineEventKind::PoolExecute => TlKind::PoolExecute,
-                TimelineEventKind::SloBreach => TlKind::SloBreach,
-            },
-            stage: e.stage,
-            start_ns: e.start_ns,
-            end_ns: e.end_ns,
-        })
-        .collect()
 }
 
 #[test]
@@ -121,7 +96,7 @@ fn timeline_totals_agree_with_profile_aggregates() {
 #[test]
 fn static_timeline_checker_passes_a_real_run() {
     let (timeline, profile, _) = observed_run(1 << 11, 2);
-    let diags = verify_timeline(&to_tl(&timeline.events()), 2, profile.stages.len());
+    let diags = verify_timeline(&timeline.events(), 2, profile.stages.len());
     assert!(
         diags.is_empty(),
         "real observed run must satisfy the timeline checker: {:?}",

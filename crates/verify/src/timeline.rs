@@ -2,97 +2,40 @@
 //!
 //! The static analyzers in this crate judge a *plan*; this module judges
 //! a *run*: the stream of timestamped spans and instants a
-//! `spiral-trace` `Timeline` recorded. A well-formed run obeys
+//! `spiral-trace` [`Timeline`](spiral_trace::Timeline) recorded, checked
+//! as the recorder's own [`TimelineEvent`]s. A well-formed run obeys
 //! structural invariants that follow directly from the execution model —
 //! one thread does one thing at a time, stage work happens inside the
 //! thread's pool job, and a stage's barrier releases every thread
 //! exactly once — and a timeline that violates them points at recorder
 //! bugs, clock trouble, or a genuinely broken run (e.g. a watchdog
 //! fire).
-//!
-//! The event model here is deliberately standalone (not the
-//! `spiral-trace` types): `spiral-verify` sits below the collector crate
-//! in the dependency order, so callers map their events into
-//! [`TlEvent`]s — a four-field copy — and get [`Diagnostic`]s back.
 
 use crate::{DiagKind, Diagnostic, Severity};
+use spiral_trace::{TimelineEvent, TimelineEventKind as Kind};
 
-/// Kind of one timeline event, mirroring the recorder's span/mark split.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TlKind {
-    /// Span: a thread's whole pool job.
-    PoolJob,
-    /// Span: one thread's portion of one stage.
-    StageCompute,
-    /// Span: blocked at the stage barrier.
-    BarrierWait,
-    /// Span: the tuner evaluating one candidate.
-    TunerCandidate,
-    /// Span: one whole transform executed as part of a batch (`stage` is
-    /// the transform index within the batch, not a plan stage).
-    BatchTransform,
-    /// Instant: the stage barrier released this thread.
-    BarrierRelease,
-    /// Instant: a watchdog expired on this thread.
-    WatchdogFire,
-    /// Instant: the tuner quarantined a candidate.
-    TunerReject,
-    /// Span: one served network request on a server worker thread
-    /// (`stage` is the worker's request sequence number, not a plan
-    /// stage).
-    RequestServe,
-    /// Span: one coalesced batch pushed through the executor by a
-    /// serving dispatcher (`stage` is the dispatch sequence number, not
-    /// a plan stage).
-    PoolExecute,
-    /// Instant: a serving SLO breach (`stage` is the triggering
-    /// request's sequence number, not a plan stage).
-    SloBreach,
+/// True for the exclusive *activity* spans — the things a thread does
+/// one at a time (pool jobs are containers, instants are points).
+fn is_activity(kind: Kind) -> bool {
+    matches!(
+        kind,
+        Kind::StageCompute
+            | Kind::BarrierWait
+            | Kind::TunerCandidate
+            | Kind::BatchTransform
+            | Kind::RequestServe
+            | Kind::PoolExecute
+    )
 }
 
-impl TlKind {
-    /// True for the exclusive *activity* spans — the things a thread
-    /// does one at a time (pool jobs are containers, instants are
-    /// points).
-    fn is_activity(self) -> bool {
-        matches!(
-            self,
-            TlKind::StageCompute
-                | TlKind::BarrierWait
-                | TlKind::TunerCandidate
-                | TlKind::BatchTransform
-                | TlKind::RequestServe
-                | TlKind::PoolExecute
-        )
-    }
-
-    /// True for kinds whose `stage` field indexes a plan stage (tuner
-    /// events index candidates instead).
-    fn stage_indexed(self) -> bool {
-        matches!(
-            self,
-            TlKind::StageCompute
-                | TlKind::BarrierWait
-                | TlKind::BarrierRelease
-                | TlKind::WatchdogFire
-        )
-    }
-}
-
-/// One timeline event: timestamps in nanoseconds from any common epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TlEvent {
-    /// Recording thread.
-    pub tid: usize,
-    /// Event kind.
-    pub kind: TlKind,
-    /// Stage index (executor events), candidate index (tuner events),
-    /// 0 (pool jobs).
-    pub stage: u32,
-    /// Span start / instant position.
-    pub start_ns: u64,
-    /// Span end; equals `start_ns` for instants.
-    pub end_ns: u64,
+/// True for kinds whose `stage` field indexes a plan stage (tuner,
+/// batch and serving events index candidates, transforms or requests
+/// instead).
+fn stage_indexed(kind: Kind) -> bool {
+    matches!(
+        kind,
+        Kind::StageCompute | Kind::BarrierWait | Kind::BarrierRelease | Kind::WatchdogFire
+    )
 }
 
 /// Check a recorded timeline of a `threads`-thread, `stages`-stage run.
@@ -111,7 +54,7 @@ pub struct TlEvent {
 ///   events whose barrier-release count differs from `threads`.
 /// * **Warning / [`DiagKind::TimelineBarrier`]** — a watchdog fired:
 ///   structurally valid, but the run it describes timed out.
-pub fn verify_timeline(events: &[TlEvent], threads: usize, stages: usize) -> Vec<Diagnostic> {
+pub fn verify_timeline(events: &[TimelineEvent], threads: usize, stages: usize) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
     // --- shape: spans ordered, ids in range ---------------------------
@@ -138,7 +81,7 @@ pub fn verify_timeline(events: &[TlEvent], threads: usize, stages: usize) -> Vec
                 ),
             ));
         }
-        if e.kind.stage_indexed() && e.stage as usize >= stages {
+        if stage_indexed(e.kind) && e.stage as usize >= stages {
             diags.push(diag(
                 DiagKind::TimelineMalformed,
                 Severity::Error,
@@ -153,9 +96,9 @@ pub fn verify_timeline(events: &[TlEvent], threads: usize, stages: usize) -> Vec
 
     // --- per-thread exclusivity and nesting ---------------------------
     for tid in 0..threads {
-        let mut activity: Vec<&TlEvent> = events
+        let mut activity: Vec<&TimelineEvent> = events
             .iter()
-            .filter(|e| e.tid == tid && e.kind.is_activity() && e.end_ns >= e.start_ns)
+            .filter(|e| e.tid == tid && is_activity(e.kind) && e.end_ns >= e.start_ns)
             .collect();
         activity.sort_by_key(|e| (e.start_ns, e.end_ns));
         for w in activity.windows(2) {
@@ -176,9 +119,9 @@ pub fn verify_timeline(events: &[TlEvent], threads: usize, stages: usize) -> Vec
             }
         }
 
-        let jobs: Vec<&TlEvent> = events
+        let jobs: Vec<&TimelineEvent> = events
             .iter()
-            .filter(|e| e.tid == tid && e.kind == TlKind::PoolJob && e.end_ns >= e.start_ns)
+            .filter(|e| e.tid == tid && e.kind == Kind::PoolJob && e.end_ns >= e.start_ns)
             .collect();
         if jobs.is_empty() {
             // Single-threaded / non-pooled execution records no pool
@@ -186,7 +129,7 @@ pub fn verify_timeline(events: &[TlEvent], threads: usize, stages: usize) -> Vec
             continue;
         }
         for a in &activity {
-            if a.kind == TlKind::TunerCandidate || a.kind == TlKind::RequestServe {
+            if a.kind == Kind::TunerCandidate || a.kind == Kind::RequestServe {
                 // Tuner spans are recorded by the coordinating thread
                 // *around* whole runs, not inside a pool job; request
                 // spans live on server worker threads that never run
@@ -215,11 +158,11 @@ pub fn verify_timeline(events: &[TlEvent], threads: usize, stages: usize) -> Vec
     for si in 0..stages {
         let releases = events
             .iter()
-            .filter(|e| e.kind == TlKind::BarrierRelease && e.stage as usize == si)
+            .filter(|e| e.kind == Kind::BarrierRelease && e.stage as usize == si)
             .count();
         let waits = events
             .iter()
-            .filter(|e| e.kind == TlKind::BarrierWait && e.stage as usize == si)
+            .filter(|e| e.kind == Kind::BarrierWait && e.stage as usize == si)
             .count();
         if (releases > 0 || waits > 0) && releases != threads {
             diags.push(Diagnostic {
@@ -237,7 +180,7 @@ pub fn verify_timeline(events: &[TlEvent], threads: usize, stages: usize) -> Vec
         }
     }
 
-    for e in events.iter().filter(|e| e.kind == TlKind::WatchdogFire) {
+    for e in events.iter().filter(|e| e.kind == Kind::WatchdogFire) {
         diags.push(diag(
             DiagKind::TimelineBarrier,
             Severity::Warning,
@@ -253,11 +196,11 @@ pub fn verify_timeline(events: &[TlEvent], threads: usize, stages: usize) -> Vec
     diags
 }
 
-fn diag(kind: DiagKind, severity: Severity, e: &TlEvent, detail: String) -> Diagnostic {
+fn diag(kind: DiagKind, severity: Severity, e: &TimelineEvent, detail: String) -> Diagnostic {
     Diagnostic {
         kind,
         severity,
-        step: e.kind.stage_indexed().then_some(e.stage as usize),
+        step: stage_indexed(e.kind).then_some(e.stage as usize),
         threads: vec![e.tid],
         region: None,
         witness: None,
@@ -269,8 +212,8 @@ fn diag(kind: DiagKind, severity: Severity, e: &TlEvent, detail: String) -> Diag
 mod tests {
     use super::*;
 
-    fn span(tid: usize, kind: TlKind, stage: u32, start_ns: u64, end_ns: u64) -> TlEvent {
-        TlEvent {
+    fn span(tid: usize, kind: Kind, stage: u32, start_ns: u64, end_ns: u64) -> TimelineEvent {
+        TimelineEvent {
             tid,
             kind,
             stage,
@@ -279,21 +222,21 @@ mod tests {
         }
     }
 
-    fn mark(tid: usize, kind: TlKind, stage: u32, at: u64) -> TlEvent {
+    fn mark(tid: usize, kind: Kind, stage: u32, at: u64) -> TimelineEvent {
         span(tid, kind, stage, at, at)
     }
 
     /// A clean 2-thread, 2-stage run.
-    fn clean_run() -> Vec<TlEvent> {
+    fn clean_run() -> Vec<TimelineEvent> {
         let mut ev = Vec::new();
         for tid in 0..2 {
-            ev.push(span(tid, TlKind::PoolJob, 0, 0, 1000));
-            ev.push(span(tid, TlKind::StageCompute, 0, 10, 400));
-            ev.push(span(tid, TlKind::BarrierWait, 0, 400, 450));
-            ev.push(mark(tid, TlKind::BarrierRelease, 0, 450));
-            ev.push(span(tid, TlKind::StageCompute, 1, 450, 900));
-            ev.push(span(tid, TlKind::BarrierWait, 1, 900, 950));
-            ev.push(mark(tid, TlKind::BarrierRelease, 1, 950));
+            ev.push(span(tid, Kind::PoolJob, 0, 0, 1000));
+            ev.push(span(tid, Kind::StageCompute, 0, 10, 400));
+            ev.push(span(tid, Kind::BarrierWait, 0, 400, 450));
+            ev.push(mark(tid, Kind::BarrierRelease, 0, 450));
+            ev.push(span(tid, Kind::StageCompute, 1, 450, 900));
+            ev.push(span(tid, Kind::BarrierWait, 1, 900, 950));
+            ev.push(mark(tid, Kind::BarrierRelease, 1, 950));
         }
         ev
     }
@@ -307,7 +250,7 @@ mod tests {
     fn overlapping_activity_is_an_error() {
         let mut ev = clean_run();
         // Thread 0 "computes" stage 1 while still waiting on stage 0.
-        ev.push(span(0, TlKind::StageCompute, 1, 420, 440));
+        ev.push(span(0, Kind::StageCompute, 1, 420, 440));
         let diags = verify_timeline(&ev, 2, 2);
         assert!(diags
             .iter()
@@ -317,7 +260,7 @@ mod tests {
     #[test]
     fn activity_outside_pool_job_is_an_error() {
         let mut ev = clean_run();
-        ev.push(span(1, TlKind::StageCompute, 1, 1100, 1200));
+        ev.push(span(1, Kind::StageCompute, 1, 1100, 1200));
         let diags = verify_timeline(&ev, 2, 2);
         assert!(diags.iter().any(|d| d.kind == DiagKind::TimelineNesting));
     }
@@ -326,8 +269,8 @@ mod tests {
     fn no_pool_jobs_means_no_nesting_requirement() {
         // Sequential execution records stage spans but no pool jobs.
         let ev = vec![
-            span(0, TlKind::StageCompute, 0, 0, 100),
-            span(0, TlKind::StageCompute, 1, 100, 200),
+            span(0, Kind::StageCompute, 0, 0, 100),
+            span(0, Kind::StageCompute, 1, 100, 200),
         ];
         assert!(verify_timeline(&ev, 1, 2).is_empty());
     }
@@ -338,7 +281,7 @@ mod tests {
         // Drop one of thread 1's release marks.
         let idx = ev
             .iter()
-            .position(|e| e.tid == 1 && e.kind == TlKind::BarrierRelease && e.stage == 1)
+            .position(|e| e.tid == 1 && e.kind == Kind::BarrierRelease && e.stage == 1)
             .unwrap();
         ev.remove(idx);
         let diags = verify_timeline(&ev, 2, 2);
@@ -353,9 +296,9 @@ mod tests {
     #[test]
     fn inverted_span_and_bad_stage_are_malformed() {
         let ev = vec![
-            span(0, TlKind::StageCompute, 0, 500, 400),
-            mark(0, TlKind::BarrierRelease, 9, 600),
-            span(7, TlKind::PoolJob, 0, 0, 10),
+            span(0, Kind::StageCompute, 0, 500, 400),
+            mark(0, Kind::BarrierRelease, 9, 600),
+            span(7, Kind::PoolJob, 0, 0, 10),
         ];
         let diags = verify_timeline(&ev, 2, 2);
         let malformed = diags
@@ -368,7 +311,7 @@ mod tests {
     #[test]
     fn watchdog_fire_is_a_warning_not_an_error() {
         let mut ev = clean_run();
-        ev.push(mark(1, TlKind::WatchdogFire, 1, 940));
+        ev.push(mark(1, Kind::WatchdogFire, 1, 940));
         let diags = verify_timeline(&ev, 2, 2);
         assert!(diags
             .iter()
@@ -380,11 +323,11 @@ mod tests {
     fn request_spans_need_not_nest_but_stay_exclusive() {
         let mut ev = clean_run();
         // A server worker thread serves requests outside any pool job.
-        ev.push(span(1, TlKind::RequestServe, 0, 2000, 2500));
-        ev.push(span(1, TlKind::RequestServe, 1, 2500, 3000));
+        ev.push(span(1, Kind::RequestServe, 0, 2000, 2500));
+        ev.push(span(1, Kind::RequestServe, 1, 2500, 3000));
         assert!(verify_timeline(&ev, 2, 2).is_empty());
         // But two requests on one thread must not overlap in time.
-        ev.push(span(1, TlKind::RequestServe, 2, 2400, 2600));
+        ev.push(span(1, Kind::RequestServe, 2, 2400, 2600));
         let diags = verify_timeline(&ev, 2, 2);
         assert!(diags.iter().any(|d| d.kind == DiagKind::TimelineOverlap));
     }
@@ -393,9 +336,9 @@ mod tests {
     fn tuner_spans_need_not_nest_in_pool_jobs() {
         let mut ev = clean_run();
         // The coordinating thread evaluates candidates outside any job.
-        ev.push(span(0, TlKind::TunerCandidate, 0, 2000, 3000));
-        ev.push(span(0, TlKind::TunerCandidate, 1, 3000, 4000));
-        ev.push(mark(0, TlKind::TunerReject, 1, 4000));
+        ev.push(span(0, Kind::TunerCandidate, 0, 2000, 3000));
+        ev.push(span(0, Kind::TunerCandidate, 1, 3000, 4000));
+        ev.push(mark(0, Kind::TunerReject, 1, 4000));
         assert!(verify_timeline(&ev, 2, 2).is_empty());
     }
 }

@@ -56,6 +56,38 @@ fn multicore_plans_certify_exactly_fused_and_unfused() {
     }
 }
 
+/// Every `DFT_k` leaf with no compiled kernel (composite, not a power
+/// of two, 8 < k < 64), as SPL text alone and inside the Cooley–Tukey
+/// step `(DFT_2 ⊗ I_k) T^{2k}_k (I_2 ⊗ DFT_k) L^{2k}_2`, lowers through
+/// a rule tree and is proven equal to the DFT by the symbolic pass.
+#[test]
+fn leaves_outside_the_kernel_set_certify_exactly() {
+    use spiral_codegen::lower::{has_kernel, MAX_CODELET};
+    let sizes: Vec<usize> = (9..MAX_CODELET).filter(|&k| !has_kernel(k)).collect();
+    assert_eq!(sizes.len(), 39);
+    let opts = CertOptions {
+        symbolic_limit: 2 * MAX_CODELET,
+    };
+    for k in sizes {
+        let n = 2 * k;
+        for text in [
+            format!("DFT_{k}"),
+            format!("(DFT_2 @ I_{k}) * T^{n}_{k} * (I_2 @ DFT_{k}) * L^{n}_2"),
+        ] {
+            let f = spiral_spl::parse::parse(&text).unwrap();
+            let plan = Plan::from_formula(&f, 1, 4).unwrap();
+            let rep = certify_plan(&plan, &opts);
+            assert_eq!(
+                rep.symbolic_certified,
+                Some(true),
+                "{text}: {:?}",
+                rep.findings
+            );
+            assert!(rep.is_certified(), "{text}");
+        }
+    }
+}
+
 #[test]
 fn large_n_gets_dataflow_only() {
     let f = sequential_dft(256, 8);

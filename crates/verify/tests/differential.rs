@@ -192,6 +192,35 @@ fn mis_rotate(plan: &mut Plan, both: bool) -> bool {
 /// vector execution diverge from the scalar one — the vector-vs-scalar
 /// leg must fail, and the structural lane-shuffle certification must
 /// reject the IR independently.
+/// Every `DFT_k` leaf with no compiled kernel (composite, not a power
+/// of two, 8 < k < 64), as SPL text alone and inside the Cooley–Tukey
+/// step `(DFT_2 ⊗ I_k) T^{2k}_k (I_2 ⊗ DFT_k) L^{2k}_2`, lowers and
+/// passes the harness at every lane width.
+#[test]
+fn leaves_outside_the_kernel_set_pass_the_harness() {
+    use spiral_codegen::lower::{has_kernel, MAX_CODELET};
+    for k in (9..MAX_CODELET).filter(|&k| !has_kernel(k)) {
+        let n = 2 * k;
+        for text in [
+            format!("DFT_{k}"),
+            format!("(DFT_2 @ I_{k}) * T^{n}_{k} * (I_2 @ DFT_{k}) * L^{n}_2"),
+        ] {
+            let f = spiral_spl::parse::parse(&text).unwrap();
+            let x = random_input(f.dim(), k as u64);
+            for nu in [1, 2, 4] {
+                let rep = differential_check(&f, 1, 4, nu, &x).unwrap();
+                assert!(
+                    rep.passes(),
+                    "{text} ν={nu}: {} ulps vs scalar, {:.3e} vs reference (tol {:.3e})",
+                    rep.ulps_vs_scalar,
+                    rep.err_vs_reference,
+                    rep.reference_tol
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn mis_rotated_lane_twiddle_fails_scalar_leg() {
     let n = 256;

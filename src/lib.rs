@@ -260,7 +260,9 @@ impl SpiralFft {
 
     /// Compute the forward DFT of `x` (length must equal [`len`](Self::len)).
     /// Panics on execution failure; see [`try_forward`](Self::try_forward)
-    /// for the fallible variant.
+    /// for the fallible variant. The output is not scanned for non-finite
+    /// values on this path: a NaN or infinity in `x` comes back in the
+    /// result.
     pub fn forward(&self, x: &[Cplx]) -> Vec<Cplx> {
         match &self.backend {
             Backend::Plan {
@@ -291,19 +293,24 @@ impl SpiralFft {
     /// Compute the forward DFT of `x`, propagating execution-layer
     /// faults (worker panics, watchdog expiries, non-finite output) and
     /// a wrong input length as [`Error::Fault`] instead of panicking.
+    /// Every backend scans the output, so a non-finite value gives the
+    /// same `Err` on one thread, on `p` threads and under Bluestein.
     pub fn try_forward(&self, x: &[Cplx]) -> Result<Vec<Cplx>, Error> {
         self.check_len(x)?;
-        match &self.backend {
+        let out = match &self.backend {
             Backend::Plan {
                 plan,
                 executor: Some(e),
-            } => Ok(e.try_execute(plan, x)?),
-            Backend::Plan {
-                plan,
-                executor: None,
-            } => Ok(plan.execute(x)),
-            Backend::Bluestein(b) => Ok(b.run(x)),
+            } => return Ok(e.try_execute(plan, x)?),
+            _ => self.forward(x),
+        };
+        if let Some(index) = spiral_spl::cplx::first_non_finite(&out) {
+            return Err(Error::Fault(spiral_smp::SpiralError::NonFinite {
+                index,
+                context: format!("sequential execution of a {}-point transform", self.len()),
+            }));
         }
+        Ok(out)
     }
 
     /// Compute the inverse DFT of `y`, including the `1/n` scaling, via
@@ -427,6 +434,31 @@ mod tests {
         assert_slices_close(&fft.try_forward(&x).unwrap(), &want, 1e-6);
         // Misuse surfaces as a structured error, not a panic.
         assert!(matches!(fft.try_forward(&x[..100]), Err(Error::Fault(_))));
+    }
+
+    /// One NaN in the input is `Err(NonFinite)` from `try_forward` on
+    /// every backend: one thread (the tuner picks one at 256), two
+    /// threads, and Bluestein.
+    #[test]
+    fn try_forward_rejects_non_finite_output_on_every_backend() {
+        let ffts = [
+            SpiralFft::parallel(256, 2, 4).unwrap(),
+            SpiralFft::parallel(1 << 14, 2, 4).unwrap(),
+            SpiralFft::sequential(256),
+            SpiralFft::sequential(97),
+        ];
+        assert_eq!(ffts[0].plan().threads, 1);
+        assert_eq!(ffts[1].plan().threads, 2);
+        for fft in &ffts {
+            let mut x = ramp(fft.len());
+            x[3] = Cplx::new(f64::NAN, 0.0);
+            let err = fft.try_forward(&x).unwrap_err();
+            assert!(
+                matches!(err, Error::Fault(spiral_smp::SpiralError::NonFinite { .. })),
+                "DFT_{}: {err}",
+                fft.len()
+            );
+        }
     }
 
     #[test]
