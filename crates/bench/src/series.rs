@@ -114,6 +114,19 @@ pub fn openmp_variant(machine: &MachineSpec) -> MachineSpec {
     m
 }
 
+/// The file-name form of a machine's name, as in the artifacts
+/// `figures` writes (`fig3_<slug>.csv`): the name before any
+/// parenthesis, lower case, spaces and dots as dashes.
+pub fn machine_slug(m: &MachineSpec) -> String {
+    m.name
+        .chars()
+        .take_while(|c| *c != '(')
+        .collect::<String>()
+        .trim()
+        .to_lowercase()
+        .replace([' ', '.'], "-")
+}
+
 /// Compute the five Figure 3 series for one machine over
 /// `2^min_log2 ..= 2^max_log2`.
 pub fn fig3_series(machine: &MachineSpec, min_log2: u32, max_log2: u32) -> Vec<Series> {

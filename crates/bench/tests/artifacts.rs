@@ -2,13 +2,14 @@
 //! writes today. A schema bump therefore fails here until the artifact
 //! is regenerated with its own command (`figures serve-load`, `figures
 //! trace`, `bench history record`), so committed files never go stale.
-//! The simulated Figure 3 rows are checked by value: a change to the
-//! plans or to the traced schedule fails here until `figures fig3` has
-//! regenerated them.
+//! The simulated Figure 3 rows and the ABL-FS file are checked by value
+//! (an ignored test, run in release): a change to the plans or to the
+//! traced schedule fails there until `figures` has regenerated them.
 
+use spiral_bench::ablations::false_sharing_ablation;
 use spiral_bench::ascii;
 use spiral_bench::history::{BenchHistory, BENCH_SCHEMA_VERSION};
-use spiral_bench::series::fig3_series;
+use spiral_bench::series::{fig3_series, machine_slug};
 use spiral_bench::serve_load::{validate_file, ServeLoadFile};
 use std::path::{Path, PathBuf};
 
@@ -54,19 +55,33 @@ fn bench_history_is_at_the_current_schema() {
     assert!(!history.runs.is_empty());
 }
 
-/// The committed Core Duo CSV is what `figures fig3` computes today, on
-/// its first rows (2^6..2^10; the whole file takes minutes in debug).
+/// The committed Figure 3 CSVs of all four machines are what `figures
+/// fig3` computes today, row for row (2^6..2^16), and the ABL-FS file is
+/// what `figures ablation-false-sharing` computes (2^8..2^14). Both
+/// replay `Plan::run_traced`, so a change to the plans, the schedule or
+/// the buffer rule fails here until the files are regenerated. Slow in a
+/// debug build: `cargo test --release -p spiral-bench --test artifacts --
+/// --ignored`.
 #[test]
-fn fig3_core_duo_rows_match_the_simulator() {
-    let path = repo().join("results/fig3_core-duo-2-0-ghz.csv");
-    let committed = read(&path);
-    let fresh = ascii::csv(&fig3_series(&spiral_sim::core_duo(), 6, 10));
-    let rows = fresh.lines().count();
-    let want: Vec<&str> = committed.lines().take(rows).collect();
+#[ignore]
+fn simulated_artifacts_match_the_simulator() {
+    for m in spiral_sim::paper_machines() {
+        let path = repo().join(format!("results/fig3_{}.csv", machine_slug(&m)));
+        let fresh = ascii::csv(&fig3_series(&m, 6, 16));
+        assert_eq!(
+            fresh,
+            read(&path),
+            "{} is stale: regenerate it with `figures fig3 --machine M --min 6 --max 16 --out results`",
+            path.display()
+        );
+    }
+    let core_duo = spiral_sim::core_duo();
+    let path = repo().join("results/abl_false_sharing_core-duo-2-0-ghz.json");
+    let fresh = serde_json::to_string_pretty(&false_sharing_ablation(&core_duo, 8, 14)).unwrap();
     assert_eq!(
-        fresh.lines().collect::<Vec<_>>(),
-        want,
-        "{} is stale: regenerate it with `figures fig3 --machine core-duo --min 6 --max 16 --out results`",
+        fresh,
+        read(&path),
+        "{} is stale: regenerate it with `figures ablation-false-sharing --machine core-duo --out results`",
         path.display()
     );
 }

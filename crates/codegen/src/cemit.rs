@@ -8,7 +8,11 @@
 //!
 //! The emitted code follows the same schedule as the Rust executor: one
 //! statically partitioned portion per thread per step, one barrier per
-//! step.
+//! step, and each stage's buffers by [`LocalProgram::passes`]. An
+//! in-place stage names one array as input and output; each kernel call
+//! loads its slots into a local `gin[]` before it stores any, and the
+//! `restrict` pointers of the codelet functions point only at the local
+//! `gin[]` and `gout[]`.
 
 use crate::codelet::dag::{Dag, Node};
 use crate::plan::{ElementOp, Plan, Portion, Step};
@@ -85,7 +89,7 @@ impl<'a> Emitter<'a> {
         self.out.push_str(&header);
 
         // Buffers.
-        let tmp_dim = self.plan.max_local_dim().max(1);
+        let tmp_dim = self.plan.tmp_dim().max(1);
         let _ = write!(
             self.out,
             "static double bufA[2*N] __attribute__((aligned(64)));\n\

@@ -99,6 +99,8 @@ impl Workspace {
 /// writes are unaliased, and every read-after-write pair is ordered by a
 /// barrier. Step 0 reads the caller's input `x`, and the last step writes
 /// the returned vector `out`, so no step reads the buffer it writes.
+/// Within a step, a chunk program's in-place passes read back only its
+/// own output chunk, which no other thread touches during the step.
 /// Thread `tid` alone uses `tmp[tid]`.
 /// All plans produced by `Plan::from_formula` satisfy it; debug builds
 /// additionally re-verify each plan through the validator registered
@@ -235,7 +237,7 @@ impl ParallelExecutor {
             return Ok(x.to_vec());
         };
         let mut ws = lock_recover(&self.workspace);
-        ws.fit(n, plan.max_local_dim().max(1), self.threads)?;
+        ws.fit(n, plan.tmp_dim(), self.threads)?;
         // The one allocation of a warm run: the last step writes here.
         let mut out = vec![Cplx::ZERO; n];
         let shared = SharedBufs {
@@ -403,7 +405,7 @@ pub(crate) unsafe fn run_portion(
                     },
                     None => crate::stage::SrcView::Local(&src[s..s + chunk]),
                 };
-                prog.run_view(view, dst_chunk, &mut tmp[..*chunk]);
+                prog.run_view(view, dst_chunk, tmp);
             }
         }
         Portion::Elements { range, op, .. } => {

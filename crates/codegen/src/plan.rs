@@ -458,15 +458,19 @@ impl Plan {
         self.steps.iter().map(Step::label).collect()
     }
 
-    /// Largest chunk dimension any thread needs as private scratch.
-    pub fn max_local_dim(&self) -> usize {
+    /// Elements of private scratch a thread needs: the largest dimension
+    /// of a chunk program with a pass that reads or writes `Tmp`
+    /// ([`LocalProgram::uses_tmp`]), or 0 when no pass does.
+    pub fn tmp_dim(&self) -> usize {
         self.steps
             .iter()
-            .map(|s| match s {
-                Step::Seq(p) => p.dim,
-                Step::Par { chunk, .. } => *chunk,
-                _ => 0,
+            .flat_map(|s| match s {
+                Step::Seq(p) => std::slice::from_ref(p),
+                Step::Par { programs, .. } => programs.as_slice(),
+                Step::Exchange { .. } | Step::ScaleAll(_) => &[],
             })
+            .filter(|p| p.uses_tmp())
+            .map(|p| p.dim)
             .max()
             .unwrap_or(0)
     }
@@ -498,13 +502,20 @@ impl Plan {
         }
         ws.prepare(self);
         // Exact-length view: the workspace may be sized for a larger
-        // plan, but programs assert on their buffer dimensions.
-        let a = &mut ws.a[..self.n];
+        // plan, but programs assert on their buffer dimensions. A
+        // one-step plan never touches `a`.
+        let a = &mut ws.a[..if l > 1 { self.n } else { 0 }];
         let tmp = &mut ws.tmp;
         // Step 0 reads `x` in place; targets alternate between `out` and
         // `a` so that step L-1 writes `out`.
-        for (step, pass) in self.steps.iter().zip(ping_pong(l)) {
-            let (src, dst) = pass_buffers(pass, x, &mut *a, &mut *out);
+        for (step, pass) in self
+            .steps
+            .iter()
+            .zip(ping_pong(std::iter::repeat_n(false, l)))
+        {
+            let (Some(src), dst) = pass_buffers(pass, x, &mut *a, &mut *out) else {
+                unreachable!("steps never run in place")
+            };
             // SAFETY: the whole step is thread 0's portion of a 1-thread
             // schedule, and `dst` is an exclusive `n`-element buffer that
             // does not overlap `src`.
@@ -556,8 +567,10 @@ impl Plan {
 
 /// Reusable buffers for repeated sequential executions
 /// ([`Plan::execute_into`]): the step buffer that alternates with the
-/// output, and the per-chunk temporary. Sized lazily to the largest plan
-/// seen, so one workspace serves any mix of plans.
+/// output in plans of two or more steps, and the scratch of programs
+/// whose passes use `Tmp` ([`Plan::tmp_dim`]). Sized lazily to the
+/// largest need seen, so one workspace serves any mix of plans; a plan
+/// that needs neither leaves it empty.
 #[derive(Default)]
 pub struct PlanWorkspace {
     a: Vec<Cplx>,
@@ -577,13 +590,18 @@ impl PlanWorkspace {
 
     /// Grow the buffers to fit `plan` (never shrinks).
     fn prepare(&mut self, plan: &Plan) {
-        if self.a.len() < plan.n {
+        if plan.steps.len() > 1 && self.a.len() < plan.n {
             self.a.resize(plan.n, Cplx::ZERO);
         }
-        let local = plan.max_local_dim().max(1);
-        if self.tmp.len() < local {
-            self.tmp.resize(local, Cplx::ZERO);
+        let tmp = plan.tmp_dim();
+        if self.tmp.len() < tmp {
+            self.tmp.resize(tmp, Cplx::ZERO);
         }
+    }
+
+    /// Elements the workspace holds: the step buffer plus the scratch.
+    pub fn held(&self) -> usize {
+        self.a.len() + self.tmp.len()
     }
 }
 
@@ -624,7 +642,8 @@ pub(crate) fn share(total: usize, p: usize, tid: usize) -> (usize, usize) {
 
 /// Replay one chunk program of thread `tid`: it reads `src` at `off + i`,
 /// or at `gather[off + i]` when the step has a fused gather, and writes
-/// `dst` at `off + i`, ping-ponging through the thread's `Tmp` region.
+/// `dst` at `off + i`, its passes reading and writing `Dst` and the
+/// thread's `Tmp` region by the [`LocalProgram::passes`] rule.
 fn trace_chunk(
     prog: &LocalProgram,
     tid: usize,

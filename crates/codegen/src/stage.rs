@@ -1,11 +1,13 @@
 //! Executable stages — the loop-level IR the SPL compiler lowers to.
 //!
-//! A [`LocalProgram`] is a sequence of out-of-place stages over a vector
-//! of some dimension. Kernel stages carry explicit *gather/scatter* index
-//! maps (affine loop nests, optionally post-composed with a permutation
-//! table) and an optional fused twiddle multiplication — the result of the
-//! loop merging of [11]: permutations and diagonals are not executed as
-//! separate passes but folded into the adjacent compute loop.
+//! A [`LocalProgram`] is a sequence of stages over a vector of some
+//! dimension, each run out of place or, where it reads exactly the slots
+//! it writes, in place ([`ping_pong`]). Kernel stages carry explicit
+//! *gather/scatter* index maps (affine loop nests, optionally
+//! post-composed with a permutation table) and an optional fused twiddle
+//! multiplication — the result of the loop merging of [11]: permutations
+//! and diagonals are not executed as separate passes but folded into the
+//! adjacent compute loop.
 
 use crate::codelet::{with_size, Codelet, Dft, Kernels, SizeFn};
 use crate::simd::{Lane, Lanes};
@@ -210,6 +212,19 @@ impl KernelStage {
             .sort_by_key(|l| std::cmp::Reverse(l.in_stride.min(l.out_stride)));
     }
 
+    /// True when every iteration reads exactly the slots it writes: equal
+    /// offsets, slot strides and loop strides on both sides, and no fused
+    /// permutation. A stage that also writes each slot once can then run
+    /// in place ([`ping_pong`]): each iteration loads its slots before it
+    /// stores them, and no two iterations share a slot.
+    pub fn in_place(&self) -> bool {
+        self.in_off == self.out_off
+            && self.in_t_stride == self.out_t_stride
+            && self.in_map.is_none()
+            && self.out_map.is_none()
+            && self.loops.iter().all(|l| l.in_stride == l.out_stride)
+    }
+
     /// Points this stage covers (must equal the program dimension).
     pub fn span(&self) -> usize {
         self.iterations() * self.codelet.size()
@@ -300,20 +315,31 @@ impl KernelStage {
     /// contiguous there) take the scalar path, which is always valid for
     /// vector-marked IR.
     pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx]) {
-        with_size(self.codelet.size(), KernelLoop(self, src, dst));
+        with_size(self.codelet.size(), KernelLoop(self, Some(src), dst));
+    }
+
+    /// Execute `buf = stage(buf)` in place. Valid only for a stage that
+    /// reads exactly the slots it writes ([`in_place`](Self::in_place)).
+    pub fn apply_in_place(&self, buf: &mut [Cplx]) {
+        debug_assert!(self.in_place(), "stage does not run in place");
+        with_size(self.codelet.size(), KernelLoop(self, None, buf));
     }
 
     /// The loop nest of one stage with codelet size `C` on lane type `T`:
-    /// each lane group's `C` slots are loaded from `load` (fused gather
-    /// map and on-load twiddles applied as they come) into a stack array,
+    /// each lane group's `C` slots are loaded with `load` (fused gather map
+    /// and on-load twiddles applied as they come) into a stack array,
     /// transformed by the generated kernel, and stored straight to `dst`
-    /// (on-store twiddles, fused scatter map). Twiddle entry `t` of the
-    /// lane group whose first twiddle iteration is `w` (a multiple of ν)
-    /// sits at `w·C + t·ν` in the scalar (ν = 1) or lane-grouped table.
+    /// (on-store twiddles, fused scatter map). `load` gets a shared
+    /// reborrow of `dst` that ends before the group's stores: an in-place
+    /// stage loads from it, an out-of-place one ignores it and reads its
+    /// own source, so the compiler sees that source apart from `dst`.
+    /// Twiddle entry `t` of the lane group whose first twiddle iteration
+    /// is `w` (a multiple of ν) sits at `w·C + t·ν` in the scalar (ν = 1)
+    /// or lane-grouped table.
     #[inline(never)]
     fn run<const C: usize, T: Lane>(
         &self,
-        load: impl Fn(usize) -> T,
+        load: impl Fn(&[Cplx], usize) -> T,
         tw_in: Option<&[Cplx]>,
         tw_out: Option<&[Cplx]>,
         dst: &mut [Cplx],
@@ -330,7 +356,7 @@ impl KernelStage {
             for (t, x) in x.iter_mut().enumerate() {
                 let a = in_base + t * self.in_t_stride;
                 *x = scale(
-                    load(in_map.map_or(a, |m| m[a] as usize)),
+                    load(&*dst, in_map.map_or(a, |m| m[a] as usize)),
                     tw_in,
                     w * C + t * T::NU,
                 );
@@ -369,9 +395,10 @@ impl KernelStage {
     }
 }
 
-/// One [`KernelStage::apply_view`] call (stage, source, destination), to
-/// be monomorphised per codelet size by [`with_size`].
-struct KernelLoop<'a, 's>(&'s KernelStage, SrcView<'a>, &'s mut [Cplx]);
+/// One stage call (stage, source, destination), to be monomorphised per
+/// codelet size by [`with_size`]. No source means the stage runs in place
+/// on the destination ([`KernelStage::apply_in_place`]).
+struct KernelLoop<'a, 's>(&'s KernelStage, Option<SrcView<'a>>, &'s mut [Cplx]);
 
 impl SizeFn for KernelLoop<'_, '_> {
     type Out = ();
@@ -381,21 +408,30 @@ impl SizeFn for KernelLoop<'_, '_> {
         Kernels: Dft<C>,
     {
         let KernelLoop(k, src, dst) = self;
+        // In-place loads are their own closures (`Lane::load` on the
+        // reborrow of `dst`), so an out-of-place stage's loads provably
+        // read another buffer than its stores write. A gathered view has
+        // no lane groups and always takes the scalar path.
         if !cfg!(feature = "force-scalar") {
-            if let SrcView::Local(s) = src {
-                let (tw, tw_out) = (table(&k.twiddle_lanes), table(&k.twiddle_out_lanes));
-                match k.vec_width {
-                    2 => return k.run::<C, Lanes<2>>(|i| Lanes::load(s, i), tw, tw_out, dst),
-                    4 => return k.run::<C, Lanes<4>>(|i| Lanes::load(s, i), tw, tw_out, dst),
-                    _ => {}
+            let (tw, tw_out) = (table(&k.twiddle_lanes), table(&k.twiddle_out_lanes));
+            match (k.vec_width, src) {
+                (2, None) => return k.run::<C, Lanes<2>>(Lanes::load, tw, tw_out, dst),
+                (2, Some(SrcView::Local(s))) => {
+                    return k.run::<C, Lanes<2>>(|_, i| Lanes::load(s, i), tw, tw_out, dst)
                 }
+                (4, None) => return k.run::<C, Lanes<4>>(Lanes::load, tw, tw_out, dst),
+                (4, Some(SrcView::Local(s))) => {
+                    return k.run::<C, Lanes<4>>(|_, i| Lanes::load(s, i), tw, tw_out, dst)
+                }
+                _ => {}
             }
         }
         let (tw, tw_out) = (table(&k.twiddle), table(&k.twiddle_out));
         match src {
-            SrcView::Local(s) => k.run::<C, Cplx>(|i| s[i], tw, tw_out, dst),
-            SrcView::Gathered { buf, gather, off } => {
-                k.run::<C, Cplx>(|i| buf[gather[off + i] as usize], tw, tw_out, dst);
+            None => k.run::<C, Cplx>(<Cplx as Lane>::load, tw, tw_out, dst),
+            Some(SrcView::Local(s)) => k.run::<C, Cplx>(|_, i| s[i], tw, tw_out, dst),
+            Some(SrcView::Gathered { buf, gather, off }) => {
+                k.run::<C, Cplx>(|_, i| buf[gather[off + i] as usize], tw, tw_out, dst);
             }
         }
     }
@@ -455,7 +491,7 @@ impl<'a> SrcView<'a> {
     }
 }
 
-/// One out-of-place stage of a local program.
+/// One stage of a local program.
 #[derive(Clone, Debug)]
 pub enum LocalStage {
     /// A codelet loop nest.
@@ -476,9 +512,25 @@ impl LocalStage {
         }
     }
 
+    /// True for a kernel stage that reads exactly the slots it writes
+    /// ([`KernelStage::in_place`]); permutations and scalings always run
+    /// out of place.
+    pub fn in_place(&self) -> bool {
+        matches!(self, LocalStage::Kernel(k) if k.in_place())
+    }
+
     /// Execute `dst = stage(src)`. The scratch argument is unused.
     pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx], _scratch: &mut Scratch) {
         self.apply_view(SrcView::Local(src), dst);
+    }
+
+    /// Execute `buf = stage(buf)` in place (an [`in_place`](Self::in_place)
+    /// stage only).
+    pub fn apply_in_place(&self, buf: &mut [Cplx]) {
+        match self {
+            LocalStage::Kernel(k) => k.apply_in_place(buf),
+            _ => unreachable!("only kernel stages run in place"),
+        }
     }
 
     /// Execute with an arbitrary input view (dispatch hoisted out of the
@@ -533,8 +585,8 @@ impl LocalStage {
     }
 }
 
-/// A buffer of the out-of-place ping-pong that runs a sequence of passes
-/// from an input to an output ([`ping_pong`]).
+/// A buffer of the ping-pong that runs a sequence of passes from an
+/// input to an output ([`ping_pong`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Buf {
     /// The input, read only by the first pass and never written.
@@ -545,46 +597,59 @@ pub enum Buf {
     Dst,
 }
 
-/// The ping-pong rule for `l` out-of-place passes: `(input, output)` of
-/// each pass in order. Pass 0 reads `Src`; targets alternate between
-/// `Tmp` and `Dst` so that pass `l - 1` writes `Dst`, and no pass reads
-/// the buffer it writes. A [`LocalProgram`]'s stages
-/// ([`LocalProgram::passes`]) and a sequential plan's steps
-/// ([`crate::Plan::execute_into`]) both run by this rule.
-pub fn ping_pong(l: usize) -> impl Iterator<Item = (Buf, Buf)> {
-    (0..l).map(move |k| {
-        let output = if (l - 1 - k).is_multiple_of(2) {
+/// The buffer rule for a sequence of passes, given whether each pass may
+/// run in place: `(input, output)` of each pass in order. Pass 0 reads
+/// `Src`. A later pass that may run in place reads and writes the buffer
+/// the previous pass wrote; every other pass reads that buffer and writes
+/// the other of `Tmp` and `Dst`. A pass writes `Dst` when an even number
+/// of later passes switch buffers, so the last pass writes `Dst`. With no
+/// in-place pass this is the plain ping-pong, and no pass reads the
+/// buffer it writes. A [`LocalProgram`]'s stages
+/// ([`LocalProgram::passes`]) and a sequential plan's steps, which never
+/// run in place ([`crate::Plan::execute_into`]), both run by this rule.
+pub fn ping_pong<I>(in_place: I) -> impl Iterator<Item = (Buf, Buf)>
+where
+    I: IntoIterator<Item = bool>,
+    I::IntoIter: Clone,
+{
+    let passes = in_place.into_iter();
+    // Passes after the current one that switch buffers.
+    let mut later = passes.clone().skip(1).filter(|&p| !p).count();
+    let mut prev = Buf::Src;
+    passes.enumerate().map(move |(k, in_place)| {
+        if k > 0 && !in_place {
+            later -= 1;
+        }
+        let output = if later.is_multiple_of(2) {
             Buf::Dst
         } else {
             Buf::Tmp
         };
-        let input = match (k, output) {
-            (0, _) => Buf::Src,
-            (_, Buf::Dst) => Buf::Tmp,
-            _ => Buf::Dst,
-        };
-        (input, output)
+        (std::mem::replace(&mut prev, output), output)
     })
 }
 
-/// Borrow one pass's `(input, output)` out of the three ping-pong buffers.
+/// Borrow one pass's buffers out of the three: `(Some(input), output)`,
+/// or `(None, output)` for a pass that runs in place on `output`.
 pub(crate) fn pass_buffers<'b, S: From<&'b [Cplx]>>(
     (input, output): (Buf, Buf),
     src: S,
     tmp: &'b mut [Cplx],
     dst: &'b mut [Cplx],
-) -> (S, &'b mut [Cplx]) {
+) -> (Option<S>, &'b mut [Cplx]) {
     match (input, output) {
-        (Buf::Src, Buf::Dst) => (src, dst),
-        (Buf::Src, Buf::Tmp) => (src, tmp),
-        (Buf::Tmp, Buf::Dst) => (S::from(tmp), dst),
-        (Buf::Dst, Buf::Tmp) => (S::from(dst), tmp),
-        _ => unreachable!("a pass never reads the buffer it writes"),
+        (Buf::Src, Buf::Dst) => (Some(src), dst),
+        (Buf::Src, Buf::Tmp) => (Some(src), tmp),
+        (Buf::Tmp, Buf::Dst) => (Some(S::from(tmp)), dst),
+        (Buf::Dst, Buf::Tmp) => (Some(S::from(dst)), tmp),
+        (Buf::Tmp, Buf::Tmp) => (None, tmp),
+        (Buf::Dst, Buf::Dst) => (None, dst),
+        (_, Buf::Src) => unreachable!("no pass writes the input"),
     }
 }
 
-/// A sequence of out-of-place stages on vectors of dimension `dim`.
-/// An empty program denotes the identity.
+/// A sequence of stages on vectors of dimension `dim`, run by the
+/// [`ping_pong`] rule. An empty program denotes the identity.
 #[derive(Clone, Debug, Default)]
 pub struct LocalProgram {
     /// Vector dimension every stage operates on.
@@ -608,17 +673,26 @@ impl LocalProgram {
     }
 
     /// Each stage with the buffers it reads and writes, by the
-    /// [`ping_pong`] rule. An empty program has no passes; it copies
-    /// `Src` to `Dst`.
+    /// [`ping_pong`] rule: a stage that reads exactly the slots it writes
+    /// ([`LocalStage::in_place`]) runs in place after the first. An empty
+    /// program has no passes; it copies `Src` to `Dst`.
     pub fn passes(&self) -> impl Iterator<Item = (&LocalStage, Buf, Buf)> {
+        let in_place = self.stages.iter().enumerate();
         self.stages
             .iter()
-            .zip(ping_pong(self.stages.len()))
+            .zip(ping_pong(in_place.map(|(k, s)| k > 0 && s.in_place())))
             .map(|(stage, (input, output))| (stage, input, output))
     }
 
-    /// Execute `dst = program(src)`. `tmp` must have length ≥ `dim`; it is
-    /// used for intermediate ping-ponging so `src` is never written.
+    /// True when some pass ([`passes`](Self::passes)) reads or writes
+    /// `Tmp`: only then does a run need scratch.
+    pub fn uses_tmp(&self) -> bool {
+        self.passes()
+            .any(|(_, input, output)| input == Buf::Tmp || output == Buf::Tmp)
+    }
+
+    /// Execute `dst = program(src)`. `tmp` must have length ≥ `dim` when
+    /// the program [uses scratch](Self::uses_tmp); `src` is never written.
     pub fn run(&self, src: &[Cplx], dst: &mut [Cplx], tmp: &mut [Cplx]) {
         self.run_view(SrcView::Local(src), dst, tmp);
     }
@@ -627,17 +701,28 @@ impl LocalProgram {
     /// (used by fused-exchange parallel steps).
     pub fn run_view(&self, src: SrcView<'_>, dst: &mut [Cplx], tmp: &mut [Cplx]) {
         assert!(dst.len() == self.dim);
-        assert!(tmp.len() >= self.dim);
         if self.stages.is_empty() {
             for (i, d) in dst.iter_mut().enumerate() {
                 *d = src.get(i);
             }
             return;
         }
-        let tmp = &mut tmp[..self.dim];
         for (stage, input, output) in self.passes() {
-            let (from, to) = pass_buffers((input, output), src, tmp, dst);
-            stage.apply_view(from, to);
+            let scratch = if input == Buf::Tmp || output == Buf::Tmp {
+                assert!(
+                    tmp.len() >= self.dim,
+                    "scratch of {} elements for a {}-element program",
+                    tmp.len(),
+                    self.dim
+                );
+                &mut tmp[..self.dim]
+            } else {
+                &mut tmp[..0]
+            };
+            match pass_buffers((input, output), src, scratch, dst) {
+                (Some(from), to) => stage.apply_view(from, to),
+                (None, buf) => stage.apply_in_place(buf),
+            }
         }
     }
 
@@ -879,6 +964,119 @@ mod tests {
             }
             assert_slices_close(&got, &want, 1e-10);
         }
+    }
+
+    /// Without in-place passes the rule is the plain ping-pong; an
+    /// in-place pass keeps the previous pass's buffer, and the parity
+    /// still lands the last pass in `Dst`.
+    #[test]
+    fn ping_pong_runs_in_place_passes_on_the_previous_output() {
+        use Buf::{Dst, Src, Tmp};
+        let rule = |flags: &[bool]| ping_pong(flags.iter().copied()).collect::<Vec<_>>();
+        assert_eq!(rule(&[false]), [(Src, Dst)]);
+        assert_eq!(rule(&[false; 3]), [(Src, Dst), (Dst, Tmp), (Tmp, Dst)]);
+        assert_eq!(rule(&[true; 3]), [(Src, Dst), (Dst, Dst), (Dst, Dst)]);
+        assert_eq!(
+            rule(&[false, false, true]),
+            [(Src, Tmp), (Tmp, Dst), (Dst, Dst)]
+        );
+        assert_eq!(
+            rule(&[false, true, false]),
+            [(Src, Tmp), (Tmp, Tmp), (Tmp, Dst)]
+        );
+    }
+
+    /// Every mix of in-place and out-of-place stages up to length 4 runs,
+    /// with scratch only if it [uses it](LocalProgram::uses_tmp), to the
+    /// stage-by-stage out-of-place replay.
+    #[test]
+    fn in_place_mixes_match_the_replay() {
+        let mut in_place = KernelStage::unit(Codelet::for_size(2));
+        in_place.loops.push(LoopDim {
+            count: 2,
+            in_stride: 2,
+            out_stride: 2,
+            tw_stride: 1,
+        });
+        let mut mapped = in_place.clone();
+        mapped.in_map = Some(Arc::new((0..4).collect()));
+        for len in 1..=4usize {
+            for mask in 0..1u32 << len {
+                let stages = (0..len)
+                    .map(|k| match mask >> k & 1 {
+                        1 => LocalStage::Kernel(in_place.clone()),
+                        _ => LocalStage::Kernel(mapped.clone()),
+                    })
+                    .collect();
+                let prog = LocalProgram { dim: 4, stages };
+                let x = ramp(4);
+                let mut out = vec![Cplx::ZERO; 4];
+                let mut tmp_buf = vec![Cplx::ZERO; if prog.uses_tmp() { 4 } else { 0 }];
+                prog.run(&x, &mut out, &mut tmp_buf);
+                let mut want = x.clone();
+                for stage in &prog.stages {
+                    let mut next = vec![Cplx::ZERO; 4];
+                    stage.apply(&want, &mut next, &mut Scratch);
+                    want = next;
+                }
+                assert_slices_close(&out, &want, 0.0);
+            }
+        }
+    }
+
+    /// A program that uses scratch rejects a scratch buffer shorter than
+    /// its dimension, instead of running a pass over part of it.
+    #[test]
+    #[should_panic(expected = "scratch of 3 elements for a 4-element program")]
+    fn short_scratch_panics_when_used() {
+        let mut mapped = KernelStage::unit(Codelet::for_size(2));
+        mapped.loops.push(LoopDim {
+            count: 2,
+            in_stride: 2,
+            out_stride: 2,
+            tw_stride: 1,
+        });
+        mapped.in_map = Some(Arc::new((0..4).collect()));
+        let prog = LocalProgram {
+            dim: 4,
+            stages: vec![
+                LocalStage::Kernel(mapped.clone()),
+                LocalStage::Kernel(mapped),
+            ],
+        };
+        assert!(prog.uses_tmp());
+        let mut out = vec![Cplx::ZERO; 4];
+        prog.run(&ramp(4), &mut out, &mut [Cplx::ZERO; 3]);
+    }
+
+    /// A stage with equal strides on both sides runs in place; a fused
+    /// map or a differing stride makes it run out of place.
+    #[test]
+    fn in_place_stage_matches_out_of_place_bitwise() {
+        let mut stage = KernelStage::unit(Codelet::for_size(4));
+        stage.in_t_stride = 2;
+        stage.out_t_stride = 2;
+        stage.loops.push(LoopDim {
+            count: 2,
+            in_stride: 1,
+            out_stride: 1,
+            tw_stride: 1,
+        });
+        stage.twiddle = Some(Arc::new(
+            (0..8).map(|k| Cplx::cis(0.1 * k as f64)).collect(),
+        ));
+        assert!(stage.in_place());
+        let x = ramp(8);
+        let mut want = vec![Cplx::ZERO; 8];
+        stage.apply(&x, &mut want, &mut Scratch);
+        let mut buf = x.clone();
+        stage.apply_in_place(&mut buf);
+        assert_slices_close(&buf, &want, 0.0);
+        let mut mapped = stage.clone();
+        mapped.in_map = Some(Arc::new((0..8).collect()));
+        assert!(!mapped.in_place());
+        stage.loops[0].out_stride = 2;
+        assert!(!stage.in_place());
     }
 
     #[test]

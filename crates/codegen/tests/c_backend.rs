@@ -3,7 +3,7 @@
 //! Skipped when no C compiler is installed.
 
 use spiral_codegen::cemit::{emit_c, CFlavor};
-use spiral_codegen::plan::Plan;
+use spiral_codegen::plan::{Plan, Step};
 use spiral_rewrite::{multicore_dft_expanded, sequential_dft};
 use spiral_spl::cplx::Cplx;
 use std::io::Write;
@@ -182,4 +182,60 @@ fn scale_tail_c_matches_rust_in_both_flavors() {
     assert!(!c.contains("i += NTHREADS"), "element-wise split:\n{c}");
     check(&plan, CFlavor::OpenMp, "tail_omp");
     check(&plan, CFlavor::Pthreads, "tail_pthr");
+}
+
+/// Tuned plans run their later stages in place, so the emitted C names
+/// one array as a stage's input and output. The tuned 2^14 sequential
+/// plan and the tuned 2-thread 2^12 plan, in both flavors, compute what
+/// the Rust executor computes; the only `restrict` pointers are the
+/// codelet functions' parameters, which point at the local `gin[]` and
+/// `gout[]` and never at the in-place array.
+#[test]
+fn tuned_in_place_plans_c_matches_rust_in_both_flavors() {
+    use spiral_search::{CostModel, Tuner};
+    if !have_cc() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    let seq = Tuner::new(1, 4, CostModel::Analytic)
+        .tune_sequential(1 << 14)
+        .unwrap()
+        .plan;
+    let par = Tuner::new(2, 4, CostModel::Analytic)
+        .tune_parallel(1 << 12)
+        .unwrap()
+        .unwrap()
+        .plan;
+    assert_eq!(par.threads, 2);
+    for (plan, tag) in [(&seq, "tuned_seq"), (&par, "tuned_par")] {
+        let in_place = plan
+            .steps
+            .iter()
+            .flat_map(|s| match s {
+                Step::Seq(p) => std::slice::from_ref(p),
+                Step::Par { programs, .. } => programs.as_slice(),
+                Step::Exchange { .. } | Step::ScaleAll(_) => &[],
+            })
+            .flat_map(|p| p.passes())
+            .filter(|(_, input, output)| input == output)
+            .count();
+        assert!(in_place > 0, "{tag}: no stage runs in place");
+        for flavor in [CFlavor::OpenMp, CFlavor::Pthreads] {
+            let c = emit_c(plan, flavor);
+            for line in c.lines().filter(|l| l.contains("restrict")) {
+                assert!(
+                    line.starts_with("static void dft_codelet_")
+                        && line.ends_with("(const double *restrict x, double *restrict y) {"),
+                    "{tag}: restrict outside a codelet signature: {line}"
+                );
+            }
+            for line in c
+                .lines()
+                .filter(|l| l.contains("dft_codelet_") && !l.contains("static"))
+            {
+                assert!(line.trim_start().ends_with("(gin, gout);"), "{tag}: {line}");
+            }
+            check(plan, flavor, &format!("{tag}_{flavor:?}"));
+        }
+    }
 }

@@ -154,9 +154,13 @@ proptest! {
 
 /// The stride loop order of `Plan::from_formula`, simulated: warm runs of
 /// the tuned sequential plans on the Core Duo model, with every loop nest
-/// in lowering order and in the order the plan was compiled with. Misses
-/// never rise at either level, and L2 misses fall at 2^16 and 2^18, where
-/// the first stage's digit-reversed read spills the L1 in lowering order.
+/// in lowering order and in the order the plan was compiled with, each
+/// run as compiled (later stages in place) and with every stage
+/// ping-ponging ([`ping_pong`]). Misses never rise at either level. L2
+/// misses fall at 2^16 and 2^18 with ping-pong, where the first stage's
+/// digit-reversed read spills the L1 in lowering order, and at 2^17 and
+/// 2^18 in place (at 2^16 the in-place plan has no L2 miss in either
+/// order).
 #[test]
 fn stride_loop_order_never_adds_cache_misses() {
     use spiral_codegen::plan::Plan;
@@ -172,16 +176,101 @@ fn stride_loop_order_never_adds_cache_misses() {
         if tuned.plan.vec_width > 1 {
             vectorize_plan(&mut lowering, tuned.plan.vec_width);
         }
-        let before = simulate_plan(&lowering, &spec, true).stats;
-        let after = simulate_plan(&tuned.plan, &spec, true).stats;
+        for (form, lowering, stride, falls) in [
+            ("in place", lowering.clone(), tuned.plan.clone(), k >= 17),
+            (
+                "ping-pong",
+                ping_pong(&lowering),
+                ping_pong(&tuned.plan),
+                k == 16 || k == 18,
+            ),
+        ] {
+            let before = simulate_plan(&lowering, &spec, true).stats;
+            let after = simulate_plan(&stride, &spec, true).stats;
+            assert!(
+                after.l1_misses <= before.l1_misses && after.l2_misses <= before.l2_misses,
+                "2^{k} {form}: lowering order {before:?}, stride order {after:?}"
+            );
+            if falls {
+                assert!(
+                    after.l2_misses < before.l2_misses,
+                    "2^{k} {form}: L2 misses {} in lowering order, {} in stride order",
+                    before.l2_misses,
+                    after.l2_misses
+                );
+            }
+        }
+    }
+}
+
+/// `plan` with every in-place kernel stage after the first given an
+/// identity gather map: the same addresses, but no longer in place, so
+/// its passes alternate between `Tmp` and `Dst`, as before in-place
+/// stages.
+fn ping_pong(plan: &spiral_codegen::plan::Plan) -> spiral_codegen::plan::Plan {
+    use spiral_codegen::plan::Step;
+    use spiral_codegen::stage::LocalStage;
+    use std::sync::Arc;
+
+    let mut twin = plan.clone();
+    for step in &mut twin.steps {
+        let Step::Seq(prog) = step else { continue };
+        let identity: Arc<Vec<u32>> = Arc::new((0..u32::try_from(prog.dim).unwrap()).collect());
+        for stage in prog.stages.iter_mut().skip(1) {
+            if let LocalStage::Kernel(k) = stage {
+                if k.in_place() {
+                    k.in_map = Some(Arc::clone(&identity));
+                }
+            }
+        }
+    }
+    twin
+}
+
+/// In-place stages, simulated: warm runs of the tuned sequential plans on
+/// the Core Duo model, as compiled (every later stage in place on the
+/// output) and with the ping-pong of every stage through the thread's
+/// scratch ([`ping_pong`]). Misses never rise at either level, and L2
+/// misses fall at 2^16 and 2^18, where the ping-pong's two buffers spill
+/// the L2: at 2^16 from 47,114 to 0 (L1 296,448 → 116,224), at 2^18 from
+/// 1,182,720 to 461,824 (L1 1,972,224 → 464,896).
+#[test]
+fn in_place_stages_never_add_cache_misses() {
+    use spiral_codegen::plan::{Plan, Step};
+    use spiral_search::{CostModel, Tuner};
+    use spiral_sim::simulate_plan;
+
+    let spec = core_duo();
+    let tuner = Tuner::new(1, spec.mu(), CostModel::Analytic);
+    for k in 10..=18 {
+        let plan = tuner.tune_sequential(1 << k).unwrap().plan;
+        let in_place = |p: &Plan| {
+            p.steps
+                .iter()
+                .filter_map(|s| {
+                    if let Step::Seq(prog) = s {
+                        Some(prog)
+                    } else {
+                        None
+                    }
+                })
+                .flat_map(|prog| prog.passes())
+                .filter(|&(_, input, output)| input == output)
+                .count()
+        };
+        let twin = ping_pong(&plan);
+        assert!(in_place(&plan) > 0, "2^{k}: no stage runs in place");
+        assert_eq!(in_place(&twin), 0, "2^{k}: the twin runs a stage in place");
+        let before = simulate_plan(&twin, &spec, true).stats;
+        let after = simulate_plan(&plan, &spec, true).stats;
         assert!(
             after.l1_misses <= before.l1_misses && after.l2_misses <= before.l2_misses,
-            "2^{k}: lowering order {before:?}, stride order {after:?}"
+            "2^{k}: ping-pong {before:?}, in place {after:?}"
         );
         if k == 16 || k == 18 {
             assert!(
                 after.l2_misses < before.l2_misses,
-                "2^{k}: L2 misses {} in lowering order, {} in stride order",
+                "2^{k}: L2 misses {} with ping-pong, {} in place",
                 before.l2_misses,
                 after.l2_misses
             );

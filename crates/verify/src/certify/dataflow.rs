@@ -9,13 +9,15 @@
 //! * **bounds** — every affine, mapped, or gathered index lands inside
 //!   its buffer, permutation table, or twiddle table;
 //! * **init-before-read** — no read of a stale (previous-generation or
-//!   never-written) element, through all four ping-pong cases of
-//!   [`LocalProgram::run_view`] including the chunk-local `tmp`/`dst`
-//!   alternation;
+//!   never-written) element, through the buffers each stage reads and
+//!   writes by [`LocalProgram::passes`], the rule the executors run;
 //! * **write-once per stage** — no stage writes an element twice (the
 //!   parallel executor's disjointness contract at value granularity);
-//! * **full coverage per stage** — every out-of-place stage writes its
-//!   whole target vector, so the next stage never reads garbage;
+//! * **in-place legality** — no iteration of a pass that reads the buffer
+//!   it writes reads an element an earlier iteration of that pass
+//!   already wrote;
+//! * **full coverage per stage** — every stage writes its whole target
+//!   vector, so the next stage never reads garbage;
 //! * **workspace disjointness** — chunk programs stay inside their
 //!   `dst` slice and their private `tmp`; cross-chunk overlap is
 //!   impossible once per-chunk bounds hold;
@@ -38,7 +40,7 @@
 
 use super::{CertFinding, CertPass};
 use spiral_codegen::plan::{Plan, Step};
-use spiral_codegen::stage::{KernelStage, LocalProgram, LocalStage};
+use spiral_codegen::stage::{Buf, KernelStage, LocalProgram, LocalStage};
 
 /// Certify the plan's dataflow. Empty result = certified; otherwise the
 /// first violation found, localized to step/stage/index.
@@ -276,17 +278,6 @@ pub(super) fn check_block_granularity(
     Ok(())
 }
 
-/// Which buffer a local-program stage reads or writes.
-#[derive(Clone, Copy, PartialEq)]
-enum LocalBuf {
-    /// The step's source view (global src buffer, possibly gathered).
-    View,
-    /// This chunk's private scratch.
-    Tmp,
-    /// This chunk's slice of the destination buffer.
-    Dst,
-}
-
 /// Interpret one local program: chunk offset `off` into the global
 /// buffers, stage-0 reads through `gather` when fused. Marks the chunk's
 /// final writes in `written`.
@@ -300,7 +291,6 @@ fn analyze_program(
 ) -> Result<(), CertFinding> {
     let dim = prog.dim;
     let n = src_valid.len();
-    let l = prog.stages.len();
     // Check a stage-0 read of logical chunk index `i` against the global
     // source buffer, through the fused gather when present.
     let view_read = |i: usize, stage: Option<usize>| -> Result<(), CertFinding> {
@@ -326,7 +316,7 @@ fn analyze_program(
         }
         Ok(())
     };
-    if l == 0 {
+    if prog.stages.is_empty() {
         // Identity program: copy view → dst.
         for i in 0..dim {
             view_read(i, None)?;
@@ -334,20 +324,13 @@ fn analyze_program(
         }
         return Ok(());
     }
-    for (k, stage) in prog.stages.iter().enumerate() {
-        let to_dst = (l - 1 - k).is_multiple_of(2);
-        let input = if k == 0 {
-            LocalBuf::View
-        } else if to_dst {
-            LocalBuf::Tmp
-        } else {
-            LocalBuf::Dst
-        };
+    for (k, (stage, input, output)) in prog.passes().enumerate() {
         // Stages k ≥ 1 read the buffer the previous stage fully wrote
-        // (coverage enforced below), so only View reads need the global
-        // validity check.
+        // (coverage enforced below), so only source reads need the global
+        // validity check. A pass that reads the buffer it writes must not
+        // read what an earlier iteration of the same pass already wrote.
         let mut counts = vec![0u32; dim];
-        let mut read = |idx: usize, stage_idx: usize| -> Result<(), CertFinding> {
+        let mut read = |idx: usize, counts: &[u32], stage_idx: usize| -> Result<(), CertFinding> {
             if idx >= dim {
                 return Err(fail(
                     Some(si),
@@ -356,8 +339,19 @@ fn analyze_program(
                     format!("read index {idx} outside the {dim}-point stage vector"),
                 ));
             }
-            if input == LocalBuf::View {
+            if input == Buf::Src {
                 view_read(idx, Some(stage_idx))?;
+            }
+            if input == output && counts[idx] > 0 {
+                return Err(fail(
+                    Some(si),
+                    Some(stage_idx),
+                    Some(idx),
+                    format!(
+                        "in-place stage reads element {idx} after an earlier iteration of \
+                         the same stage wrote it"
+                    ),
+                ));
             }
             Ok(())
         };
@@ -397,7 +391,7 @@ fn analyze_program(
                     ));
                 }
                 for (i, &s) in t.iter().enumerate() {
-                    read(s as usize, k)?;
+                    read(s as usize, &counts, k)?;
                     write(i, &mut counts, k)?;
                 }
             }
@@ -411,7 +405,7 @@ fn analyze_program(
                     ));
                 }
                 for i in 0..dim {
-                    read(i, k)?;
+                    read(i, &counts, k)?;
                     write(i, &mut counts, k)?;
                 }
             }
@@ -423,7 +417,7 @@ fn analyze_program(
                 Some(i),
                 format!(
                     "stage leaves element {i} of its {} target unwritten",
-                    if to_dst { "dst" } else { "tmp" }
+                    if output == Buf::Tmp { "tmp" } else { "dst" }
                 ),
             ));
         }
@@ -533,8 +527,9 @@ fn check_vector_marking(ks: &KernelStage, si: usize, k: usize) -> Result<(), Cer
     Ok(())
 }
 
-/// Read-side access check: `(element index, stage index)`.
-type ReadCheck<'a> = dyn FnMut(usize, usize) -> Result<(), CertFinding> + 'a;
+/// Read-side access check: `(element index, per-element write counts of
+/// the stage so far, stage index)`.
+type ReadCheck<'a> = dyn FnMut(usize, &[u32], usize) -> Result<(), CertFinding> + 'a;
 
 /// Write-side access check: `(element index, per-element write counts,
 /// stage index)`.
@@ -604,7 +599,7 @@ fn analyze_kernel(
                     },
                     None => aff,
                 };
-                read(idx, k)?;
+                read(idx, counts, k)?;
             }
             for t in 0..c {
                 let aff = out_base + t * ks.out_t_stride;

@@ -33,7 +33,7 @@
 use super::{CertFinding, CertPass};
 use spiral_codegen::codelet::dag::{Dag, Node};
 use spiral_codegen::plan::{Plan, Step};
-use spiral_codegen::stage::{KernelStage, LocalProgram, LocalStage};
+use spiral_codegen::stage::{Buf, KernelStage, LocalProgram, LocalStage};
 use spiral_spl::cplx::Cplx;
 use spiral_spl::exact::{lcm, Cyclo};
 
@@ -212,7 +212,11 @@ impl SymSrc<'_> {
     }
 }
 
-/// Mirror of `LocalProgram::run_view`: the same four-case ping-pong.
+/// Mirror of `LocalProgram::run_view`: the buffers of each stage by
+/// [`LocalProgram::passes`]. Every stage after the first reads a copy of
+/// its input buffer, so an in-place stage computes its out-of-place
+/// value; the dataflow pass proves that no iteration of it reads an
+/// element an earlier iteration wrote, which makes the two the same.
 fn run_program(
     prog: &LocalProgram,
     src: &SymSrc<'_>,
@@ -221,7 +225,6 @@ fn run_program(
     si: usize,
 ) -> Result<(), CertFinding> {
     let dim = prog.dim;
-    let l = prog.stages.len();
     if dst.len() != dim {
         return Err(fail(
             Some(si),
@@ -230,7 +233,7 @@ fn run_program(
             format!("program dimension {dim} != destination size {}", dst.len()),
         ));
     }
-    if l == 0 {
+    if prog.stages.is_empty() {
         for (i, d) in dst.iter_mut().enumerate() {
             *d = src.get(i).ok_or_else(|| {
                 fail(
@@ -244,19 +247,19 @@ fn run_program(
         return Ok(());
     }
     let mut tmp = vec![Cyclo::zero(order); dim];
-    for (k, stage) in prog.stages.iter().enumerate() {
-        let to_dst = (l - 1 - k).is_multiple_of(2);
-        match (k == 0, to_dst) {
-            (true, true) => apply_stage(stage, src, dst, order, si, k)?,
-            (true, false) => apply_stage(stage, src, &mut tmp, order, si, k)?,
-            (false, true) => {
-                let view = SymSrc::Local(&tmp, 0);
-                apply_stage(stage, &view, dst, order, si, k)?;
-            }
-            (false, false) => {
-                let view = SymSrc::Local(&*dst, 0);
-                apply_stage(stage, &view, &mut tmp, order, si, k)?;
-            }
+    for (k, (stage, input, output)) in prog.passes().enumerate() {
+        let (from, to): (Option<Vec<Cyclo>>, &mut [Cyclo]) = match (input, output) {
+            (Buf::Src, Buf::Dst) => (None, dst),
+            (Buf::Src, Buf::Tmp) => (None, &mut tmp),
+            (Buf::Tmp, Buf::Dst) => (Some(tmp.clone()), dst),
+            (Buf::Dst, Buf::Tmp) => (Some(dst.to_vec()), &mut tmp),
+            (Buf::Tmp, Buf::Tmp) => (Some(tmp.clone()), &mut tmp),
+            (Buf::Dst, Buf::Dst) => (Some(dst.to_vec()), dst),
+            (_, Buf::Src) => unreachable!("no pass writes the input"),
+        };
+        match &from {
+            None => apply_stage(stage, src, to, order, si, k)?,
+            Some(v) => apply_stage(stage, &SymSrc::Local(v, 0), to, order, si, k)?,
         }
     }
     Ok(())

@@ -2,7 +2,8 @@
 //!
 //! Reads the schedule the executors run: each thread's part of a step
 //! comes from [`Step::portion`] and each chunk program's buffers from
-//! [`LocalProgram::passes`], with the same step-level buffer ping-pong as
+//! [`LocalProgram::passes`] (which run in-place stages on the chunk's
+//! own output), with the same step-level buffer ping-pong as
 //! [`Plan::run_traced`]. Instead of enumerating the access stream it
 //! computes each thread's read and write *index sets* from the affine
 //! loop nests. Kernel stages stay symbolic (their loop dims fold into

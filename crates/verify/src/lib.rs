@@ -527,7 +527,7 @@ pub fn verify_plan(plan: &Plan, opts: &VerifyOptions) -> Report {
     let steps = plan_footprints(plan);
     let caps = RegionCaps {
         buf: plan.n,
-        tmp: plan.max_local_dim().max(1),
+        tmp: plan.tmp_dim().max(1),
     };
     let mut diagnostics = check_footprints(&steps, &caps, mu, opts);
     check_coverage(

@@ -223,6 +223,52 @@ fn non_bijective_exchange_rejected_by_dataflow() {
     );
 }
 
+/// An in-place stage whose iterations overlap: iteration 0 covers slots
+/// 0 and 1, iteration 1 slots 1 and 2. Each iteration reads the slots it
+/// writes, so `passes()` runs the stage in place on the output, and its
+/// second iteration would read slot 1 after the first iteration wrote
+/// it. The dataflow pass rejects that read, naming the step, the stage
+/// and the slot.
+#[test]
+fn overlapping_in_place_stage_rejected_by_dataflow() {
+    use spiral_codegen::stage::{Buf, LocalProgram, LoopDim};
+    use spiral_codegen::Codelet;
+    let f2_loop = |count, stride| {
+        let mut k = KernelStage::unit(Codelet::for_size(2));
+        k.loops.push(LoopDim {
+            count,
+            in_stride: stride,
+            out_stride: stride,
+            tw_stride: 1,
+        });
+        LocalStage::Kernel(k)
+    };
+    // I_2 ⊗ F_2, then F_2 at bases 0 and 1.
+    let prog = LocalProgram {
+        dim: 4,
+        stages: vec![f2_loop(2, 2), f2_loop(2, 1)],
+    };
+    let passes: Vec<(Buf, Buf)> = prog.passes().map(|(_, i, o)| (i, o)).collect();
+    assert_eq!(passes, [(Buf::Src, Buf::Dst), (Buf::Dst, Buf::Dst)]);
+    let plan = Plan {
+        n: 4,
+        threads: 1,
+        mu: 1,
+        vec_width: 1,
+        steps: vec![Step::Seq(prog)],
+    };
+    let rep = certify_plan(&plan, &CertOptions::default());
+    assert!(!rep.dataflow_certified);
+    let f = &rep.findings[0];
+    assert_eq!(f.pass, CertPass::Dataflow);
+    assert_eq!(
+        (f.step, f.stage, f.index),
+        (Some(0), Some(1), Some(1)),
+        "{f}"
+    );
+    assert!(f.detail.contains("in-place"), "{f}");
+}
+
 /// Run `f` on the first vector-marked kernel stage (ν > 1) that carries
 /// a lane-grouped twiddle table; returns whether one was found.
 fn with_vec_stage(plan: &mut Plan, mut f: impl FnMut(&mut KernelStage)) -> bool {

@@ -5,10 +5,13 @@
 //! these verify *shapes and relations*, not absolute numbers.
 
 use spiral_bench::series::{crossover, fig3_series, tune_spiral};
+use spiral_fft::codegen::plan::{Plan, Step};
+use spiral_fft::codegen::stage::LocalStage;
 use spiral_fft::rewrite::{check_fully_optimized, formula_14, load_balance_ratio, multicore_dft};
 use spiral_fft::sim::{core_duo, opteron, paper_machines, pentium_d, simulate_plan, xeon_mp};
 use spiral_fft::spl::builder::dft;
 use spiral_fft::spl::matrix::assert_formula_eq;
+use std::sync::Arc;
 
 #[test]
 fn claim_s32_formula_14_is_derived_and_exact() {
@@ -152,15 +155,50 @@ fn claim_s4_four_way_speedup_on_opteron() {
     // sequential for mid sizes.
     let machine = opteron();
     let series = fig3_series(&machine, 10, 13);
-    // Speedup grows with size as barrier cost amortizes.
-    for (k, factor) in [(10u32, 1.1), (12, 1.8), (13, 2.0)] {
+    // Speedup grows with size as barrier cost amortizes. At 2^12 the
+    // sequential plan runs its later stages in place on one 64 KiB buffer
+    // instead of ping-ponging through two, and the 4-thread plan, whose
+    // per-thread data fit the L1 either way, gains less; so the speedup
+    // there is 1.36x. Against the same sequential plan run with
+    // ping-pong it is 2.0x.
+    let mut last = 0.0;
+    for (k, factor) in [(10u32, 1.1), (11, 1.1), (12, 1.3), (13, 2.0)] {
         let par = series[0].value_at(k).unwrap();
         let seq = series[2].value_at(k).unwrap();
         assert!(
             par > factor * seq,
             "2^{k}: par {par} vs seq {seq} (want {factor}x)"
         );
+        assert!(par / seq > last, "2^{k}: speedup {} fell", par / seq);
+        last = par / seq;
     }
+    let seq = tune_spiral(1 << 12, &machine).sequential;
+    let ping_pong = simulate_plan(&without_in_place(&seq), &machine, true).pseudo_mflops;
+    let par = series[0].value_at(12).unwrap();
+    assert!(
+        par > 1.8 * ping_pong,
+        "2^12: par {par} vs ping-pong seq {ping_pong} (want 1.8x)"
+    );
+}
+
+/// `plan` with every in-place kernel stage after the first given an
+/// identity gather map: the same addresses, but no longer in place, so
+/// its passes ping-pong between the thread's scratch and the output, as
+/// before in-place stages.
+fn without_in_place(plan: &Plan) -> Plan {
+    let mut twin = plan.clone();
+    for step in &mut twin.steps {
+        let Step::Seq(prog) = step else { continue };
+        let identity: Arc<Vec<u32>> = Arc::new((0..u32::try_from(prog.dim).unwrap()).collect());
+        for stage in prog.stages.iter_mut().skip(1) {
+            if let LocalStage::Kernel(k) = stage {
+                if k.in_place() {
+                    k.in_map = Some(Arc::clone(&identity));
+                }
+            }
+        }
+    }
+    twin
 }
 
 /// §3.1/§3.2 measured on the host, not simulated: the generated
