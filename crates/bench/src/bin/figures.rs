@@ -576,7 +576,7 @@ fn run_abl_merge(m: &MachineSpec, opts: &Flags) {
 /// instrumentation and print the waterfall table of where the run's
 /// time went.
 fn run_trace(opts: &Flags, out_dir: Option<&str>) {
-    use spiral_codegen::ParallelExecutor;
+    use spiral_codegen::Executor;
     use spiral_search::{CostModel, Tuner};
     use spiral_spl::cplx::Cplx;
 
@@ -595,14 +595,16 @@ fn run_trace(opts: &Flags, out_dir: Option<&str>) {
     let x: Vec<Cplx> = (0..n)
         .map(|i| Cplx::new(i as f64, -0.5 * i as f64))
         .collect();
-    let exec = ParallelExecutor::with_auto_barrier(threads);
+    let exec = Executor::new(threads);
     let plan = &tuned.plan;
     let labels = plan.stage_labels();
+    let mut out = vec![Cplx::ZERO; n];
     let mut merged: Option<spiral_trace::RunProfile> = None;
     for _ in 0..reps {
-        let (_, p) =
-            spiral_trace::profile_run(n, threads, &labels, |c| exec.try_execute_with(plan, &x, c))
-                .expect("healthy plan must execute");
+        let (_, p) = spiral_trace::profile_run(n, threads, &labels, |c| {
+            exec.try_run(plan, &[&x], &mut [&mut out], c)
+        })
+        .expect("healthy plan must execute");
         merged = Some(match merged.take() {
             Some(m) => m.try_merge(&p).expect("same plan, same shape"),
             None => p,
@@ -682,7 +684,7 @@ fn print_waterfall(p: &spiral_trace::RunProfile, choice: &str) {
 /// `RunProfile` and the static timeline checker, and export Chrome
 /// trace-event JSON loadable in Perfetto / `chrome://tracing`.
 fn run_timeline(opts: &Flags, out_dir: Option<&str>) {
-    use spiral_codegen::ParallelExecutor;
+    use spiral_codegen::Executor;
     use spiral_search::{CostModel, Tuner};
     use spiral_spl::cplx::Cplx;
     use spiral_trace::{Timeline, TimelineEventKind};
@@ -707,11 +709,12 @@ fn run_timeline(opts: &Flags, out_dir: Option<&str>) {
     let x: Vec<Cplx> = (0..n)
         .map(|i| Cplx::new(i as f64, -0.5 * i as f64))
         .collect();
-    let exec = ParallelExecutor::with_auto_barrier(threads);
+    let exec = Executor::new(threads);
     let plan = &tuned.plan;
     let labels = plan.stage_labels();
+    let mut out = vec![Cplx::ZERO; n];
     let (_, profile) = spiral_trace::profile_run(n, threads, &labels, |c| {
-        exec.try_execute_with(plan, &x, &(c, &timeline))
+        exec.try_run(plan, &[&x], &mut [&mut out], &(c, &timeline))
     })
     .expect("healthy plan must execute");
 

@@ -13,15 +13,14 @@
 //! * [`plan`] — the executable [`plan::Plan`]: steps separated by
 //!   barriers, with the tagged parallel operators mapped to statically
 //!   scheduled parallel steps;
-//! * [`parallel`] — multithreaded execution on the `spiral-smp` pool;
-//! * [`batch`] — batch-dimension parallel execution of many independent
-//!   small transforms per pool dispatch (the serving layer's executor);
+//! * [`executor`] — the one executor: single transforms, batches and
+//!   `p`-thread plans on the `spiral-smp` pool, through one step loop;
 //! * [`hook`] — instrumentation interface replaying exact per-thread
 //!   memory-access streams into the machine simulator;
 //! * [`cemit`] — C source emission (OpenMP and pthreads flavors).
 //!
 //! Debug builds additionally run a statically installed plan validator
-//! ([`plan::install_validator`]) before parallel execution — the hook
+//! ([`plan::install_validator`]) before every executor run — the hook
 //! through which `spiral-verify`'s race audit and dataflow certification
 //! guard the executor's `unsafe` shared-buffer access.
 //!
@@ -41,13 +40,12 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cemit;
 pub mod codelet;
+pub mod executor;
 pub mod fuse;
 pub mod hook;
 pub mod lower;
-pub mod parallel;
 pub mod plan;
 pub mod simd;
 pub mod stage;
@@ -61,12 +59,13 @@ pub(crate) fn u32_idx(v: usize) -> u32 {
     u32::try_from(v).expect("index exceeds u32 table range")
 }
 
-pub use batch::BatchExecutor;
 pub use cemit::{emit_c, CFlavor};
 pub use codelet::Codelet;
 pub use hook::{MemHook, NullHook, Region};
+// `BatchExecutor` and `ParallelExecutor` are the executor's compatibility
+// names (see the end of `executor.rs`).
+pub use executor::{BatchExecutor, Executor, ParallelExecutor};
 pub use lower::{lower_seq, LowerError};
-pub use parallel::ParallelExecutor;
 pub use plan::{
     install_validator, ElementOp, Plan, PlanShape, PlanValidator, PlanWorkspace, Portion, Step,
 };

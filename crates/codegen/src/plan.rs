@@ -15,8 +15,9 @@
 use crate::fuse::fuse;
 use crate::hook::{MemHook, Region};
 use crate::lower::{lower_seq, LowerError};
-use crate::parallel::run_portion;
-use crate::stage::{pass_buffers, ping_pong, Buf, KernelStage, LocalProgram, LocalStage};
+use crate::stage::{Buf, KernelStage, LocalProgram, LocalStage};
+use spiral_smp::align::AlignedVec;
+use spiral_smp::SpiralError;
 use spiral_spl::ast::Spl;
 use spiral_spl::cplx::Cplx;
 use spiral_spl::perm::Perm;
@@ -202,7 +203,7 @@ impl Step {
 
     /// Thread `tid`'s part of this step when a size-`n` plan with line
     /// length `plan_mu` runs on `threads` threads: the one definition of
-    /// the static schedule, read by both executors, the tracer
+    /// the static schedule, read by the executor, the tracer
     /// ([`Plan::run_traced`]), `spiral-verify`'s footprints and the C
     /// emitter. A `Seq` step is one chunk of size `n`, so thread 0 runs
     /// it. A `Par` step's chunk `c` runs on thread `c mod threads`. An
@@ -486,42 +487,15 @@ impl Plan {
 
     /// Reference sequential execution into a caller-owned output slice,
     /// reusing `ws` across calls. This is the allocation-free core of
-    /// [`execute`](Self::execute) and the per-thread inner loop of the
-    /// batch executor: re-running the same plan over many inputs touches
-    /// only `x`, `out` and one workspace buffer, so repeated transforms
-    /// pay no per-call allocation and no copy in or out. Identical
-    /// arithmetic to `execute` (both run this code), so outputs are
-    /// bitwise equal.
+    /// [`execute`](Self::execute) and the one-thread case of the
+    /// executor's step loop ([`crate::Executor::try_run`] runs every row
+    /// of a 1-thread plan through it): re-running the same plan over many
+    /// inputs touches only `x`, `out` and one workspace buffer, so
+    /// repeated transforms pay no per-call allocation and no copy in or
+    /// out. Step 0 reads `x`, and the steps alternate between the
+    /// workspace and `out` so that the last one writes `out`.
     pub fn execute_into(&self, x: &[Cplx], out: &mut [Cplx], ws: &mut PlanWorkspace) {
-        assert_eq!(x.len(), self.n, "input length mismatch");
-        assert_eq!(out.len(), self.n, "output length mismatch");
-        let l = self.steps.len();
-        if l == 0 {
-            out.copy_from_slice(x);
-            return;
-        }
-        ws.prepare(self);
-        // Exact-length view: the workspace may be sized for a larger
-        // plan, but programs assert on their buffer dimensions. A
-        // one-step plan never touches `a`.
-        let a = &mut ws.a[..if l > 1 { self.n } else { 0 }];
-        let tmp = &mut ws.tmp;
-        // Step 0 reads `x` in place; targets alternate between `out` and
-        // `a` so that step L-1 writes `out`.
-        for (step, pass) in self
-            .steps
-            .iter()
-            .zip(ping_pong(std::iter::repeat_n(false, l)))
-        {
-            let (Some(src), dst) = pass_buffers(pass, x, &mut *a, &mut *out) else {
-                unreachable!("steps never run in place")
-            };
-            // SAFETY: the whole step is thread 0's portion of a 1-thread
-            // schedule, and `dst` is an exclusive `n`-element buffer that
-            // does not overlap `src`.
-            let portion = step.portion(self.n, self.mu, 0, 1);
-            unsafe { run_portion(&portion, src, dst.as_mut_ptr(), tmp) };
-        }
+        crate::executor::run_into(self, x, out, ws, &());
     }
 
     /// Replay the parallel execution schedule into a [`MemHook`]: which
@@ -565,16 +539,25 @@ impl Plan {
     }
 }
 
-/// Reusable buffers for repeated sequential executions
-/// ([`Plan::execute_into`]): the step buffer that alternates with the
-/// output in plans of two or more steps, and the scratch of programs
-/// whose passes use `Tmp` ([`Plan::tmp_dim`]). Sized lazily to the
-/// largest need seen, so one workspace serves any mix of plans; a plan
-/// that needs neither leaves it empty.
-#[derive(Default)]
+/// Reusable buffers of one thread's plan runs: the step buffer that
+/// alternates with the output in plans of two or more steps, cache-line
+/// aligned because the threads of a `p`-thread run write it in
+/// line-sized portions, and the scratch of programs whose passes use
+/// `Tmp` ([`Plan::tmp_dim`]). Sized lazily to the largest need seen, so
+/// one workspace serves any mix of plans; a plan that needs neither
+/// leaves it empty.
 pub struct PlanWorkspace {
-    a: Vec<Cplx>,
-    tmp: Vec<Cplx>,
+    pub(crate) a: AlignedVec<Cplx>,
+    pub(crate) tmp: Vec<Cplx>,
+}
+
+impl Default for PlanWorkspace {
+    fn default() -> PlanWorkspace {
+        PlanWorkspace {
+            a: AlignedVec::new(0),
+            tmp: Vec::new(),
+        }
+    }
 }
 
 impl PlanWorkspace {
@@ -588,14 +571,20 @@ impl PlanWorkspace {
         WS.with_borrow_mut(f)
     }
 
-    /// Grow the buffers to fit `plan` (never shrinks).
-    fn prepare(&mut self, plan: &Plan) {
+    /// Grow the step buffer to fit `plan` (never shrinks); `Err(Alloc)`
+    /// when the allocation fails.
+    pub(crate) fn fit_a(&mut self, plan: &Plan) -> Result<(), SpiralError> {
         if plan.steps.len() > 1 && self.a.len() < plan.n {
-            self.a.resize(plan.n, Cplx::ZERO);
+            self.a = AlignedVec::try_with_alignment(plan.n, spiral_smp::CACHE_LINE_BYTES)?;
         }
-        let tmp = plan.tmp_dim();
-        if self.tmp.len() < tmp {
-            self.tmp.resize(tmp, Cplx::ZERO);
+        Ok(())
+    }
+
+    /// Grow the scratch to `len` elements, a plan's
+    /// [`tmp_dim`](Plan::tmp_dim) (never shrinks).
+    pub(crate) fn fit_tmp(&mut self, len: usize) {
+        if self.tmp.len() < len {
+            self.tmp.resize(len, Cplx::ZERO);
         }
     }
 
@@ -612,15 +601,15 @@ pub type PlanValidator = fn(&Plan) -> Result<(), String>;
 
 static VALIDATOR: OnceLock<PlanValidator> = OnceLock::new();
 
-/// Install the process-wide plan validator. The parallel executor's
-/// `unsafe` shared-buffer access is sound only for plans whose steps
-/// write thread-disjoint, in-bounds index sets. That property is checked
+/// Install the process-wide plan validator. The executor's `unsafe`
+/// shared-buffer access is sound only for plans whose steps write
+/// thread-disjoint, in-bounds index sets. That property is checked
 /// statically by the `spiral-verify` crate, which sits *above* this one
 /// in the dependency graph — so the check is wired in through this
 /// registry instead of a direct call: a downstream crate installs a
 /// validator once (e.g. `spiral_verify::install_executor_guard()`), and
-/// debug builds of [`crate::ParallelExecutor`] then run it on every plan
-/// before touching the shared buffers. The first installation wins;
+/// debug builds of [`crate::Executor::try_run`] then run it on every
+/// plan, on every path, before touching any buffer. The first installation wins;
 /// later calls are ignored (the registry is write-once).
 pub fn install_validator(v: PlanValidator) {
     let _ = VALIDATOR.set(v);
@@ -976,8 +965,10 @@ mod tests {
         let x = ramp(6);
         let want = f.eval(&x);
         assert_slices_close(&fused.execute(&x), &want, 1e-12);
-        let exec = crate::ParallelExecutor::new(2, spiral_smp::barrier::BarrierKind::Park);
-        assert_slices_close(&exec.try_execute(&fused, &x).unwrap(), &want, 1e-12);
+        let mut got = vec![Cplx::ZERO; 6];
+        let exec = crate::Executor::new(2);
+        exec.try_run(&fused, &[&x], &mut [&mut got], &()).unwrap();
+        assert_slices_close(&got, &want, 1e-12);
     }
 
     #[test]
@@ -1092,7 +1083,7 @@ mod tests {
     #[test]
     fn last_thread_runs_the_scale_tail() {
         // diag(6 entries) ∘ (I_2 ⊗∥ DFT_3) with µ = 4: thread 1 scales
-        // the sub-line tail 4..6, and both executors compute the formula.
+        // the sub-line tail 4..6, and both paths compute the formula.
         let w: Vec<Cplx> = (0..6).map(|k| Cplx::new(1.0 + k as f64, -0.5)).collect();
         let f = spiral_spl::builder::compose(vec![
             spiral_spl::builder::diag(w),
@@ -1105,8 +1096,10 @@ mod tests {
         let x = ramp(6);
         let want = f.eval(&x);
         assert_slices_close(&plan.execute(&x), &want, 1e-12);
-        let exec = crate::ParallelExecutor::new(2, spiral_smp::barrier::BarrierKind::Park);
-        assert_slices_close(&exec.try_execute(&plan, &x).unwrap(), &want, 1e-12);
+        let mut got = vec![Cplx::ZERO; 6];
+        let exec = crate::Executor::new(2);
+        exec.try_run(&plan, &[&x], &mut [&mut got], &()).unwrap();
+        assert_slices_close(&got, &want, 1e-12);
     }
 
     #[test]

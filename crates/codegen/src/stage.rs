@@ -629,19 +629,21 @@ where
     })
 }
 
-/// Borrow one pass's buffers out of the three: `(Some(input), output)`,
-/// or `(None, output)` for a pass that runs in place on `output`.
-pub(crate) fn pass_buffers<'b, S: From<&'b [Cplx]>>(
+/// Pick one pass's buffers out of the three: `(Some(input), output)`,
+/// or `(None, output)` for a pass that runs in place on `output`. `read`
+/// turns a writable buffer into an input.
+pub(crate) fn pass_buffers<S, D>(
     (input, output): (Buf, Buf),
     src: S,
-    tmp: &'b mut [Cplx],
-    dst: &'b mut [Cplx],
-) -> (Option<S>, &'b mut [Cplx]) {
+    tmp: D,
+    dst: D,
+    read: impl FnOnce(D) -> S,
+) -> (Option<S>, D) {
     match (input, output) {
         (Buf::Src, Buf::Dst) => (Some(src), dst),
         (Buf::Src, Buf::Tmp) => (Some(src), tmp),
-        (Buf::Tmp, Buf::Dst) => (Some(S::from(tmp)), dst),
-        (Buf::Dst, Buf::Tmp) => (Some(S::from(dst)), tmp),
+        (Buf::Tmp, Buf::Dst) => (Some(read(tmp)), dst),
+        (Buf::Dst, Buf::Tmp) => (Some(read(dst)), tmp),
         (Buf::Tmp, Buf::Tmp) => (None, tmp),
         (Buf::Dst, Buf::Dst) => (None, dst),
         (_, Buf::Src) => unreachable!("no pass writes the input"),
@@ -719,7 +721,9 @@ impl LocalProgram {
             } else {
                 &mut tmp[..0]
             };
-            match pass_buffers((input, output), src, scratch, dst) {
+            match pass_buffers((input, output), src, scratch, &mut *dst, |b| {
+                SrcView::Local(b)
+            }) {
                 (Some(from), to) => stage.apply_view(from, to),
                 (None, buf) => stage.apply_in_place(buf),
             }

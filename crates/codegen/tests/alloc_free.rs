@@ -1,16 +1,20 @@
-//! `Plan::execute_into` is documented as allocation-free once its
-//! workspace is warm, and `Plan::execute` and
-//! `ParallelExecutor::try_execute` as allocating only their output. A
-//! counting global allocator checks these claims: the count is kept per
-//! thread, so the test harness's own threads cannot pollute it.
+//! `Plan::execute_into` and `Executor::try_run` are documented as
+//! allocation-free once warm, on every thread, and `Plan::execute` and
+//! the executor's compatibility `execute` as allocating only their
+//! output. A counting global allocator checks these claims: the count is
+//! kept per thread, so the test harness's own threads cannot pollute it,
+//! and the executor's pool workers report theirs from inside the run.
 
 use spiral_codegen::stage::LocalStage;
-use spiral_codegen::{ParallelExecutor, Plan, PlanWorkspace, Step};
+use spiral_codegen::{Executor, Plan, PlanWorkspace, Step};
 use spiral_rewrite::{multicore_dft_expanded, sequential_dft};
+use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use spiral_spl::builder::vec_tag;
 use spiral_spl::cplx::Cplx;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 struct Counting;
 
@@ -145,8 +149,8 @@ fn warm_execute_allocates_only_its_output() {
 }
 
 #[test]
-fn warm_parallel_execute_allocates_only_its_output() {
-    let exec = ParallelExecutor::with_auto_barrier(2);
+fn warm_compat_execute_allocates_only_its_output() {
+    let exec = Executor::new(2);
     for k in [8u32, 12] {
         let n = 1usize << k;
         let f = multicore_dft_expanded(n, 2, 4, None, 8).unwrap();
@@ -156,12 +160,76 @@ fn warm_parallel_execute_allocates_only_its_output() {
             .fuse_exchanges();
         let x: Vec<Cplx> = (0..n).map(|k| Cplx::new(k as f64, 1.0)).collect();
         for plan in [&scalar, &tagged] {
-            // Cold call: sizes the executor's workspace.
-            let cold = exec.try_execute(plan, &x).unwrap();
+            // Cold call: sizes the workspaces.
+            let cold = exec.execute(plan, &x);
             let before = allocs();
-            let warm = exec.try_execute(plan, &x).unwrap();
+            let warm = exec.execute(plan, &x);
             assert_eq!(allocs() - before, 1, "warm parallel execute at n=2^{k}");
             assert_eq!(cold, warm);
         }
+    }
+}
+
+/// Each pool thread's allocation count at the end of its last pool job,
+/// read by the thread itself.
+#[derive(Default)]
+struct JobAllocs([AtomicUsize; 2]);
+
+impl Observer for JobAllocs {
+    fn span(&self, tid: usize, kind: SpanKind, _: u32, _: Instant, _: Instant) {
+        if kind == SpanKind::PoolJob {
+            self.0[tid].store(allocs(), Ordering::Relaxed);
+        }
+    }
+    fn mark(&self, _: usize, _: MarkKind, _: u32, _: Instant) {}
+}
+
+/// Allocations on each of the executor's two threads over two warm
+/// `try_run` calls (one with `&()`, one observed) into caller-owned
+/// rows: the caller's counted around the calls, the worker's between
+/// the ends of its pool jobs.
+fn warm_run_allocs(exec: &Executor, plan: &Plan, rows: usize) -> [usize; 2] {
+    let inputs: Vec<Vec<Cplx>> = (0..rows)
+        .map(|r| (0..plan.n).map(|k| Cplx::new(k as f64, r as f64)).collect())
+        .collect();
+    let mut outputs = vec![vec![Cplx::ZERO; plan.n]; rows];
+    let jobs = JobAllocs::default();
+    // Cold call: sizes every thread's workspace.
+    exec.try_run(plan, &inputs, &mut outputs, &jobs).unwrap();
+    let worker = jobs.0[1].load(Ordering::Relaxed);
+    let caller = allocs();
+    exec.try_run(plan, &inputs, &mut outputs, &()).unwrap();
+    exec.try_run(plan, &inputs, &mut outputs, &jobs).unwrap();
+    [
+        allocs() - caller,
+        jobs.0[1].load(Ordering::Relaxed) - worker,
+    ]
+}
+
+#[test]
+fn warm_try_run_does_not_allocate_on_any_thread() {
+    let exec = Executor::new(2);
+    // One thread: a sequential plan over one row, on the caller.
+    for k in [6u32, 10, 14] {
+        let plan = Plan::from_formula(&sequential_dft(1 << k, 8), 1, 4).unwrap();
+        assert_eq!(warm_run_allocs(&exec, &plan, 1)[0], 0, "one row at n=2^{k}");
+    }
+    // A 2-thread plan, scalar and vec(4), on both threads.
+    for k in 8u32..=14 {
+        let f = multicore_dft_expanded(1 << k, 2, 4, None, 8).unwrap();
+        let scalar = Plan::from_formula(&f, 2, 4).unwrap().fuse_exchanges();
+        let tagged = Plan::from_formula(&vec_tag(4, f), 2, 4)
+            .unwrap()
+            .fuse_exchanges();
+        for plan in [&scalar, &tagged] {
+            let counts = warm_run_allocs(&exec, plan, 1);
+            assert_eq!(counts, [0, 0], "2-thread plan at n=2^{k}");
+        }
+    }
+    // A 32-row batch of a sequential plan, split over both threads.
+    for k in 6u32..=10 {
+        let plan = Plan::from_formula(&sequential_dft(1 << k, 8), 1, 4).unwrap();
+        let counts = warm_run_allocs(&exec, &plan, 32);
+        assert_eq!(counts, [0, 0], "32-row batch at n=2^{k}");
     }
 }

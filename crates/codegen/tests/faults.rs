@@ -1,8 +1,9 @@
-//! Fault-injection tests for the parallel executor (feature `faults`).
+//! Fault-injection tests for the executor's `p`-thread path (feature
+//! `faults`).
 //!
 //! Exercises the acceptance criteria of the fault-tolerant execution
 //! layer: an injected worker panic at *any* (stage, thread) point
-//! surfaces as `Err` from `try_execute` within the watchdog deadline
+//! surfaces as `Err` from `try_run` within the watchdog deadline
 //! with no deadlock or poison cascade, the same executor then runs a
 //! healthy plan correctly, and injected NaN corruption never escapes as
 //! an `Ok` result.
@@ -10,8 +11,9 @@
 #![cfg(feature = "faults")]
 
 use proptest::prelude::*;
+use spiral_codegen::executor::DEFAULT_WATCHDOG;
 use spiral_codegen::plan::Plan;
-use spiral_codegen::{ParallelExecutor, SpiralError};
+use spiral_codegen::{Executor, SpiralError};
 use spiral_rewrite::multicore_dft_expanded;
 use spiral_smp::barrier::BarrierKind;
 use spiral_smp::faults::{install, Fault, FaultPlan, FaultSpec};
@@ -23,6 +25,13 @@ fn ramp(n: usize) -> Vec<Cplx> {
     (0..n)
         .map(|j| Cplx::new(j as f64 * 0.25, 1.0 - j as f64 * 0.125))
         .collect()
+}
+
+/// One transform through `Executor::try_run`.
+fn run(exec: &Executor, plan: &Plan, x: &[Cplx]) -> Result<Vec<Cplx>, SpiralError> {
+    let mut out = vec![Cplx::ZERO; x.len()];
+    exec.try_run(plan, &[x], &mut [&mut out[..]], &())?;
+    Ok(out)
 }
 
 fn build_plan(n: usize, p: usize, mu: usize) -> Plan {
@@ -50,7 +59,7 @@ fn injected_panic_at_any_site_surfaces_within_deadline() {
     let ceiling = Duration::from_secs(5);
     for (n, p, mu) in [(64usize, 2usize, 4usize), (256, 4, 4)] {
         let plan = build_plan(n, p, mu);
-        let exec = ParallelExecutor::with_watchdog(p, BarrierKind::Park, watchdog);
+        let exec = Executor::with_barrier(p, BarrierKind::Park, watchdog);
         let x = ramp(n);
         let want = dft(n).eval(&x);
         for stage in 0..plan.steps.len() {
@@ -60,7 +69,7 @@ fn injected_panic_at_any_site_surfaces_within_deadline() {
                     specs: vec![FaultSpec::always(stage, thread, Fault::Panic)],
                 });
                 let t0 = Instant::now();
-                let err = exec.try_execute(&plan, &x).unwrap_err();
+                let err = run(&exec, &plan, &x).unwrap_err();
                 let waited = t0.elapsed();
                 assert!(
                     matches!(err, SpiralError::WorkerPanic { .. }),
@@ -78,7 +87,7 @@ fn injected_panic_at_any_site_surfaces_within_deadline() {
                 drop(guard);
                 let _quiet = install(FaultPlan::default());
                 assert!(exec.healthy(), "pool unhealthy after isolated panic");
-                let got = exec.execute(&plan, &x);
+                let got = run(&exec, &plan, &x).unwrap();
                 assert_slices_close(&got, &want, 1e-6 * n as f64);
             }
         }
@@ -92,7 +101,7 @@ fn injected_panic_at_any_site_surfaces_within_deadline() {
 fn spin_barrier_recovers_from_injected_panic() {
     let (n, p, mu) = (64usize, 2usize, 4usize);
     let plan = build_plan(n, p, mu);
-    let exec = ParallelExecutor::with_watchdog(p, BarrierKind::Spin, Duration::from_millis(150));
+    let exec = Executor::with_barrier(p, BarrierKind::Spin, Duration::from_millis(150));
     let x = ramp(n);
     let want = dft(n).eval(&x);
     for stage in [0, plan.steps.len() - 1] {
@@ -100,11 +109,11 @@ fn spin_barrier_recovers_from_injected_panic() {
             seed: 3,
             specs: vec![FaultSpec::always(stage, 1, Fault::Panic)],
         });
-        let err = exec.try_execute(&plan, &x).unwrap_err();
+        let err = run(&exec, &plan, &x).unwrap_err();
         assert!(matches!(err, SpiralError::WorkerPanic { .. }), "got {err}");
         drop(guard);
         let _quiet = install(FaultPlan::default());
-        assert_slices_close(&exec.execute(&plan, &x), &want, 1e-6);
+        assert_slices_close(&run(&exec, &plan, &x).unwrap(), &want, 1e-6);
     }
 }
 
@@ -114,7 +123,7 @@ fn spin_barrier_recovers_from_injected_panic() {
 fn delay_within_watchdog_is_tolerated() {
     let (n, p, mu) = (64usize, 2usize, 4usize);
     let plan = build_plan(n, p, mu);
-    let exec = ParallelExecutor::with_watchdog(p, BarrierKind::Park, Duration::from_secs(5));
+    let exec = Executor::with_barrier(p, BarrierKind::Park, Duration::from_secs(5));
     let _g = install(FaultPlan {
         seed: 5,
         specs: vec![FaultSpec::always(
@@ -124,7 +133,7 @@ fn delay_within_watchdog_is_tolerated() {
         )],
     });
     let x = ramp(n);
-    assert_slices_close(&exec.execute(&plan, &x), &dft(n).eval(&x), 1e-6);
+    assert_slices_close(&run(&exec, &plan, &x).unwrap(), &dft(n).eval(&x), 1e-6);
 }
 
 /// A delay *longer* than the watchdog trips it: the run fails in
@@ -134,7 +143,7 @@ fn delay_within_watchdog_is_tolerated() {
 fn delay_past_watchdog_trips_it() {
     let (n, p, mu) = (64usize, 2usize, 4usize);
     let plan = build_plan(n, p, mu);
-    let exec = ParallelExecutor::with_watchdog(p, BarrierKind::Park, Duration::from_millis(100));
+    let exec = Executor::with_barrier(p, BarrierKind::Park, Duration::from_millis(100));
     let guard = install(FaultPlan {
         seed: 7,
         specs: vec![FaultSpec::always(
@@ -145,12 +154,12 @@ fn delay_past_watchdog_trips_it() {
     });
     let x = ramp(n);
     let t0 = Instant::now();
-    let err = exec.try_execute(&plan, &x).unwrap_err();
+    let err = run(&exec, &plan, &x).unwrap_err();
     assert!(err.is_runtime_fault(), "got {err}");
     assert!(t0.elapsed() < Duration::from_secs(5));
     drop(guard);
     let _quiet = install(FaultPlan::default());
-    assert_slices_close(&exec.execute(&plan, &x), &dft(n).eval(&x), 1e-6);
+    assert_slices_close(&run(&exec, &plan, &x).unwrap(), &dft(n).eval(&x), 1e-6);
 }
 
 /// NaN corruption at the final stage lands in the output buffer and
@@ -159,7 +168,7 @@ fn delay_past_watchdog_trips_it() {
 fn corrupted_output_is_caught_as_non_finite() {
     let (n, p, mu) = (64usize, 2usize, 4usize);
     let plan = build_plan(n, p, mu);
-    let exec = ParallelExecutor::new(p, BarrierKind::Park);
+    let exec = Executor::with_barrier(p, BarrierKind::Park, DEFAULT_WATCHDOG);
     let _g = install(FaultPlan {
         seed: 9,
         specs: vec![FaultSpec::always(
@@ -168,7 +177,7 @@ fn corrupted_output_is_caught_as_non_finite() {
             Fault::CorruptNan,
         )],
     });
-    let err = exec.try_execute(&plan, &ramp(n)).unwrap_err();
+    let err = run(&exec, &plan, &ramp(n)).unwrap_err();
     assert!(
         matches!(err, SpiralError::NonFinite { .. }),
         "expected NonFinite, got {err}"
@@ -182,14 +191,14 @@ fn corrupted_output_is_caught_as_non_finite() {
 #[test]
 fn injected_nan_on_par_and_scale_steps_is_caught() {
     let plan = scale_tail_plan();
-    let exec = ParallelExecutor::new(2, BarrierKind::Park);
+    let exec = Executor::with_barrier(2, BarrierKind::Park, DEFAULT_WATCHDOG);
     for stage in 0..plan.steps.len() {
         for thread in 0..2 {
             let _g = install(FaultPlan {
                 seed: 11,
                 specs: vec![FaultSpec::always(stage, thread, Fault::CorruptNan)],
             });
-            let err = exec.try_execute(&plan, &ramp(6)).unwrap_err();
+            let err = run(&exec, &plan, &ramp(6)).unwrap_err();
             assert!(
                 matches!(err, SpiralError::NonFinite { .. }),
                 "stage {stage}, thread {thread}: got {err}"
@@ -214,13 +223,13 @@ proptest! {
         let (n, p, mu) = (64usize, 2usize, 4usize);
         let plan = build_plan(n, p, mu);
         let stage = stage_pick % plan.steps.len();
-        let exec = ParallelExecutor::new(p, BarrierKind::Park);
+        let exec = Executor::with_barrier(p, BarrierKind::Park, DEFAULT_WATCHDOG);
         let _g = install(FaultPlan {
             seed,
             specs: vec![FaultSpec::always(stage, thread, Fault::CorruptNan)],
         });
         let x = ramp(n);
-        match exec.try_execute(&plan, &x) {
+        match run(&exec, &plan, &x) {
             Ok(out) => {
                 // The guard's contract: Ok implies every element finite.
                 for (i, z) in out.iter().enumerate() {

@@ -3,11 +3,11 @@
 
 use spiral_codegen::lower::has_kernel;
 use spiral_codegen::plan::{Plan, PlanShape};
-use spiral_codegen::{Codelet, ParallelExecutor, SpiralError};
+use spiral_codegen::{Codelet, Executor, SpiralError};
 use spiral_rewrite::RuleTree;
 use spiral_sim::{simulate_plan, MachineSpec};
 use spiral_smp::panic_payload;
-use spiral_spl::cplx::{first_non_finite, Cplx};
+use spiral_spl::cplx::Cplx;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -28,8 +28,9 @@ pub enum CostModel {
     Host {
         /// Repetitions; the minimum time is kept.
         reps: usize,
-        /// Executor for parallel plans (None = in-thread execution).
-        executor: Option<ParallelExecutor>,
+        /// Runs each measurement: 1-thread plans on the caller, and
+        /// plans of its own thread count on its pool.
+        executor: Executor,
     },
 }
 
@@ -49,7 +50,7 @@ impl CostModel {
                 thread: 0,
                 payload: panic_payload(p),
             })?,
-            CostModel::Host { reps, executor } => try_host_time(plan, *reps, executor.as_ref())?,
+            CostModel::Host { reps, executor } => try_host_time(plan, *reps, executor)?,
         };
         if !c.is_finite() {
             return Err(SpiralError::Search(format!(
@@ -131,54 +132,23 @@ pub fn tree_shape(tree: &RuleTree) -> Option<PlanShape> {
     Some(PlanShape::sequential(tree.size(), flops(tree)?))
 }
 
-fn try_host_time(
-    plan: &Plan,
-    reps: usize,
-    executor: Option<&ParallelExecutor>,
-) -> Result<f64, SpiralError> {
-    let reps = reps.max(1);
+fn try_host_time(plan: &Plan, reps: usize, executor: &Executor) -> Result<f64, SpiralError> {
     let x: Vec<Cplx> = (0..plan.n)
         .map(|k| Cplx::new(k as f64, -(k as f64)))
         .collect();
+    let mut out = vec![Cplx::ZERO; plan.n];
+    // The executor isolates panics, bounds barrier waits and scans the
+    // output, so a candidate that panics, times out, or corrupts its
+    // output fails the warm-up run, before any timing is recorded.
+    let mut run = || executor.try_run(plan, &[&x], &mut [&mut out], &());
+    run()?;
     let mut best = f64::INFINITY;
-    // Warm-up run: a candidate that panics, times out, or corrupts its
-    // output fails here, before any timing is recorded.
-    let _ = try_run_once(plan, &x, executor)?;
-    for _ in 0..reps {
+    for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let out = try_run_once(plan, &x, executor)?;
-        let dt = t0.elapsed().as_secs_f64() * 1e6;
-        std::hint::black_box(&out);
-        best = best.min(dt);
+        run()?;
+        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
     }
     Ok(best)
-}
-
-fn try_run_once(
-    plan: &Plan,
-    x: &[Cplx],
-    executor: Option<&ParallelExecutor>,
-) -> Result<Vec<Cplx>, SpiralError> {
-    match executor {
-        // The executor's fallible path already isolates panics, bounds
-        // barrier waits, and scans the output for non-finite values.
-        Some(e) if plan.threads > 1 => e.try_execute(plan, x),
-        _ => {
-            let out = catch_unwind(AssertUnwindSafe(|| plan.execute(x))).map_err(|p| {
-                SpiralError::WorkerPanic {
-                    thread: 0,
-                    payload: panic_payload(p),
-                }
-            })?;
-            if let Some(index) = first_non_finite(&out) {
-                return Err(SpiralError::NonFinite {
-                    index,
-                    context: format!("sequential measurement of a {}-point plan", plan.n),
-                });
-            }
-            Ok(out)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +185,7 @@ mod tests {
         let plan = Plan::from_formula(&sequential_dft(64, 8), 1, 4).unwrap();
         let cm = CostModel::Host {
             reps: 2,
-            executor: None,
+            executor: Executor::new(1),
         };
         let c = cm.try_cost(&plan).unwrap();
         assert!(c > 0.0 && c.is_finite());

@@ -145,7 +145,7 @@ impl Tuner {
     /// Tuner for `p` processors and cache-line length `µ`.
     pub fn new(p: usize, mu: usize, model: CostModel) -> Tuner {
         // Every plan the tuner measures or returns may be run on the
-        // parallel executor; arm its debug-build static verification.
+        // executor; arm its debug-build static verification.
         spiral_verify::install_executor_guard();
         Tuner { p, mu, model }
     }

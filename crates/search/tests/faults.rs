@@ -5,7 +5,7 @@
 
 #![cfg(feature = "faults")]
 
-use spiral_codegen::ParallelExecutor;
+use spiral_codegen::Executor;
 use spiral_search::{candidate_vec_widths, CostModel, Tuner};
 use spiral_smp::barrier::BarrierKind;
 use spiral_smp::faults::{install, Fault, FaultPlan, FaultSpec};
@@ -42,11 +42,7 @@ fn tuner_quarantines_faulting_candidates_and_still_tunes() {
     let (n, p, mu) = (256usize, 2usize, 4usize);
     let model = CostModel::Host {
         reps: 1,
-        executor: Some(ParallelExecutor::with_watchdog(
-            p,
-            BarrierKind::Park,
-            Duration::from_millis(300),
-        )),
+        executor: Executor::with_barrier(p, BarrierKind::Park, Duration::from_millis(300)),
     };
     let tuner = Tuner::new(p, mu, model);
     let _g = install(FaultPlan {
@@ -107,11 +103,7 @@ fn tuner_quarantines_wedged_candidate_on_watchdog() {
     let (n, p, mu) = (256usize, 2usize, 4usize);
     let model = CostModel::Host {
         reps: 1,
-        executor: Some(ParallelExecutor::with_watchdog(
-            p,
-            BarrierKind::Park,
-            Duration::from_millis(100),
-        )),
+        executor: Executor::with_barrier(p, BarrierKind::Park, Duration::from_millis(100)),
     };
     let tuner = Tuner::new(p, mu, model);
     let _g = install(FaultPlan {

@@ -2,16 +2,16 @@
 //!
 //! A kernel stage that reads exactly the slots it writes runs in place
 //! after the first stage of its program (`LocalProgram::passes`). These
-//! tests run every tuned plan through the executors and check the output,
+//! tests run every tuned plan through `Plan::execute` and the executor,
+//! one row and two, and check the output,
 //! bit for bit, against a replay that applies each stage out of place
 //! into a fresh vector. They also check that the tuned large plan runs
 //! every later stage in place and so needs no workspace at all.
 
 use spiral_codegen::plan::{Plan, PlanWorkspace, Step};
 use spiral_codegen::stage::{Buf, LocalProgram, SrcView};
-use spiral_codegen::{BatchExecutor, ParallelExecutor};
+use spiral_codegen::Executor;
 use spiral_search::{CostModel, Tuner};
-use spiral_smp::barrier::BarrierKind;
 use spiral_spl::builder::vec_tag;
 use spiral_spl::cplx::Cplx;
 use spiral_spl::Spl;
@@ -101,9 +101,10 @@ fn in_place_passes(plan: &Plan) -> usize {
         .count()
 }
 
-/// Compile `f` at ν = 1, 2 and 4 and check the sequential, parallel and
-/// batch executors against the replay. Returns the in-place passes seen.
-fn check_formula(f: &Spl, threads: usize, par: &ParallelExecutor, batch: &BatchExecutor) -> usize {
+/// Compile `f` at ν = 1, 2 and 4 and check `Plan::execute` and the
+/// executor, on one row and on two, against the replay. Returns the
+/// in-place passes seen.
+fn check_formula(f: &Spl, threads: usize, exec: &Executor) -> usize {
     let n = f.dim();
     let x = input(n);
     let mut in_place = 0;
@@ -118,12 +119,12 @@ fn check_formula(f: &Spl, threads: usize, par: &ParallelExecutor, batch: &BatchE
         let at = format!("n={n} threads={threads} nu={nu}");
         let want = replay(&plan, &x);
         assert_bitwise(&plan.execute(&x), &want, &at);
-        assert_bitwise(&par.execute(&plan, &x), &want, &format!("{at} parallel"));
-        let rows = batch
-            .try_execute_batch(&plan, &[x.clone(), x.clone()])
-            .unwrap();
-        for row in &rows {
-            assert_bitwise(row, &want, &format!("{at} batch"));
+        for rows in [1, 2] {
+            let mut out = vec![vec![Cplx::ZERO; n]; rows];
+            exec.try_run(&plan, &vec![&x; rows], &mut out, &()).unwrap();
+            for row in &out {
+                assert_bitwise(row, &want, &format!("{at} executor, {rows} row(s)"));
+            }
         }
         in_place += in_place_passes(&plan);
     }
@@ -133,21 +134,20 @@ fn check_formula(f: &Spl, threads: usize, par: &ParallelExecutor, batch: &BatchE
 /// Every tuned plan in range: sequential, and 2-thread through both
 /// `tune_parallel` and `tune`.
 fn check_range(seq: std::ops::RangeInclusive<u32>, par: std::ops::RangeInclusive<u32>) -> usize {
-    let exec = ParallelExecutor::new(2, BarrierKind::Park);
-    let batch = BatchExecutor::new(2);
+    let exec = Executor::new(2);
     let mut in_place = 0;
     let seq_tuner = Tuner::new(1, MU, CostModel::Analytic);
     for k in seq {
         let tuned = seq_tuner.tune_sequential(1 << k).unwrap();
-        in_place += check_formula(untagged(&tuned.formula), 1, &exec, &batch);
+        in_place += check_formula(untagged(&tuned.formula), 1, &exec);
     }
     let par_tuner = Tuner::new(2, MU, CostModel::Analytic);
     for k in par {
         let tuned = par_tuner.tune_parallel(1 << k).unwrap().unwrap();
-        in_place += check_formula(untagged(&tuned.formula), 2, &exec, &batch);
+        in_place += check_formula(untagged(&tuned.formula), 2, &exec);
         let tuned = par_tuner.tune(1 << k).unwrap().unwrap();
         let threads = tuned.plan.threads;
-        in_place += check_formula(untagged(&tuned.formula), threads, &exec, &batch);
+        in_place += check_formula(untagged(&tuned.formula), threads, &exec);
     }
     in_place
 }

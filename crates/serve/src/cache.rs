@@ -1,5 +1,5 @@
 //! The plan service: a concurrent, wisdom-backed plan cache in front of
-//! the batch executor.
+//! the executor.
 //!
 //! Read path: plan lookup is a sharded read-mostly cache
 //! (`RwLock<HashMap>` per shard, shard chosen by key hash), so warm
@@ -14,15 +14,15 @@
 //! incremented only on the tuner path, so "warm wisdom serves with zero
 //! tuner invocations" is an *observable* invariant, not a hope.
 //!
-//! Execution: the one pool of the service, behind [`BatchExecutor`],
-//! runs one job at a time and serializes concurrent dispatches itself,
+//! Execution: the one pool of the service, behind [`Executor`], runs
+//! one job at a time and serializes concurrent dispatches itself,
 //! while planning stays concurrent. Every transform runs its sequential
 //! plan; serving throughput comes from batching — one pool dispatch per
 //! batch, partitioned by batch index — not from splitting a transform.
 
 use crate::wisdom::{LoadReport, WisdomEntry, WisdomStore};
 use spiral_codegen::plan::Plan;
-use spiral_codegen::BatchExecutor;
+use spiral_codegen::Executor;
 use spiral_search::{CostModel, Tuner};
 use spiral_smp::error::SpiralError;
 use spiral_spl::cplx::Cplx;
@@ -73,7 +73,7 @@ pub struct PlanService {
     shards: Vec<Shard>,
     inflight: Mutex<HashMap<usize, Arc<Flight>>>,
     wisdom: Option<Mutex<WisdomStore>>,
-    batch: BatchExecutor,
+    executor: Executor,
     tuner_invocations: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -109,7 +109,7 @@ impl PlanService {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             inflight: Mutex::new(HashMap::new()),
             wisdom: wisdom.map(Mutex::new),
-            batch: BatchExecutor::new(threads),
+            executor: Executor::new(threads),
             tuner_invocations: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
@@ -215,7 +215,10 @@ impl PlanService {
         inputs: &[Vec<Cplx>],
     ) -> Result<Vec<Vec<Cplx>>, SpiralError> {
         let served = self.sequential_plan(n)?;
-        self.batch.try_execute_batch(&served.plan, inputs)
+        let mut outputs = vec![vec![Cplx::ZERO; n]; inputs.len()];
+        self.executor
+            .try_run(&served.plan, inputs, &mut outputs, &())?;
+        Ok(outputs)
     }
 
     /// Wisdom lookup, else tune (counted), recording fresh results back

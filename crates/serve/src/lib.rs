@@ -2,7 +2,7 @@
 //!
 //! Everything below this crate answers "what is the fastest way to run
 //! *one* DFT_n on this machine?" — the generator derives candidates,
-//! the search picks a winner, the executors run it. A serving workload
+//! the search picks a winner, the executor runs it. A serving workload
 //! asks a different question: many independent, mostly small transforms
 //! arrive over time, repeat sizes heavily, and must not pay the tuner
 //! on every request. This crate closes that gap with three pieces:
@@ -15,10 +15,10 @@
 //!   cache with single-flight tuning (a cold key is tuned exactly once,
 //!   no matter how many threads ask for it concurrently) and an
 //!   observable tuner-invocation counter;
-//! * batched execution via [`spiral_codegen::BatchExecutor`] — the
-//!   batch dimension, not the transform, is partitioned across the
-//!   pool, so a batch of small DFTs costs one dispatch/join instead of
-//!   one barrier set per transform.
+//! * batched execution via [`spiral_codegen::Executor`] — the batch
+//!   dimension, not the transform, is partitioned across the pool, so a
+//!   batch of small DFTs costs one dispatch/join instead of one barrier
+//!   set per transform.
 //!
 //! On top of the service sits the **network tier** (PR 7), built
 //! robustness-first:
@@ -56,7 +56,6 @@ pub use client::{drive, percentile_us, request_from_inputs, Client, LoadOutcome,
 pub use metrics::{GaugeReadings, ServeMetrics};
 pub use net::{DrainReport, Server, ServerConfig};
 pub use overload::{BoundedQueue, CounterSnapshot, Push, ServeCounters};
-pub use spiral_codegen::BatchExecutor;
 pub use spiral_smp::error::SpiralError;
 pub use spiral_trace::metrics::MetricsSnapshot;
 pub use wire::{Request, Response, StatsKind, WireError, MAX_FRAME_BYTES};

@@ -10,9 +10,9 @@
 //! shed requests that are already expired, and offer the rest to a
 //! bounded execution queue (full ⇒ `Overloaded`). One **dispatcher**
 //! thread drains that queue, coalesces same-size requests waiting
-//! behind the one it popped into a single [`BatchExecutor`] dispatch,
-//! sheds work whose deadline passed while queued, and posts outcomes to
-//! per-request reply slots the workers block on.
+//! behind the one it popped into a single [`spiral_codegen::Executor`]
+//! dispatch, sheds work whose deadline passed while queued, and posts
+//! outcomes to per-request reply slots the workers block on.
 //!
 //! ## Failure policy
 //!

@@ -1,12 +1,12 @@
 //! Property: batched execution is exactly sequential execution. For
 //! any batch size B ∈ [1, 64] and transform size n ∈ {2^4 … 2^10},
-//! `BatchExecutor` output is elementwise equal to running the same plan
+//! `Executor::try_run` output is elementwise equal to running the same plan
 //! sequentially over the inputs — the batch path may not perturb a
 //! single bit of the arithmetic.
 
 use proptest::prelude::*;
 use spiral_codegen::plan::Plan;
-use spiral_codegen::BatchExecutor;
+use spiral_codegen::Executor;
 use spiral_rewrite::sequential_dft;
 use spiral_spl::cplx::Cplx;
 
@@ -36,9 +36,9 @@ proptest! {
         let n = 1usize << log2n;
         let plan = Plan::from_formula(&sequential_dft(n, 8), 1, 4).unwrap();
         let xs = inputs(b, n, seed);
-        let exec = BatchExecutor::new(threads);
-        let got = exec.try_execute_batch(&plan, &xs).unwrap();
-        prop_assert_eq!(got.len(), b);
+        let exec = Executor::new(threads);
+        let mut got = vec![vec![Cplx::ZERO; n]; b];
+        exec.try_run(&plan, &xs, &mut got, &()).unwrap();
         for (y, x) in got.iter().zip(&xs) {
             // Bitwise: both paths run the same interpreter.
             prop_assert_eq!(y, &plan.execute(x));

@@ -3,7 +3,7 @@
 //! must be rejected individually with reasons, and a stale host
 //! fingerprint must discard the whole file.
 
-use spiral_codegen::ParallelExecutor;
+use spiral_codegen::Executor;
 use spiral_search::{CostModel, Tuner};
 use spiral_serve::{
     compile_entry, PlanService, PlanSource, WisdomEntry, WisdomFile, WisdomStore,
@@ -103,8 +103,9 @@ fn wisdom_loaded_plan_matches_freshly_tuned_output() {
     let hit = store.get(n_par, 2, mu).expect("the 2-thread entry loads");
     assert_eq!((hit.plan.threads, &hit.choice), (2, &par.choice));
     let x = ramp(n_par);
-    let got = ParallelExecutor::with_auto_barrier(2)
-        .try_execute(&hit.plan, &x)
+    let mut got = vec![Cplx::ZERO; n_par];
+    Executor::new(2)
+        .try_run(&hit.plan, &[&x], &mut [&mut got], &())
         .unwrap();
     assert_close(n_par, &got, &par.plan.execute(&x));
 }

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 /// Structured error for the execution stack (pool, barriers, executor,
 /// tuner). Every fallible runtime entry point (`Pool::try_run`,
-/// `ParallelExecutor::try_execute`, `Tuner::tune_parallel`) returns this.
+/// `Executor::try_run`, `Tuner::tune_parallel`) returns this.
 #[derive(Debug, Clone)]
 pub enum SpiralError {
     /// A job closure panicked on the given logical thread. The pool

@@ -114,7 +114,8 @@ pub fn active() -> bool {
 }
 
 /// Mark the start of a new run (called by the executor once per
-/// `try_execute`). Returns the index of the run that just started.
+/// `p`-thread row it dispatches). Returns the index of the run that
+/// just started.
 pub fn begin_run() -> usize {
     match lock_recover(&ACTIVE).as_ref() {
         Some(reg) => reg.runs.fetch_add(1, Ordering::SeqCst),

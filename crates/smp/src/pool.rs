@@ -19,9 +19,10 @@
 //! parked flag (caller) say whether a `notify` is needed.
 //!
 //! Jobs are serialized inside [`Pool::try_run`]: concurrent callers on
-//! one pool take turns, so a shared executor needs no lock of its own. A
-//! job must not dispatch on the pool that runs it (it would wait for
-//! itself).
+//! one pool take turns, so a shared executor needs no lock of its own.
+//! [`Pool::turn`] holds a turn across several steps (a run and the
+//! cleanup after it). A job must not dispatch on the pool that runs it
+//! (it would wait for itself).
 //!
 //! ## Failure model
 //!
@@ -41,12 +42,12 @@
 use crate::error::{lock_recover, panic_payload, SpiralError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Default pool watchdog: generous, so healthy long transforms never
-/// trip it; executors layer tighter stage-level deadlines underneath.
+/// trip it; the executor layers tighter step-level deadlines underneath.
 pub const DEFAULT_POOL_WATCHDOG: Duration = Duration::from_secs(60);
 
 /// How long an idle worker waits for the next job, and the caller for
@@ -204,7 +205,32 @@ impl Pool {
     /// pool remains usable after an `Err`. Concurrent calls on one pool
     /// run one after the other.
     pub fn try_run(&self, f: &(dyn Fn(usize) + Sync)) -> Result<(), SpiralError> {
-        if self.p == 1 {
+        self.turn().try_run(f)
+    }
+
+    /// Exclusive use of the pool until the [`Turn`] drops: no other
+    /// caller's job starts in between. A caller whose jobs share state
+    /// with the next caller's (a step barrier that a failed run leaves
+    /// mid-phase) restores that state before giving up its turn.
+    pub fn turn(&self) -> Turn<'_> {
+        Turn {
+            pool: self,
+            _running: (self.p > 1).then(|| lock_recover(&self.running)),
+        }
+    }
+}
+
+/// A caller's exclusive use of a [`Pool`]; see [`Pool::turn`].
+pub struct Turn<'a> {
+    pool: &'a Pool,
+    _running: Option<MutexGuard<'a, ()>>,
+}
+
+impl Turn<'_> {
+    /// [`Pool::try_run`] within this turn.
+    pub fn try_run(&self, f: &(dyn Fn(usize) + Sync)) -> Result<(), SpiralError> {
+        let pool = self.pool;
+        if pool.p == 1 {
             return match catch_unwind(AssertUnwindSafe(|| f(0))) {
                 Ok(()) => Ok(()),
                 Err(p) => Err(SpiralError::WorkerPanic {
@@ -213,13 +239,12 @@ impl Pool {
                 }),
             };
         }
-        let _running = lock_recover(&self.running);
-        let sh = &*self.shared;
+        let sh = &*pool.shared;
         lock_recover(&sh.panics).clear();
         // Publish the job.
         {
             let mut slot = lock_recover(&sh.slot);
-            sh.remaining.store(self.p - 1, Ordering::Release);
+            sh.remaining.store(pool.p - 1, Ordering::Release);
             // Safety: erase the borrow's lifetime; `try_run` blocks until
             // all workers finish with the pointer, then clears the slot.
             let erased: *const (dyn Fn(usize) + Sync + 'static) =
@@ -238,7 +263,7 @@ impl Pool {
         let start = Instant::now();
         let mut overrun = false;
         if !spin_until(|| sh.remaining.load(Ordering::Acquire) == 0) {
-            let deadline = start + self.watchdog;
+            let deadline = start + pool.watchdog;
             let mut guard = lock_recover(&sh.done_lock);
             // Announce the park before the last check; the last worker
             // checks the flag after its decrement (both SeqCst), so one

@@ -1,7 +1,7 @@
 //! The substrate-level observation hook.
 //!
-//! Every execution layer (stage executor, batch executor, tuner, serving
-//! tier) reports what it does through one trait, [`Observer`]:
+//! Every execution layer (plan executor, tuner, serving tier) reports
+//! what it does through one trait, [`Observer`]:
 //!
 //! * [`Observer::span`] — a timestamped interval on one logical thread
 //!   (pool job, per-stage compute, barrier wait, tuner candidate, batch
@@ -17,7 +17,7 @@
 //! zero cost without a cargo feature. The recording implementations
 //! (`Collector` for per-stage aggregates, `Timeline` for Perfetto
 //! export, `FlightRecorder` for the serving tier) live in `spiral-trace`;
-//! the trait lives here, below every consumer, so the executors need no
+//! the trait lives here, below every consumer, so the executor needs no
 //! dependency on them. A pair `(A, B)` observes with both.
 
 use std::time::Instant;

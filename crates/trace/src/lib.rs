@@ -102,7 +102,7 @@ struct JobSlot {
 
 /// In-run recorder: `threads × stages` padded slots plus one pool-job
 /// slot per thread. Implements [`Observer`]; pass it to
-/// `ParallelExecutor::try_execute_with` (or use [`profile_run`]), then
+/// `Executor::try_run` (or use [`profile_run`]), then
 /// [`finish`](Collector::finish) it into a [`RunProfile`].
 pub struct Collector {
     threads: usize,
@@ -206,7 +206,7 @@ impl Observer for Collector {
 /// `n`-point transform; the wall time spans the whole call. The closure
 /// passes the collector (alone, or paired with another observer) to an
 /// observed entry point, e.g.
-/// `|c| exec.try_execute_with(&plan, &x, c)`.
+/// `|c| exec.try_run(&plan, &[&x], &mut [&mut out], c)`.
 pub fn profile_run<T, E>(
     n: usize,
     threads: usize,

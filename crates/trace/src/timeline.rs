@@ -216,8 +216,7 @@ impl ThreadRing {
 
 /// Bounded, lock-free event-timeline recorder: one ring per thread,
 /// timestamps relative to the construction epoch. Implements
-/// [`Observer`]; pass it to `ParallelExecutor::try_execute_with`,
-/// `BatchExecutor::try_execute_batch_with` or
+/// [`Observer`]; pass it to `Executor::try_run` or
 /// `Tuner::tune_parallel_report_with`.
 pub struct Timeline {
     epoch: Instant,

@@ -7,7 +7,7 @@
 //! and is skipped on single-core machines.
 
 use spiral_codegen::plan::Plan;
-use spiral_codegen::ParallelExecutor;
+use spiral_codegen::Executor;
 use spiral_rewrite::multicore_dft_expanded;
 use spiral_smp::topology::processors;
 use spiral_spl::cplx::Cplx;
@@ -15,11 +15,13 @@ use spiral_trace::{profile_run, RunProfile};
 use spiral_verify::{static_stage_balance, verify_plan, DiagKind, VerifyOptions};
 
 /// One run of `plan` observed by a `Collector`.
-fn traced(exec: &ParallelExecutor, plan: &Plan, x: &[Cplx]) -> (Vec<Cplx>, RunProfile) {
-    profile_run(plan.n, exec.threads(), &plan.stage_labels(), |c| {
-        exec.try_execute_with(plan, x, c)
+fn traced(exec: &Executor, plan: &Plan, x: &[Cplx]) -> (Vec<Cplx>, RunProfile) {
+    let mut out = vec![Cplx::ZERO; plan.n];
+    let (_, profile) = profile_run(plan.n, exec.threads(), &plan.stage_labels(), |c| {
+        exec.try_run(plan, &[x], &mut [&mut out[..]], c)
     })
-    .unwrap()
+    .unwrap();
+    (out, profile)
 }
 
 fn ramp(n: usize) -> Vec<Cplx> {
@@ -50,7 +52,7 @@ fn static_balance_agrees_with_measured_elements_on_generated_plans() {
         assert!(!report.has_kind(DiagKind::LoadImbalance), "n={n} p={p}");
         // Measured counterpart: the executed schedule distributes
         // elements the way the analyzer said it would.
-        let exec = ParallelExecutor::with_auto_barrier(p);
+        let exec = Executor::new(p);
         let (_, profile) = traced(&exec, &plan, &ramp(n));
         for s in &profile.stages {
             assert!(
@@ -87,7 +89,7 @@ fn static_and_measured_agree_on_a_deliberately_imbalanced_plan() {
         worst_static > 1.25,
         "static analysis missed the imbalance: {static_ratios:?}"
     );
-    let exec = ParallelExecutor::with_auto_barrier(3);
+    let exec = Executor::new(3);
     let (out, profile) = traced(&exec, &plan, &ramp(n));
     // Execution is still correct — imbalance is a performance defect.
     spiral_spl::cplx::assert_slices_close(&out, &spiral_spl::builder::dft(n).eval(&ramp(n)), 1e-7);
@@ -128,7 +130,7 @@ fn measured_compute_time_tracks_static_balance_on_multicore_hosts() {
     let n = 1 << 14;
     let plan = balanced_plan(n, p);
     assert!(static_stage_balance(&plan).iter().all(|r| *r <= 1.05));
-    let exec = ParallelExecutor::with_auto_barrier(p);
+    let exec = Executor::new(p);
     let x = ramp(n);
     let best = (0..5)
         .map(|_| {

@@ -1,5 +1,5 @@
 //! End-to-end timeline checks on real observed executions: the event
-//! stream recorded through `try_execute_with` must agree with the
+//! stream recorded through `Executor::try_run` must agree with the
 //! independently aggregated `RunProfile` of the same run, satisfy the
 //! static timeline checker, count one barrier release per thread per
 //! synchronized stage, and export as well-formed Chrome trace JSON.
@@ -10,7 +10,7 @@
 
 use serde_json::Value;
 use spiral_codegen::plan::Plan;
-use spiral_codegen::ParallelExecutor;
+use spiral_codegen::Executor;
 use spiral_rewrite::multicore_dft_expanded;
 use spiral_spl::cplx::Cplx;
 use spiral_trace::{profile_run, RunProfile, Timeline, TimelineEventKind};
@@ -29,11 +29,13 @@ fn balanced_plan(n: usize, p: usize) -> Plan {
 
 /// One run of `plan` observed by a `Collector` and `timeline` together.
 fn profile_into(plan: &Plan, p: usize, timeline: &Timeline) -> (Vec<Cplx>, RunProfile) {
-    let exec = ParallelExecutor::with_auto_barrier(p);
-    profile_run(plan.n, p, &plan.stage_labels(), |c| {
-        exec.try_execute_with(plan, &ramp(plan.n), &(c, timeline))
+    let exec = Executor::new(p);
+    let mut out = vec![Cplx::ZERO; plan.n];
+    let (_, profile) = profile_run(plan.n, p, &plan.stage_labels(), |c| {
+        exec.try_run(plan, &[ramp(plan.n)], &mut [&mut out], &(c, timeline))
     })
-    .expect("healthy plan must execute")
+    .expect("healthy plan must execute");
+    (out, profile)
 }
 
 fn observed_run(n: usize, p: usize) -> (Timeline, RunProfile, Plan) {

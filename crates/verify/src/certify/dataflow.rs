@@ -10,9 +10,9 @@
 //!   its buffer, permutation table, or twiddle table;
 //! * **init-before-read** — no read of a stale (previous-generation or
 //!   never-written) element, through the buffers each stage reads and
-//!   writes by [`LocalProgram::passes`], the rule the executors run;
+//!   writes by [`LocalProgram::passes`], the rule the executor runs;
 //! * **write-once per stage** — no stage writes an element twice (the
-//!   parallel executor's disjointness contract at value granularity);
+//!   executor's disjointness contract at value granularity);
 //! * **in-place legality** — no iteration of a pass that reads the buffer
 //!   it writes reads an element an earlier iteration of that pass
 //!   already wrote;

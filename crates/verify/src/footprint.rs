@@ -1,6 +1,6 @@
 //! Symbolic per-step, per-thread memory footprints of a compiled plan.
 //!
-//! Reads the schedule the executors run: each thread's part of a step
+//! Reads the schedule the executor runs: each thread's part of a step
 //! comes from [`Step::portion`] and each chunk program's buffers from
 //! [`LocalProgram::passes`] (which run in-place stages on the chunk's
 //! own output), with the same step-level buffer ping-pong as

@@ -4,7 +4,7 @@
 //! *load balanced*, *avoid false sharing*, and need only barriers for
 //! synchronization; the rewriting system (rules (6)–(11), formula (14))
 //! is designed so every derived program has these properties, and the
-//! parallel executor's `unsafe` shared-buffer access is sound exactly
+//! executor's `unsafe` shared-buffer access is sound exactly
 //! because each step's writes are thread-disjoint. This crate checks all
 //! of that *statically*, from the stage IR alone:
 //!
@@ -30,7 +30,7 @@
 //! [`verify_plan`] runs everything and returns a serializable [`Report`].
 //! [`install_executor_guard`] registers the soundness checks (bounds +
 //! races) with `spiral-codegen`'s validator registry so debug builds of
-//! `ParallelExecutor` verify every plan before running it.
+//! `Executor::try_run` verify every plan before running it.
 
 pub mod audit;
 pub mod baseline;
@@ -178,7 +178,7 @@ impl Report {
         self.diagnostics.iter().any(|d| d.kind == kind)
     }
 
-    /// Findings that make the parallel executor's `unsafe` unsound
+    /// Findings that make the executor's `unsafe` unsound
     /// (races and out-of-bounds accesses).
     pub fn soundness_errors(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics
@@ -604,7 +604,7 @@ pub fn verify_fftw_like(sched: &FftwLikeSchedule, mu: usize, opts: &VerifyOption
 
 /// Register the analyzer's soundness checks (bounds + races) and the
 /// dataflow certification pass with the executor's validator registry:
-/// debug builds of `ParallelExecutor` then verify every plan before
+/// debug builds of `Executor::try_run` then verify every plan before
 /// touching the shared buffers.
 pub fn install_executor_guard() {
     spiral_codegen::plan::install_validator(executor_guard);

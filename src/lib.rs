@@ -48,8 +48,9 @@ pub use spiral_sim as sim;
 pub use spiral_smp as smp;
 pub use spiral_spl as spl;
 
+use spiral_codegen::executor::check_finite;
 use spiral_codegen::plan::Plan;
-use spiral_codegen::ParallelExecutor;
+use spiral_codegen::Executor;
 use spiral_search::{CostModel, Tuner};
 use spiral_spl::cplx::Cplx;
 use spiral_spl::Spl;
@@ -62,14 +63,20 @@ pub struct SpiralFft {
 
 /// How a transform executes.
 enum Backend {
-    /// A compiled plan (optionally on the thread pool).
-    Plan {
-        plan: Plan,
-        executor: Option<ParallelExecutor>,
-    },
+    /// A compiled plan and the executor of its thread count (one
+    /// thread starts no pool worker).
+    Plan { plan: Plan, executor: Executor },
     /// Bluestein chirp-z fallback for sizes with prime factors larger
     /// than the codelet bound (runs a tuned power-of-two plan inside).
     Bluestein(bluestein::Bluestein),
+}
+
+impl Backend {
+    /// A plan on an executor of its own thread count.
+    fn plan(plan: Plan) -> Backend {
+        let executor = Executor::new(plan.threads);
+        Backend::Plan { plan, executor }
+    }
 }
 
 /// Errors from the high-level constructors and fallible execution paths.
@@ -131,10 +138,7 @@ impl SpiralFft {
             .unwrap_or_else(|e| panic!("sequential tuning of DFT_{n} failed: {e}"));
         SpiralFft {
             formula: tuned.formula,
-            backend: Backend::Plan {
-                plan: tuned.plan,
-                executor: None,
-            },
+            backend: Backend::plan(tuned.plan),
         }
     }
 
@@ -152,17 +156,9 @@ impl SpiralFft {
         let tuned = Tuner::new(p, mu, CostModel::Analytic)
             .tune(n)?
             .ok_or(Error::NoParallelSplit { n, p, mu })?;
-        let executor = if tuned.plan.threads > 1 {
-            Some(ParallelExecutor::with_auto_barrier(tuned.plan.threads))
-        } else {
-            None
-        };
         Ok(SpiralFft {
             formula: tuned.formula,
-            backend: Backend::Plan {
-                plan: tuned.plan,
-                executor,
-            },
+            backend: Backend::plan(tuned.plan),
         })
     }
 
@@ -181,14 +177,9 @@ impl SpiralFft {
             })?;
         let plan = Plan::from_formula(&formula, p, mu)
             .map_err(|e| spiral_smp::SpiralError::Lower(format!("2-D expansion: {e}")))?;
-        let executor = if plan.threads > 1 {
-            Some(ParallelExecutor::with_auto_barrier(plan.threads))
-        } else {
-            None
-        };
         Ok(SpiralFft {
             formula,
-            backend: Backend::Plan { plan, executor },
+            backend: Backend::plan(plan),
         })
     }
 
@@ -205,14 +196,9 @@ impl SpiralFft {
         let plan = Plan::from_formula(&derived.formula, p, mu)
             .map_err(|e| spiral_smp::SpiralError::Lower(format!("WHT formula: {e}")))?
             .fuse_exchanges();
-        let executor = if plan.threads > 1 {
-            Some(ParallelExecutor::with_auto_barrier(plan.threads))
-        } else {
-            None
-        };
         Ok(SpiralFft {
             formula: derived.formula,
-            backend: Backend::Plan { plan, executor },
+            backend: Backend::plan(plan),
         })
     }
 
@@ -226,10 +212,7 @@ impl SpiralFft {
             .expect("2-D expansion always lowers");
         SpiralFft {
             formula,
-            backend: Backend::Plan {
-                plan,
-                executor: None,
-            },
+            backend: Backend::plan(plan),
         }
     }
 
@@ -260,34 +243,17 @@ impl SpiralFft {
 
     /// Compute the forward DFT of `x` (length must equal [`len`](Self::len)).
     /// Panics on execution failure; see [`try_forward`](Self::try_forward)
-    /// for the fallible variant. The output is not scanned for non-finite
-    /// values on this path: a NaN or infinity in `x` comes back in the
-    /// result.
+    /// for the fallible variant. What a non-finite value in `x` does
+    /// depends on the backend: on one thread and under Bluestein the
+    /// output is not scanned, and the value comes back in the result; on
+    /// `p` threads the executor scans the output, and `forward` panics
+    /// with [`SpiralError::NonFinite`](spiral_smp::SpiralError::NonFinite).
     pub fn forward(&self, x: &[Cplx]) -> Vec<Cplx> {
         match &self.backend {
-            Backend::Plan {
-                plan,
-                executor: Some(e),
-            } => e.execute(plan, x),
-            Backend::Plan {
-                plan,
-                executor: None,
-            } => plan.execute(x),
+            Backend::Plan { plan, .. } if plan.threads == 1 => plan.execute(x),
+            Backend::Plan { .. } => self.try_forward(x).unwrap_or_else(|e| panic!("{e}")),
             Backend::Bluestein(b) => b.run(x),
         }
-    }
-
-    /// `Err` unless `x` has [`len`](Self::len) elements, whichever
-    /// backend runs it.
-    fn check_len(&self, x: &[Cplx]) -> Result<(), Error> {
-        if x.len() == self.len() {
-            return Ok(());
-        }
-        Err(Error::Fault(spiral_smp::SpiralError::Plan(format!(
-            "input length {} does not match transform size {}",
-            x.len(),
-            self.len()
-        ))))
     }
 
     /// Compute the forward DFT of `x`, propagating execution-layer
@@ -296,21 +262,25 @@ impl SpiralFft {
     /// Every backend scans the output, so a non-finite value gives the
     /// same `Err` on one thread, on `p` threads and under Bluestein.
     pub fn try_forward(&self, x: &[Cplx]) -> Result<Vec<Cplx>, Error> {
-        self.check_len(x)?;
-        let out = match &self.backend {
-            Backend::Plan {
-                plan,
-                executor: Some(e),
-            } => return Ok(e.try_execute(plan, x)?),
-            _ => self.forward(x),
-        };
-        if let Some(index) = spiral_spl::cplx::first_non_finite(&out) {
-            return Err(Error::Fault(spiral_smp::SpiralError::NonFinite {
-                index,
-                context: format!("sequential execution of a {}-point transform", self.len()),
-            }));
+        if x.len() != self.len() {
+            return Err(Error::Fault(spiral_smp::SpiralError::Plan(format!(
+                "input length {} does not match transform size {}",
+                x.len(),
+                self.len()
+            ))));
         }
-        Ok(out)
+        match &self.backend {
+            Backend::Plan { plan, executor } => {
+                let mut out = vec![Cplx::ZERO; self.len()];
+                executor.try_run(plan, &[x], &mut [&mut out[..]], &())?;
+                Ok(out)
+            }
+            Backend::Bluestein(b) => {
+                let out = b.run(x);
+                check_finite(&out, || format!("Bluestein DFT_{}", self.len()))?;
+                Ok(out)
+            }
+        }
     }
 
     /// Compute the inverse DFT of `y`, including the `1/n` scaling, via
@@ -459,6 +429,29 @@ mod tests {
                 fft.len()
             );
         }
+    }
+
+    /// What `forward` does with one NaN in the input, per backend: on one
+    /// thread and under Bluestein the NaN comes back in the result; on
+    /// two threads `forward` panics with the executor's `NonFinite`.
+    #[test]
+    fn forward_returns_or_panics_on_non_finite_input_per_backend() {
+        let nan_input = |n: usize| {
+            let mut x = ramp(n);
+            x[3] = Cplx::new(f64::NAN, 0.0);
+            x
+        };
+        for fft in [SpiralFft::sequential(256), SpiralFft::sequential(97)] {
+            let y = fft.forward(&nan_input(fft.len()));
+            assert!(y.iter().any(|z| z.re.is_nan()), "DFT_{}", fft.len());
+        }
+        let fft = SpiralFft::parallel(1 << 14, 2, 4).unwrap();
+        assert_eq!(fft.plan().threads, 2);
+        let x = nan_input(fft.len());
+        let forward = std::panic::AssertUnwindSafe(|| fft.forward(&x));
+        let panic = std::panic::catch_unwind(forward).unwrap_err();
+        let msg = panic.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("non-finite"), "{msg}");
     }
 
     #[test]

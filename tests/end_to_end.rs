@@ -2,8 +2,9 @@
 //! → compilation → (threaded) execution, checked against the defining
 //! DFT at every stage.
 
+use spiral_fft::codegen::executor::DEFAULT_WATCHDOG;
 use spiral_fft::codegen::plan::Plan;
-use spiral_fft::codegen::ParallelExecutor;
+use spiral_fft::codegen::Executor;
 use spiral_fft::rewrite::{
     check_fully_optimized, multicore_dft, multicore_dft_expanded, sequential_dft,
 };
@@ -56,9 +57,11 @@ fn threaded_execution_agrees_with_reference_for_both_barriers() {
     let x = ramp(n);
     let want = plan.execute(&x);
     for kind in [BarrierKind::Park, BarrierKind::Spin] {
-        let exec = ParallelExecutor::new(p, kind);
+        let exec = Executor::with_barrier(p, kind, DEFAULT_WATCHDOG);
         for _ in 0..3 {
-            assert_slices_close(&exec.execute(&plan, &x), &want, 1e-12);
+            let mut got = vec![Cplx::ZERO; n];
+            exec.try_run(&plan, &[&x], &mut [&mut got], &()).unwrap();
+            assert_slices_close(&got, &want, 1e-12);
         }
     }
 }

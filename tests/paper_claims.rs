@@ -206,8 +206,8 @@ fn without_in_place(plan: &Plan) -> Plan {
 /// and really spend little time at barriers. Runs are observed by a
 /// `spiral_trace::Collector` through the executor's observer hook.
 mod measured_claims {
-    use spiral_fft::codegen::plan::Plan;
-    use spiral_fft::codegen::ParallelExecutor;
+    use spiral_fft::codegen::plan::{Plan, Step};
+    use spiral_fft::codegen::Executor;
     use spiral_fft::rewrite::{multicore_dft_expanded, sequential_dft};
     use spiral_fft::smp::topology::processors;
     use spiral_fft::spl::Cplx;
@@ -220,11 +220,13 @@ mod measured_claims {
     }
 
     /// One run of `plan` on `x`, observed by a `Collector`.
-    fn traced(exec: &ParallelExecutor, plan: &Plan, x: &[Cplx]) -> (Vec<Cplx>, RunProfile) {
-        profile_run(plan.n, exec.threads(), &plan.stage_labels(), |c| {
-            exec.try_execute_with(plan, x, c)
+    fn traced(exec: &Executor, plan: &Plan, x: &[Cplx]) -> (Vec<Cplx>, RunProfile) {
+        let mut out = vec![Cplx::ZERO; plan.n];
+        let (_, profile) = profile_run(plan.n, exec.threads(), &plan.stage_labels(), |c| {
+            exec.try_run(plan, &[x], &mut [&mut out[..]], c)
         })
-        .expect("healthy plan must execute")
+        .expect("healthy plan must execute");
+        (out, profile)
     }
 
     /// Fused load-balanced multicore plan for `n` points on `p` threads.
@@ -236,7 +238,7 @@ mod measured_claims {
     /// Best (most favorable) profile over `reps` traced runs: min-of-N
     /// is the standard defense against scheduler noise — the claim is
     /// about the schedule, not about a preempted outlier run.
-    fn best_profiles(exec: &ParallelExecutor, plan: &Plan, reps: usize) -> Vec<RunProfile> {
+    fn best_profiles(exec: &Executor, plan: &Plan, reps: usize) -> Vec<RunProfile> {
         let x = ramp(plan.n);
         (0..reps).map(|_| traced(exec, plan, &x).1).collect()
     }
@@ -257,7 +259,7 @@ mod measured_claims {
             for k in 10..=16u32 {
                 let n = 1usize << k;
                 let plan = balanced_plan(n, p);
-                let exec = ParallelExecutor::with_auto_barrier(p);
+                let exec = Executor::new(p);
                 let profiles = best_profiles(&exec, &plan, 5);
                 let best_imbalance = profiles
                     .iter()
@@ -288,7 +290,7 @@ mod measured_claims {
         for p in [2usize, 4] {
             let n = 4096;
             let plan = balanced_plan(n, p);
-            let exec = ParallelExecutor::with_auto_barrier(p);
+            let exec = Executor::new(p);
             let x = ramp(n);
             let (_, profile) = traced(&exec, &plan, &x);
             for s in &profile.stages {
@@ -354,7 +356,7 @@ mod measured_claims {
         }
         let seq_tuner = Tuner::new(1, mu, CostModel::Analytic);
         let par_tuner = Tuner::new(p, mu, CostModel::Analytic);
-        let exec = ParallelExecutor::with_auto_barrier(p);
+        let exec = Executor::new(p);
         println!("| log2 n | 1 thread (µs) | 2 threads (µs) | cost 1 | cost 2 | steps 2 | picked p | regret |");
         println!("|---|---|---|---|---|---|---|---|");
         for k in 6..=16u32 {
@@ -372,7 +374,10 @@ mod measured_claims {
                     std::hint::black_box(seq.plan.execute(&x));
                 },
                 || {
-                    std::hint::black_box(exec.try_execute(&par.plan, &x).unwrap());
+                    let mut out = vec![Cplx::ZERO; n];
+                    exec.try_run(&par.plan, &[&x], &mut [&mut out], &())
+                        .unwrap();
+                    std::hint::black_box(out);
                 },
             );
             let picked = if pick.plan.threads == 1 { t1 } else { t2 };
@@ -389,15 +394,16 @@ mod measured_claims {
 
     #[test]
     fn negative_control_imbalanced_plan_fails_the_balance_bound() {
-        // A deliberately imbalanced plan — a sequential (Seq-step) plan
-        // on a 2-thread executor puts all compute on thread 0 — must be
-        // FLAGGED by the same metric the positive test passes. This is
-        // deterministic (thread 1 computes nothing at all), so it holds
-        // even on a single-core host.
+        // A deliberately imbalanced plan — a 2-thread plan of sequential
+        // (Seq) steps, dispatched on both threads with all compute on
+        // thread 0 — must be FLAGGED by the same metric the positive test
+        // passes. This is deterministic (thread 1 computes nothing at
+        // all), so it holds even on a single-core host.
         let n = 4096;
         let f = sequential_dft(n, 8);
-        let plan = Plan::from_formula(&f, 1, 4).unwrap();
-        let exec = ParallelExecutor::with_auto_barrier(2);
+        let plan = Plan::from_formula(&f, 2, 4).unwrap();
+        assert!(plan.steps.iter().all(|s| matches!(s, Step::Seq(_))));
+        let exec = Executor::new(2);
         let x = ramp(n);
         let (out, profile) = traced(&exec, &plan, &x);
         // The run itself is still correct…

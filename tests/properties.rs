@@ -110,20 +110,22 @@ proptest! {
         }
     }
 
-    /// The parallel executor agrees with the reference execution for any
-    /// valid configuration (real threads, park barrier).
+    /// The executor's 2-thread path agrees with the reference execution
+    /// for any valid configuration (real threads, park barrier).
     #[test]
     fn threaded_execution_deterministic(extra in 0usize..=3, seed in any::<u64>()) {
         let n = 64 << extra;
         let expanded = spiral_fft::rewrite::multicore_dft_expanded(n, 2, 4, None, 8).unwrap();
         let plan = Plan::from_formula(&expanded, 2, 4).unwrap();
-        let exec = spiral_fft::codegen::ParallelExecutor::new(
+        let exec = spiral_fft::codegen::Executor::with_barrier(
             2,
             spiral_fft::smp::barrier::BarrierKind::Park,
+            spiral_fft::codegen::executor::DEFAULT_WATCHDOG,
         );
         let x = cplx_input(n, seed);
         let want = plan.execute(&x);
-        let got = exec.execute(&plan, &x);
+        let mut got = vec![Cplx::ZERO; n];
+        exec.try_run(&plan, &[&x], &mut [&mut got], &()).unwrap();
         for (a, b) in got.iter().zip(&want) {
             prop_assert!(a.approx_eq(*b, 1e-12));
         }
