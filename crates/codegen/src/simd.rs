@@ -54,6 +54,16 @@ pub trait Lane:
     fn load(src: &[Cplx], at: usize) -> Self;
     /// Store the value to `dst[at..at + ν]`.
     fn store(self, dst: &mut [Cplx], at: usize);
+    /// [`load`](Self::load) through a raw pointer, unchecked.
+    ///
+    /// # Safety
+    /// `src.add(at)` is valid for reads of ν elements.
+    unsafe fn read(src: *const Cplx, at: usize) -> Self;
+    /// [`store`](Self::store) through a raw pointer, unchecked.
+    ///
+    /// # Safety
+    /// `dst.add(at)` is valid for writes of ν elements.
+    unsafe fn write(self, dst: *mut Cplx, at: usize);
     /// Every lane times the same constant (a codelet twiddle).
     fn mul_const(self, c: Cplx) -> Self;
     /// Lane-wise product (per-lane twiddle application).
@@ -76,6 +86,16 @@ impl Lane for Cplx {
     #[inline(always)]
     fn store(self, dst: &mut [Cplx], at: usize) {
         dst[at] = self;
+    }
+    #[inline(always)]
+    unsafe fn read(src: *const Cplx, at: usize) -> Cplx {
+        // SAFETY: the caller guarantees `src.add(at)` is readable.
+        unsafe { src.add(at).read() }
+    }
+    #[inline(always)]
+    unsafe fn write(self, dst: *mut Cplx, at: usize) {
+        // SAFETY: the caller guarantees `dst.add(at)` is writable.
+        unsafe { dst.add(at).write(self) }
     }
     #[inline(always)]
     fn mul_const(self, c: Cplx) -> Cplx {
@@ -133,6 +153,18 @@ impl<const NU: usize> Lane for Lanes<NU> {
     #[inline(always)]
     fn store(self, dst: &mut [Cplx], at: usize) {
         dst[at..at + NU].copy_from_slice(&self.0);
+    }
+    #[inline(always)]
+    unsafe fn read(src: *const Cplx, at: usize) -> Lanes<NU> {
+        // SAFETY: the caller guarantees ν readable elements at
+        // `src.add(at)`; `[Cplx; NU]` has `Cplx`'s alignment.
+        Lanes(unsafe { src.add(at).cast::<[Cplx; NU]>().read() })
+    }
+    #[inline(always)]
+    unsafe fn write(self, dst: *mut Cplx, at: usize) {
+        // SAFETY: the caller guarantees ν writable elements at
+        // `dst.add(at)`; `[Cplx; NU]` has `Cplx`'s alignment.
+        unsafe { dst.add(at).cast::<[Cplx; NU]>().write(self.0) }
     }
     #[inline(always)]
     fn mul_const(self, c: Cplx) -> Lanes<NU> {

@@ -113,14 +113,12 @@ impl KernelStage {
     }
 
     /// Rows of the twiddle tables the index function reaches:
-    /// `1 + Σ (count_d − 1)·tw_stride_d`. Each table holds exactly this
-    /// many rows of `c` entries.
+    /// `1 + Σ (count_d − 1)·tw_stride_d`, saturating at `usize::MAX`.
+    /// Each table holds exactly this many rows of `c` entries.
     pub fn twiddle_iterations(&self) -> usize {
-        1 + self
-            .loops
-            .iter()
-            .map(|l| l.count.saturating_sub(1) * l.tw_stride)
-            .sum::<usize>()
+        self.loops.iter().fold(1, |rows, l| {
+            rows.saturating_add(l.count.saturating_sub(1).saturating_mul(l.tw_stride))
+        })
     }
 
     /// Give every outer loop along which all of the stage's twiddle
@@ -301,6 +299,83 @@ impl KernelStage {
         }
     }
 
+    /// One past the last input and output index the affine index
+    /// function reaches, before `in_map`/`out_map`: on each side
+    /// `off + Σ (count_d − 1)·stride_d + (c − 1)·t_stride + 1`, or 0 for
+    /// a stage with no iterations. The ν-lane groups of a stage with a
+    /// contiguous lane loop (unit strides, count divisible by ν) end at
+    /// the last lane's scalar index, so the same range covers them. An
+    /// end past `usize::MAX` saturates, so it fits no buffer.
+    pub fn extents(&self) -> (usize, usize) {
+        if self.loops.iter().any(|l| l.count == 0) {
+            return (0, 0);
+        }
+        let last = self.codelet.size() - 1;
+        let end = |off: usize, t_stride: usize, stride: fn(&LoopDim) -> usize| {
+            self.loops
+                .iter()
+                .try_fold(off, |end, l| {
+                    end.checked_add((l.count - 1).checked_mul(stride(l))?)
+                })
+                .and_then(|end| end.checked_add(last.checked_mul(t_stride)?)?.checked_add(1))
+                .unwrap_or(usize::MAX)
+        };
+        (
+            end(self.in_off, self.in_t_stride, |l| l.in_stride),
+            end(self.out_off, self.out_t_stride, |l| l.out_stride),
+        )
+    }
+
+    /// Panic, naming what does not fit, unless the ν-lane walk of this
+    /// stage stays inside its buffers and twiddle tables. A lane stage
+    /// (ν > 1) needs a contiguous lane loop (unit strides, count
+    /// divisible by ν, twiddle stride 1). Each side without a map needs
+    /// its [`extents`](Self::extents) within its buffer (`src_len` is
+    /// `None` for a view that checks its own reads); a mapped side
+    /// indexes its map with the affine index, and [`run`](Self::run)
+    /// checks each mapped index as it goes. Each twiddle table the loop
+    /// reads (`tables`, scalar or lane-grouped) needs
+    /// [`twiddle_iterations`](Self::twiddle_iterations) rows of `c`.
+    fn assert_fits(
+        &self,
+        nu: usize,
+        src_len: Option<usize>,
+        dst_len: usize,
+        tables: [Option<&[Cplx]>; 2],
+    ) {
+        assert!(
+            nu == 1
+                || self.loops.last().is_some_and(|l| {
+                    (l.in_stride, l.out_stride, l.tw_stride) == (1, 1, 1)
+                        && l.count.is_multiple_of(nu)
+                }),
+            "vec({nu}) kernel stage without a contiguous lane loop"
+        );
+        let (in_end, out_end) = self.extents();
+        if let (None, Some(len)) = (&self.in_map, src_len) {
+            assert!(
+                in_end <= len,
+                "kernel stage reads elements [{}, {in_end}) of a {len}-element source",
+                self.in_off
+            );
+        }
+        if self.out_map.is_none() {
+            assert!(
+                out_end <= dst_len,
+                "kernel stage writes elements [{}, {out_end}) of a {dst_len}-element destination",
+                self.out_off
+            );
+        }
+        let (rows, c) = (self.twiddle_iterations(), self.codelet.size());
+        for w in tables.into_iter().flatten() {
+            assert!(
+                w.len() >= rows.saturating_mul(c),
+                "twiddle table of {} entries for {rows} rows of {c}",
+                w.len()
+            );
+        }
+    }
+
     /// Execute `dst = stage(src)`. The scratch argument is unused.
     pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx], _scratch: &mut Scratch) {
         self.apply_view(SrcView::Local(src), dst);
@@ -314,32 +389,46 @@ impl KernelStage {
     /// buffer through an arbitrary table, so lane groups need not be
     /// contiguous there) take the scalar path, which is always valid for
     /// vector-marked IR.
+    ///
+    /// Bounds are proven once per call where the index function is
+    /// affine: before its first write the stage checks the
+    /// [`extents`](Self::extents) of each side without a map against its
+    /// buffer, panicking with the range and the buffer length if it does
+    /// not fit, and those slots are then read and written without
+    /// per-access checks. Mapped sides and gathered views are checked at
+    /// each access.
     pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx]) {
         with_size(self.codelet.size(), KernelLoop(self, Some(src), dst));
     }
 
     /// Execute `buf = stage(buf)` in place. Valid only for a stage that
     /// reads exactly the slots it writes ([`in_place`](Self::in_place)).
+    /// Bounds are proven once per call, as in
+    /// [`apply_view`](Self::apply_view).
     pub fn apply_in_place(&self, buf: &mut [Cplx]) {
         debug_assert!(self.in_place(), "stage does not run in place");
         with_size(self.codelet.size(), KernelLoop(self, None, buf));
     }
 
     /// The loop nest of one stage with codelet size `C` on lane type `T`:
-    /// each lane group's `C` slots are loaded with `load` (fused gather map
-    /// and on-load twiddles applied as they come) into a stack array,
+    /// each lane group's `C` slots are loaded from `src` (fused gather
+    /// map and on-load twiddles applied as they come) into a stack array,
     /// transformed by the generated kernel, and stored straight to `dst`
-    /// (on-store twiddles, fused scatter map). `load` gets a shared
-    /// reborrow of `dst` that ends before the group's stores: an in-place
-    /// stage loads from it, an out-of-place one ignores it and reads its
-    /// own source, so the compiler sees that source apart from `dst`.
-    /// Twiddle entry `t` of the lane group whose first twiddle iteration
-    /// is `w` (a multiple of ν) sits at `w·C + t·ν` in the scalar (ν = 1)
-    /// or lane-grouped table.
+    /// (on-store twiddles, fused scatter map). Twiddle entry `t` of the
+    /// lane group whose first twiddle iteration is `w` (a multiple of ν)
+    /// sits at `w·C + t·ν` in the scalar (ν = 1) or lane-grouped table.
+    ///
+    /// [`assert_fits`](Self::assert_fits) proves the affine range of each
+    /// side without a map once, before the loop; those slots are then
+    /// loaded and stored through raw pointers (each index
+    /// `debug_assert!`ed). A mapped index is checked as it is read from
+    /// its map, and a [`SrcView`] input checks its own reads. Every access
+    /// to `dst`, an in-place stage's loads included, goes through the one
+    /// pointer taken from `dst.as_mut_ptr()`.
     #[inline(never)]
-    fn run<const C: usize, T: Lane>(
+    fn run<const C: usize, T: Lane, S: Input<T>>(
         &self,
-        load: impl Fn(&[Cplx], usize) -> T,
+        src: S,
         tw_in: Option<&[Cplx]>,
         tw_out: Option<&[Cplx]>,
         dst: &mut [Cplx],
@@ -347,24 +436,36 @@ impl KernelStage {
         Kernels: Dft<C>,
     {
         let (in_map, out_map) = (self.in_map.as_deref(), self.out_map.as_deref());
+        let (src_len, dst_len) = (src.raw_len(dst.len()), dst.len());
+        self.assert_fits(T::NU, src_len, dst_len, [tw_in, tw_out]);
+        let d = dst.as_mut_ptr();
         let scale = |v: T, tw: Option<&[Cplx]>, at: usize| match tw {
-            Some(w) => v.mul_lanes(T::load(w, at)),
+            Some(w) => {
+                debug_assert!(at + T::NU <= w.len());
+                // SAFETY: `assert_fits` proved the table holds every row
+                // the walk reaches.
+                v.mul_lanes(unsafe { T::read(w.as_ptr(), at) })
+            }
             None => v,
         };
         self.for_each_group(T::NU, |w, in_base, out_base| {
             let mut x = [T::ZERO; C];
             for (t, x) in x.iter_mut().enumerate() {
                 let a = in_base + t * self.in_t_stride;
-                *x = scale(
-                    load(&*dst, in_map.map_or(a, |m| m[a] as usize)),
-                    tw_in,
-                    w * C + t * T::NU,
-                );
+                let i = in_map.map_or(a, |m| mapped(m, a, T::NU, src_len));
+                debug_assert!(src_len.is_none_or(|len| i + T::NU <= len));
+                // SAFETY: an unmapped `i` lies in the range `assert_fits`
+                // proved, a mapped one passed `mapped`'s check, and `d`
+                // covers the `dst_len` elements an in-place input reads.
+                *x = scale(unsafe { src.load(d, i) }, tw_in, w * C + t * T::NU);
             }
             for (t, y) in Kernels::dft(x).into_iter().enumerate() {
                 let a = out_base + t * self.out_t_stride;
-                scale(y, tw_out, w * C + t * T::NU)
-                    .store(dst, out_map.map_or(a, |m| m[a] as usize));
+                let o = out_map.map_or(a, |m| mapped(m, a, T::NU, Some(dst_len)));
+                debug_assert!(o + T::NU <= dst_len);
+                // SAFETY: as for the loads, `o + ν ≤ dst_len`, and `d`
+                // is the only pointer into `dst` the loop uses.
+                unsafe { scale(y, tw_out, w * C + t * T::NU).write(d, o) };
             }
         });
     }
@@ -408,33 +509,91 @@ impl SizeFn for KernelLoop<'_, '_> {
         Kernels: Dft<C>,
     {
         let KernelLoop(k, src, dst) = self;
-        // In-place loads are their own closures (`Lane::load` on the
-        // reborrow of `dst`), so an out-of-place stage's loads provably
-        // read another buffer than its stores write. A gathered view has
-        // no lane groups and always takes the scalar path.
+        // A gathered view has no lane groups and always takes the scalar
+        // path.
         if !cfg!(feature = "force-scalar") {
             let (tw, tw_out) = (table(&k.twiddle_lanes), table(&k.twiddle_out_lanes));
             match (k.vec_width, src) {
-                (2, None) => return k.run::<C, Lanes<2>>(Lanes::load, tw, tw_out, dst),
-                (2, Some(SrcView::Local(s))) => {
-                    return k.run::<C, Lanes<2>>(|_, i| Lanes::load(s, i), tw, tw_out, dst)
-                }
-                (4, None) => return k.run::<C, Lanes<4>>(Lanes::load, tw, tw_out, dst),
-                (4, Some(SrcView::Local(s))) => {
-                    return k.run::<C, Lanes<4>>(|_, i| Lanes::load(s, i), tw, tw_out, dst)
-                }
+                (2, None) => return k.run::<C, Lanes<2>, _>(InPlace, tw, tw_out, dst),
+                (2, Some(SrcView::Local(s))) => return k.run::<C, Lanes<2>, _>(s, tw, tw_out, dst),
+                (4, None) => return k.run::<C, Lanes<4>, _>(InPlace, tw, tw_out, dst),
+                (4, Some(SrcView::Local(s))) => return k.run::<C, Lanes<4>, _>(s, tw, tw_out, dst),
                 _ => {}
             }
         }
         let (tw, tw_out) = (table(&k.twiddle), table(&k.twiddle_out));
         match src {
-            None => k.run::<C, Cplx>(<Cplx as Lane>::load, tw, tw_out, dst),
-            Some(SrcView::Local(s)) => k.run::<C, Cplx>(|_, i| s[i], tw, tw_out, dst),
-            Some(SrcView::Gathered { buf, gather, off }) => {
-                k.run::<C, Cplx>(|_, i| buf[gather[off + i] as usize], tw, tw_out, dst);
-            }
+            None => k.run::<C, Cplx, _>(InPlace, tw, tw_out, dst),
+            Some(SrcView::Local(s)) => k.run::<C, Cplx, _>(s, tw, tw_out, dst),
+            Some(view) => k.run::<C, Cplx, _>(view, tw, tw_out, dst),
         }
     }
+}
+
+/// The input of one stage loop ([`KernelStage::run`]).
+trait Input<T: Lane>: Copy {
+    /// Length of the buffer that raw loads read, given the destination's
+    /// length `dst`; `None` for an input that checks its own reads.
+    fn raw_len(self, dst: usize) -> Option<usize>;
+    /// The value at index `i`. An in-place input reads it through `dst`.
+    ///
+    /// # Safety
+    /// When [`raw_len`](Self::raw_len) is `Some(len)`, `i + ν ≤ len`; and
+    /// `dst` is valid for reads of the destination's length.
+    unsafe fn load(self, dst: *const Cplx, i: usize) -> T;
+}
+
+/// The input of an in-place stage: the destination itself.
+#[derive(Copy, Clone)]
+struct InPlace;
+
+impl<T: Lane> Input<T> for InPlace {
+    fn raw_len(self, dst: usize) -> Option<usize> {
+        Some(dst)
+    }
+    #[inline(always)]
+    unsafe fn load(self, dst: *const Cplx, i: usize) -> T {
+        // SAFETY: `i + ν ≤ dst`'s length, and `dst` is readable that far.
+        unsafe { T::read(dst, i) }
+    }
+}
+
+impl<T: Lane> Input<T> for &[Cplx] {
+    fn raw_len(self, _: usize) -> Option<usize> {
+        Some(self.len())
+    }
+    #[inline(always)]
+    unsafe fn load(self, _: *const Cplx, i: usize) -> T {
+        // SAFETY: `i + ν ≤ self.len()`.
+        unsafe { T::read(self.as_ptr(), i) }
+    }
+}
+
+/// A view's reads are checked ([`SrcView::get`]); the loop runs it only
+/// for gathered views.
+impl Input<Cplx> for SrcView<'_> {
+    fn raw_len(self, _: usize) -> Option<usize> {
+        None
+    }
+    #[inline(always)]
+    unsafe fn load(self, _: *const Cplx, i: usize) -> Cplx {
+        self.get(i)
+    }
+}
+
+/// The index a fused map sends affine index `a` to, checked to start a
+/// group of `nu` elements inside a buffer of `len` (`None`: the input
+/// checks its own reads).
+#[inline(always)]
+fn mapped(map: &[u32], a: usize, nu: usize, len: Option<usize>) -> usize {
+    let i = map[a] as usize;
+    if let Some(len) = len {
+        assert!(
+            i + nu <= len,
+            "fused map sends index {a} to {i}, outside a {len}-element buffer"
+        );
+    }
+    i
 }
 
 fn table(t: &Option<Arc<Vec<Cplx>>>) -> Option<&[Cplx]> {
@@ -1081,6 +1240,113 @@ mod tests {
         assert!(!mapped.in_place());
         stage.loops[0].out_stride = 2;
         assert!(!stage.in_place());
+    }
+
+    /// `DFT_4 ⊗ I_8` at offset 4 with twiddles on load and on store,
+    /// scalar or marked for ν lanes: both sides reach index 35.
+    fn offset_stage(nu: usize) -> KernelStage {
+        let mut k = KernelStage::unit(Codelet::for_size(4));
+        (k.in_off, k.out_off, k.in_t_stride, k.out_t_stride) = (4, 4, 8, 8);
+        k.loops.push(LoopDim {
+            count: 8,
+            in_stride: 1,
+            out_stride: 1,
+            tw_stride: 1,
+        });
+        let table = |step: f64| {
+            Some(Arc::new(
+                (0..32).map(|i| Cplx::cis(step * f64::from(i))).collect(),
+            ))
+        };
+        (k.twiddle, k.twiddle_out) = (table(0.1), table(-0.2));
+        if nu > 1 {
+            assert!(crate::vectorize::vectorize_stage(&mut k, nu));
+        }
+        k
+    }
+
+    /// Run `k` on a `src`-element source and a `dst`-element destination
+    /// (in place on the destination when `src` is `None`). `Err` carries
+    /// the panic message and whether the destination kept every bit.
+    fn run_caught(k: &KernelStage, src: Option<usize>, dst: usize) -> Result<(), (String, bool)> {
+        let x = ramp(src.unwrap_or(0));
+        let before: Vec<Cplx> = ramp(dst).iter().map(|v| -*v).collect();
+        let mut out = before.clone();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match src {
+            Some(_) => k.apply_view(SrcView::Local(&x), &mut out),
+            None => k.apply_in_place(&mut out),
+        }))
+        .map_err(|e| {
+            let msg = e.downcast_ref::<String>().cloned().unwrap_or_default();
+            (msg, same_bits(&out, &before))
+        })
+    }
+
+    /// A stage whose range does not fit a buffer or a twiddle table
+    /// panics with a message naming it before it writes anything, on the
+    /// scalar and the ν = 4 path, in place and out of place; a range
+    /// that ends exactly at the last element runs.
+    #[test]
+    fn a_stage_that_does_not_fit_panics_before_any_write() {
+        for nu in [1, 4] {
+            let k = offset_stage(nu);
+            assert_eq!(k.extents(), (36, 36));
+            assert_eq!(run_caught(&k, Some(36), 36), Ok(()));
+            assert_eq!(run_caught(&k, None, 36), Ok(()));
+            let untouched = |msg: &str| Err((msg.to_string(), true));
+            assert_eq!(
+                run_caught(&k, Some(35), 36),
+                untouched("kernel stage reads elements [4, 36) of a 35-element source")
+            );
+            assert_eq!(
+                run_caught(&k, Some(36), 35),
+                untouched("kernel stage writes elements [4, 36) of a 35-element destination")
+            );
+            // In place the destination is also the source.
+            assert_eq!(
+                run_caught(&k, None, 35),
+                untouched("kernel stage reads elements [4, 36) of a 35-element source")
+            );
+            let short = |mut k: KernelStage, on_store: bool| {
+                let tables = if on_store {
+                    [&mut k.twiddle_out, &mut k.twiddle_out_lanes]
+                } else {
+                    [&mut k.twiddle, &mut k.twiddle_lanes]
+                };
+                for w in tables.into_iter().flatten() {
+                    *w = Arc::new(w[..31].to_vec());
+                }
+                k
+            };
+            for on_store in [false, true] {
+                let k = short(k.clone(), on_store);
+                let msg = untouched("twiddle table of 31 entries for 8 rows of 4");
+                assert_eq!(run_caught(&k, Some(36), 36), msg);
+                assert_eq!(run_caught(&k, None, 36), msg);
+            }
+        }
+    }
+
+    /// A lane-marked stage whose lane loop is not contiguous is refused
+    /// before it runs; a mapped side checks each index it maps.
+    #[test]
+    fn lane_and_map_faults_panic_instead_of_reading_out_of_bounds() {
+        if cfg!(not(feature = "force-scalar")) {
+            let mut k = offset_stage(4);
+            k.loops[0].in_stride = 2;
+            let (msg, untouched) = run_caught(&k, Some(64), 64).unwrap_err();
+            assert_eq!(msg, "vec(4) kernel stage without a contiguous lane loop");
+            assert!(untouched);
+        }
+        let mut k = offset_stage(1);
+        let mut map: Vec<u32> = (0..36).collect();
+        map[35] = 36;
+        k.out_map = Some(Arc::new(map));
+        let (msg, _) = run_caught(&k, Some(36), 36).unwrap_err();
+        assert_eq!(
+            msg,
+            "fused map sends index 35 to 36, outside a 36-element buffer"
+        );
     }
 
     #[test]
