@@ -8,7 +8,7 @@
 //!   reversal (the large-stride access pattern of §2.2);
 //! * [`stockham::StockhamFft`] — autosort variant;
 //! * [`sixstep::SixStepFft`] — the six-step algorithm (3) with explicit
-//!   (optionally cache-blocked, ref. [1]) transpositions and a natural
+//!   (optionally cache-blocked, ref. \[1\]) transpositions and a natural
 //!   parallel schedule;
 //! * [`fftwlike::FftwLikeFft`] — an FFTW-3.1-like model: µ-oblivious
 //!   block-cyclic loop parallelization with per-execution thread

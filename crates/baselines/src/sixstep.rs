@@ -1,5 +1,5 @@
 //! The six-step FFT (paper eq. (3)) with *explicit* transposition passes,
-//! optionally cache-blocked (ref. [1]) — the traditional shared-memory
+//! optionally cache-blocked (ref. \[1\]) — the traditional shared-memory
 //! FFT the multicore Cooley–Tukey (14) is contrasted with.
 
 use crate::iterative::IterativeFft;

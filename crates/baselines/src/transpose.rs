@@ -1,5 +1,5 @@
 //! Explicit matrix transposition — the data-reorganization passes of the
-//! six-step FFT (paper eq. (3)), plain and cache-blocked (ref. [1]).
+//! six-step FFT (paper eq. (3)), plain and cache-blocked (ref. \[1\]).
 
 use spiral_codegen::hook::{MemHook, Region};
 use spiral_spl::cplx::Cplx;

@@ -16,7 +16,7 @@
 
 use crate::codelet::dag::{Dag, Node};
 use crate::plan::{ElementOp, Plan, Portion, Step};
-use crate::stage::{Buf, KernelStage, LocalProgram, LocalStage};
+use crate::stage::{Buf, KernelStage, LocalProgram};
 use spiral_spl::cplx::Cplx;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -318,66 +318,8 @@ impl<'a> Emitter<'a> {
         for (k, (stage, input, output)) in prog.passes().enumerate() {
             let ((in_buf, in_off), (out_buf, out_off)) = (at(input), at(output));
             let g = if input == Buf::Src { gather } else { None };
-            s.push_str(&self.emit_stage(
-                si, ci, k, prog.dim, stage, in_buf, in_off, out_buf, out_off, g,
-            ));
-        }
-        s
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_stage(
-        &mut self,
-        si: usize,
-        ci: usize,
-        k: usize,
-        dim: usize,
-        stage: &LocalStage,
-        in_buf: &str,
-        in_off: &str,
-        out_buf: &str,
-        out_off: &str,
-        gather: Option<&str>,
-    ) -> String {
-        let tag = format!("s{si}c{ci}k{k}");
-        let mut s = String::new();
-        // Input index expression, optionally through the fused global
-        // gather table.
-        let src_idx = |e: String| -> String {
-            match gather {
-                Some(g) => format!("{g}[({in_off})+{e}]"),
-                None => format!("(({in_off})+{e})"),
-            }
-        };
-        match stage {
-            LocalStage::Permute(t) => {
-                let tname = format!("perm_{tag}");
-                self.emit_u32_table(&tname, t);
-                let idx = src_idx(format!("{tname}[i]"));
-                let _ = write!(
-                    s,
-                    "    for (int i = 0; i < {dim}; i++) {{\n\
-                     \x20       {out_buf}[2*(({out_off})+i)]   = {in_buf}[2*{idx}];\n\
-                     \x20       {out_buf}[2*(({out_off})+i)+1] = {in_buf}[2*{idx}+1];\n\
-                     \x20   }}\n"
-                );
-            }
-            LocalStage::Scale(w) => {
-                let tname = format!("scale_{tag}");
-                self.emit_cplx_table(&tname, w);
-                let idx = src_idx("i".to_string());
-                let _ = write!(
-                    s,
-                    "    for (int i = 0; i < {dim}; i++) {{\n\
-                     \x20       double re = {in_buf}[2*{idx}], im = {in_buf}[2*{idx}+1];\n\
-                     \x20       {out_buf}[2*(({out_off})+i)]   = re * {tname}[2*i]   - im * {tname}[2*i+1];\n\
-                     \x20       {out_buf}[2*(({out_off})+i)+1] = re * {tname}[2*i+1] + im * {tname}[2*i];\n\
-                     \x20   }}\n"
-                );
-            }
-            LocalStage::Kernel(ks) => {
-                s.push_str(&self.emit_kernel(&tag, ks, in_buf, in_off, out_buf, out_off, gather));
-            }
+            let tag = format!("s{si}c{ci}k{k}");
+            s.push_str(&self.emit_kernel(&tag, stage, in_buf, in_off, out_buf, out_off, g));
         }
         s
     }
@@ -642,18 +584,13 @@ fn homogeneous(programs: &[LocalProgram]) -> bool {
 
 fn same_structure(a: &LocalProgram, b: &LocalProgram) -> bool {
     a.stages.len() == b.stages.len()
-        && a.stages.iter().zip(&b.stages).all(|(x, y)| match (x, y) {
-            (LocalStage::Kernel(k1), LocalStage::Kernel(k2)) => {
-                k1.loops == k2.loops
-                    && k1.codelet.size() == k2.codelet.size()
-                    && k1.in_map == k2.in_map
-                    && k1.out_map == k2.out_map
-                    && k1.twiddle == k2.twiddle
-                    && k1.twiddle_out == k2.twiddle_out
-            }
-            (LocalStage::Permute(t1), LocalStage::Permute(t2)) => t1 == t2,
-            (LocalStage::Scale(w1), LocalStage::Scale(w2)) => w1 == w2,
-            _ => false,
+        && a.stages.iter().zip(&b.stages).all(|(k1, k2)| {
+            k1.loops == k2.loops
+                && k1.codelet.size() == k2.codelet.size()
+                && k1.in_map == k2.in_map
+                && k1.out_map == k2.out_map
+                && k1.twiddle == k2.twiddle
+                && k1.twiddle_out == k2.twiddle_out
         })
 }
 

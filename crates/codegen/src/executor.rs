@@ -16,7 +16,7 @@
 //!   check; any other thread count is an `Err`.
 //!
 //! Every thread runs its part of a row through one step loop
-//! ([`run_steps`]); [`Plan::execute_into`] is its one-thread case. Every
+//! (`run_steps`); [`Plan::execute_into`] is its one-thread case. Every
 //! path checks the row count and lengths and, in debug builds, the
 //! installed plan validator; isolates panics ([`SpiralError::WorkerPanic`]);
 //! bounds a dead peer by the step-barrier watchdog

@@ -1,51 +1,63 @@
-//! Loop merging (the formula-level optimization of ref. [11]).
+//! Loop merging (the formula-level optimization of ref. \[11\]).
 //!
-//! After lowering, permutations and diagonals are explicit data passes.
-//! This pass folds them into adjacent kernel stages:
+//! After lowering, permutations and diagonals are data stages: `DFT_1`
+//! over every point, with a gather map (`dst[i] = src[map[i]]`), an
+//! on-load table (`dst[i] = src[i]·w[i]`) or both (`is_data`). This pass
+//! folds each into an adjacent stage by two rules, applied left to right:
 //!
-//! * `Permute → Kernel` becomes a fused *gather* (`in_map`),
-//! * `Scale → Kernel` becomes a fused twiddle-on-load,
-//! * `Kernel → Permute` becomes a fused *scatter* (`out_map`),
-//! * adjacent `Permute`s / `Scale`s combine,
-//! * identity permutes and all-ones scales disappear.
+//! * a data stage folds into the stage after it, on its gather side: the
+//!   maps compose into `in_map`, and the table becomes a twiddle-on-load
+//!   keyed by the stage's own gather order;
+//! * otherwise a data stage after a compute stage folds into that stage's
+//!   scatter side: the inverse map composes into `out_map`, and the table
+//!   becomes a twiddle-on-store keyed by the scatter order.
 //!
-//! The result is the memory behaviour the paper reasons about: a
-//! Cooley–Tukey formula becomes `log` kernel passes with strided gathers,
-//! no standalone reorder passes.
+//! One pass leaves a data stage only in a program with nothing else, and
+//! drops it if it does nothing. The result is the memory
+//! behaviour the paper reasons about: a Cooley–Tukey formula becomes
+//! `log` kernel passes with strided gathers, no standalone reorder
+//! passes.
 
 use crate::lower::{twiddle_for_kernel, twiddle_for_kernel_out};
-use crate::stage::{KernelStage, LocalProgram, LocalStage};
+use crate::stage::{KernelStage, LocalProgram};
 use spiral_spl::cplx::Cplx;
 use std::sync::Arc;
 
-/// Fuse a program to fixpoint. Semantics-preserving (tested by matrix
-/// equality against the unfused program).
-pub fn fuse(mut prog: LocalProgram) -> LocalProgram {
-    loop {
-        let before = prog.stages.len();
-        prog = fuse_once(prog);
-        prog = drop_trivial(prog);
-        if prog.stages.len() == before {
-            break;
-        }
-    }
-    recover_affine(prog)
+/// Fuse a program. Semantics-preserving (tested by matrix equality
+/// against the unfused program).
+pub fn fuse(prog: LocalProgram) -> LocalProgram {
+    recover_affine(drop_trivial(fold_data(prog)))
+}
+
+/// True for a data stage: `DFT_1` whose affine index is the identity
+/// on both sides (offsets 0, each loop's strides the product of the
+/// counts inside it), with no scatter map and no on-store table. It
+/// computes `dst[i] = src[in_map[i]] · twiddle[i]`, either part absent
+/// meaning none.
+fn is_data(k: &KernelStage) -> bool {
+    let dense = k.loops.iter().rev().try_fold(1usize, |span, l| {
+        (l.in_stride == span && l.out_stride == span && l.tw_stride == span).then(|| span * l.count)
+    });
+    k.codelet.size() == 1
+        && (k.in_off, k.out_off) == (0, 0)
+        && k.out_map.is_none()
+        && k.twiddle_out.is_none()
+        && dense.is_some()
 }
 
 /// Stride permutations fused as gather/scatter *tables* are usually
 /// affine in the kernel's own loop indices (e.g. the Cooley–Tukey
 /// `L^{mn}_m` is a plain stride-m read). Detect that and convert the
 /// table back into loop strides — the form the paper's index
-/// simplification [11] produces, and the form compilers vectorize.
+/// simplification \[11\] produces, and the form compilers vectorize.
+/// Data stages keep their maps, so a later fusion (of merged parallel
+/// steps) still sees them as data stages.
 fn recover_affine(prog: LocalProgram) -> LocalProgram {
     let dim = prog.dim;
     let stages = prog
         .stages
         .into_iter()
-        .map(|s| match s {
-            LocalStage::Kernel(k) => LocalStage::Kernel(try_affine(k)),
-            other => other,
-        })
+        .map(|k| if is_data(&k) { k } else { try_affine(k) })
         .collect();
     LocalProgram { dim, stages }
 }
@@ -122,98 +134,94 @@ fn affine_of(k: &KernelStage, output: bool) -> Option<(usize, Vec<usize>, usize)
     Some((base, strides, t_stride))
 }
 
-fn fuse_once(prog: LocalProgram) -> LocalProgram {
+/// Fold every data stage into a neighbour. A stage is pushed only onto
+/// an empty program or, if neither it nor the last stage is a data
+/// stage, after a compute stage; so a data stage is left only as the
+/// single stage of a program that holds nothing else.
+fn fold_data(prog: LocalProgram) -> LocalProgram {
     let dim = prog.dim;
-    let mut out: Vec<LocalStage> = Vec::with_capacity(prog.stages.len());
-    for stage in prog.stages {
-        match (out.last_mut(), stage) {
-            // Permute then Permute: y = P2(P1 x) ⇒ tbl[i] = t1[t2[i]].
-            (Some(LocalStage::Permute(t1)), LocalStage::Permute(t2)) => {
-                let combined: Vec<u32> = t2.iter().map(|&i| t1[i as usize]).collect();
-                *t1 = Arc::new(combined);
+    let mut out: Vec<KernelStage> = Vec::with_capacity(prog.stages.len());
+    for mut stage in prog.stages {
+        match out.last_mut() {
+            Some(last) if is_data(last) => {
+                gather_into(last, &mut stage);
+                *last = stage;
             }
-            // Scale then Scale: pointwise product.
-            (Some(LocalStage::Scale(w1)), LocalStage::Scale(w2)) => {
-                let combined: Vec<Cplx> = w1.iter().zip(w2.iter()).map(|(a, b)| *a * *b).collect();
-                *w1 = Arc::new(combined);
-            }
-            // Permute then Kernel: fold into the kernel's gather.
-            (Some(LocalStage::Permute(t)), LocalStage::Kernel(mut k)) => {
-                let t = Arc::clone(t);
-                k.in_map = Some(match k.in_map.take() {
-                    None => t,
-                    Some(old) => Arc::new(old.iter().map(|&i| t[i as usize]).collect()),
-                });
-                *out.last_mut().unwrap() = LocalStage::Kernel(k);
-            }
-            // Scale then Kernel: fold into twiddle-on-load. The table is
-            // keyed by (iteration, slot), built from the kernel's own
-            // gather order, so it composes with any in_map already fused.
-            (Some(LocalStage::Scale(w)), LocalStage::Kernel(mut k)) => {
-                let per_slot = twiddle_for_kernel(&k, w);
-                k.twiddle = Some(match k.twiddle.take() {
-                    None => Arc::new(per_slot),
-                    Some(old) => {
-                        Arc::new(old.iter().zip(&per_slot).map(|(a, b)| *a * *b).collect())
-                    }
-                });
-                *out.last_mut().unwrap() = LocalStage::Kernel(k);
-            }
-            // Kernel then Scale: fold as scale-on-store, keyed by the
-            // kernel's scatter order.
-            (Some(LocalStage::Kernel(k)), LocalStage::Scale(w)) => {
-                let per_slot = twiddle_for_kernel_out(k, &w);
-                let mut k2 = k.clone();
-                k2.twiddle_out = Some(match k2.twiddle_out.take() {
-                    None => Arc::new(per_slot),
-                    Some(old) => {
-                        Arc::new(old.iter().zip(&per_slot).map(|(a, b)| *a * *b).collect())
-                    }
-                });
-                *out.last_mut().unwrap() = LocalStage::Kernel(k2);
-            }
-            // Kernel then Permute: fold into the kernel's scatter.
-            // y = P(K x): value written to o lands at dest with
-            // tbl[dest] = o, i.e. through the inverse table.
-            (Some(LocalStage::Kernel(k)), LocalStage::Permute(t)) => {
-                let mut inv = vec![0u32; t.len()];
-                for (i, &s) in t.iter().enumerate() {
-                    inv[s as usize] = crate::u32_idx(i);
-                }
-                let k = k.clone();
-                let mut k2 = k;
-                k2.out_map = Some(match k2.out_map.take() {
-                    None => Arc::new(inv),
-                    Some(old) => Arc::new(old.iter().map(|&o| inv[o as usize]).collect()),
-                });
-                *out.last_mut().unwrap() = LocalStage::Kernel(k2);
-            }
-            (_, s) => out.push(s),
+            Some(last) if is_data(&stage) => scatter_into(&stage, last),
+            _ => out.push(stage),
         }
     }
     LocalProgram { dim, stages: out }
 }
 
+/// Fold data stage `d` into the stage `k` after it: `k` reads
+/// `src[d.in_map[i]] · d.twiddle[i]` where it read element `i`. The
+/// table is keyed by `k`'s gather order before the maps compose, so it
+/// composes with any `in_map` already fused.
+fn gather_into(d: &KernelStage, k: &mut KernelStage) {
+    let per_slot = d.twiddle.as_ref().map(|w| twiddle_for_kernel(k, w));
+    if let Some(t) = &d.in_map {
+        k.in_map = Some(match k.in_map.take() {
+            None => Arc::clone(t),
+            Some(old) => Arc::new(old.iter().map(|&i| t[i as usize]).collect()),
+        });
+    }
+    if let Some(per_slot) = per_slot {
+        k.twiddle = Some(product(k.twiddle.take(), per_slot));
+    }
+}
+
+/// Fold data stage `d` into the stage `k` before it: the value `k`
+/// stored at `o` lands at `i` with `d.in_map[i] = o`, i.e. through the
+/// inverse map, scaled by `d.twiddle[i]`, keyed by `k`'s scatter order
+/// after the maps compose.
+fn scatter_into(d: &KernelStage, k: &mut KernelStage) {
+    if let Some(t) = &d.in_map {
+        let mut inv = vec![0u32; t.len()];
+        for (i, &s) in t.iter().enumerate() {
+            inv[s as usize] = crate::u32_idx(i);
+        }
+        k.out_map = Some(match k.out_map.take() {
+            None => Arc::new(inv),
+            Some(old) => Arc::new(old.iter().map(|&o| inv[o as usize]).collect()),
+        });
+    }
+    if let Some(w) = &d.twiddle {
+        let per_slot = twiddle_for_kernel_out(k, w);
+        k.twiddle_out = Some(product(k.twiddle_out.take(), per_slot));
+    }
+}
+
+/// `per_slot`, multiplied entrywise into a table already fused, if any.
+fn product(old: Option<Arc<Vec<Cplx>>>, per_slot: Vec<Cplx>) -> Arc<Vec<Cplx>> {
+    Arc::new(match old {
+        None => per_slot,
+        Some(old) => old.iter().zip(&per_slot).map(|(a, b)| *a * *b).collect(),
+    })
+}
+
+/// Drop a data stage whose map and table do nothing: an identity map
+/// (or none) and an all-ones table (or none), at least one present. A
+/// bare `DFT_1`, the whole of a one-point transform, stays.
 fn drop_trivial(prog: LocalProgram) -> LocalProgram {
     let dim = prog.dim;
     let stages = prog
         .stages
         .into_iter()
-        .filter(|s| match s {
-            LocalStage::Permute(t) => !t.iter().enumerate().all(|(i, &v)| v as usize == i),
-            LocalStage::Scale(w) => !w.iter().all(|z| z.approx_eq(Cplx::ONE, 0.0)),
-            LocalStage::Kernel(_) => true,
+        .filter(|k| {
+            let identity = k
+                .in_map
+                .as_ref()
+                .is_none_or(|t| t.iter().enumerate().all(|(i, &v)| v as usize == i));
+            let ones = k
+                .twiddle
+                .as_ref()
+                .is_none_or(|w| w.iter().all(|z| z.approx_eq(Cplx::ONE, 0.0)));
+            let bare = k.in_map.is_none() && k.twiddle.is_none();
+            !(is_data(k) && identity && ones && !bare)
         })
         .collect();
     LocalProgram { dim, stages }
-}
-
-/// Count kernel stages (post-fusion this is the number of compute passes).
-pub fn kernel_passes(prog: &LocalProgram) -> usize {
-    prog.stages
-        .iter()
-        .filter(|s| matches!(s, LocalStage::Kernel(_)))
-        .count()
 }
 
 #[cfg(test)]
@@ -246,7 +254,7 @@ mod tests {
         // loops" the paper says formula optimization reduces (1) to.
         let fused = check_fused(&cooley_tukey(2, 4));
         assert_eq!(fused.stages.len(), 2, "{:?}", fused.stages.len());
-        assert_eq!(kernel_passes(&fused), 2);
+        assert!(fused.stages.iter().all(|k| !is_data(k)));
     }
 
     #[test]
@@ -255,8 +263,8 @@ mod tests {
         let f = RuleTree::right_radix(16, 2).expand().normalized();
         let fused = check_fused(&f);
         // Radix-2 on 16 points: 4 butterfly passes, nothing else.
-        assert_eq!(kernel_passes(&fused), 4);
         assert_eq!(fused.stages.len(), 4);
+        assert!(fused.stages.iter().all(|k| k.codelet.size() == 2));
     }
 
     #[test]
@@ -278,7 +286,26 @@ mod tests {
         let f = compose(vec![twiddle(2, 4), twiddle(2, 4)]);
         let fused = check_fused(&f);
         assert_eq!(fused.stages.len(), 1);
-        assert!(matches!(fused.stages[0], LocalStage::Scale(_)));
+        let k = &fused.stages[0];
+        assert!(is_data(k) && k.in_map.is_none() && k.twiddle.is_some());
+    }
+
+    /// A permutation and a diagonal before any kernel fold into one data
+    /// stage, in either order, and that stage folds into the kernel.
+    #[test]
+    fn leading_data_stages_fold_into_one() {
+        for f in [
+            compose(vec![stride(8, 2), twiddle(2, 4)]),
+            compose(vec![twiddle(2, 4), stride(8, 2)]),
+        ] {
+            let fused = check_fused(&f);
+            assert_eq!(fused.stages.len(), 1);
+            let k = &fused.stages[0];
+            assert!(is_data(k) && k.in_map.is_some() && k.twiddle.is_some());
+            let fused = check_fused(&compose(vec![tensor(i(4), f2()), f]));
+            assert_eq!(fused.stages.len(), 1);
+            assert!(!is_data(&fused.stages[0]));
+        }
     }
 
     #[test]
@@ -286,19 +313,15 @@ mod tests {
         let f = compose(vec![stride(8, 2), tensor(i(4), f2())]);
         let fused = check_fused(&f);
         assert_eq!(fused.stages.len(), 1);
-        match &fused.stages[0] {
-            // The scatter through L^8_2 is affine, so recovery turns the
-            // fused table back into strides: no out_map, but the output
-            // strides must no longer be the plain contiguous ones.
-            LocalStage::Kernel(k) => {
-                assert!(k.out_map.is_none(), "affine scatter should have no table");
-                assert!(
-                    k.out_t_stride != 1 || k.loops.iter().any(|l| l.out_stride != l.in_stride),
-                    "scatter strides unchanged: {k:?}"
-                );
-            }
-            other => panic!("expected kernel, got {other:?}"),
-        }
+        // The scatter through L^8_2 is affine, so recovery turns the
+        // fused table back into strides: no out_map, but the output
+        // strides must no longer be the plain contiguous ones.
+        let k = &fused.stages[0];
+        assert!(k.out_map.is_none(), "affine scatter should have no table");
+        assert!(
+            k.out_t_stride != 1 || k.loops.iter().any(|l| l.out_stride != l.in_stride),
+            "scatter strides unchanged: {k:?}"
+        );
     }
 
     #[test]
@@ -320,16 +343,12 @@ mod tests {
         ]);
         let fused = check_fused(&f);
         assert_eq!(fused.stages.len(), 1);
-        match &fused.stages[0] {
-            LocalStage::Kernel(k) => {
-                // The L^4_2 gather is affine (stride 2), so it becomes
-                // strides rather than a table; the twiddle stays fused.
-                assert!(k.in_map.is_none());
-                assert_eq!(k.in_t_stride, 2);
-                assert!(k.twiddle.is_some());
-            }
-            other => panic!("expected kernel, got {other:?}"),
-        }
+        // The L^4_2 gather is affine (stride 2), so it becomes strides
+        // rather than a table; the twiddle stays fused.
+        let k = &fused.stages[0];
+        assert!(k.in_map.is_none());
+        assert_eq!(k.in_t_stride, 2);
+        assert!(k.twiddle.is_some());
     }
 
     #[test]
@@ -339,9 +358,8 @@ mod tests {
             let f = sequential_dft(n, 8);
             let fused = check_fused(&f);
             // Everything should be kernel passes after fusion.
-            assert_eq!(
-                fused.stages.len(),
-                kernel_passes(&fused),
+            assert!(
+                fused.stages.iter().all(|k| k.codelet.size() > 1),
                 "n={n}: standalone data passes remain"
             );
         }

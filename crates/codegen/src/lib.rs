@@ -4,7 +4,7 @@
 //!
 //! * [`lower`] — formulas → stage programs with explicit gather/scatter
 //!   loop nests;
-//! * [`fuse`] — loop merging (ref. [11] in the paper): permutations and
+//! * [`fuse`] — loop merging (ref. \[11\] in the paper): permutations and
 //!   diagonals fold into adjacent compute loops, so a Cooley–Tukey
 //!   formula becomes `log N` kernel passes;
 //! * [`codelet`] — genfft-style straight-line base-case kernels produced

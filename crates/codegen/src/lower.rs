@@ -4,11 +4,13 @@
 //! composition becomes stage sequencing (right factor first), tensor
 //! products with identities become loop lifting — `I_m ⊗ ·` replicates a
 //! stage across `m` blocks, `· ⊗ I_k` spreads it across stride-`k` lanes —
-//! and permutations/diagonals become explicit stages that the fusion pass
-//! (`fuse`) then merges into adjacent compute loops.
+//! and a permutation or a diagonal becomes a `DFT_1` stage over every
+//! point, with a gather map or an on-load table
+//! ([`KernelStage::permutation`], [`KernelStage::diagonal`]), which the
+//! fusion pass (`fuse`) then merges into the adjacent compute stages.
 
 use crate::codelet::Codelet;
-use crate::stage::{KernelStage, LocalProgram, LocalStage, LoopDim};
+use crate::stage::{KernelStage, LocalProgram, LoopDim};
 use spiral_rewrite::RuleTree;
 use spiral_spl::ast::Spl;
 use spiral_spl::cplx::Cplx;
@@ -47,7 +49,7 @@ pub fn lower_seq(f: &Spl) -> Result<LocalProgram, LowerError> {
         ))),
         Spl::Diag(d) => Ok(LocalProgram {
             dim: d.len(),
-            stages: vec![LocalStage::Scale(Arc::new(d.entries()))],
+            stages: vec![KernelStage::diagonal(Arc::new(d.entries()))],
         }),
         Spl::Perm(p) => Ok(perm_program(p)),
         Spl::PermBar { perm, mu } => {
@@ -93,7 +95,7 @@ fn kernel_program(c: Codelet) -> LocalProgram {
     let dim = c.size();
     LocalProgram {
         dim,
-        stages: vec![LocalStage::Kernel(KernelStage::unit(c))],
+        stages: vec![KernelStage::unit(c)],
     }
 }
 
@@ -101,7 +103,7 @@ fn perm_program(p: &Perm) -> LocalProgram {
     let table: Vec<u32> = p.table().iter().map(|&v| crate::u32_idx(v)).collect();
     LocalProgram {
         dim: p.dim(),
-        stages: vec![LocalStage::Permute(Arc::new(table))],
+        stages: vec![KernelStage::permutation(Arc::new(table))],
     }
 }
 
@@ -120,7 +122,7 @@ fn lower_direct_sum(fs: &[Spl]) -> Result<LocalProgram, LowerError> {
         }
         return Ok(LocalProgram {
             dim,
-            stages: vec![LocalStage::Scale(Arc::new(table))],
+            stages: vec![KernelStage::diagonal(Arc::new(table))],
         });
     }
     if fs.iter().all(|b| b.as_perm().is_some()) {
@@ -133,7 +135,7 @@ fn lower_direct_sum(fs: &[Spl]) -> Result<LocalProgram, LowerError> {
         }
         return Ok(LocalProgram {
             dim,
-            stages: vec![LocalStage::Permute(Arc::new(table))],
+            stages: vec![KernelStage::permutation(Arc::new(table))],
         });
     }
     Err(LowerError(
@@ -151,39 +153,23 @@ pub fn lift_block(prog: LocalProgram, m: usize) -> LocalProgram {
     let stages = prog
         .stages
         .into_iter()
-        .map(|s| match s {
-            LocalStage::Kernel(mut k) => {
-                let rows = k.iterations();
-                k.loops.insert(
-                    0,
-                    LoopDim {
-                        count: m,
-                        in_stride: d,
-                        out_stride: d,
-                        tw_stride: rows,
-                    },
-                );
-                k.in_map = k.in_map.map(|t| Arc::new(block_lift_table(&t, m, d)));
-                k.out_map = k.out_map.map(|t| Arc::new(block_lift_table(&t, m, d)));
-                let block_rep = |w: Arc<Vec<Cplx>>| {
-                    let mut big = Vec::with_capacity(w.len() * m);
-                    for _ in 0..m {
-                        big.extend_from_slice(&w);
-                    }
-                    Arc::new(big)
-                };
-                k.twiddle = k.twiddle.map(block_rep);
-                k.twiddle_out = k.twiddle_out.map(block_rep);
-                LocalStage::Kernel(k)
-            }
-            LocalStage::Permute(t) => LocalStage::Permute(Arc::new(block_lift_table(&t, m, d))),
-            LocalStage::Scale(w) => {
-                let mut big = Vec::with_capacity(w.len() * m);
-                for _ in 0..m {
-                    big.extend_from_slice(&w);
-                }
-                LocalStage::Scale(Arc::new(big))
-            }
+        .map(|mut k| {
+            let rows = k.iterations();
+            k.loops.insert(
+                0,
+                LoopDim {
+                    count: m,
+                    in_stride: d,
+                    out_stride: d,
+                    tw_stride: rows,
+                },
+            );
+            k.in_map = k.in_map.map(|t| Arc::new(block_lift_table(&t, m, d)));
+            k.out_map = k.out_map.map(|t| Arc::new(block_lift_table(&t, m, d)));
+            let block_rep = |w: Arc<Vec<Cplx>>| Arc::new(w.repeat(m));
+            k.twiddle = k.twiddle.map(block_rep);
+            k.twiddle_out = k.twiddle_out.map(block_rep);
+            k
         })
         .collect();
     LocalProgram { dim: d * m, stages }
@@ -208,50 +194,40 @@ pub fn lift_stride(prog: LocalProgram, k: usize) -> LocalProgram {
     let stages = prog
         .stages
         .into_iter()
-        .map(|s| match s {
-            LocalStage::Kernel(mut ks) => {
-                for l in &mut ks.loops {
-                    l.in_stride *= k;
-                    l.out_stride *= k;
-                    l.tw_stride *= k;
-                }
-                ks.in_off *= k;
-                ks.out_off *= k;
-                ks.in_t_stride *= k;
-                ks.out_t_stride *= k;
-                ks.loops.push(LoopDim {
-                    count: k,
-                    in_stride: 1,
-                    out_stride: 1,
-                    tw_stride: 1,
-                });
-                ks.in_map = ks.in_map.map(|t| Arc::new(stride_lift_table(&t, k)));
-                ks.out_map = ks.out_map.map(|t| Arc::new(stride_lift_table(&t, k)));
-                // New flat order interleaves the lane loop innermost:
-                // flat' = flat·k + lane, same twiddle for every lane.
-                let c = ks.codelet.size();
-                let lane_rep = |w: Arc<Vec<Cplx>>| {
-                    let iters = w.len() / c;
-                    let mut big = Vec::with_capacity(w.len() * k);
-                    for f in 0..iters {
-                        for _ in 0..k {
-                            big.extend_from_slice(&w[f * c..(f + 1) * c]);
-                        }
-                    }
-                    Arc::new(big)
-                };
-                ks.twiddle = ks.twiddle.map(lane_rep);
-                ks.twiddle_out = ks.twiddle_out.map(lane_rep);
-                LocalStage::Kernel(ks)
+        .map(|mut ks| {
+            for l in &mut ks.loops {
+                l.in_stride *= k;
+                l.out_stride *= k;
+                l.tw_stride *= k;
             }
-            LocalStage::Permute(t) => LocalStage::Permute(Arc::new(stride_lift_table(&t, k))),
-            LocalStage::Scale(w) => {
+            ks.in_off *= k;
+            ks.out_off *= k;
+            ks.in_t_stride *= k;
+            ks.out_t_stride *= k;
+            ks.loops.push(LoopDim {
+                count: k,
+                in_stride: 1,
+                out_stride: 1,
+                tw_stride: 1,
+            });
+            ks.in_map = ks.in_map.map(|t| Arc::new(stride_lift_table(&t, k)));
+            ks.out_map = ks.out_map.map(|t| Arc::new(stride_lift_table(&t, k)));
+            // New flat order interleaves the lane loop innermost:
+            // flat' = flat·k + lane, same twiddle for every lane.
+            let c = ks.codelet.size();
+            let lane_rep = |w: Arc<Vec<Cplx>>| {
+                let iters = w.len() / c;
                 let mut big = Vec::with_capacity(w.len() * k);
-                for i in 0..d * k {
-                    big.push(w[i / k]);
+                for f in 0..iters {
+                    for _ in 0..k {
+                        big.extend_from_slice(&w[f * c..(f + 1) * c]);
+                    }
                 }
-                LocalStage::Scale(Arc::new(big))
-            }
+                Arc::new(big)
+            };
+            ks.twiddle = ks.twiddle.map(lane_rep);
+            ks.twiddle_out = ks.twiddle_out.map(lane_rep);
+            ks
         })
         .collect();
     LocalProgram { dim: d * k, stages }
@@ -383,9 +359,7 @@ mod tests {
             let prog = lower_seq(&dft(k)).unwrap();
             assert!(prog.stages.len() > 1, "DFT_{k}");
             for st in &prog.stages {
-                if let LocalStage::Kernel(kst) = st {
-                    assert!(has_kernel(kst.codelet.size()), "DFT_{k}");
-                }
+                assert!(has_kernel(st.codelet.size()), "DFT_{k}");
             }
         }
         assert!(lower_seq(&dft(0)).is_err());

@@ -15,7 +15,7 @@
 use crate::fuse::fuse;
 use crate::hook::{MemHook, Region};
 use crate::lower::{lower_seq, LowerError};
-use crate::stage::{Buf, KernelStage, LocalProgram, LocalStage};
+use crate::stage::{Buf, KernelStage, LocalProgram};
 use spiral_smp::align::AlignedVec;
 use spiral_smp::SpiralError;
 use spiral_spl::ast::Spl;
@@ -170,11 +170,9 @@ impl Step {
     /// layer (`spiral-trace`) to annotate per-stage profiles.
     pub fn label(&self) -> String {
         fn vec_mark(programs: &[&LocalProgram]) -> &'static str {
-            let vectored = programs.iter().any(|p| {
-                p.stages
-                    .iter()
-                    .any(|s| matches!(s, LocalStage::Kernel(k) if k.vec_width > 1))
-            });
+            let vectored = programs
+                .iter()
+                .any(|p| p.stages.iter().any(|k| k.vec_width > 1));
             if vectored {
                 "+vec"
             } else {
@@ -208,7 +206,7 @@ impl Step {
     /// emitter. A `Seq` step is one chunk of size `n`, so thread 0 runs
     /// it. A `Par` step's chunk `c` runs on thread `c mod threads`. An
     /// `Exchange` is split by its own block size and a `ScaleAll` by
-    /// `plan_mu`, in whole lines ([`line_range`]).
+    /// `plan_mu`, in whole lines (`line_range`).
     pub fn portion(&self, n: usize, plan_mu: usize, tid: usize, threads: usize) -> Portion<'_> {
         let (chunk, programs, gather) = match self {
             Step::Seq(p) => (n, std::slice::from_ref(p), None),
@@ -374,10 +372,8 @@ impl Plan {
         fn prog(p: &LocalProgram) -> u64 {
             p.stages
                 .iter()
-                .filter_map(|s| match s {
-                    LocalStage::Kernel(k) if k.vec_width > 1 => Some(k.flops()),
-                    _ => None,
-                })
+                .filter(|k| k.vec_width > 1)
+                .map(KernelStage::flops)
                 .sum()
         }
         self.steps
@@ -657,7 +653,7 @@ fn trace_chunk(
         return;
     }
     for (stage, input, output) in prog.passes() {
-        stage.trace(prog.dim, |is_write, idx| {
+        stage.trace(|is_write, idx| {
             if is_write {
                 let (r, e) = at(output, idx);
                 hook.write(tid, r, e);
@@ -666,7 +662,7 @@ fn trace_chunk(
                 hook.read(tid, r, e);
             }
         });
-        hook.flops(tid, stage.flops(prog.dim));
+        hook.flops(tid, stage.flops());
     }
 }
 
@@ -718,10 +714,6 @@ pub(crate) fn kernels_mut(steps: &mut [Step]) -> impl Iterator<Item = &mut Kerne
             Step::Exchange { .. } | Step::ScaleAll(_) => &mut [],
         })
         .flat_map(|p| &mut p.stages)
-        .filter_map(|s| match s {
-            LocalStage::Kernel(k) => Some(k),
-            _ => None,
-        })
 }
 
 fn has_parallel_construct(f: &Spl) -> bool {

@@ -1,13 +1,16 @@
 //! Executable stages — the loop-level IR the SPL compiler lowers to.
 //!
-//! A [`LocalProgram`] is a sequence of stages over a vector of some
-//! dimension, each run out of place or, where it reads exactly the slots
-//! it writes, in place ([`ping_pong`]). Kernel stages carry explicit
-//! *gather/scatter* index maps (affine loop nests, optionally
-//! post-composed with a permutation table) and an optional fused twiddle
-//! multiplication — the result of the loop merging of [11]: permutations
-//! and diagonals are not executed as separate passes but folded into the
-//! adjacent compute loop.
+//! A [`LocalProgram`] is a sequence of [`KernelStage`]s over a vector of
+//! some dimension, each run out of place or, where it reads exactly the
+//! slots it writes, in place ([`ping_pong`]). A stage applies one codelet
+//! across a loop nest with explicit *gather/scatter* index maps (affine
+//! loop nests, optionally post-composed with a permutation table) and
+//! optional twiddle multiplications on load and on store. There is no
+//! other stage kind: a permutation or a diagonal is a stage of `DFT_1`
+//! over every point ([`KernelStage::permutation`],
+//! [`KernelStage::diagonal`]), and the loop merging of \[11\] (`fuse`)
+//! folds it into the adjacent compute stage, so tuned plans run no
+//! separate data pass.
 
 use crate::codelet::{with_size, Codelet, Dft, Kernels, SizeFn};
 use crate::simd::{Lane, Lanes};
@@ -104,6 +107,42 @@ impl KernelStage {
             vec_width: 1,
             twiddle_lanes: None,
             twiddle_out_lanes: None,
+        }
+    }
+
+    /// A `DFT_1` stage over the `dim` points of a vector at unit strides,
+    /// `dst[i] = src[i]`: the base of [`permutation`](Self::permutation)
+    /// and [`diagonal`](Self::diagonal).
+    fn points(dim: usize) -> KernelStage {
+        let mut k = KernelStage::unit(Codelet::for_size(1));
+        if dim != 1 {
+            k.loops.push(LoopDim {
+                count: dim,
+                in_stride: 1,
+                out_stride: 1,
+                tw_stride: 1,
+            });
+        }
+        k
+    }
+
+    /// The permutation `dst[i] = src[table[i]]`: a `DFT_1` stage with
+    /// `table` as its gather map.
+    pub fn permutation(table: Arc<Vec<u32>>) -> KernelStage {
+        let dim = table.len();
+        KernelStage {
+            in_map: Some(table),
+            ..KernelStage::points(dim)
+        }
+    }
+
+    /// The diagonal `dst[i] = src[i] · w[i]`: a `DFT_1` stage with `w` as
+    /// its on-load table.
+    pub fn diagonal(w: Arc<Vec<Cplx>>) -> KernelStage {
+        let dim = w.len();
+        KernelStage {
+            twiddle: Some(w),
+            ..KernelStage::points(dim)
         }
     }
 
@@ -212,9 +251,10 @@ impl KernelStage {
 
     /// True when every iteration reads exactly the slots it writes: equal
     /// offsets, slot strides and loop strides on both sides, and no fused
-    /// permutation. A stage that also writes each slot once can then run
-    /// in place ([`ping_pong`]): each iteration loads its slots before it
-    /// stores them, and no two iterations share a slot.
+    /// permutation (a diagonal qualifies, a permutation does not). A
+    /// stage that also writes each slot once can then run in place
+    /// ([`ping_pong`]): each iteration loads its slots before it stores
+    /// them, and no two iterations share a slot.
     pub fn in_place(&self) -> bool {
         self.in_off == self.out_off
             && self.in_t_stride == self.out_t_stride
@@ -615,7 +655,7 @@ pub struct Scratch;
 
 /// Input view of a stage: either a local slice, or an indirected view
 /// into a *global* buffer through a permutation table — the executable
-/// form of a fused `P ⊗̄ I_µ` exchange (the paper's [11]-style merging of
+/// form of a fused `P ⊗̄ I_µ` exchange (the paper's \[11\]-style merging of
 /// permutations into the adjacent compute loop, applied across the
 /// parallel boundary).
 #[derive(Copy, Clone)]
@@ -646,100 +686,6 @@ impl<'a> SrcView<'a> {
         match self {
             SrcView::Local(s) => s[i],
             SrcView::Gathered { buf, gather, off } => buf[gather[off + i] as usize],
-        }
-    }
-}
-
-/// One stage of a local program.
-#[derive(Clone, Debug)]
-pub enum LocalStage {
-    /// A codelet loop nest.
-    Kernel(KernelStage),
-    /// `dst[i] = src[table[i]]`.
-    Permute(Arc<Vec<u32>>),
-    /// `dst[i] = src[i] * table[i]`.
-    Scale(Arc<Vec<Cplx>>),
-}
-
-impl LocalStage {
-    /// Real flops of one application over a `dim`-point vector.
-    pub fn flops(&self, dim: usize) -> u64 {
-        match self {
-            LocalStage::Kernel(k) => k.flops(),
-            LocalStage::Permute(_) => 0,
-            LocalStage::Scale(_) => 6 * dim as u64,
-        }
-    }
-
-    /// True for a kernel stage that reads exactly the slots it writes
-    /// ([`KernelStage::in_place`]); permutations and scalings always run
-    /// out of place.
-    pub fn in_place(&self) -> bool {
-        matches!(self, LocalStage::Kernel(k) if k.in_place())
-    }
-
-    /// Execute `dst = stage(src)`. The scratch argument is unused.
-    pub fn apply(&self, src: &[Cplx], dst: &mut [Cplx], _scratch: &mut Scratch) {
-        self.apply_view(SrcView::Local(src), dst);
-    }
-
-    /// Execute `buf = stage(buf)` in place (an [`in_place`](Self::in_place)
-    /// stage only).
-    pub fn apply_in_place(&self, buf: &mut [Cplx]) {
-        match self {
-            LocalStage::Kernel(k) => k.apply_in_place(buf),
-            _ => unreachable!("only kernel stages run in place"),
-        }
-    }
-
-    /// Execute with an arbitrary input view (dispatch hoisted out of the
-    /// element loops).
-    pub fn apply_view(&self, src: SrcView<'_>, dst: &mut [Cplx]) {
-        match self {
-            LocalStage::Kernel(k) => k.apply_view(src, dst),
-            LocalStage::Permute(t) => match src {
-                SrcView::Local(s) => {
-                    for (d, &i) in dst.iter_mut().zip(t.iter()) {
-                        *d = s[i as usize];
-                    }
-                }
-                SrcView::Gathered { buf, gather, off } => {
-                    for (d, &i) in dst.iter_mut().zip(t.iter()) {
-                        *d = buf[gather[off + i as usize] as usize];
-                    }
-                }
-            },
-            LocalStage::Scale(w) => match src {
-                SrcView::Local(s) => {
-                    for ((d, wi), v) in dst.iter_mut().zip(w.iter()).zip(s.iter()) {
-                        *d = *v * *wi;
-                    }
-                }
-                SrcView::Gathered { buf, gather, off } => {
-                    for (i, (d, wi)) in dst.iter_mut().zip(w.iter()).enumerate() {
-                        *d = buf[gather[off + i] as usize] * *wi;
-                    }
-                }
-            },
-        }
-    }
-
-    /// Emit `f(is_write, idx)` for every access of one application.
-    pub fn trace<F: FnMut(bool, usize)>(&self, dim: usize, mut f: F) {
-        match self {
-            LocalStage::Kernel(k) => k.trace(f),
-            LocalStage::Permute(t) => {
-                for (i, &s) in t.iter().enumerate() {
-                    f(false, s as usize);
-                    f(true, i);
-                }
-            }
-            LocalStage::Scale(_) => {
-                for i in 0..dim {
-                    f(false, i);
-                    f(true, i);
-                }
-            }
         }
     }
 }
@@ -816,7 +762,7 @@ pub struct LocalProgram {
     /// Vector dimension every stage operates on.
     pub dim: usize,
     /// Stages in application order.
-    pub stages: Vec<LocalStage>,
+    pub stages: Vec<KernelStage>,
 }
 
 impl LocalProgram {
@@ -830,14 +776,14 @@ impl LocalProgram {
 
     /// Total real flops of one execution.
     pub fn flops(&self) -> u64 {
-        self.stages.iter().map(|s| s.flops(self.dim)).sum()
+        self.stages.iter().map(KernelStage::flops).sum()
     }
 
     /// Each stage with the buffers it reads and writes, by the
     /// [`ping_pong`] rule: a stage that reads exactly the slots it writes
-    /// ([`LocalStage::in_place`]) runs in place after the first. An empty
+    /// ([`KernelStage::in_place`]) runs in place after the first. An empty
     /// program has no passes; it copies `Src` to `Dst`.
-    pub fn passes(&self) -> impl Iterator<Item = (&LocalStage, Buf, Buf)> {
+    pub fn passes(&self) -> impl Iterator<Item = (&KernelStage, Buf, Buf)> {
         let in_place = self.stages.iter().enumerate();
         self.stages
             .iter()
@@ -1082,23 +1028,43 @@ mod tests {
         );
     }
 
+    /// A permutation and a diagonal are `DFT_1` stages: bit for bit the
+    /// gather and the pointwise product, tracing one read (at `table[i]`)
+    /// and one write per point, with 0 and 6 flops a point. The diagonal
+    /// runs in place; the permutation does not.
     #[test]
-    fn permute_and_scale_stages() {
+    fn permutation_and_diagonal_stages() {
         let perm = Perm::stride(6, 2);
         let table: Arc<Vec<u32>> =
             Arc::new(perm.table().iter().map(|&v| crate::u32_idx(v)).collect());
         let x = ramp(6);
+        let p = KernelStage::permutation(Arc::clone(&table));
         let mut y = vec![Cplx::ZERO; 6];
-        LocalStage::Permute(table).apply(&x, &mut y, &mut Scratch);
-        for r in 0..6 {
-            assert!(y[r].approx_eq(x[perm.src(r)], 0.0));
-        }
-        let w: Vec<Cplx> = (0..6).map(|k| Cplx::real(k as f64)).collect();
+        p.apply(&x, &mut y, &mut Scratch);
+        let gathered: Vec<Cplx> = (0..6).map(|r| x[perm.src(r)]).collect();
+        assert_slices_close(&y, &gathered, 0.0);
+        let mut accesses = Vec::new();
+        p.trace(|is_write, idx| accesses.push((is_write, idx)));
+        let stream: Vec<(bool, usize)> = table
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &s)| [(false, s as usize), (true, i)])
+            .collect();
+        assert_eq!(accesses, stream);
+        assert_eq!(p.flops(), 0);
+        assert!(!p.in_place());
+
+        let w: Vec<Cplx> = (0..6).map(|k| Cplx::new(k as f64, 0.5)).collect();
+        let d = KernelStage::diagonal(Arc::new(w.clone()));
+        let scaled: Vec<Cplx> = x.iter().zip(&w).map(|(a, b)| *a * *b).collect();
         let mut z = vec![Cplx::ZERO; 6];
-        LocalStage::Scale(Arc::new(w.clone())).apply(&x, &mut z, &mut Scratch);
-        for r in 0..6 {
-            assert!(z[r].approx_eq(x[r] * w[r], 1e-12));
-        }
+        d.apply(&x, &mut z, &mut Scratch);
+        assert_slices_close(&z, &scaled, 0.0);
+        assert_eq!(d.flops(), 36);
+        assert!(d.in_place());
+        let mut buf = x.clone();
+        d.apply_in_place(&mut buf);
+        assert_slices_close(&buf, &scaled, 0.0);
     }
 
     #[test]
@@ -1115,7 +1081,7 @@ mod tests {
         for len in 1..=4 {
             let prog = LocalProgram {
                 dim: 4,
-                stages: vec![LocalStage::Kernel(stage.clone()); len],
+                stages: vec![stage.clone(); len],
             };
             let x = ramp(4);
             let got = prog.eval(&x);
@@ -1167,8 +1133,8 @@ mod tests {
             for mask in 0..1u32 << len {
                 let stages = (0..len)
                     .map(|k| match mask >> k & 1 {
-                        1 => LocalStage::Kernel(in_place.clone()),
-                        _ => LocalStage::Kernel(mapped.clone()),
+                        1 => in_place.clone(),
+                        _ => mapped.clone(),
                     })
                     .collect();
                 let prog = LocalProgram { dim: 4, stages };
@@ -1202,10 +1168,7 @@ mod tests {
         mapped.in_map = Some(Arc::new((0..4).collect()));
         let prog = LocalProgram {
             dim: 4,
-            stages: vec![
-                LocalStage::Kernel(mapped.clone()),
-                LocalStage::Kernel(mapped),
-            ],
+            stages: vec![mapped.clone(), mapped],
         };
         assert!(prog.uses_tmp());
         let mut out = vec![Cplx::ZERO; 4];

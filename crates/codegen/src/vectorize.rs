@@ -11,7 +11,7 @@
 
 use crate::plan::{kernels_mut, Plan, PlanShape, Step};
 use crate::simd::{self, lane_shuffle_twiddle};
-use crate::stage::{KernelStage, LocalStage};
+use crate::stage::KernelStage;
 use std::sync::Arc;
 
 /// Check the ν-alignment preconditions for marking `k` as a ν-lane
@@ -131,12 +131,10 @@ pub fn vectorized_shape(plan: &Plan, nu: usize) -> Option<PlanShape> {
         Step::Par { programs, .. } => programs.as_slice(),
         Step::Exchange { .. } | Step::ScaleAll(_) => &[],
     }) {
-        for s in &prog.stages {
-            if let LocalStage::Kernel(k) = s {
-                if k.vec_width == 1 && stage_alignment(k, nu).is_ok() {
-                    shape.vec_flops += k.flops();
-                    marked += 1;
-                }
+        for k in &prog.stages {
+            if k.vec_width == 1 && stage_alignment(k, nu).is_ok() {
+                shape.vec_flops += k.flops();
+                marked += 1;
             }
         }
     }

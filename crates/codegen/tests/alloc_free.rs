@@ -5,7 +5,6 @@
 //! kept per thread, so the test harness's own threads cannot pollute it,
 //! and the executor's pool workers report theirs from inside the run.
 
-use spiral_codegen::stage::LocalStage;
 use spiral_codegen::{Executor, Plan, PlanWorkspace, Step};
 use spiral_rewrite::{multicore_dft_expanded, sequential_dft};
 use spiral_smp::trace::{MarkKind, Observer, SpanKind};
@@ -95,13 +94,7 @@ fn leaves(plan: &Plan) -> Vec<usize> {
     let [Step::Seq(p)] = plan.steps.as_slice() else {
         panic!("not a one-step sequential plan");
     };
-    p.stages
-        .iter()
-        .filter_map(|s| match s {
-            LocalStage::Kernel(k) => Some(k.codelet.size()),
-            _ => None,
-        })
-        .collect()
+    p.stages.iter().map(|k| k.codelet.size()).collect()
 }
 
 #[test]

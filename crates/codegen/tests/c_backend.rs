@@ -115,6 +115,12 @@ fn sequential_openmp_c_matches_rust() {
     let f = sequential_dft(64, 8);
     let plan = Plan::from_formula(&f, 1, 4).unwrap();
     check(&plan, CFlavor::OpenMp, "seq64");
+    // Formulas with no kernel: a permutation and a diagonal run as
+    // `DFT_1` stages with a gather map or an on-load table.
+    use spiral_spl::builder::{stride, twiddle};
+    for (f, tag) in [(stride(16, 4), "perm16"), (twiddle(4, 4), "diag16")] {
+        check(&Plan::from_formula(&f, 1, 4).unwrap(), CFlavor::OpenMp, tag);
+    }
 }
 
 #[test]

@@ -90,13 +90,18 @@ proptest! {
     }
 
     /// Fusion never increases the stage count and always drops
-    /// standalone data passes between kernels.
+    /// standalone data passes between kernels: a fused program that
+    /// holds a kernel of size > 1 holds no size-1 (data) stage.
     #[test]
     fn fusion_monotone(f in lowerable(12)) {
         let prog = lower_seq(&f).unwrap();
         let before = prog.stages.len();
         let fused = fuse(prog);
         prop_assert!(fused.stages.len() <= before);
+        let sizes: Vec<usize> = fused.stages.iter().map(|k| k.codelet.size()).collect();
+        if sizes.iter().any(|&c| c > 1) {
+            prop_assert!(!sizes.contains(&1), "{f}: stage sizes {sizes:?}");
+        }
     }
 
     /// fuse_exchanges preserves semantics on arbitrary parallel plans.

@@ -6,7 +6,7 @@
 //!   Cooley–Tukey breakdown rule (1), the space the autotuner searches;
 //! * [`smp_rules`] — the Table 1 shared-memory parallelization rules
 //!   (6)–(11) and the engine driving them to a fixpoint;
-//! * [`derive`] — the end-to-end derivation producing the *multicore
+//! * [`derive`](mod@derive) — the end-to-end derivation producing the *multicore
 //!   Cooley–Tukey FFT*, formula (14), plus a hand-built (14) used to
 //!   cross-check the derivation;
 //! * [`check`] — Definition 1 (*load-balanced*, *avoids false sharing*,

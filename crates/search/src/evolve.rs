@@ -1,5 +1,5 @@
 //! Evolutionary search over rule trees (the paper cites stochastic
-//! search for algorithm optimization, ref. [24]).
+//! search for algorithm optimization, ref. \[24\]).
 //!
 //! Individuals are rule trees; mutation re-splits a random subtree,
 //! crossover swaps equal-size subtrees between parents; tournament

@@ -8,7 +8,7 @@
 //!   candidate costing;
 //! * [`dp`] — dynamic programming over rule trees (Spiral's default);
 //! * [`random`] — random sampling baseline;
-//! * [`evolve`] — evolutionary search (ref. [24]);
+//! * [`evolve`] — evolutionary search (ref. \[24\]);
 //! * [`tuner::Tuner`] — the full feedback loop producing a tuned
 //!   [`spiral_codegen::Plan`].
 

@@ -8,7 +8,6 @@ use proptest::sample::select;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spiral_codegen::plan::{Plan, Step};
-use spiral_codegen::stage::LocalStage;
 use spiral_search::random::random_tree;
 use spiral_search::{CostModel, Tuner};
 use spiral_verify::certify::{certify_plan, CertOptions, CertPass};
@@ -83,7 +82,7 @@ proptest! {
             match kind {
                 // Off-by-one twiddle: rotate one table entry.
                 0 => {
-                    for stage in &mut p.stages {
+                    for ks in &mut p.stages {
                         let spin = spiral_spl::cplx::Cplx::cis(-2.0 * std::f64::consts::PI / (n as f64));
                         let corrupt = |w: &std::sync::Arc<Vec<spiral_spl::cplx::Cplx>>| {
                             let mut w = w.as_ref().clone();
@@ -91,18 +90,12 @@ proptest! {
                             w[i] *= spin;
                             std::sync::Arc::new(w)
                         };
-                        match stage {
-                            LocalStage::Kernel(ks) => {
-                                if let Some(w) = &ks.twiddle {
-                                    ks.twiddle = Some(corrupt(w));
-                                } else if let Some(w) = &ks.twiddle_out {
-                                    ks.twiddle_out = Some(corrupt(w));
-                                } else {
-                                    continue;
-                                }
-                            }
-                            LocalStage::Scale(w) => *w = corrupt(w),
-                            LocalStage::Permute(_) => continue,
+                        if let Some(w) = &ks.twiddle {
+                            ks.twiddle = Some(corrupt(w));
+                        } else if let Some(w) = &ks.twiddle_out {
+                            ks.twiddle_out = Some(corrupt(w));
+                        } else {
+                            continue;
                         }
                         hit = true;
                         break;
@@ -110,8 +103,7 @@ proptest! {
                 }
                 // Swapped loop strides.
                 1 => {
-                    'stages: for stage in &mut p.stages {
-                        let LocalStage::Kernel(ks) = stage else { continue };
+                    'stages: for ks in &mut p.stages {
                         for d in &mut ks.loops {
                             if d.in_stride != d.out_stride {
                                 std::mem::swap(&mut d.in_stride, &mut d.out_stride);

@@ -9,7 +9,7 @@
 
 use spiral_codegen::plan::{Plan, Step};
 use spiral_codegen::simd::lane_shuffle_twiddle;
-use spiral_codegen::stage::{KernelStage, LocalStage};
+use spiral_codegen::stage::KernelStage;
 use spiral_search::{CostModel, Tuner};
 use spiral_spl::builder::vec_tag;
 use spiral_spl::cplx::Cplx;
@@ -27,11 +27,7 @@ fn kernels(plan: &mut Plan) -> Vec<&mut KernelStage> {
             Step::Par { programs, .. } => programs.as_mut_slice(),
             Step::Exchange { .. } | Step::ScaleAll(_) => continue,
         };
-        for stage in progs.iter_mut().flat_map(|p| &mut p.stages) {
-            if let LocalStage::Kernel(k) = stage {
-                out.push(k);
-            }
-        }
+        out.extend(progs.iter_mut().flat_map(|p| &mut p.stages));
     }
     out
 }

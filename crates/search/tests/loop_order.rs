@@ -8,7 +8,7 @@
 //! in the order of scalar stages' loops.
 
 use spiral_codegen::plan::{Plan, Step};
-use spiral_codegen::stage::{KernelStage, LocalStage, LoopDim};
+use spiral_codegen::stage::{KernelStage, LoopDim};
 use spiral_codegen::vectorize_plan;
 use spiral_search::{CostModel, Tuner};
 use spiral_spl::builder::vec_tag;
@@ -26,11 +26,7 @@ fn kernels(plan: &Plan) -> Vec<&KernelStage> {
             Step::Par { programs, .. } => programs.as_slice(),
             Step::Exchange { .. } | Step::ScaleAll(_) => continue,
         };
-        for stage in progs.iter().flat_map(|p| &p.stages) {
-            if let LocalStage::Kernel(k) = stage {
-                out.push(k);
-            }
-        }
+        out.extend(progs.iter().flat_map(|p| &p.stages));
     }
     out
 }

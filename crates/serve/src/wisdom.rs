@@ -6,7 +6,7 @@
 //! winning fully-expanded SPL formula as its ASCII rendering plus the
 //! tuner's choice description and modeled cost. Formulas — not compiled
 //! plans — are the unit of persistence: the ASCII form round-trips
-//! through [`spiral_spl::parse`], stays human-diffable, and is
+//! through [`spiral_spl::parse()`], stays human-diffable, and is
 //! recompiled through the exact pipeline the tuner used
 //! ([`Plan::from_formula`] + exchange fusion), so a loaded plan is the
 //! same executable object a fresh tuning run would have produced.

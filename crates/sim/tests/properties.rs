@@ -209,18 +209,15 @@ fn stride_loop_order_never_adds_cache_misses() {
 /// stages.
 fn ping_pong(plan: &spiral_codegen::plan::Plan) -> spiral_codegen::plan::Plan {
     use spiral_codegen::plan::Step;
-    use spiral_codegen::stage::LocalStage;
     use std::sync::Arc;
 
     let mut twin = plan.clone();
     for step in &mut twin.steps {
         let Step::Seq(prog) = step else { continue };
         let identity: Arc<Vec<u32>> = Arc::new((0..u32::try_from(prog.dim).unwrap()).collect());
-        for stage in prog.stages.iter_mut().skip(1) {
-            if let LocalStage::Kernel(k) = stage {
-                if k.in_place() {
-                    k.in_map = Some(Arc::clone(&identity));
-                }
+        for k in prog.stages.iter_mut().skip(1) {
+            if k.in_place() {
+                k.in_map = Some(Arc::clone(&identity));
             }
         }
     }

@@ -13,7 +13,7 @@
 //! * [`error::SpiralError`] — the workspace-wide structured error of the
 //!   fault-tolerant execution layer (panic isolation, barrier watchdogs,
 //!   poison recovery);
-//! * [`faults`] *(feature `faults`)* — deterministic fault injection for
+//! * `faults` *(feature `faults`)* — deterministic fault injection for
 //!   exercising the failure model;
 //! * [`trace`] — the [`trace::Observer`] hook the execution layers
 //!   report timestamped spans and marks through; `()` is the no-op

@@ -4,7 +4,7 @@
 //! Cooley–Tukey framework needs; tensoring with identities and composition
 //! generate everything that appears in the rules. Permutations are kept
 //! symbolic so they can be folded into adjacent loops as gather/scatter
-//! index mappings (the paper's loop-merging, ref. [11]).
+//! index mappings (the paper's loop-merging, ref. \[11\]).
 
 use std::fmt;
 

@@ -374,8 +374,8 @@ impl RunProfile {
 
     /// Barrier-wait share of wall time: total wait over
     /// `threads × wall`. Sensitive to host oversubscription (threads
-    /// time-slicing inflate wall); prefer [`barrier_share`] for
-    /// assertions.
+    /// time-slicing inflate wall); prefer
+    /// [`barrier_share`](Self::barrier_share) for assertions.
     pub fn barrier_share_of_wall(&self) -> f64 {
         let denom = self.threads.saturating_mul(self.wall_ns);
         if denom == 0 {

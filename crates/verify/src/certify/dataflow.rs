@@ -40,7 +40,7 @@
 
 use super::{CertFinding, CertPass};
 use spiral_codegen::plan::{Plan, Step};
-use spiral_codegen::stage::{Buf, KernelStage, LocalProgram, LocalStage};
+use spiral_codegen::stage::{Buf, KernelStage, LocalProgram};
 
 /// Certify the plan's dataflow. Empty result = certified; otherwise the
 /// first violation found, localized to step/stage/index.
@@ -376,40 +376,8 @@ fn analyze_program(
                 }
                 Ok(())
             };
-        match stage {
-            LocalStage::Kernel(ks) => {
-                check_vector_marking(ks, si, k)?;
-                analyze_kernel(ks, si, k, dim, &mut read, &mut write, &mut counts)?;
-            }
-            LocalStage::Permute(t) => {
-                if t.len() != dim {
-                    return Err(fail(
-                        Some(si),
-                        Some(k),
-                        None,
-                        format!("permute table has {} entries, expected {dim}", t.len()),
-                    ));
-                }
-                for (i, &s) in t.iter().enumerate() {
-                    read(s as usize, &counts, k)?;
-                    write(i, &mut counts, k)?;
-                }
-            }
-            LocalStage::Scale(w) => {
-                if w.len() != dim {
-                    return Err(fail(
-                        Some(si),
-                        Some(k),
-                        None,
-                        format!("scale table has {} entries, expected {dim}", w.len()),
-                    ));
-                }
-                for i in 0..dim {
-                    read(i, &counts, k)?;
-                    write(i, &mut counts, k)?;
-                }
-            }
-        }
+        check_vector_marking(stage, si, k)?;
+        analyze_kernel(stage, si, k, dim, &mut read, &mut write, &mut counts)?;
         if let Some(i) = counts.iter().position(|&c| c == 0) {
             return Err(fail(
                 Some(si),

@@ -33,7 +33,7 @@
 use super::{CertFinding, CertPass};
 use spiral_codegen::codelet::dag::{Dag, Node};
 use spiral_codegen::plan::{Plan, Step};
-use spiral_codegen::stage::{Buf, KernelStage, LocalProgram, LocalStage};
+use spiral_codegen::stage::{Buf, KernelStage, LocalProgram};
 use spiral_spl::cplx::Cplx;
 use spiral_spl::exact::{lcm, Cyclo};
 
@@ -258,75 +258,11 @@ fn run_program(
             (_, Buf::Src) => unreachable!("no pass writes the input"),
         };
         match &from {
-            None => apply_stage(stage, src, to, order, si, k)?,
-            Some(v) => apply_stage(stage, &SymSrc::Local(v, 0), to, order, si, k)?,
+            None => apply_kernel(stage, src, to, order, si, k)?,
+            Some(v) => apply_kernel(stage, &SymSrc::Local(v, 0), to, order, si, k)?,
         }
     }
     Ok(())
-}
-
-fn apply_stage(
-    stage: &LocalStage,
-    src: &SymSrc<'_>,
-    out: &mut [Cyclo],
-    order: usize,
-    si: usize,
-    k: usize,
-) -> Result<(), CertFinding> {
-    match stage {
-        LocalStage::Kernel(ks) => apply_kernel(ks, src, out, order, si, k),
-        LocalStage::Permute(t) => {
-            if t.len() != out.len() {
-                return Err(fail(
-                    Some(si),
-                    Some(k),
-                    None,
-                    format!(
-                        "permute table has {} entries, expected {}",
-                        t.len(),
-                        out.len()
-                    ),
-                ));
-            }
-            for (i, &s) in t.iter().enumerate() {
-                out[i] = src.get(s as usize).ok_or_else(|| {
-                    fail(
-                        Some(si),
-                        Some(k),
-                        Some(i),
-                        format!("permute reads index {s} out of bounds"),
-                    )
-                })?;
-            }
-            Ok(())
-        }
-        LocalStage::Scale(w) => {
-            if w.len() != out.len() {
-                return Err(fail(
-                    Some(si),
-                    Some(k),
-                    None,
-                    format!(
-                        "scale table has {} entries, expected {}",
-                        w.len(),
-                        out.len()
-                    ),
-                ));
-            }
-            for i in 0..out.len() {
-                let v = src.get(i).ok_or_else(|| {
-                    fail(
-                        Some(si),
-                        Some(k),
-                        Some(i),
-                        format!("scale reads index {i} out of bounds"),
-                    )
-                })?;
-                out[i] = v.mul(&snap(w[i], order, si, Some(k), Some(i))?);
-            }
-            Ok(())
-        }
-    }
 }
 
 /// Mirror of the `KernelStage` loop nest: gather (fused permutation +

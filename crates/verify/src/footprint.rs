@@ -13,7 +13,7 @@
 use crate::iset::IndexSet;
 use spiral_codegen::hook::Region;
 use spiral_codegen::plan::{ElementOp, Plan, Portion, Step};
-use spiral_codegen::stage::{Buf, KernelStage, LocalProgram, LocalStage};
+use spiral_codegen::stage::{Buf, KernelStage, LocalProgram};
 
 /// Index sets grouped by buffer region.
 #[derive(Clone, Debug, Default)]
@@ -96,18 +96,6 @@ fn kernel_sets(k: &KernelStage) -> (IndexSet, IndexSet) {
     (reads, writes)
 }
 
-/// Stage-local read/write sets of any stage kind.
-fn stage_sets(stage: &LocalStage, dim: usize) -> (IndexSet, IndexSet) {
-    match stage {
-        LocalStage::Kernel(k) => kernel_sets(k),
-        LocalStage::Permute(t) => (
-            IndexSet::from_elems(t.iter().map(|&v| v as usize).collect()),
-            IndexSet::interval(0, t.len()),
-        ),
-        LocalStage::Scale(_) => (IndexSet::interval(0, dim), IndexSet::interval(0, dim)),
-    }
-}
-
 /// Accumulate the footprint of one chunk program into `tf` — the symbolic
 /// twin of the tracer's chunk replay: it reads `src` at `off + i` (or at
 /// `gather[off + i]`) and writes `dst` at `off + i`.
@@ -140,12 +128,12 @@ fn local_footprint(
         return;
     }
     for (stage, input, output) in prog.passes() {
-        let (rset, wset) = stage_sets(stage, prog.dim);
+        let (rset, wset) = kernel_sets(stage);
         let (r, set) = at(input, rset);
         tf.reads.add(r, set);
         let (r, set) = at(output, wset);
         tf.writes.add(r, set);
-        tf.flops += stage.flops(prog.dim);
+        tf.flops += stage.flops();
     }
 }
 

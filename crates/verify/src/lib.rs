@@ -732,10 +732,10 @@ mod tests {
     #[test]
     fn unequal_work_warns_imbalance() {
         // Thread 0 runs a scale stage (6 flops/element); thread 1 copies.
-        use spiral_codegen::stage::LocalStage;
+        use spiral_codegen::stage::KernelStage;
         let scale = LocalProgram {
             dim: 8,
-            stages: vec![LocalStage::Scale(Arc::new(vec![Cplx::ONE; 8]))],
+            stages: vec![KernelStage::diagonal(Arc::new(vec![Cplx::ONE; 8]))],
         };
         let plan = Plan {
             n: 16,

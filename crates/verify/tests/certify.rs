@@ -5,11 +5,15 @@
 
 use proptest::prelude::*;
 use proptest::sample::select;
+use spiral_codegen::fuse::fuse;
+use spiral_codegen::lower_seq;
 use spiral_codegen::plan::{Plan, Step};
-use spiral_codegen::stage::{KernelStage, LocalStage};
+use spiral_codegen::stage::KernelStage;
 use spiral_rewrite::{multicore_dft_expanded, sequential_dft};
-use spiral_spl::builder::vec_tag;
+use spiral_spl::builder::{compose, diag, dsum, perm, stride, twiddle, vec_tag};
 use spiral_spl::cplx::Cplx;
+use spiral_spl::perm::Perm;
+use spiral_spl::Spl;
 use spiral_verify::certify::{certify_plan, CertOptions, CertPass};
 use std::sync::Arc;
 
@@ -27,6 +31,49 @@ fn certified(plan: &Plan) {
     assert_eq!(rep.symbolic_certified, Some(true));
 }
 
+/// `d`, a formula with no kernel, as a step of its own before a step
+/// computing `DFT_16 · undo` (`undo = d⁻¹`): the plan computes `DFT_16`,
+/// and its first step runs data stages (`DFT_1` with a map or a table)
+/// and nothing else, which tuned plans never do.
+fn after_data_step(d: &Spl, undo: Spl) -> Plan {
+    let step = |f: &Spl| Step::Seq(fuse(lower_seq(f).unwrap()));
+    let first = step(d);
+    let Step::Seq(p) = &first else { unreachable!() };
+    assert!(
+        !p.stages.is_empty() && p.stages.iter().all(|k| k.codelet.size() == 1),
+        "{d}: not a data-only program"
+    );
+    let rest = step(&compose(vec![sequential_dft(16, 4), undo]));
+    Plan {
+        n: 16,
+        threads: 1,
+        mu: 1,
+        vec_width: 1,
+        steps: vec![first, rest],
+    }
+}
+
+/// `L^{16}_4`, `T^{16}_4`, `L^{16}_4·T^{16}_4` and `L^8_2 ⊕ L^8_4`, each
+/// with its inverse.
+fn data_formulas() -> Vec<(Spl, Spl)> {
+    let l = stride(16, 4);
+    let l_inv = perm(Perm::stride(16, 4).inverse());
+    let t = twiddle(4, 4);
+    let Spl::Diag(entries) = &t else {
+        unreachable!()
+    };
+    let t_inv = diag(entries.entries().iter().map(|w| w.conj()).collect());
+    vec![
+        (l.clone(), l_inv.clone()),
+        (t.clone(), t_inv.clone()),
+        (compose(vec![l, t]), compose(vec![t_inv, l_inv])),
+        (
+            dsum(vec![stride(8, 2), stride(8, 4)]),
+            dsum(vec![stride(8, 4), stride(8, 2)]),
+        ),
+    ]
+}
+
 #[test]
 fn sequential_plans_certify_exactly() {
     for k in 2..=6 {
@@ -36,6 +83,9 @@ fn sequential_plans_certify_exactly() {
             let plan = Plan::from_formula(&f, 1, 1).unwrap();
             certified(&plan);
         }
+    }
+    for (d, undo) in data_formulas() {
+        certified(&after_data_step(&d, undo));
     }
 }
 
@@ -117,35 +167,35 @@ fn off_by_one_twiddle_rejected_by_symbolic_pass() {
         w[i] *= spin;
         Arc::new(w)
     };
-    'outer: for step in &mut plan.steps {
-        let Step::Seq(p) = step else { continue };
-        for stage in &mut p.stages {
-            match stage {
-                LocalStage::Kernel(ks) => {
-                    if let Some(w) = &ks.twiddle {
-                        ks.twiddle = Some(corrupt(w));
-                    } else if let Some(w) = &ks.twiddle_out {
-                        ks.twiddle_out = Some(corrupt(w));
-                    } else {
-                        continue;
-                    }
-                    hit = true;
-                    break 'outer;
-                }
-                LocalStage::Scale(w) => {
-                    *w = corrupt(w);
-                    hit = true;
-                    break 'outer;
-                }
-                LocalStage::Permute(_) => {}
-            }
+    for ks in seq_kernels(&mut plan) {
+        if let Some(w) = &ks.twiddle {
+            ks.twiddle = Some(corrupt(w));
+        } else if let Some(w) = &ks.twiddle_out {
+            ks.twiddle_out = Some(corrupt(w));
+        } else {
+            continue;
         }
+        hit = true;
+        break;
     }
     assert!(hit, "expected a twiddle table to corrupt");
-    let rep = certify_plan(&plan, &CertOptions::default());
-    assert!(rep.dataflow_certified, "dataflow cannot see value errors");
-    assert_eq!(rep.symbolic_certified, Some(false));
-    assert_eq!(rep.findings[0].pass, CertPass::Symbolic);
+    // The same for a diagonal-only stage: the table of `T^{16}_4` run as
+    // a step of its own.
+    let (t, undo) = data_formulas().swap_remove(1);
+    let mut diagonal = after_data_step(&t, undo);
+    let data = seq_kernels(&mut diagonal).swap_remove(0);
+    data.twiddle = Some(corrupt(data.twiddle.as_ref().unwrap()));
+    for plan in [plan, diagonal] {
+        let rep = certify_plan(&plan, &CertOptions::default());
+        assert!(rep.dataflow_certified, "dataflow cannot see value errors");
+        assert_eq!(rep.symbolic_certified, Some(false));
+        let f = &rep.findings[0];
+        assert_eq!(f.pass, CertPass::Symbolic);
+        assert!(
+            f.index.is_some() && f.detail.contains("is not DFT_16"),
+            "{f}"
+        );
+    }
 }
 
 /// Swapping a loop's input stride redirects reads: either the dataflow
@@ -158,10 +208,7 @@ fn swapped_stride_rejected() {
     let mut hit = false;
     'outer: for step in &mut plan.steps {
         let Step::Seq(p) = step else { continue };
-        for stage in &mut p.stages {
-            let LocalStage::Kernel(ks) = stage else {
-                continue;
-            };
+        for ks in &mut p.stages {
             for d in &mut ks.loops {
                 if d.in_stride != d.out_stride {
                     std::mem::swap(&mut d.in_stride, &mut d.out_stride);
@@ -241,7 +288,7 @@ fn overlapping_in_place_stage_rejected_by_dataflow() {
             out_stride: stride,
             tw_stride: 1,
         });
-        LocalStage::Kernel(k)
+        k
     };
     // I_2 ⊗ F_2, then F_2 at bases 0 and 1.
     let prog = LocalProgram {
@@ -279,10 +326,7 @@ fn with_vec_stage(plan: &mut Plan, mut f: impl FnMut(&mut KernelStage)) -> bool 
             _ => continue,
         };
         for prog in progs {
-            for stage in &mut prog.stages {
-                let LocalStage::Kernel(ks) = stage else {
-                    continue;
-                };
+            for ks in &mut prog.stages {
                 if ks.vec_width > 1
                     && (ks.twiddle_lanes.is_some() || ks.twiddle_out_lanes.is_some())
                 {
@@ -360,7 +404,7 @@ fn swapped_lane_shuffle_rejected_by_dataflow() {
     assert_eq!(rep.symbolic_certified, None);
 }
 
-/// The kernel stages of a sequential plan, in order.
+/// The stages of the sequential steps of a plan, in order.
 fn seq_kernels(plan: &mut Plan) -> Vec<&mut KernelStage> {
     plan.steps
         .iter_mut()
@@ -369,10 +413,6 @@ fn seq_kernels(plan: &mut Plan) -> Vec<&mut KernelStage> {
             _ => None,
         })
         .flat_map(|p| &mut p.stages)
-        .filter_map(|s| match s {
-            LocalStage::Kernel(k) => Some(k),
-            _ => None,
-        })
         .collect()
 }
 

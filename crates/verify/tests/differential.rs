@@ -10,7 +10,6 @@
 use proptest::prelude::*;
 use proptest::sample::select;
 use spiral_codegen::plan::{Plan, Step};
-use spiral_codegen::stage::LocalStage;
 use spiral_rewrite::{multicore_dft_expanded, sequential_dft};
 use spiral_spl::builder::vec_tag;
 use spiral_spl::cplx::Cplx;
@@ -149,10 +148,7 @@ fn mis_rotate(plan: &mut Plan, both: bool) -> bool {
             _ => continue,
         };
         for prog in progs {
-            for stage in &mut prog.stages {
-                let LocalStage::Kernel(ks) = stage else {
-                    continue;
-                };
+            for ks in &mut prog.stages {
                 if ks.vec_width <= 1 {
                     continue;
                 }

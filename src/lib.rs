@@ -18,7 +18,8 @@
 //! | [`smp`] | aligned buffers, barriers, thread pool |
 //! | [`sim`] | shared-memory machine simulator with false-sharing accounting |
 //! | [`search`] | DP / random / evolutionary autotuning |
-//! | [`baselines`] | naive, recursive, iterative, Stockham, six-step, FFTW-like |
+//! | [`baselines`] | naive, iterative, Stockham, six-step, FFTW-like |
+//! | [`serve`] | wisdom-backed plan service, plan cache, TCP serving tier |
 //!
 //! ## Quick start
 //!

@@ -6,7 +6,6 @@
 
 use spiral_bench::series::{crossover, fig3_series, tune_spiral};
 use spiral_fft::codegen::plan::{Plan, Step};
-use spiral_fft::codegen::stage::LocalStage;
 use spiral_fft::rewrite::{check_fully_optimized, formula_14, load_balance_ratio, multicore_dft};
 use spiral_fft::sim::{core_duo, opteron, paper_machines, pentium_d, simulate_plan, xeon_mp};
 use spiral_fft::spl::builder::dft;
@@ -190,11 +189,9 @@ fn without_in_place(plan: &Plan) -> Plan {
     for step in &mut twin.steps {
         let Step::Seq(prog) = step else { continue };
         let identity: Arc<Vec<u32>> = Arc::new((0..u32::try_from(prog.dim).unwrap()).collect());
-        for stage in prog.stages.iter_mut().skip(1) {
-            if let LocalStage::Kernel(k) = stage {
-                if k.in_place() {
-                    k.in_map = Some(Arc::clone(&identity));
-                }
+        for k in prog.stages.iter_mut().skip(1) {
+            if k.in_place() {
+                k.in_map = Some(Arc::clone(&identity));
             }
         }
     }
