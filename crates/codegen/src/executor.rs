@@ -21,7 +21,14 @@
 //! installed plan validator; isolates panics ([`SpiralError::WorkerPanic`]);
 //! bounds a dead peer by the step-barrier watchdog
 //! ([`SpiralError::BarrierTimeout`]), resetting the barrier after any
-//! failed run; and scans every output row ([`SpiralError::NonFinite`]).
+//! failed run; and scans every output element once, on the thread that
+//! wrote it, while it is still in that thread's cache
+//! ([`SpiralError::NonFinite`]): the caller scans a row it ran alone,
+//! each thread of a batch scans each of its rows right after running it,
+//! and each thread of a `p`-thread plan scans its portion of the last
+//! step before that step's barrier (inside the step's `StageCompute`
+//! span). The error names the lowest bad `(row, index)`, as one scan of
+//! every row in order would.
 //! With the `faults` feature, panics, delays and NaN corruption can be
 //! injected at any `(step, thread)` point of a `p`-thread run.
 //!
@@ -39,7 +46,7 @@ use spiral_smp::pool::Pool;
 use spiral_smp::trace::{MarkKind, Observer, SpanKind};
 use spiral_spl::cplx::{first_non_finite, Cplx};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -109,8 +116,9 @@ impl Executor {
         obs: &O,
     ) -> Result<(), SpiralError> {
         self.check(plan, inputs, outputs)?;
+        let first_bad = FirstBad::new(plan.n);
         if plan.threads > 1 {
-            self.run_schedule(plan, inputs, outputs, obs)?;
+            self.run_schedule(plan, inputs, outputs, &first_bad, obs)?;
         } else if let ([x], [out]) = (inputs, &mut *outputs) {
             catch_unwind(AssertUnwindSafe(|| {
                 PlanWorkspace::with_thread_local(|ws| {
@@ -121,15 +129,11 @@ impl Executor {
                 thread: 0,
                 payload: panic_payload(p),
             })?;
+            first_bad.scan(out.as_mut(), 0, 0);
         } else if !outputs.is_empty() {
-            self.run_rows(plan, inputs, outputs, obs)?;
+            self.run_rows(plan, inputs, outputs, &first_bad, obs)?;
         }
-        for (b, out) in outputs.iter_mut().enumerate() {
-            check_finite(out.as_mut(), || {
-                format!("row {b} of a {}-point run", plan.n)
-            })?;
-        }
-        Ok(())
+        first_bad.into_result()
     }
 
     /// `Err(Plan)` unless the rows fit `plan` and the executor runs its
@@ -175,12 +179,14 @@ impl Executor {
     }
 
     /// A 1-thread plan over several rows: each thread runs its
-    /// contiguous share of the rows whole, in one dispatch.
+    /// contiguous share of the rows whole, in one dispatch, and scans
+    /// each row right after writing it.
     fn run_rows<O: Observer>(
         &self,
         plan: &Plan,
         inputs: &[impl AsRef<[Cplx]> + Sync],
         outputs: &mut [impl AsMut<[Cplx]> + Send],
+        first_bad: &FirstBad,
         obs: &O,
     ) -> Result<(), SpiralError> {
         let rows = Rows(outputs.as_mut_ptr());
@@ -194,6 +200,7 @@ impl Executor {
                     // SAFETY: see `Rows` — the shares are disjoint.
                     let out = unsafe { (*rows.row(b)).as_mut() };
                     run_into(plan, x.as_ref(), out, ws, &());
+                    first_bad.scan(out, b, 0);
                     if let Some(t0) = t0 {
                         let b = crate::u32_idx(b);
                         obs.span(tid, SpanKind::BatchTransform, b, t0, Instant::now());
@@ -215,13 +222,14 @@ impl Executor {
         plan: &Plan,
         inputs: &[impl AsRef<[Cplx]> + Sync],
         outputs: &mut [impl AsMut<[Cplx]> + Send],
+        first_bad: &FirstBad,
         obs: &O,
     ) -> Result<(), SpiralError> {
         PlanWorkspace::with_thread_local(|ws| {
             let tmp_dim = plan.tmp_dim();
             ws.fit_a(plan)?;
             ws.fit_tmp(tmp_dim);
-            for (x, out) in inputs.iter().zip(outputs.iter_mut()) {
+            for (b, (x, out)) in inputs.iter().zip(outputs.iter_mut()).enumerate() {
                 let shared = Shared {
                     row: Row {
                         x: x.as_ref().as_ptr(),
@@ -231,18 +239,21 @@ impl Executor {
                     tmp: ws.tmp.as_mut_ptr(),
                     tmp_dim,
                 };
-                self.dispatch_row(plan, &shared, obs)?;
+                self.dispatch_row(plan, &shared, first_bad, b, obs)?;
             }
             Ok(())
         })
     }
 
-    /// Run one row of a `p`-thread plan on every thread, with a barrier
-    /// after every step.
+    /// Run row `row` of a `p`-thread plan on every thread, with a
+    /// barrier after every step; each thread scans its portion of the
+    /// last step into `first_bad`.
     fn dispatch_row<O: Observer>(
         &self,
         plan: &Plan,
         shared: &Shared,
+        first_bad: &FirstBad,
+        row: usize,
         obs: &O,
     ) -> Result<(), SpiralError> {
         // The whole run, and the barrier reset after a failed one, in one
@@ -256,6 +267,8 @@ impl Executor {
             watchdog: self.watchdog,
             failed: AtomicBool::new(false),
             err: Mutex::new(None),
+            first_bad,
+            row,
         };
         let job = |tid: usize| {
             let job_t0 = obs.active().then(Instant::now);
@@ -291,8 +304,52 @@ impl Executor {
     }
 }
 
+/// The lowest `(row, index)` of a non-finite output element that the
+/// threads of one run found: the element a scan of every row in order
+/// would name first, whichever thread wrote it.
+struct FirstBad {
+    /// `row · n + index`; `usize::MAX` while every scanned element is
+    /// finite.
+    key: AtomicUsize,
+    n: usize,
+}
+
+impl FirstBad {
+    fn new(n: usize) -> FirstBad {
+        FirstBad {
+            key: AtomicUsize::new(usize::MAX),
+            n,
+        }
+    }
+
+    /// Scan `written`, the elements `offset..` of output row `row`;
+    /// `true` when one is non-finite.
+    fn scan(&self, written: &[Cplx], row: usize, offset: usize) -> bool {
+        let Some(i) = first_non_finite(written) else {
+            return false;
+        };
+        self.key
+            .fetch_min(row * self.n + offset + i, Ordering::Relaxed);
+        true
+    }
+
+    /// `Err(NonFinite)` at the lowest element found, if any. Called after
+    /// the dispatch that ran the scans has joined.
+    fn into_result(self) -> Result<(), SpiralError> {
+        let (key, n) = (self.key.into_inner(), self.n);
+        if key == usize::MAX {
+            return Ok(());
+        }
+        Err(SpiralError::NonFinite {
+            index: key % n,
+            context: format!("row {} of a {n}-point run", key / n),
+        })
+    }
+}
+
 /// `Err(NonFinite)` at the first NaN or infinity of `out`, described by
-/// `context`: the corruption guard every run passes before it returns.
+/// `context`: the corruption guard of a result computed outside
+/// [`Executor::try_run`].
 pub fn check_finite(out: &[Cplx], context: impl FnOnce() -> String) -> Result<(), SpiralError> {
     match first_non_finite(out) {
         Some(index) => Err(SpiralError::NonFinite {
@@ -372,7 +429,8 @@ impl<T> Rows<T> {
 }
 
 /// What the threads of a `p`-thread run share besides the buffers: the
-/// step barrier with its watchdog, and the first failure any thread saw.
+/// step barrier with its watchdog, the first failure any thread saw, and
+/// where each thread reports a non-finite output of row `row`.
 struct Lockstep<'a> {
     barrier: &'a dyn Barrier,
     watchdog: Duration,
@@ -380,6 +438,27 @@ struct Lockstep<'a> {
     /// step boundary instead of waiting out their own deadline.
     failed: AtomicBool,
     err: Mutex<Option<SpiralError>>,
+    first_bad: &'a FirstBad,
+    row: usize,
+}
+
+impl Lockstep<'_> {
+    /// Scan what the thread's `portion` of the last step wrote into the
+    /// output row `out`, while it is still in the thread's cache.
+    ///
+    /// # Safety
+    ///
+    /// As [`run_portion`]: no other thread accesses those elements
+    /// during the step.
+    unsafe fn scan(&self, portion: &Portion, out: *const Cplx) {
+        for r in portion.writes() {
+            // SAFETY: see the function's docs.
+            let written = unsafe { std::slice::from_raw_parts(out.add(r.start), r.len()) };
+            if self.first_bad.scan(written, self.row, r.start) {
+                return;
+            }
+        }
+    }
 }
 
 /// Run all of one row on the calling thread, in `ws`: the one-thread
@@ -430,6 +509,11 @@ unsafe fn run_steps<O: Observer>(
         if tid == 0 {
             // SAFETY: distinct `n`-element buffers; thread 0 alone writes.
             unsafe { std::ptr::copy_nonoverlapping(row.x, row.out, n) };
+            if let Some(s) = lockstep {
+                // SAFETY: as the copy.
+                s.first_bad
+                    .scan(unsafe { std::slice::from_raw_parts(row.out, n) }, s.row, 0);
+            }
         }
         return;
     }
@@ -455,6 +539,11 @@ unsafe fn run_steps<O: Observer>(
         #[cfg(feature = "faults")]
         if corrupt {
             inject_nan(&portion, dst);
+        }
+        if let Some(s) = lockstep.filter(|_| si + 1 == l) {
+            debug_assert_eq!(dst, row.out, "the last step writes `out`");
+            // SAFETY: as `run_portion`.
+            unsafe { s.scan(&portion, dst) };
         }
         let t1 = t0.map(|_| Instant::now());
         let waited = lockstep.map(|s| s.barrier.wait_deadline(s.watchdog));
@@ -942,6 +1031,75 @@ mod tests {
                 assert_eq!(run(&exec, &plan, &x).unwrap(), want);
             }
         });
+    }
+
+    /// A 1-thread plan over 32 rows on 2 threads, with NaN inputs in rows
+    /// 5 and 20 (one in each thread's rows): the error names row 5 and
+    /// the index the plain scan of row 5's output gives.
+    #[test]
+    fn batch_reports_the_first_bad_row_and_index() {
+        let n = 64;
+        let plan = sequential_plan(n);
+        let mut xs = batch_inputs(32, n);
+        xs[5][9] = Cplx::new(f64::NAN, 0.0);
+        xs[20][0] = Cplx::new(0.0, f64::INFINITY);
+        let want = first_non_finite(&plan.execute(&xs[5])).unwrap();
+        for exec in [Executor::new(2), Executor::new(1)] {
+            let (index, context) = non_finite(run_batch(&exec, &plan, &xs).unwrap_err());
+            assert_eq!(index, want);
+            assert_eq!(context, format!("row 5 of a {n}-point run"));
+        }
+    }
+
+    /// `Err(NonFinite)`'s `(index, context)`.
+    fn non_finite(err: SpiralError) -> (usize, String) {
+        match err {
+            SpiralError::NonFinite { index, context } => (index, context),
+            err => panic!("{err}"),
+        }
+    }
+
+    /// A 2-thread plan whose output goes non-finite in both threads'
+    /// portions: the error gives the global first index of the first bad
+    /// row, whichever thread found it.
+    #[test]
+    fn parallel_plan_reports_the_global_first_index() {
+        use spiral_spl::builder::tensor_par;
+        // I_2 ⊗∥ DFT_8: thread c writes output chunk c, and a bad input
+        // in chunk c makes that chunk's outputs non-finite.
+        let (n, p) = (16usize, 2usize);
+        let plan = Plan::from_formula(&tensor_par(p, dft(8)), p, 4).unwrap();
+        let last = plan.steps.last().unwrap();
+        for tid in 0..p {
+            let writes = last.portion(n, plan.mu, tid, p).writes();
+            assert!(writes.eq(std::iter::once(tid * 8..tid * 8 + 8)));
+        }
+        let mut xs = batch_inputs(3, n);
+        xs[1][12].re = f64::NAN;
+        xs[2][3].im = f64::INFINITY;
+        xs[2][9].re = f64::NAN;
+        let want = |x: &[Cplx]| first_non_finite(&plan.execute(x)).unwrap();
+        let both = plan.execute(&xs[2]);
+        assert!(want(&xs[2]) < 8 && first_non_finite(&both[8..]).is_some());
+        let exec = Executor::new(p);
+        for row in [1, 2] {
+            let (index, context) = non_finite(run(&exec, &plan, &xs[row]).unwrap_err());
+            assert_eq!(index, want(&xs[row]), "row {row} alone");
+            assert_eq!(context, format!("row 0 of a {n}-point run"));
+        }
+        // Row 1's bad index (thread 1's) is higher than row 2's, but row 1
+        // comes first.
+        let (index, context) = non_finite(run_batch(&exec, &plan, &xs).unwrap_err());
+        assert_eq!(
+            (index, context),
+            (want(&xs[1]), format!("row 1 of a {n}-point run"))
+        );
+        // A whole multicore FFT plan: the index the plain scan gives.
+        let plan = parallel_plan(256, p);
+        let mut x = ramp(256);
+        x[100] = Cplx::new(f64::NAN, 0.0);
+        let (index, _) = non_finite(run(&exec, &plan, &x).unwrap_err());
+        assert_eq!(index, first_non_finite(&plan.execute(&x)).unwrap());
     }
 
     #[test]

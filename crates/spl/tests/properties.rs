@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use spiral_spl::builder::*;
-use spiral_spl::cplx::{assert_slices_close, Cplx};
+use spiral_spl::cplx::{assert_slices_close, first_non_finite, Cplx};
 use spiral_spl::perm::Perm;
 use spiral_spl::Spl;
 
@@ -168,6 +168,93 @@ proptest! {
             let full = d.entries();
             for (a, b) in full.iter().zip(&recon) {
                 prop_assert!(a.approx_eq(*b, 0.0));
+            }
+        }
+    }
+}
+
+/// Finite values the finiteness scan must never flag, extremes included
+/// (the last is the smallest subnormal).
+const FINITE: [f64; 8] = [
+    0.0,
+    -0.0,
+    1.5,
+    -3.25,
+    f64::MAX,
+    -f64::MAX,
+    f64::MIN_POSITIVE,
+    5e-324,
+];
+const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+/// The reference: the element-by-element search.
+fn naive_first_non_finite(xs: &[Cplx]) -> Option<usize> {
+    xs.iter()
+        .position(|z| !z.re.is_finite() || !z.im.is_finite())
+}
+
+/// Set part `part` (0: `re`, 1: `im`) of `z` to `v`.
+fn set_part(z: &mut Cplx, part: usize, v: f64) {
+    if part == 0 {
+        z.re = v;
+    } else {
+        z.im = v;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The block fold finds the same first index as the naive scan, with
+    /// up to four NaN or infinities at random places in `re` or `im`.
+    #[test]
+    fn first_non_finite_equals_naive_scan(
+        base in prop::collection::vec(
+            (prop::sample::select(FINITE.to_vec()), prop::sample::select(FINITE.to_vec()))
+                .prop_map(|(re, im)| Cplx::new(re, im)),
+            0..=300,
+        ),
+        bad in prop::collection::vec(
+            (0usize..300, prop::sample::select(NON_FINITE.to_vec()), 0usize..2),
+            0..=4,
+        ),
+    ) {
+        let mut xs = base;
+        prop_assert_eq!(first_non_finite(&xs), None);
+        if !xs.is_empty() {
+            let len = xs.len();
+            for (at, v, part) in bad {
+                set_part(&mut xs[at % len], part, v);
+            }
+        }
+        prop_assert_eq!(first_non_finite(&xs), naive_first_non_finite(&xs));
+    }
+}
+
+/// Every length 0..=300, with one or two non-finite values at the block
+/// and lane edges of the fold: the index is exact, and the finite
+/// extremes alone never flag.
+#[test]
+fn first_non_finite_is_exact_at_block_edges() {
+    let edges = [
+        0usize, 1, 3, 4, 5, 7, 8, 63, 64, 65, 127, 128, 129, 191, 192, 255, 256,
+    ];
+    for len in 0..=300usize {
+        let finite: Vec<Cplx> = (0..len)
+            .map(|j| Cplx::new(FINITE[j % 8], FINITE[(j + 3) % 8]))
+            .collect();
+        assert_eq!(first_non_finite(&finite), None, "len {len}");
+        let places = edges.iter().copied().chain(len.checked_sub(1));
+        for at in places.filter(|&at| at < len) {
+            for v in NON_FINITE {
+                for part in 0..2 {
+                    let mut xs = finite.clone();
+                    set_part(&mut xs[at], part, v);
+                    assert_eq!(first_non_finite(&xs), Some(at), "len {len}, at {at}");
+                    let later = (at + 64).min(len - 1);
+                    set_part(&mut xs[later], 1 - part, v);
+                    assert_eq!(first_non_finite(&xs), Some(at), "len {len}, at {at}");
+                }
             }
         }
     }

@@ -209,6 +209,17 @@ mod measured_claims {
     use spiral_fft::smp::topology::processors;
     use spiral_fft::spl::Cplx;
     use spiral_trace::{profile_run, RunProfile};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Held by each wall-clock claim for its whole run. The test harness
+    /// runs tests at the same time, and two claims that each time a
+    /// 2-thread executor would then compete for the same cores and
+    /// measure each other.
+    static WALL_CLOCK: Mutex<()> = Mutex::new(());
+
+    fn wall_clock() -> MutexGuard<'static, ()> {
+        WALL_CLOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn ramp(n: usize) -> Vec<Cplx> {
         (0..n)
@@ -243,6 +254,7 @@ mod measured_claims {
     #[test]
     #[ignore = "wall-clock shares need dedicated cores"]
     fn claim_s31_measured_load_balance_and_barrier_share() {
+        let _alone = wall_clock();
         // §3: "perfect load-balancing"; §3.2: barriers are "the only
         // synchronization" and must stay a small share of the run.
         // Timing assertions need real parallelism — on a single-core
@@ -338,6 +350,7 @@ mod measured_claims {
     #[test]
     #[ignore = "wall-clock crossover; meaningful only in a release build on an idle host"]
     fn claim_xover_host_thread_choice() {
+        let _alone = wall_clock();
         // §1/§4 on the host: where do two threads start to pay, and does
         // the cost model's thread choice (`Tuner::tune`) follow it? Prints
         // one row per size: the measured 1- and 2-thread times, the
