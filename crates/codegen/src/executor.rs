@@ -15,8 +15,16 @@
 //!   exactly `p` threads, the schedule `spiral-verify` and the simulator
 //!   check; any other thread count is an `Err`.
 //!
+//! This is the one contract for a transform call above this crate: the
+//! facade's `SpiralFft::forward_into` runs every backend (Bluestein's
+//! inner transforms included) as one row here, and the serving tier
+//! runs its batches and its degraded one-row path here. So a wrong
+//! length, a panic or a non-finite output is the same `Err` whichever
+//! way a transform is called.
+//!
 //! Every thread runs its part of a row through one step loop
-//! (`run_steps`); [`Plan::execute_into`] is its one-thread case. Every
+//! (`run_steps`); [`Plan::execute_into`] is its one-thread case, kept as
+//! the unchecked reference the tests compare against. Every
 //! path checks the row count and lengths and, in debug builds, the
 //! installed plan validator; isolates panics ([`SpiralError::WorkerPanic`]);
 //! bounds a dead peer by the step-barrier watchdog
@@ -344,19 +352,6 @@ impl FirstBad {
             index: key % n,
             context: format!("row {} of a {n}-point run", key / n),
         })
-    }
-}
-
-/// `Err(NonFinite)` at the first NaN or infinity of `out`, described by
-/// `context`: the corruption guard of a result computed outside
-/// [`Executor::try_run`].
-pub fn check_finite(out: &[Cplx], context: impl FnOnce() -> String) -> Result<(), SpiralError> {
-    match first_non_finite(out) {
-        Some(index) => Err(SpiralError::NonFinite {
-            index,
-            context: context(),
-        }),
-        None => Ok(()),
     }
 }
 

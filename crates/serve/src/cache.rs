@@ -221,6 +221,12 @@ impl PlanService {
         Ok(outputs)
     }
 
+    /// One row of a served (1-thread) plan on the calling thread:
+    /// [`Executor::try_run`]'s one-row path, which never dispatches to the pool.
+    pub fn run_row(&self, plan: &Plan, x: &[Cplx], y: &mut [Cplx]) -> Result<(), SpiralError> {
+        self.executor.try_run(plan, &[x], &mut [y], &())
+    }
+
     /// Wisdom lookup, else tune (counted), recording fresh results back
     /// into wisdom and saving eagerly.
     fn produce(&self, n: usize) -> Result<Arc<ServedPlan>, SpiralError> {

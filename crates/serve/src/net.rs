@@ -19,13 +19,15 @@
 //! * Protocol violations (torn/stalled/oversized frames) close the
 //!   offending connection and count in `protocol_errors`; they never
 //!   take a worker down.
+//! * A request holding a NaN or infinity is a typed `Error` on arrival,
+//!   so a non-finite output always means corruption.
 //! * Execution failures become typed `Error` responses. A *runtime*
 //!   fault (watchdog trip, worker panic, non-finite output — see
 //!   [`spiral_smp::error::SpiralError::is_runtime_fault`]) additionally flips the server
-//!   into **degraded mode**: all subsequent dispatches run the
-//!   sequential per-transform plan on the dispatcher thread, trading
-//!   parallel speed for availability. The flag is sticky — a pool that
-//!   tripped its watchdog is not trusted again within the process.
+//!   into **degraded mode**: all subsequent dispatches run row by row on
+//!   the dispatcher thread, trading parallel speed for availability. The
+//!   flag is sticky — a pool that tripped its watchdog is not trusted
+//!   again within the process.
 //! * The dispatcher wraps execution in `catch_unwind`, so even a panic
 //!   in the execution stack answers every in-flight request.
 //!
@@ -44,7 +46,7 @@ use crate::overload::{BoundedQueue, CounterSnapshot, Push, ServeCounters};
 use crate::wire::{self, ReadEvent, Request, Response, StatsKind, WireError, MAX_FRAME_BYTES};
 use spiral_smp::topology;
 use spiral_smp::trace::{Observer, SpanKind};
-use spiral_spl::cplx::Cplx;
+use spiral_spl::cplx::{first_non_finite, Cplx};
 use spiral_trace::metrics::MetricsSnapshot;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -601,6 +603,14 @@ fn handle_request(shared: &Shared, request: Request, arrival: Instant, seq: u32)
         return Response::Expired { id };
     }
 
+    // The client's error, answered here: past this point a non-finite
+    // output is corruption, which degrades the server for every client.
+    if let Some(i) = first_non_finite(&request.data) {
+        c.errors.fetch_add(1, Ordering::Relaxed);
+        let message = format!("non-finite input value at index {i} of the request data");
+        return Response::Error { id, message };
+    }
+
     let n = usize::try_from(request.n).expect("u32 fits usize");
     let batch = usize::try_from(request.batch).expect("u32 fits usize");
     let inputs: Vec<Vec<Cplx>> = request.data.chunks(n).map(<[Cplx]>::to_vec).collect();
@@ -773,8 +783,9 @@ fn run_batched(shared: &Shared, n: usize, group: &[ExecJob]) -> BatchedResult {
     }
 }
 
-/// The degraded path: sequential per-transform execution on the
-/// dispatcher thread. Slow, but it depends on nothing but the plan.
+/// The degraded path: each row on the dispatcher thread
+/// ([`PlanService::run_row`]), checked and scanned like a batch. Slow,
+/// but it depends on nothing but the plan.
 fn run_degraded(shared: &Shared, n: usize, group: Vec<ExecJob>) {
     let served = match shared.service.sequential_plan(n) {
         Ok(s) => s,
@@ -786,18 +797,15 @@ fn run_degraded(shared: &Shared, n: usize, group: Vec<ExecJob>) {
         }
     };
     for j in &group {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut flat = Vec::with_capacity(j.inputs.len() * n);
-            for x in &j.inputs {
-                flat.extend(served.plan.execute(x));
-            }
-            flat
-        }));
-        match result {
-            Ok(flat) => j.reply.set(JobOutcome::Ok(flat)),
-            Err(_) => j.reply.set(JobOutcome::Error(
-                "sequential execution panicked".to_string(),
-            )),
-        }
+        let mut flat = vec![Cplx::ZERO; j.inputs.len() * n];
+        let result = j
+            .inputs
+            .iter()
+            .zip(flat.chunks_mut(n))
+            .try_for_each(|(x, y)| shared.service.run_row(&served.plan, x, y));
+        j.reply.set(match result {
+            Ok(()) => JobOutcome::Ok(flat),
+            Err(e) => JobOutcome::Error(e.to_string()),
+        });
     }
 }

@@ -60,6 +60,45 @@ fn served_response_matches_the_dft() {
     assert!(report.counters.accounted());
 }
 
+/// A NaN in one client's request is that client's typed `Error`: it
+/// never reaches the executor, so it cannot flip the server into
+/// degraded mode for everyone else.
+#[test]
+fn non_finite_request_data_is_a_typed_error_and_does_not_degrade() {
+    let service = Arc::new(PlanService::new(2, 4));
+    let server = Server::start(service, test_config()).expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+
+    let n = 64;
+    let mut inputs: Vec<Vec<Cplx>> = (0..2).map(|k| ramp(n, k)).collect();
+    inputs[1][5] = Cplx::new(f64::NAN, 0.0);
+    match client.request(&request_from_inputs(1, 0, &inputs)) {
+        Ok(Response::Error { id, message }) => {
+            assert_eq!(id, 1);
+            assert!(message.contains("non-finite"), "{message}");
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    assert!(!server.is_degraded());
+
+    let clean: Vec<Vec<Cplx>> = (0..2).map(|k| ramp(n, k)).collect();
+    match client.request(&request_from_inputs(2, 0, &clean)) {
+        Ok(Response::Ok { id, data }) => {
+            assert_eq!(id, 2);
+            assert_slices_close(&data[n..], &dft(n).eval(&clean[1]), 1e-8 * n as f64);
+        }
+        other => panic!("expected Ok, got {other:?}"),
+    }
+    assert!(!server.is_degraded());
+
+    let report = server.shutdown();
+    assert!(!report.degraded);
+    assert_eq!(report.counters.errors, 1);
+    assert_eq!(report.counters.ok, 1);
+    assert_eq!(report.counters.degraded_dispatches, 0);
+    assert!(report.counters.accounted());
+}
+
 #[test]
 fn sequential_requests_reuse_the_connection_and_the_plan() {
     let service = Arc::new(PlanService::new(2, 4));

@@ -13,6 +13,16 @@ use spiral_smp::topology::processors;
 use spiral_spl::cplx::Cplx;
 use spiral_trace::{profile_run, RunProfile};
 use spiral_verify::{static_stage_balance, verify_plan, DiagKind, VerifyOptions};
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by every test for its whole run. The test harness runs tests at
+/// the same time, and the timing test would then share the cores with
+/// the other tests' executors and measure them.
+static CORES: Mutex<()> = Mutex::new(());
+
+fn cores_alone() -> MutexGuard<'static, ()> {
+    CORES.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// One run of `plan` observed by a `Collector`.
 fn traced(exec: &Executor, plan: &Plan, x: &[Cplx]) -> (Vec<Cplx>, RunProfile) {
@@ -37,6 +47,7 @@ fn balanced_plan(n: usize, p: usize) -> Plan {
 
 #[test]
 fn static_balance_agrees_with_measured_elements_on_generated_plans() {
+    let _alone = cores_alone();
     for (n, p) in [(1024usize, 2usize), (1024, 4), (4096, 2), (4096, 4)] {
         let plan = balanced_plan(n, p);
         // Static verdict: every stage balanced, no LoadImbalance finding.
@@ -76,6 +87,7 @@ fn static_balance_agrees_with_measured_elements_on_generated_plans() {
 
 #[test]
 fn static_and_measured_agree_on_a_deliberately_imbalanced_plan() {
+    let _alone = cores_alone();
     // 4 chunk programs scheduled round-robin onto 3 threads: thread 0
     // gets two chunks, threads 1–2 one each — a 1.5× imbalance both
     // analyses must report, and report identically (chunk programs are
@@ -118,6 +130,7 @@ fn static_and_measured_agree_on_a_deliberately_imbalanced_plan() {
 
 #[test]
 fn measured_compute_time_tracks_static_balance_on_multicore_hosts() {
+    let _alone = cores_alone();
     // The timing half of the cross-check: on a host with real
     // parallelism, a statically balanced plan must also measure as
     // balanced (within scheduler noise, best of 5).

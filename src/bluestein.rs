@@ -5,37 +5,28 @@
 //! This extends the generated library beyond the paper's power-of-two
 //! evaluation sizes — the inner transforms are still Spiral-tuned plans,
 //! so all the paper's machinery (rule trees, loop merging, codelets) is
-//! exercised underneath.
+//! exercised underneath, on the same executor as every other backend.
 
 use spiral_codegen::plan::Plan;
-use spiral_search::{CostModel, Tuner};
-use spiral_spl::cplx::Cplx;
+use spiral_codegen::Executor;
+use spiral_smp::SpiralError;
+use spiral_spl::cplx::{first_non_finite, Cplx};
 use std::f64::consts::PI;
 
-/// A Bluestein transform of size `n`.
-pub struct Bluestein {
-    n: usize,
-    m: usize,
+/// The precomputed data of a Bluestein `DFT_n`; the inner `DFT_m` plan
+/// and its executor are the facade's.
+pub(crate) struct Bluestein {
     /// Chirp `w_k = e^{-iπ k²/n}` for `k < n`.
     chirp: Vec<Cplx>,
-    /// Forward FFT of the padded conjugate-chirp kernel.
+    /// Forward `DFT_m` of the padded conjugate-chirp kernel.
     kernel_hat: Vec<Cplx>,
-    /// Tuned power-of-two plan of size `m` (used forward and, via the
-    /// conjugation identity, inverse).
-    inner: Plan,
 }
 
 impl Bluestein {
-    /// Build the transform: tunes an inner `DFT_m` plan and precomputes
-    /// the chirp and the kernel spectrum.
-    pub fn new(n: usize) -> Bluestein {
-        assert!(n >= 1);
-        let m = (2 * n - 1).next_power_of_two();
-        let tuner = Tuner::new(1, spiral_smp::topology::mu(), CostModel::Analytic);
-        let inner = tuner
-            .tune_sequential(m)
-            .unwrap_or_else(|e| panic!("inner DFT_{m} tuning failed: {e}"))
-            .plan;
+    /// The chirp of `DFT_n` and the kernel spectrum, computed by `inner`
+    /// (a `DFT_m`, `m ≥ 2n − 1`) on `executor`.
+    pub(crate) fn new(n: usize, inner: &Plan, executor: &Executor) -> Bluestein {
+        let m = inner.n;
         // w_k = e^{-iπ k²/n}; the exponent is periodic with 2n, so reduce
         // k² mod 2n to keep the angle accurate for large k.
         let chirp: Vec<Cplx> = (0..n)
@@ -52,67 +43,77 @@ impl Bluestein {
             b[j] = c;
             b[m - j] = c;
         }
-        let kernel_hat = inner.execute(&b);
-        Bluestein {
-            n,
-            m,
-            chirp,
-            kernel_hat,
-            inner,
+        let mut kernel_hat = vec![Cplx::ZERO; m];
+        executor
+            .try_run(inner, &[b], &mut [&mut kernel_hat[..]], &())
+            .unwrap_or_else(|e| panic!("Bluestein kernel DFT_{m} failed: {e}"));
+        Bluestein { chirp, kernel_hat }
+    }
+
+    /// Write `DFT_n(x)` into `y` through two runs of `inner` on
+    /// `executor`, in one allocation of two `m`-element work buffers.
+    pub(crate) fn forward_into(
+        &self,
+        inner: &Plan,
+        executor: &Executor,
+        x: &[Cplx],
+        y: &mut [Cplx],
+    ) -> Result<(), SpiralError> {
+        let n = self.chirp.len();
+        if x.len() != n || y.len() != n {
+            return Err(SpiralError::Plan(format!(
+                "input length {}, output length {}, transform size {n}",
+                x.len(),
+                y.len()
+            )));
         }
-    }
-
-    /// Transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True only for the degenerate size-0 case (not constructible).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Size of the inner power-of-two convolution.
-    pub fn inner_size(&self) -> usize {
-        self.m
-    }
-
-    /// The tuned inner plan (size `m`).
-    pub fn inner_plan(&self) -> &Plan {
-        &self.inner
-    }
-
-    /// Forward DFT of `x` (length `n`).
-    pub fn run(&self, x: &[Cplx]) -> Vec<Cplx> {
-        assert_eq!(x.len(), self.n, "input length mismatch");
+        let m = inner.n;
+        let mut work = vec![Cplx::ZERO; 2 * m];
+        let (a, a_hat) = work.split_at_mut(m);
         // a = chirp ⊙ x, zero-padded to m.
-        let mut a = vec![Cplx::ZERO; self.m];
-        for (k, (&xk, &wk)) in x.iter().zip(&self.chirp).enumerate() {
-            a[k] = xk * wk;
+        for ((ak, &xk), &wk) in a.iter_mut().zip(x).zip(&self.chirp) {
+            *ak = xk * wk;
         }
-        let a_hat = self.inner.execute(&a);
-        // Pointwise multiply with the kernel spectrum.
-        let prod: Vec<Cplx> = a_hat
-            .iter()
-            .zip(&self.kernel_hat)
-            .map(|(p, q)| *p * *q)
-            .collect();
-        // Inverse DFT_m via the conjugation identity on the same plan.
-        let conj_in: Vec<Cplx> = prod.iter().map(|z| z.conj()).collect();
-        let inv = self.inner.execute(&conj_in);
-        let scale = 1.0 / self.m as f64;
+        executor
+            .try_run(inner, &[&*a], &mut [&mut *a_hat], &())
+            .or_else(flagged)?;
+        // Pointwise product with the kernel spectrum, conjugated: the
+        // inverse DFT_m runs on the same plan by the conjugation identity.
+        for (p, &q) in a_hat.iter_mut().zip(&self.kernel_hat) {
+            *p = (*p * q).conj();
+        }
+        executor
+            .try_run(inner, &[&*a_hat], &mut [&mut *a], &())
+            .or_else(flagged)?;
         // y_k = w_k · conv_k
-        (0..self.n)
-            .map(|k| inv[k].conj() * scale * self.chirp[k])
-            .collect()
+        let scale = 1.0 / m as f64;
+        for ((yk, ak), &wk) in y.iter_mut().zip(&*a).zip(&self.chirp) {
+            *yk = ak.conj() * scale * wk;
+        }
+        match first_non_finite(y) {
+            Some(index) => Err(SpiralError::NonFinite {
+                index,
+                context: format!("Bluestein DFT_{n} output"),
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `Ok` for an inner run's `NonFinite`: that run wrote its whole
+/// output, and the scan of `y` reports the value where the caller sees it.
+fn flagged(e: SpiralError) -> Result<(), SpiralError> {
+    match e {
+        SpiralError::NonFinite { .. } => Ok(()),
+        e => Err(e),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::SpiralFft;
     use spiral_spl::builder::dft;
-    use spiral_spl::cplx::assert_slices_close;
+    use spiral_spl::cplx::{assert_slices_close, Cplx};
 
     fn ramp(n: usize) -> Vec<Cplx> {
         (0..n)
@@ -123,28 +124,21 @@ mod tests {
     #[test]
     fn primes_match_definition() {
         for n in [3usize, 5, 7, 11, 13, 97, 101, 127, 251] {
-            let b = Bluestein::new(n);
-            assert!(b.inner_size().is_power_of_two());
-            assert!(b.inner_size() >= 2 * n - 1);
+            let fft = SpiralFft::bluestein(n);
+            let m = fft.plan().n;
+            assert!(m.is_power_of_two() && m >= 2 * n - 1);
             let x = ramp(n);
-            let got = b.run(&x);
-            let want = dft(n).eval(&x);
-            assert_slices_close(&got, &want, 1e-7 * n as f64);
+            assert_slices_close(&fft.forward(&x), &dft(n).eval(&x), 1e-7 * n as f64);
         }
     }
 
     #[test]
     fn composite_and_power_of_two_sizes_also_work() {
         for n in [1usize, 2, 6, 16, 194, 300] {
-            let b = Bluestein::new(n);
+            let fft = SpiralFft::bluestein(n);
             let x = ramp(n);
-            assert_slices_close(&b.run(&x), &dft(n).eval(&x), 1e-7 * n.max(4) as f64);
+            let want = dft(n).eval(&x);
+            assert_slices_close(&fft.forward(&x), &want, 1e-7 * n.max(4) as f64);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "input length mismatch")]
-    fn checks_input_length() {
-        Bluestein::new(7).run(&ramp(8));
     }
 }

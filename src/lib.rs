@@ -38,7 +38,7 @@
 
 #![warn(missing_docs)]
 
-pub mod bluestein;
+mod bluestein;
 
 pub use spiral_baselines as baselines;
 pub use spiral_codegen as codegen;
@@ -49,35 +49,24 @@ pub use spiral_sim as sim;
 pub use spiral_smp as smp;
 pub use spiral_spl as spl;
 
-use spiral_codegen::executor::check_finite;
 use spiral_codegen::plan::Plan;
 use spiral_codegen::Executor;
 use spiral_search::{CostModel, Tuner};
 use spiral_spl::cplx::Cplx;
 use spiral_spl::Spl;
 
-/// A generated, tuned DFT implementation — the library's front door.
+use bluestein::Bluestein;
+
+/// A generated, tuned DFT implementation — the library's front door:
+/// one compiled plan on an executor of its thread count (one thread
+/// starts no pool worker).
 pub struct SpiralFft {
     formula: Spl,
-    backend: Backend,
-}
-
-/// How a transform executes.
-enum Backend {
-    /// A compiled plan and the executor of its thread count (one
-    /// thread starts no pool worker).
-    Plan { plan: Plan, executor: Executor },
-    /// Bluestein chirp-z fallback for sizes with prime factors larger
-    /// than the codelet bound (runs a tuned power-of-two plan inside).
-    Bluestein(bluestein::Bluestein),
-}
-
-impl Backend {
-    /// A plan on an executor of its own thread count.
-    fn plan(plan: Plan) -> Backend {
-        let executor = Executor::new(plan.threads);
-        Backend::Plan { plan, executor }
-    }
+    plan: Plan,
+    executor: Executor,
+    /// Bluestein chirp-z data for sizes with prime factors larger than
+    /// the codelet bound; `plan` is then the inner power-of-two `DFT_m`.
+    bluestein: Option<Bluestein>,
 }
 
 /// Errors from the high-level constructors and fallible execution paths.
@@ -119,6 +108,29 @@ impl From<spiral_smp::SpiralError> for Error {
 }
 
 impl SpiralFft {
+    /// `formula` compiled to `plan`, on an executor of its thread count.
+    fn compiled(formula: Spl, plan: Plan) -> SpiralFft {
+        let executor = Executor::new(plan.threads);
+        SpiralFft {
+            formula,
+            plan,
+            executor,
+            bluestein: None,
+        }
+    }
+
+    /// `DFT_n` by Bluestein's algorithm over a tuned sequential
+    /// power-of-two plan of size `m ≥ 2n − 1`.
+    fn bluestein(n: usize) -> SpiralFft {
+        let m = (2 * n - 1).next_power_of_two();
+        let inner = Tuner::new(1, spiral_smp::topology::mu(), CostModel::Analytic)
+            .tune_sequential(m)
+            .unwrap_or_else(|e| panic!("inner DFT_{m} tuning failed: {e}"));
+        let mut fft = SpiralFft::compiled(Spl::Dft(n), inner.plan);
+        fft.bluestein = Some(Bluestein::new(n, &fft.plan, &fft.executor));
+        fft
+    }
+
     /// Generate and tune a sequential `DFT_n`. Sizes whose prime factors
     /// all fit the codelet bound compile to a direct plan; other sizes
     /// (large primes) fall back to Bluestein's algorithm over a tuned
@@ -128,19 +140,13 @@ impl SpiralFft {
             .iter()
             .all(|&(prime, _)| prime <= spiral_codegen::lower::MAX_CODELET);
         if !smooth {
-            return SpiralFft {
-                formula: Spl::Dft(n),
-                backend: Backend::Bluestein(bluestein::Bluestein::new(n)),
-            };
+            return SpiralFft::bluestein(n);
         }
         let mu = spiral_smp::topology::mu();
         let tuned = Tuner::new(1, mu, CostModel::Analytic)
             .tune_sequential(n)
             .unwrap_or_else(|e| panic!("sequential tuning of DFT_{n} failed: {e}"));
-        SpiralFft {
-            formula: tuned.formula,
-            backend: Backend::plan(tuned.plan),
-        }
+        SpiralFft::compiled(tuned.formula, tuned.plan)
     }
 
     /// Generate and tune a `DFT_n` for up to `p` threads and cache-line
@@ -157,10 +163,7 @@ impl SpiralFft {
         let tuned = Tuner::new(p, mu, CostModel::Analytic)
             .tune(n)?
             .ok_or(Error::NoParallelSplit { n, p, mu })?;
-        Ok(SpiralFft {
-            formula: tuned.formula,
-            backend: Backend::plan(tuned.plan),
-        })
+        Ok(SpiralFft::compiled(tuned.formula, tuned.plan))
     }
 
     /// Generate a `p`-thread 2-D DFT on a `rows × cols` row-major array
@@ -178,10 +181,7 @@ impl SpiralFft {
             })?;
         let plan = Plan::from_formula(&formula, p, mu)
             .map_err(|e| spiral_smp::SpiralError::Lower(format!("2-D expansion: {e}")))?;
-        Ok(SpiralFft {
-            formula,
-            backend: Backend::plan(plan),
-        })
+        Ok(SpiralFft::compiled(formula, plan))
     }
 
     /// Generate a `p`-thread Walsh–Hadamard transform `WHT_{2^k}` — the
@@ -197,10 +197,7 @@ impl SpiralFft {
         let plan = Plan::from_formula(&derived.formula, p, mu)
             .map_err(|e| spiral_smp::SpiralError::Lower(format!("WHT formula: {e}")))?
             .fuse_exchanges();
-        Ok(SpiralFft {
-            formula: derived.formula,
-            backend: Backend::plan(plan),
-        })
+        Ok(SpiralFft::compiled(derived.formula, plan))
     }
 
     /// Sequential 2-D DFT on a `rows × cols` row-major array.
@@ -211,10 +208,7 @@ impl SpiralFft {
                 .normalized();
         let plan = Plan::from_formula(&formula, 1, spiral_smp::topology::mu())
             .expect("2-D expansion always lowers");
-        SpiralFft {
-            formula,
-            backend: Backend::plan(plan),
-        }
+        SpiralFft::compiled(formula, plan)
     }
 
     /// The SPL formula this implementation executes.
@@ -225,10 +219,7 @@ impl SpiralFft {
     /// The executing compiled plan. For Bluestein-backed sizes this is
     /// the *inner* power-of-two plan (of size ≥ 2n-1).
     pub fn plan(&self) -> &Plan {
-        match &self.backend {
-            Backend::Plan { plan, .. } => plan,
-            Backend::Bluestein(b) => b.inner_plan(),
-        }
+        &self.plan
     }
 
     /// Transform size.
@@ -242,58 +233,51 @@ impl SpiralFft {
         self.len() == 0
     }
 
-    /// Compute the forward DFT of `x` (length must equal [`len`](Self::len)).
-    /// Panics on execution failure; see [`try_forward`](Self::try_forward)
-    /// for the fallible variant. What a non-finite value in `x` does
-    /// depends on the backend: on one thread and under Bluestein the
-    /// output is not scanned, and the value comes back in the result; on
-    /// `p` threads the executor scans the output, and `forward` panics
-    /// with [`SpiralError::NonFinite`](spiral_smp::SpiralError::NonFinite).
+    /// Write the forward DFT of `x` into `y`, both of length
+    /// [`len`](Self::len): the one transform call. Every backend runs
+    /// through [`Executor::try_run`] (Bluestein's two inner `DFT_m` runs
+    /// included) and answers alike: a wrong length is `Err(Plan)` before
+    /// anything runs, and a non-finite value in `y` is
+    /// `Err(NonFinite { index })` at its first index in `y`, which holds
+    /// the computed values. A warm call allocates nothing, except
+    /// Bluestein's one work buffer.
+    pub fn forward_into(&self, x: &[Cplx], y: &mut [Cplx]) -> Result<(), Error> {
+        match &self.bluestein {
+            None => self.executor.try_run(&self.plan, &[x], &mut [y], &())?,
+            Some(b) => b.forward_into(&self.plan, &self.executor, x, y)?,
+        }
+        Ok(())
+    }
+
+    /// The forward DFT of `x` in a new vector: [`forward_into`](Self::forward_into),
+    /// panicking with its error message on any `Err`.
     pub fn forward(&self, x: &[Cplx]) -> Vec<Cplx> {
-        match &self.backend {
-            Backend::Plan { plan, .. } if plan.threads == 1 => plan.execute(x),
-            Backend::Plan { .. } => self.try_forward(x).unwrap_or_else(|e| panic!("{e}")),
-            Backend::Bluestein(b) => b.run(x),
-        }
+        let mut y = vec![Cplx::ZERO; self.len()];
+        self.forward_into(x, &mut y)
+            .unwrap_or_else(|e| panic!("{e}"));
+        y
     }
 
-    /// Compute the forward DFT of `x`, propagating execution-layer
-    /// faults (worker panics, watchdog expiries, non-finite output) and
-    /// a wrong input length as [`Error::Fault`] instead of panicking.
-    /// Every backend scans the output, so a non-finite value gives the
-    /// same `Err` on one thread, on `p` threads and under Bluestein.
+    /// The forward DFT of `x` in a new vector, or
+    /// [`forward_into`](Self::forward_into)'s `Err`.
     pub fn try_forward(&self, x: &[Cplx]) -> Result<Vec<Cplx>, Error> {
-        if x.len() != self.len() {
-            return Err(Error::Fault(spiral_smp::SpiralError::Plan(format!(
-                "input length {} does not match transform size {}",
-                x.len(),
-                self.len()
-            ))));
-        }
-        match &self.backend {
-            Backend::Plan { plan, executor } => {
-                let mut out = vec![Cplx::ZERO; self.len()];
-                executor.try_run(plan, &[x], &mut [&mut out[..]], &())?;
-                Ok(out)
-            }
-            Backend::Bluestein(b) => {
-                let out = b.run(x);
-                check_finite(&out, || format!("Bluestein DFT_{}", self.len()))?;
-                Ok(out)
-            }
-        }
+        let mut y = vec![Cplx::ZERO; self.len()];
+        self.forward_into(x, &mut y)?;
+        Ok(y)
     }
 
-    /// Compute the inverse DFT of `y`, including the `1/n` scaling, via
-    /// the conjugation identity `DFT⁻¹(y) = conj(DFT(conj(y))) / n` —
-    /// the same generated program runs both directions.
+    /// The inverse DFT of `y`, including the `1/n` scaling, via the
+    /// conjugation identity `DFT⁻¹(y) = conj(DFT(conj(y))) / n` — the same
+    /// generated program runs both directions. Panics like
+    /// [`forward`](Self::forward).
     pub fn inverse(&self, y: &[Cplx]) -> Vec<Cplx> {
-        let n = self.len() as f64;
         let conj_in: Vec<Cplx> = y.iter().map(|z| z.conj()).collect();
-        self.forward(&conj_in)
-            .into_iter()
-            .map(|z| z.conj() * (1.0 / n))
-            .collect()
+        let mut x = self.forward(&conj_in);
+        let scale = 1.0 / self.len() as f64;
+        for z in &mut x {
+            *z = z.conj() * scale;
+        }
+        x
     }
 
     /// Emit the C code (OpenMP or pthreads flavor) for the executing plan.
@@ -306,7 +290,7 @@ impl SpiralFft {
 mod tests {
     use super::*;
     use spiral_spl::builder::dft;
-    use spiral_spl::cplx::assert_slices_close;
+    use spiral_spl::cplx::{assert_slices_close, first_non_finite};
 
     fn ramp(n: usize) -> Vec<Cplx> {
         (0..n).map(|k| Cplx::new(k as f64, 1.0)).collect()
@@ -407,52 +391,65 @@ mod tests {
         assert!(matches!(fft.try_forward(&x[..100]), Err(Error::Fault(_))));
     }
 
-    /// One NaN in the input is `Err(NonFinite)` from `try_forward` on
-    /// every backend: one thread (the tuner picks one at 256), two
-    /// threads, and Bluestein.
+    /// One NaN in the input is the same `Err(NonFinite)` on every
+    /// backend — one thread (the tuner picks one at 256), two threads and
+    /// Bluestein — from `forward_into` and `try_forward`, at the first
+    /// non-finite element of the `y` that `forward_into` wrote; `forward`
+    /// panics with that error.
     #[test]
-    fn try_forward_rejects_non_finite_output_on_every_backend() {
+    fn non_finite_input_is_the_same_error_on_every_backend() {
         let ffts = [
+            SpiralFft::sequential(256),
             SpiralFft::parallel(256, 2, 4).unwrap(),
             SpiralFft::parallel(1 << 14, 2, 4).unwrap(),
-            SpiralFft::sequential(256),
             SpiralFft::sequential(97),
         ];
-        assert_eq!(ffts[0].plan().threads, 1);
-        assert_eq!(ffts[1].plan().threads, 2);
+        assert_eq!(ffts[1].plan().threads, 1);
+        assert_eq!(ffts[2].plan().threads, 2);
+        assert!(ffts[3].bluestein.is_some());
+        let non_finite_index = |r: Result<(), Error>| match r {
+            Err(Error::Fault(spiral_smp::SpiralError::NonFinite { index, .. })) => index,
+            other => panic!("{other:?}"),
+        };
         for fft in &ffts {
-            let mut x = ramp(fft.len());
+            let n = fft.len();
+            let mut x = ramp(n);
             x[3] = Cplx::new(f64::NAN, 0.0);
-            let err = fft.try_forward(&x).unwrap_err();
+            let mut y = vec![Cplx::ZERO; n];
+            let index = non_finite_index(fft.forward_into(&x, &mut y));
+            assert_eq!(Some(index), first_non_finite(&y), "DFT_{n}");
+            assert_eq!(index, 0, "DFT_{n}: every output bin sums x[3]");
+            let via_try = non_finite_index(fft.try_forward(&x).map(drop));
+            assert_eq!(via_try, index, "DFT_{n}");
+            let forward = std::panic::AssertUnwindSafe(|| fft.forward(&x));
+            let panic = std::panic::catch_unwind(forward).unwrap_err();
+            let msg = panic.downcast_ref::<String>().unwrap();
             assert!(
-                matches!(err, Error::Fault(spiral_smp::SpiralError::NonFinite { .. })),
-                "DFT_{}: {err}",
-                fft.len()
+                msg.contains("non-finite value at index 0"),
+                "DFT_{n}: {msg}"
             );
         }
     }
 
-    /// What `forward` does with one NaN in the input, per backend: on one
-    /// thread and under Bluestein the NaN comes back in the result; on
-    /// two threads `forward` panics with the executor's `NonFinite`.
+    /// A wrong length is `Err(Plan)` on every backend, before anything
+    /// runs.
     #[test]
-    fn forward_returns_or_panics_on_non_finite_input_per_backend() {
-        let nan_input = |n: usize| {
-            let mut x = ramp(n);
-            x[3] = Cplx::new(f64::NAN, 0.0);
-            x
-        };
-        for fft in [SpiralFft::sequential(256), SpiralFft::sequential(97)] {
-            let y = fft.forward(&nan_input(fft.len()));
-            assert!(y.iter().any(|z| z.re.is_nan()), "DFT_{}", fft.len());
+    fn forward_into_checks_lengths_on_every_backend() {
+        for fft in [
+            SpiralFft::sequential(64),
+            SpiralFft::parallel(1 << 14, 2, 4).unwrap(),
+            SpiralFft::sequential(97),
+        ] {
+            let n = fft.len();
+            let (x, mut y) = (ramp(n + 1), vec![Cplx::ZERO; n + 1]);
+            for (x_len, y_len) in [(n - 1, n), (n, n + 1)] {
+                let err = fft.forward_into(&x[..x_len], &mut y[..y_len]);
+                assert!(
+                    matches!(err, Err(Error::Fault(spiral_smp::SpiralError::Plan(_)))),
+                    "DFT_{n}: {err:?}"
+                );
+            }
         }
-        let fft = SpiralFft::parallel(1 << 14, 2, 4).unwrap();
-        assert_eq!(fft.plan().threads, 2);
-        let x = nan_input(fft.len());
-        let forward = std::panic::AssertUnwindSafe(|| fft.forward(&x));
-        let panic = std::panic::catch_unwind(forward).unwrap_err();
-        let msg = panic.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("non-finite"), "{msg}");
     }
 
     #[test]
