@@ -56,9 +56,10 @@ fn print_node(s: &mut String, id: usize, node: Node) {
 /// that calls it. A larger one is a scalar function that lane types run
 /// one lane at a time, split into out-of-line segments of at most
 /// `STRAIGHT_LINE_NODES` nodes that hand values on through an array
-/// holding every node. Printed as one function, DFT_61 alone takes 37 s
-/// to compile as array assignments and overflows the compiler's stack
-/// as `let` bindings (one nested debug-info scope per binding).
+/// holding every node. Printed as one function, DFT_61 (when the set
+/// went up to 64) took 37 s to compile as array assignments and
+/// overflowed the compiler's stack as `let` bindings (one nested
+/// debug-info scope per binding).
 fn print_kernel(s: &mut String, d: &Dag) {
     let (n, len) = (d.n_inputs, d.nodes.len());
     let outs = |f: &dyn Fn(u32) -> String| -> String {

@@ -23,7 +23,9 @@ pub struct SearchResult {
     pub evaluated: usize,
 }
 
-/// Run DP over all divisors of `n`.
+/// Run DP over all divisors of `n`. Panics unless every prime factor of
+/// `n` has a kernel (`spiral_codegen::lower::factors_have_kernels`): a
+/// larger prime is a leaf no cost model can cost.
 pub fn dp_search(n: usize, max_leaf: usize, mu: usize, model: &CostModel) -> SearchResult {
     let mut memo: HashMap<usize, (RuleTree, f64)> = HashMap::new();
     let mut evaluated = 0usize;
@@ -67,7 +69,7 @@ fn best(
             }
         }
     }
-    let result = bt.expect("no costable candidate — MAX_CODELET too small?");
+    let result = bt.expect("no costable candidate: a prime factor has no kernel");
     memo.insert(n, result.clone());
     result
 }
@@ -118,19 +120,14 @@ mod tests {
     /// to 2^12 whose prime factors have kernels.
     #[test]
     fn every_dp_leaf_has_a_kernel() {
-        use spiral_codegen::lower::{has_kernel, MAX_CODELET, MAX_LEAF};
+        use spiral_codegen::lower::{factors_have_kernels, has_kernel, MAX_LEAF};
         fn kernel_leaves(t: &RuleTree) -> bool {
             match t {
                 RuleTree::Leaf(n) => has_kernel(*n),
                 RuleTree::Ct(a, b) => kernel_leaves(a) && kernel_leaves(b),
             }
         }
-        let smooth = |n: usize| {
-            spiral_spl::num::factorize(n)
-                .iter()
-                .all(|&(p, _)| p <= MAX_CODELET)
-        };
-        for n in (2..=1 << 12).filter(|&n| smooth(n)) {
+        for n in (2..=1 << 12).filter(|&n| factors_have_kernels(n)) {
             let t = dp_search(n, MAX_LEAF, 4, &CostModel::Analytic).tree;
             assert!(kernel_leaves(&t), "DFT_{n}: {t}");
         }

@@ -106,17 +106,21 @@ fn multicore_plans_certify_exactly_fused_and_unfused() {
     }
 }
 
-/// Every `DFT_k` leaf with no compiled kernel (composite, not a power
-/// of two, 8 < k < 64), as SPL text alone and inside the Cooley–Tukey
-/// step `(DFT_2 ⊗ I_k) T^{2k}_k (I_2 ⊗ DFT_k) L^{2k}_2`, lowers through
-/// a rule tree and is proven equal to the DFT by the symbolic pass.
+/// Every composite `DFT_k` leaf with no compiled kernel up to 64
+/// (composite, `k > 8`, not 16 or 32), as SPL text alone and inside the
+/// Cooley–Tukey step `(DFT_2 ⊗ I_k) T^{2k}_k (I_2 ⊗ DFT_k) L^{2k}_2`,
+/// lowers through a rule tree and is proven equal to the DFT by the
+/// symbolic pass.
 #[test]
 fn leaves_outside_the_kernel_set_certify_exactly() {
-    use spiral_codegen::lower::{has_kernel, MAX_CODELET};
-    let sizes: Vec<usize> = (9..MAX_CODELET).filter(|&k| !has_kernel(k)).collect();
-    assert_eq!(sizes.len(), 39);
+    use spiral_codegen::lower::has_kernel;
+    let composite = |k: usize| spiral_spl::num::factorize(k) != [(k, 1)];
+    let sizes: Vec<usize> = (9..=64)
+        .filter(|&k| !has_kernel(k) && composite(k))
+        .collect();
+    assert_eq!(sizes.len(), 40);
     let opts = CertOptions {
-        symbolic_limit: 2 * MAX_CODELET,
+        symbolic_limit: 128,
     };
     for k in sizes {
         let n = 2 * k;

@@ -188,14 +188,15 @@ fn mis_rotate(plan: &mut Plan, both: bool) -> bool {
 /// vector execution diverge from the scalar one — the vector-vs-scalar
 /// leg must fail, and the structural lane-shuffle certification must
 /// reject the IR independently.
-/// Every `DFT_k` leaf with no compiled kernel (composite, not a power
-/// of two, 8 < k < 64), as SPL text alone and inside the Cooley–Tukey
-/// step `(DFT_2 ⊗ I_k) T^{2k}_k (I_2 ⊗ DFT_k) L^{2k}_2`, lowers and
-/// passes the harness at every lane width.
+/// Every composite `DFT_k` leaf with no compiled kernel up to 64
+/// (composite, `k > 8`, not 16 or 32), as SPL text alone and inside the
+/// Cooley–Tukey step `(DFT_2 ⊗ I_k) T^{2k}_k (I_2 ⊗ DFT_k) L^{2k}_2`,
+/// lowers and passes the harness at every lane width.
 #[test]
 fn leaves_outside_the_kernel_set_pass_the_harness() {
-    use spiral_codegen::lower::{has_kernel, MAX_CODELET};
-    for k in (9..MAX_CODELET).filter(|&k| !has_kernel(k)) {
+    use spiral_codegen::lower::has_kernel;
+    let composite = |k: usize| spiral_spl::num::factorize(k) != [(k, 1)];
+    for k in (9..=64).filter(|&k| !has_kernel(k) && composite(k)) {
         let n = 2 * k;
         for text in [
             format!("DFT_{k}"),
