@@ -335,6 +335,28 @@ fn invalid_plan_threads_is_rejected() {
     assert!(err.contains("plan_threads"), "{err}");
 }
 
+/// An entry whose formula has a prime leaf without a kernel (DFT_47, in
+/// a Cooley–Tukey step of DFT_94) is rejected on its own: its formula
+/// fails to lower.
+#[test]
+fn leaf_without_a_kernel_is_rejected() {
+    let entry = WisdomEntry {
+        n: 94,
+        threads: 1,
+        mu: 4,
+        plan_threads: 1,
+        formula: "(DFT_2 @ I_47) * T^94_47 * (I_2 @ DFT_47) * L^94_2".to_string(),
+        choice: "test".to_string(),
+        cost: 10.0,
+        vec_width: 1,
+    };
+    let err = compile_entry(&entry).unwrap_err();
+    assert!(
+        err.contains("fails to lower") && err.contains("no kernel"),
+        "{err}"
+    );
+}
+
 /// The tuner's winning formulas — sequential and parallel — round-trip
 /// through the ASCII rendering and recompile to plans of the right
 /// shape via `compile_entry` (the loader's pipeline).

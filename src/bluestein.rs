@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn primes_match_definition() {
         for n in [3usize, 5, 7, 11, 13, 97, 101, 127, 251] {
-            let fft = SpiralFft::bluestein(n);
+            let fft = SpiralFft::bluestein(n, 1, 4).unwrap();
             let m = fft.plan().n;
             assert!(m.is_power_of_two() && m >= 2 * n - 1);
             let x = ramp(n);
@@ -132,13 +132,17 @@ mod tests {
         }
     }
 
+    /// On one thread and on up to two (an inner `DFT_m` too small for a
+    /// 2-thread split is tuned for one).
     #[test]
     fn composite_and_power_of_two_sizes_also_work() {
         for n in [1usize, 2, 6, 16, 194, 300] {
-            let fft = SpiralFft::bluestein(n);
-            let x = ramp(n);
-            let want = dft(n).eval(&x);
-            assert_slices_close(&fft.forward(&x), &want, 1e-7 * n.max(4) as f64);
+            for p in [1, 2] {
+                let fft = SpiralFft::bluestein(n, p, 4).unwrap();
+                let x = ramp(n);
+                let want = dft(n).eval(&x);
+                assert_slices_close(&fft.forward(&x), &want, 1e-7 * n.max(4) as f64);
+            }
         }
     }
 }
